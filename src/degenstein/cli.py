@@ -176,7 +176,8 @@ def _make_profile(block: dict):
     if kind == "custom":
         path = _require(block, "path", "profile")
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return coeffs.custom_profile(data[:, 0], data[:, 1], M=M)
+        # the domain edge M is the last sampled s
+        return coeffs.custom_profile(data[:, 0], data[:, 1])
     raise ConfigError(f"profile kind '{kind}' has no direct profile")
 
 

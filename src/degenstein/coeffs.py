@@ -234,29 +234,39 @@ class CoefficientTable:
             raise DomainError(f"unknown column '{name}'; have {COLUMNS}")
         return getattr(self, name)
 
-    def _interpolator(self, name: str):
+    def _interpolator(self, name):
         # interpolate in log s; positive columns additionally in log value,
-        # which keeps them positive and monotone under PCHIP
+        # which keeps them positive and monotone under PCHIP.  A tuple of
+        # names gets one interpolant over the stacked columns: PCHIP slopes
+        # are per column, so it matches the single-column ones to roundoff
+        # while paying the per-call overhead once.
         if name not in self._interp:
             t = np.log(self.s)
-            y = self.column(name)
+            y = np.column_stack([self.column(c) for c in name]) \
+                if isinstance(name, tuple) else self.column(name)
             if np.all(y > 0.0):
                 self._interp[name] = ("log", PchipInterpolator(t, np.log(y)))
+            elif isinstance(name, tuple):
+                raise DomainError(
+                    f"joint evaluation needs positive columns, got {name}")
             else:
                 self._interp[name] = ("lin", PchipInterpolator(t, y))
         return self._interp[name]
 
-    def eval(self, column: str, s):
+    def eval(self, column, s):
         """Evaluate a column at concentrations s in [s_min, M].
 
         Exact at the nodes; monotone-preserving cubic in between.  Arguments
         outside the tabulated range (beyond roundoff slack) raise DomainError.
+        A tuple of positive column names is evaluated through one joint
+        interpolant and returns the columns along a trailing axis.
         """
         arr = np.asarray(s, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         lo, hi = self.s_min, self.M
-        if np.any(arr < lo * (1.0 - 1e-12)) or np.any(arr > hi * (1.0 + 1e-12)):
+        if arr.size and (arr.min() < lo * (1.0 - 1e-12)
+                         or arr.max() > hi * (1.0 + 1e-12)):
             bad = arr[(arr < lo * (1.0 - 1e-12)) | (arr > hi * (1.0 + 1e-12))]
             raise DomainError(
                 f"evaluation outside [{lo:g}, {hi:g}]: first offender {bad.flat[0]:g}"
@@ -266,7 +276,10 @@ class CoefficientTable:
         out = itp(np.log(clamped))
         if mode == "log":
             out = np.exp(out)
-        return float(out[0]) if scalar else out
+        if scalar:
+            out = out[0]
+            return float(out) if out.ndim == 0 else out
+        return out
 
     def identity_residuals(self) -> dict:
         """Max relative residuals of the construction identities, nodewise."""

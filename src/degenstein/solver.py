@@ -8,6 +8,12 @@ cells.  Under the CFL bound every update is a convex combination of
 neighbors, so the discrete maximum principle holds exactly; a clamp event is
 an error, never a silent fix.
 
+There is one step kernel, `_Kernel`, and `solve`, `step_explicit` and
+`cfl_dt` all go through it: one CFL formula, one update, and the range and
+maximum-principle tripwires checked on every step, so `solve` raises
+RangeError at the step that breaks them.  D comes from one joint evaluation
+of the F and h columns per step (`CoefficientTable.eval` with a tuple).
+
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
 
@@ -201,60 +207,95 @@ class EpsProblem:
         return g_vals, psi_vals
 
     def diffusivity(self, values: np.ndarray) -> np.ndarray:
-        F = self.table.eval("F", values)
-        h = self.table.eval("h", values)
-        return (F + self.eps) / h
+        Fh = self.table.eval(("F", "h"), values)
+        return (Fh[..., 0] + self.eps) / Fh[..., 1]
 
 
 def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    lap = np.zeros_like(values)
+    """Five-point (1-D: three-point) Laplacian on the interior cells only."""
     h = grid.h
     if grid.dim == 1:
-        lap[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h[0] ** 2
-    else:
-        lap[1:-1, 1:-1] = (
-            (values[:-2, 1:-1] - 2.0 * values[1:-1, 1:-1] + values[2:, 1:-1]) / h[0] ** 2
-            + (values[1:-1, :-2] - 2.0 * values[1:-1, 1:-1] + values[1:-1, 2:]) / h[1] ** 2
-        )
-    return lap
+        return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h[0] ** 2
+    return (
+        (values[:-2, 1:-1] - 2.0 * values[1:-1, 1:-1] + values[2:, 1:-1]) / h[0] ** 2
+        + (values[1:-1, :-2] - 2.0 * values[1:-1, 1:-1] + values[1:-1, 2:]) / h[1] ** 2
+    )
+
+
+class _Kernel:
+    """The explicit step, shared by solve, step_explicit and cfl_dt.
+
+    Built once per (problem, grid, boundary weight): it holds the CFL
+    constant, the interior slice, the boundary pin eps*psi and the admissible
+    range, so a step is D from one joint F/h evaluation, the CFL bound, the
+    forward-Euler update of the interior and the tripwires, which are min/max
+    reductions on the new interior.
+    """
+
+    def __init__(self, prob: EpsProblem, grid: GridSpec,
+                 psi_vals: Optional[np.ndarray] = None):
+        if psi_vals is None:
+            psi_vals = grid.sample(prob.psi)
+        self.prob, self.grid = prob, grid
+        self.cfl = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
+        self.inner = (slice(1, -1),) * grid.dim
+        self.pin = prob.eps * psi_vals
+        ring = self.pin[~grid.interior_mask()]
+        self.ring_lo, self.ring_hi = float(ring.min()), float(ring.max())
+        self.lo = prob.eps * min(1.0, float(psi_vals.min()))
+        self.hi = prob.u_max
+        self.slack = 1e-12 * max(self.hi, 1.0)
+
+    def diffusivity(self, values: np.ndarray):
+        """D(values) and the largest stable step for it."""
+        D = self.prob.diffusivity(values)
+        return D, self.cfl / float(D.max())
+
+    def step(self, values: np.ndarray, D: np.ndarray, dt: float,
+             lo: float, hi: float, out: np.ndarray):
+        """Write the forward-Euler update of the interior into out, whose
+        boundary ring must already hold the pin; lo and hi are the extrema
+        of values.  Returns the extrema of out, after raising RangeError if
+        out leaves the admissible range or the interior update breaks the
+        discrete maximum principle (neither can happen under the CFL bound;
+        the checks are tripwires)."""
+        inner = self.inner
+        new = out[inner]
+        np.add(values[inner], dt * D[inner] * _laplacian(values, self.grid), out=new)
+        new_lo, new_hi = float(new.min()), float(new.max())
+        out_lo, out_hi = min(new_lo, self.ring_lo), max(new_hi, self.ring_hi)
+        slack = self.slack
+        if out_lo < self.lo - slack or out_hi > self.hi + slack:
+            raise RangeError(
+                f"field left [{self.lo:g}, {self.hi:g}]: range [{out_lo:g}, {out_hi:g}]"
+            )
+        if new_hi > hi + slack or new_lo < lo - slack:
+            raise RangeError("discrete maximum principle violated")
+        return out_lo, out_hi
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
-    """Largest stable explicit step for the current state."""
-    D_max = float(np.max(prob.diffusivity(values)))
-    return prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim * D_max)
+    """Largest stable explicit step for the current state: the kernel's one
+    CFL bound, safety * min(h)^2 / (2 * dim * max D)."""
+    return _Kernel(prob, grid).diffusivity(values)[1]
 
 
 def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
                   psi_vals: Optional[np.ndarray] = None) -> Field:
-    """One forward-Euler update with the boundary ring re-pinned.
+    """One forward-Euler update with the boundary ring re-pinned, through the
+    same kernel that solve marches with.
 
     Raises CflError when dt exceeds the stability bound and RangeError if the
     update leaves the admissible range or breaks the discrete max principle
     (neither can happen under the CFL bound; the checks are tripwires).
     """
+    kern = _Kernel(prob, grid, psi_vals)
     values = fld.values
-    if psi_vals is None:
-        psi_vals = grid.sample(prob.psi)
-    D = prob.diffusivity(values)
-    bound = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim * float(D.max()))
+    D, bound = kern.diffusivity(values)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
-
-    new = values + dt * D * _laplacian(values, grid)
-    interior = grid.interior_mask()
-    new[~interior] = prob.eps * psi_vals[~interior]
-
-    lo = prob.eps * min(1.0, float(psi_vals.min()))
-    hi = prob.u_max
-    slack = 1e-12 * max(hi, 1.0)
-    if new.min() < lo - slack or new.max() > hi + slack:
-        raise RangeError(
-            f"field left [{lo:g}, {hi:g}]: range [{new.min():g}, {new.max():g}]"
-        )
-    if new[interior].max() > values.max() + slack or \
-            new[interior].min() < values.min() - slack:
-        raise RangeError("discrete maximum principle violated")
+    new = kern.pin.copy()
+    kern.step(values, D, dt, float(values.min()), float(values.max()), new)
     return Field(values=new, time=fld.time + dt)
 
 
@@ -313,20 +354,28 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     """March the explicit scheme to time T with adaptive CFL-bounded steps.
 
     Snapshots are linearly interpolated in time onto the requested instants,
-    so step placement never depends on the output schedule.  The cumulative
-    dissipation integral uses the same diffusivity evaluation as the step
-    itself, which is what makes the energy identity check tight.
+    so step placement never depends on the output schedule.  Every step goes
+    through the shared kernel (one joint F/h evaluation for D, the CFL
+    bound, the update and the per-step tripwires), so a range or
+    maximum-principle violation raises RangeError at the step where it
+    happens.  The cumulative dissipation integral uses the same diffusivity
+    evaluation as the step itself, which is what makes the energy identity
+    check tight.
     """
     if T <= 0:
         raise DomainError("final time must be positive")
     snap_times = _resolve_snapshots(snapshot_times, T)
 
     g_vals, psi_vals = prob.sample_on(grid)
-    u = prob.eps + g_vals
-    interior = grid.interior_mask()
-    pin = prob.eps * psi_vals
-    boundary_transient = float(np.abs(u[~interior] - pin[~interior]).max(initial=0.0))
-    u[~interior] = pin[~interior]
+    kern = _Kernel(prob, grid, psi_vals)
+    inner = kern.inner
+    u0 = prob.eps + g_vals
+    u = kern.pin.copy()
+    u[inner] = u0[inner]
+    boundary_transient = float(np.abs(u0 - u).max())
+    # two buffers whose boundary rings hold the pin; each step writes the
+    # interior of one from the other
+    spare = u.copy()
 
     vol = grid.cell_volume
     fields = []
@@ -338,47 +387,41 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
 
     t = 0.0
     diss = 0.0
+    u_lo, u_hi = float(u.min()), float(u.max())
     dt_hist, max_hist = [], []
-    fld = Field(values=u, time=0.0)
     max_steps = 50_000_000
     for _ in range(max_steps):
         if t >= T - 1e-15 * T:
             break
-        D = prob.diffusivity(fld.values)
-        dt = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim * float(D.max()))
+        D, dt = kern.diffusivity(u)
         dt = min(dt, T - t)
-        new = fld.values + dt * D * _laplacian(fld.values, grid)
-        new[~interior] = pin[~interior]
+        new = spare
+        u_lo, u_hi = kern.step(u, D, dt, u_lo, u_hi, out=new)
 
-        du = new - fld.values
+        du = new[inner] - u[inner]
         diss_old = diss
         # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D, per-step value
-        diss += float(np.sum(du * du / D)) / dt * vol
+        diss += float(np.sum(du * du / D[inner])) / dt * vol
 
         t_new = t + dt
         while next_snap < len(snap_times) and snap_times[next_snap] <= t_new + 1e-15 * T:
             ts = snap_times[next_snap]
             w = (ts - t) / dt
-            fields.append(fld.values + w * du)
+            fields.append(u + w * (new - u))
             snap_diss[next_snap] = diss_old + w * (diss - diss_old)
             next_snap += 1
         dt_hist.append(dt)
-        max_hist.append(float(new.max()))
-        fld = Field(values=new, time=t_new)
+        max_hist.append(u_hi)
+        spare, u = u, new
         t = t_new
     else:
         raise CflError("step budget exhausted before reaching T")
 
     if next_snap < len(snap_times):
-        fields.append(fld.values.copy())
+        fields.append(u.copy())
         snap_diss[next_snap] = diss
         next_snap += 1
     assert next_snap == len(snap_times), "snapshot schedule not exhausted"
-
-    lo = prob.eps * min(1.0, float(psi_vals.min()))
-    final = fields[-1]
-    if final.min() < lo - 1e-12 or final.max() > prob.u_max + 1e-12:
-        raise RangeError("final field left the admissible range")
 
     return SolveTrace(grid=grid, prob=prob, times=snap_times, fields=fields,
                       dissipation=snap_diss, dt_history=np.asarray(dt_hist),

@@ -87,6 +87,19 @@ class TestHappyPaths:
         assert len(rows) == 1 + 256
         assert all(len(r.split(",")) == 7 for r in rows[1:])
 
+    def test_custom_profile_table(self, tmp_path):
+        # P(s) = s sampled on [1e-8, 2]; the domain edge M is the last node
+        samples = tmp_path / "profile.csv"
+        s_nodes = [10.0 ** k for k in range(-8, 1)] + [2.0]
+        samples.write_text("s,P\n" + "".join(f"{s!r},{s!r}\n" for s in s_nodes))
+        cfg = write_config(tmp_path, profile={"kind": "custom",
+                                              "path": str(samples)})
+        code, out = run(tmp_path, "table", "--config", cfg)
+        assert code == EXIT_OK
+        with open(os.path.join(str(out), "table.csv")) as fh:
+            last = fh.read().strip().splitlines()[-1]
+        assert float(last.split(",")[0]) == 2.0
+
     def test_solve_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
         code, out = run(tmp_path, "solve", "--config", cfg)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstein.errors import CflError, DomainError
+from degenstein import solver as solver_mod
+from degenstein.coeffs import LambdaChoice, build_table, exp_zeta_profile
+from degenstein.errors import CflError, DomainError, RangeError
 from degenstein.solver import (EpsProblem, Field, GridSpec, bump, cfl_dt,
                                energy_identity_residual, eps_sweep,
                                grad_energy, solve, step_explicit)
@@ -226,3 +228,87 @@ class TestTwoDimensions:
         prob = EpsProblem(table=beta1_table, eps=1e-5, g=0.0, psi=1.0)
         trace = solve(prob, grid, T=0.005, snapshot_times=2)
         assert np.all(trace.fields[-1] == 1e-5)
+
+
+def _reference_solve(prob, grid, T):
+    """The loop solve() ran before the shared kernel: two column
+    evaluations for D, boolean-mask pinning, a full-grid Laplacian.
+    Returns (n_steps, final field)."""
+    interior = grid.interior_mask()
+    h = grid.h[0]
+    pin = prob.eps * grid.sample(prob.psi)
+    u = prob.eps + grid.sample(prob.g)
+    u[~interior] = pin[~interior]
+    t, n_steps = 0.0, 0
+    while t < T - 1e-15 * T:
+        D = (prob.table.eval("F", u) + prob.eps) / prob.table.eval("h", u)
+        dt = min(prob.safety * h ** 2 / (2.0 * float(D.max())), T - t)
+        lap = np.zeros_like(u)
+        lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2
+        u = u + dt * D * lap
+        u[~interior] = pin[~interior]
+        t += dt
+        n_steps += 1
+    return n_steps, u
+
+
+class TestSharedKernel:
+    @pytest.fixture(scope="class")
+    def zeta_slow_table(self):
+        prof = exp_zeta_profile(lambda s: 1.0 - np.log(s),
+                                lambda s: -np.log(s) + 0.5 * np.log(s) ** 2,
+                                kind="exp_zeta_slow", s_min_hint=1e-8)
+        return build_table(prof, LambdaChoice(1.0))
+
+    @pytest.mark.parametrize("name", ["beta1_table", "beta2_table",
+                                      "zeta_slow_table", "control_tab"])
+    def test_joint_diffusivity_matches_columns(self, name, request):
+        table = request.getfixturevalue(name)
+        for eps in (1e-6, 1e-3):
+            prob = EpsProblem(table=table, eps=eps)
+            s = np.geomspace(max(eps, table.s_min), table.M, 2001)
+            ref = (table.eval("F", s) + eps) / table.eval("h", s)
+            assert np.max(np.abs(prob.diffusivity(s) / ref - 1.0)) <= 1e-13
+
+    def test_joint_eval_shape(self, beta1_table):
+        u = np.full((3, 4), 0.5)
+        assert beta1_table.eval(("F", "h"), u).shape == (3, 4, 2)
+        assert beta1_table.eval(("F", "h"), 0.5).shape == (2,)
+        with pytest.raises(DomainError):
+            beta1_table.eval(("F", "h"), 2.0)
+
+    def test_solve_matches_reference_loop(self, beta1_table, desk_bump):
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(201,))
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        n_ref, u_ref = _reference_solve(prob, grid, 0.05)
+        trace = solve(prob, grid, 0.05, snapshot_times=2)
+        assert trace.n_steps == n_ref
+        assert np.max(np.abs(trace.fields[-1] - u_ref)) <= 1e-12
+
+    def test_step_explicit_is_one_solve_step(self, beta1_table, desk_grid,
+                                            desk_bump):
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        u0 = prob.eps + desk_grid.sample(desk_bump)
+        dt = cfl_dt(prob, desk_grid, u0)
+        one = step_explicit(Field(u0, 0.0), prob, desk_grid, dt)
+        trace = solve(prob, desk_grid, dt, snapshot_times=2)
+        assert trace.n_steps == 1
+        assert np.array_equal(one.values, trace.fields[-1])
+
+    def test_overshoot_raises_at_the_failing_step(self, beta1_table,
+                                                  desk_grid, desk_bump,
+                                                  monkeypatch):
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        n_full = solve(prob, desk_grid, 0.01, snapshot_times=2).n_steps
+        calls = []
+        honest = solver_mod._laplacian
+
+        def overshooting(values, grid):
+            calls.append(1)
+            return 10.0 * honest(values, grid)
+
+        monkeypatch.setattr(solver_mod, "_laplacian", overshooting)
+        with pytest.raises(RangeError):
+            solve(prob, desk_grid, 0.01, snapshot_times=2)
+        # caught by the per-step tripwire, long before the field reaches T
+        assert 0 < len(calls) < n_full // 10, (len(calls), n_full)
