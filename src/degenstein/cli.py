@@ -78,6 +78,68 @@ def _require(d: dict, key: str, ctx: str):
     return d[key]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and len(value) > 0 \
+        and all(_is_number(v) for v in value)
+
+
+_TYPE_CHECKS = {
+    "number": _is_number,
+    "integer": _is_integer,
+    "string": lambda v: isinstance(v, str),
+    "numbers": lambda v: _is_number(v) or _is_number_list(v),
+    "snapshots": lambda v: _is_integer(v) or _is_number_list(v),
+}
+
+
+def _check_type(value, kind: str, what: str):
+    """Raise ConfigError unless value has the JSON type kind, one of
+    _TYPE_CHECKS ('numbers' is a number or a list of numbers, 'snapshots'
+    an integer count or a list of times); a trailing '?' also admits null."""
+    nullable = kind.endswith("?")
+    if not ((nullable and value is None) or _TYPE_CHECKS[kind.rstrip("?")](value)):
+        raise ConfigError(f"{what} must be of type {kind.rstrip('?')}, "
+                          f"got {value!r}")
+    return value
+
+
+# JSON types of the optional fields of each config block
+_BLOCK_TYPES = {
+    "profile": {"kind": "string", "M": "number", "beta": "number",
+                "tail": "number?", "path": "string", "F0": "number",
+                "h0": "number"},
+    "bump": {"center": "numbers", "radius": "number", "height": "number",
+             "shape": "string"},
+    "localization": {"x0": "numbers", "R": "number", "Rp": "number"},
+    "exponents": {"C1": "number", "S": "number", "j": "number?"},
+    "table": {"s_min": "number?", "K": "integer", "quad_tol": "number"},
+    "kinetic": {"tau0": "number", "a": "number", "dt": "number",
+                "shape": "string"},
+}
+
+
+def _check_block(raw: dict, key: str):
+    """raw[key] as a dict (None when absent or null), every present field
+    type-checked."""
+    block = raw.get(key)
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    for name, kind in _BLOCK_TYPES[key].items():
+        if name in block:
+            _check_type(block[name], kind, f"{key}.{name}")
+    return block
+
+
 @dataclass
 class ExperimentConfig:
     """Validated run description; see README for the JSON schema."""
@@ -101,46 +163,65 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        prof = _require(raw, "profile", "config")
-        if not isinstance(prof, dict) or "kind" not in prof:
+        _require(raw, "profile", "config")
+        prof = _check_block(raw, "profile")
+        if prof is None or "kind" not in prof:
             raise ConfigError("profile must be an object with a 'kind'")
         if prof["kind"] not in _EXAMPLE_KINDS + ("custom", "constant"):
             raise ConfigError(f"unknown profile kind '{prof['kind']}'")
+        if prof["kind"] == "custom":
+            _require(prof, "path", "profile")
         lam = raw.get("lambda", 1.0)
-        if not (lam == "auto" or (isinstance(lam, (int, float)) and lam > 0)):
+        if not (lam == "auto" or (_is_number(lam) and lam > 0)):
             raise ConfigError("lambda must be a positive number or 'auto'")
         grid = _require(raw, "grid", "config")
+        if not isinstance(grid, dict):
+            raise ConfigError("'grid' must be an object")
         extent = _require(grid, "extent", "grid")
         n = _require(grid, "n", "grid")
-        if len(extent) != len(n) or len(n) not in (1, 2):
-            raise ConfigError("grid extent and n must both have length 1 or 2")
-        eps = float(raw.get("eps", 1e-6))
+        if not (isinstance(extent, list) and isinstance(n, list)) \
+                or len(extent) != len(n) or len(n) not in (1, 2):
+            raise ConfigError("grid extent and n must both be lists of "
+                              "length 1 or 2")
+        for ab, m in zip(extent, n):
+            if not (_is_number_list(ab) and len(ab) == 2):
+                raise ConfigError(f"grid.extent entries must be [a, b] "
+                                  f"pairs of numbers, got {ab!r}")
+            _check_type(m, "integer", "grid.n entry")
+        eps = float(_check_type(raw.get("eps", 1e-6), "number", "eps"))
         if eps <= 0:
             raise ConfigError("eps must be positive")
-        T = float(raw.get("T", 0.05))
+        T = float(_check_type(raw.get("T", 0.05), "number", "T"))
         if T <= 0:
             raise ConfigError("T must be positive")
         sweep = raw.get("eps_sweep")
         if sweep is not None:
-            sweep = [float(e) for e in sweep]
+            if not isinstance(sweep, list):
+                raise ConfigError("eps_sweep must be a list of numbers")
+            sweep = [float(_check_type(e, "number", "eps_sweep entry"))
+                     for e in sweep]
             if len(sweep) < 2 or any(e <= 0 for e in sweep):
                 raise ConfigError("eps_sweep needs >= 2 positive values")
-        bump = raw.get("bump")
+        bump = _check_block(raw, "bump")
         if bump is not None:
             for key in ("center", "radius", "height"):
                 _require(bump, key, "bump")
-        loc = raw.get("localization")
+        loc = _check_block(raw, "localization")
         if loc is not None:
             for key in ("x0", "R", "Rp"):
                 _require(loc, key, "localization")
+        psi = float(_check_type(raw.get("psi", 1.0), "number", "psi"))
+        snapshots = _check_type(raw.get("snapshots", 33), "snapshots",
+                                "snapshots")
+        out_dir = _check_type(raw.get("out_dir", "out"), "string", "out_dir")
         return cls(
             profile=prof, lam_choice=lam, grid=grid, eps=eps,
-            eps_sweep=sweep, bump=bump, psi=float(raw.get("psi", 1.0)),
-            localization=loc, exponents=raw.get("exponents", {}) or {},
-            T=T, snapshots=raw.get("snapshots", 33),
-            table_opts=raw.get("table", {}) or {},
-            kinetic=raw.get("kinetic", {}) or {},
-            out_dir=str(raw.get("out_dir", "out")),
+            eps_sweep=sweep, bump=bump, psi=psi,
+            localization=loc, exponents=_check_block(raw, "exponents") or {},
+            T=T, snapshots=snapshots,
+            table_opts=_check_block(raw, "table") or {},
+            kinetic=_check_block(raw, "kinetic") or {},
+            out_dir=out_dir,
         )
 
     @classmethod

@@ -13,6 +13,11 @@ generates the whole family of coefficients the other modules consume:
 The algebraic identities s*F = H^(Lambda+1), (s*F)^(lam/2) = H and
 h*s*P = H^(Lambda+1) hold by construction; the numerical content is the
 accuracy of the I and G quadratures and the sign of F'.
+
+Both numerical kernels are numpy-only: I comes from an adaptive 21-point
+Gauss-Kronrod rule (Piessens et al., QUADPACK, 1983), and the table is read
+back through a monotone piecewise-cubic Hermite interpolant with PCHIP slopes
+(Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) in log s.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .errors import AssumptionError, DomainError, QuadratureError
 
@@ -47,6 +50,36 @@ COLUMNS = ("s", "I", "H", "h", "F", "Fprime", "G")
 # 15-point Gauss-Legendre rule used for per-segment quadrature of smooth
 # integrands; abscissae on [-1, 1].
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+
+# 21-point Kronrod extension of the 10-point Gauss rule on [-1, 1] (the
+# QUADPACK qk21 table): nonnegative abscissae in decreasing order, the
+# Gauss nodes at odd positions.  K21 is exact to degree 31, G10 to 19.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK_X = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+# one weight matrix: column 0 is the Kronrod rule, column 1 the Gauss rule
+# (zero weight on the Kronrod-only nodes)
+_GK_W = np.zeros((21, 2))
+_GK_W[:, 0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GK_W[1:10:2, 1] = _WG
+_GK_W[11:20:2, 1] = _WG[::-1]
+_QUAD_LIMIT = 200    # most subintervals one adaptive quadrature may use
 
 
 @dataclass
@@ -148,11 +181,45 @@ class LambdaChoice:
         return LambdaChoice(1.0 / (target - 1.0))
 
 
+def _gauss_kronrod(fn, a: np.ndarray, b: np.ndarray):
+    """K21 integrals of fn over the intervals [a_j, b_j] and their error
+    estimates |K21 - G10|, from one vectorized call of fn."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _GK_X
+    f = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    kg = (f @ _GK_W) * half[:, None]
+    return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
+
+
 def _quad_segment(fn, a: float, b: float, tol: float):
-    """Adaptive quadrature of fn over [a, b]; returns (value, error estimate)."""
+    """Adaptive quadrature of fn over [a, b]; returns (value, error estimate).
+
+    Globally adaptive 21-point Gauss-Kronrod: the subinterval with the
+    largest error estimate is bisected until the summed estimate falls to
+    tol relative, or _QUAD_LIMIT subintervals are in use.  fn must accept an
+    array of abscissae.
+    """
     with np.errstate(over="raise"):
         try:
-            val, err = integrate.quad(fn, a, b, epsabs=0.0, epsrel=tol, limit=200)
+            lo, hi = [float(a)], [float(b)]
+            vals, errs = (r.tolist() for r in
+                          _gauss_kronrod(fn, np.array(lo), np.array(hi)))
+            val, err = vals[0], errs[0]
+            while np.isfinite(err) and err > tol * abs(val) \
+                    and len(lo) < _QUAD_LIMIT:
+                # bisect the worst subinterval: left half in place, right
+                # half appended
+                j = errs.index(max(errs))
+                mid = 0.5 * (lo[j] + hi[j])
+                v2, e2 = (r.tolist() for r in _gauss_kronrod(
+                    fn, np.array([lo[j], mid]), np.array([mid, hi[j]])))
+                lo.append(mid)
+                hi.append(hi[j])
+                hi[j] = mid
+                vals[j], errs[j] = v2[0], e2[0]
+                vals.append(v2[1])
+                errs.append(e2[1])
+                val, err = sum(vals), sum(errs)
         except FloatingPointError as exc:
             raise QuadratureError(
                 f"integrand overflow on [{a:g}, {b:g}]; raise s_min"
@@ -164,6 +231,81 @@ def _quad_segment(fn, a: float, b: float, tol: float):
             f"quadrature stalled on [{a:g}, {b:g}]: value {val:g}, error {err:g}"
         )
     return val, err
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of one or more columns.
+
+    y holds one column per trailing index over strictly increasing nodes x.
+    Node slopes are PCHIP's (Fritsch & Carlson): the weighted harmonic mean
+    of the adjacent secants where they share a sign and zero otherwise, and
+    the shape-preserving one-sided three-point formula at both ends.  The
+    cubic coefficients of every segment are computed once, as a contiguous
+    (4*ncol, nseg) block, so a call is one segment lookup (arithmetic on
+    uniformly spaced nodes, a binary search otherwise), one gather and one
+    Horner pass.  The end cubics extrapolate beyond the nodes.  A call
+    returns the columns on a leading axis: shape x.shape for a single
+    column, (ncol,) + x.shape for several.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._multi = y.ndim > 1
+        cols = y.reshape(len(x), -1)
+        hk = np.diff(x)[:, None]
+        mk = np.diff(cols, axis=0) / hk
+        # interior: weighted harmonic mean of same-sign secants
+        w1 = 2.0 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2.0 * hk[:-1]
+        flat = (np.sign(mk[1:]) != np.sign(mk[:-1])) | (mk[1:] == 0.0) \
+            | (mk[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+            inner = np.where(flat, 0.0, 1.0 / whmean)
+        d = np.concatenate([self._end_slope(hk[0], hk[1], mk[0], mk[1])[None],
+                            inner,
+                            self._end_slope(hk[-1], hk[-2], mk[-1], mk[-2])[None]])
+        self.slopes = d.reshape(y.shape)
+        t = (d[:-1] + d[1:] - 2.0 * mk) / hk
+        c = np.stack([t / hk, (mk - d[:-1]) / hk - t, d[:-1], cols[:-1]])
+        self._ncol, self._nseg = cols.shape[1], len(x) - 1
+        # row k*ncol + j holds the power-(3-k) coefficient of column j
+        self._c = np.ascontiguousarray(
+            c.transpose(0, 2, 1).reshape(4 * self._ncol, self._nseg))
+        self._x = x
+        step = (x[-1] - x[0]) / self._nseg
+        uniform = np.ptp(hk) <= 1e-9 * step
+        self._inv_step = 1.0 / step if uniform else None
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+        return np.where(overshoot, 3.0 * m0, d)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        xf = x.ravel()
+        if self._inv_step is not None:
+            i = ((xf - self._x[0]) * self._inv_step).astype(np.intp)
+        else:
+            i = self._x.searchsorted(xf, side="right")
+            i -= 1
+        np.minimum(i, self._nseg - 1, out=i)
+        np.maximum(i, 0, out=i)
+        dx = xf - self._x.take(i)
+        c = self._c.take(i, axis=1).reshape(4, self._ncol, xf.size)
+        out = c[0] * dx
+        out += c[1]
+        out *= dx
+        out += c[2]
+        out *= dx
+        out += c[3]
+        if self._multi:
+            return out.reshape((self._ncol,) + x.shape)
+        return out.reshape(x.shape)
 
 
 def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
@@ -182,7 +324,7 @@ def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
     s = min(s, profile.M)
 
     def integrand(t):
-        return 1.0 / float(profile(np.exp(t)))
+        return 1.0 / profile(np.exp(t))
 
     t_lo, t_hi = np.log(s), np.log(profile.M)
     if t_hi - t_lo < 1e-15:
@@ -245,12 +387,12 @@ class CoefficientTable:
             y = np.column_stack([self.column(c) for c in name]) \
                 if isinstance(name, tuple) else self.column(name)
             if np.all(y > 0.0):
-                self._interp[name] = ("log", PchipInterpolator(t, np.log(y)))
+                self._interp[name] = ("log", _Pchip(t, np.log(y)))
             elif isinstance(name, tuple):
                 raise DomainError(
                     f"joint evaluation needs positive columns, got {name}")
             else:
-                self._interp[name] = ("lin", PchipInterpolator(t, y))
+                self._interp[name] = ("lin", _Pchip(t, y))
         return self._interp[name]
 
     def eval(self, column, s):
@@ -259,26 +401,29 @@ class CoefficientTable:
         Exact at the nodes; monotone-preserving cubic in between.  Arguments
         outside the tabulated range (beyond roundoff slack) raise DomainError.
         A tuple of positive column names is evaluated through one joint
-        interpolant and returns the columns along a trailing axis.
+        interpolant and returns the columns along a leading axis, so
+        ``F, h = table.eval(("F", "h"), s)`` unpacks them.
         """
         arr = np.asarray(s, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
         lo, hi = self.s_min, self.M
-        if arr.size and (arr.min() < lo * (1.0 - 1e-12)
-                         or arr.max() > hi * (1.0 + 1e-12)):
-            bad = arr[(arr < lo * (1.0 - 1e-12)) | (arr > hi * (1.0 + 1e-12))]
-            raise DomainError(
-                f"evaluation outside [{lo:g}, {hi:g}]: first offender {bad.flat[0]:g}"
-            )
-        clamped = np.clip(arr, lo, hi)
+        if arr.size:
+            amin, amax = arr.min(), arr.max()
+            # negated comparisons, so NaN is rejected too
+            if not (amin >= lo * (1.0 - 1e-12) and amax <= hi * (1.0 + 1e-12)):
+                bad = arr[~((arr >= lo * (1.0 - 1e-12))
+                            & (arr <= hi * (1.0 + 1e-12)))]
+                raise DomainError(
+                    f"evaluation outside [{lo:g}, {hi:g}]: first offender "
+                    f"{bad.flat[0]:g}"
+                )
+            if amin < lo or amax > hi:
+                arr = np.minimum(np.maximum(arr, lo), hi)
         mode, itp = self._interpolator(column)
-        out = itp(np.log(clamped))
+        out = itp(np.log(arr))
         if mode == "log":
-            out = np.exp(out)
-        if scalar:
-            out = out[0]
-            return float(out) if out.ndim == 0 else out
+            np.exp(out, out=out)
+        if out.ndim == 0:
+            return float(out)
         return out
 
     def identity_residuals(self) -> dict:
@@ -448,7 +593,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     # endpoint piece on [0, s_min]: power-law continuation with the
     # interpolant's own log-log slope at the first node, equivalent to the
     # r^2 substitution for the endpoint singularity
-    q0 = float(fp_itp.derivative()(t[0]))
+    q0 = float(fp_itp.slopes[0])
     if q0 / 2.0 + 1.0 <= 0.0 or q0 + 1.0 <= 0.0:
         raise AssumptionError(
             f"gradient transform endpoint integral diverges (log-slope {q0:g})"
@@ -545,13 +690,13 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
         grid_t = np.linspace(np.log(1e-9 * M), np.log(M), 2048)
 
         def rate(tt):
-            return float(zeta(np.exp(np.asarray(tt))))
+            return zeta(np.exp(tt))
 
         vals = np.zeros_like(grid_t)
         for i in range(len(grid_t) - 2, -1, -1):
             piece, _ = _quad_segment(rate, grid_t[i], grid_t[i + 1], 1e-10)
             vals[i] = vals[i + 1] + piece
-        itp = PchipInterpolator(grid_t, vals)
+        itp = _Pchip(grid_t, vals)
 
         def zeta_over_s_integral(s):
             return itp(np.log(np.asarray(s, dtype=float)))
@@ -579,7 +724,7 @@ def custom_profile(s_nodes, P_nodes, kind: str = "custom_table") -> DegeneracyPr
         raise DomainError("need matching 1-d arrays with at least 4 samples")
     if np.any(np.diff(s_nodes) <= 0) or np.any(P_nodes <= 0) or np.any(s_nodes <= 0):
         raise DomainError("samples must be positive with increasing s")
-    itp = PchipInterpolator(np.log(s_nodes), np.log(P_nodes))
+    itp = _Pchip(np.log(s_nodes), np.log(P_nodes))
 
     def func(s):
         return np.exp(itp(np.log(np.asarray(s, dtype=float))))

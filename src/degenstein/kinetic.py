@@ -9,10 +9,11 @@ zero.  In the diffusive limit the density obeys u_t = lap(P(u) u / 2), the
 divergence-form cousin of the quasilinear solver equation, which is what the
 cross-validation measures.
 
-Weights are built per cell (the kernel width follows the local u), the
-truncated tail is renormalized so each row sums to one exactly, and the
-redistribution is a sum of shifted adds in fixed offset order, so steps are
-bit-reproducible.
+Weights are built per occupied cell (the kernel width follows the local
+u), the truncated tail is renormalized so each row sums to one exactly, and
+the redistribution is one scatter-add that sums into every destination in a
+fixed order (retained mass first, then offsets in increasing order, sources
+in increasing order), so steps are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -193,19 +194,23 @@ def master_step(fld: Field, grid: GridSpec, kernel: JumpKernel,
     emit = u * p
     out = u - emit
     if np.any(emit > 0.0):
-        offsets, W = _weight_rows(kernel, u, h)
+        src = np.flatnonzero(active)
+        offsets, W = _weight_rows(kernel, u[src], h)
         if offsets.size > 2 * n:
             raise ResolutionError("kernel support exceeds the domain")
-        idx = np.arange(n)
-        for col, k in enumerate(offsets):
-            src = emit * W[:, col]
-            dest = idx + int(k)
-            if closure == "periodic":
-                dest = np.mod(dest, n)
-            else:
-                dest = np.where(dest < 0, -1 - dest, dest)
-                dest = np.where(dest >= n, 2 * n - 1 - dest, dest)
-            np.add.at(out, dest, src)
+        # offset-major (offset, source) destinations and weights; bincount
+        # sums in array order, so each destination receives its retained
+        # mass first and then the jumps in the fixed offset/source order
+        dest = offsets[:, None] + src
+        if closure == "periodic":
+            dest = np.mod(dest, n)
+        else:
+            dest = np.where(dest < 0, -1 - dest, dest)
+            dest = np.where(dest >= n, 2 * n - 1 - dest, dest)
+        moved = W.T * emit[src]
+        out = np.bincount(np.concatenate([np.arange(n), dest.ravel()]),
+                          weights=np.concatenate([out, moved.ravel()]),
+                          minlength=n)
 
     if sink is not None:
         x = grid.axis_centers(0)

@@ -207,8 +207,10 @@ class EpsProblem:
         return g_vals, psi_vals
 
     def diffusivity(self, values: np.ndarray) -> np.ndarray:
-        Fh = self.table.eval(("F", "h"), values)
-        return (Fh[..., 0] + self.eps) / Fh[..., 1]
+        F, h = self.table.eval(("F", "h"), values)
+        F += self.eps
+        F /= h
+        return F
 
 
 def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:

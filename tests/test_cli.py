@@ -184,6 +184,25 @@ class TestFailurePaths:
         code, _ = run(tmp_path, "table", "--config", cfg)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [
+        {"grid": {"n": ["a"]}},
+        {"snapshots": "x"},
+        {"table": {"K": "z"}},
+        {"grid": {"n": 5}},
+        {"eps": "small"},
+        {"eps_sweep": 3},
+        {"bump": {"radius": "r"}},
+        {"localization": {"R": [0.4]}},
+        {"kinetic": {"dt": "q"}},
+    ], ids=["n-list-of-str", "snapshots-str", "K-str", "n-scalar",
+            "eps-str", "sweep-scalar", "radius-str", "R-list", "dt-str"])
+    def test_config_type_errors_exit_config(self, tmp_path, override):
+        cfg = write_config(tmp_path, **override)
+        code, out = run(tmp_path, "solve", "--config", cfg)
+        assert code == EXIT_CONFIG
+        err = load_json(out, "error.json")
+        assert err["error"] == "ConfigError" and err["phase"] == "config"
+
     def test_bump_inside_watched_ball(self, tmp_path):
         cfg = write_config(tmp_path,
                            bump={"center": [0.5], "radius": 0.2,

@@ -163,6 +163,12 @@ class TestEval:
         with pytest.raises(DomainError):
             tab.eval("F", tab.M * 1.01)
 
+    def test_nan_raises(self, beta1_table):
+        with pytest.raises(DomainError, match="nan"):
+            beta1_table.eval("F", np.array([0.5, np.nan]))
+        with pytest.raises(DomainError):
+            beta1_table.eval(("F", "h"), np.nan)
+
     def test_boundary_slack(self, beta1_table):
         tab = beta1_table
         # exact endpoints evaluate

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from degenstein.errors import (DomainError, ResolutionError, StepError)
-from degenstein.kinetic import (JumpKernel, SinkTerm, kernel_moments,
-                                master_step, power_family_kernel, run_master)
+from degenstein.kinetic import (JumpKernel, SinkTerm, _weight_rows,
+                                kernel_moments, master_step,
+                                power_family_kernel, run_master)
 from degenstein.solver import (EpsProblem, Field, GridSpec, bump, solve)
 
 H = 0.005   # desk spacing: 401 cells on [-1, 1]
@@ -206,6 +207,57 @@ class TestMasterStep:
         with pytest.raises(DomainError):
             master_step(Field(values=np.zeros((16, 16)), time=0.0), grid2,
                         kern, None, 1.5e-4)
+
+
+def reference_master_step(u, grid, kernel, sink, dt, closure):
+    """The per-offset np.add.at redistribution loop over every cell, kept as
+    the bit-for-bit reference for master_step's single scatter."""
+    n, h = u.shape[0], grid.h[0]
+    active = u > 0.0
+    with np.errstate(divide="ignore"):
+        p = np.where(active, dt / np.asarray(kernel.tau(u), dtype=float), 0.0)
+    emit = u * p
+    out = u - emit
+    if np.any(emit > 0.0):
+        offsets, W = _weight_rows(kernel, u, h)
+        idx = np.arange(n)
+        for col, k in enumerate(offsets):
+            dest = idx + int(k)
+            if closure == "periodic":
+                dest = np.mod(dest, n)
+            else:
+                dest = np.where(dest < 0, -1 - dest, dest)
+                dest = np.where(dest >= n, 2 * n - 1 - dest, dest)
+            np.add.at(out, dest, emit * W[:, col])
+    if sink is not None:
+        out = np.maximum(0.0, out + dt * sink.rate(grid.axis_centers(0), out))
+    return out
+
+
+class TestScatterMatchesReference:
+    @pytest.mark.parametrize("closure", ["reflect", "periodic"])
+    @pytest.mark.parametrize("shape", ["gaussian_truncated", "triangular"])
+    @pytest.mark.parametrize("beta,a,tau0", [(1.0, 1.0, 1.5e-4),
+                                             (2.0, 1.0, 2e-3),
+                                             (1.0, 0.5, 1e-4)])
+    @pytest.mark.parametrize("with_sink", [False, True])
+    def test_bit_identical_to_add_at_loop(self, kin_grid, closure, shape,
+                                          beta, a, tau0, with_sink):
+        # humps touching both walls, so reflection and wrap both act
+        u = kin_grid.sample(bump((-0.9,), 0.3, 0.05, shape="cos2")) \
+            + kin_grid.sample(bump((0.95,), 0.2, 0.03, shape="tent"))
+        kern = power_family_kernel(beta=beta, tau0=tau0, a=a, shape=shape)
+        sink = SinkTerm(m=lambda x, v: -3.0 * v) if with_sink else None
+        dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u.max()])))[0])
+        fld = Field(values=u.copy(), time=0.0)
+        for _ in range(4):
+            ref = reference_master_step(fld.values, kin_grid, kern, sink, dt,
+                                        closure)
+            fld = master_step(fld, kin_grid, kern, sink, dt, closure=closure)
+            assert np.array_equal(fld.values, ref)
+        # the occupied wall cells really spread (not identity rows)
+        offsets, _ = _weight_rows(kern, u[:2], kin_grid.h[0])
+        assert offsets.size >= 3
 
 
 class TestRunMaster:

@@ -1,0 +1,258 @@
+"""The numpy-only numerical kernels of degenstein.coeffs.
+
+The package imports no scipy: the monotone cubic `_Pchip` and the adaptive
+Gauss-Kronrod `_quad_segment` replace `scipy.interpolate.PchipInterpolator`
+and `scipy.integrate.quad`.  scipy stays a test-time oracle here: the
+interpolant must match PchipInterpolator to 1e-13 of the data scale, the
+quadrature must match quad on the catalog integrands, and whole tables built
+through the numpy kernels must match tables built through the scipy ones
+(1e-13 relative on the catalog, 1e-8 on the quadrature-built exp_zeta rate,
+inside its 10*quad_tol build tolerance).  The import guard and the
+QuadratureError paths need no scipy.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import degenstein
+from degenstein import coeffs
+from degenstein.checker import _zeta_slow, example_catalog
+from degenstein.coeffs import (COLUMNS, LambdaChoice, _gauss_kronrod, _Pchip,
+                               _quad_segment, build_table, exp_zeta_profile)
+from degenstein.errors import QuadratureError
+
+
+# ----------------------------------------------------------- import guard
+
+def _scipy_modules_after(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(degenstein.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = (code + "\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestImportGuard:
+    def test_import_pulls_in_no_scipy(self):
+        assert _scipy_modules_after("import degenstein") == "[]"
+
+    def test_cli_help_pulls_in_no_scipy(self):
+        code = ("import runpy, sys\n"
+                "sys.argv = ['degenstein', '--help']\n"
+                "try:\n"
+                "    runpy.run_module('degenstein.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0\n")
+        assert _scipy_modules_after(code) == "[]"
+
+
+# ------------------------------------------------------------- quadrature
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("degree", range(0, 32))
+    def test_rules_exact_on_polynomials(self, degree):
+        # K21 integrates degree <= 31 exactly and G10 degree <= 19, so the
+        # error estimate vanishes exactly where G10 is exact too
+        a, b = np.array([-0.5]), np.array([1.5])
+        exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        val, err = _gauss_kronrod(lambda x: x ** degree, a, b)
+        scale = max(abs(float(exact[0])), 1.0)
+        assert abs(val[0] - exact[0]) <= 1e-13 * scale
+        if degree <= 19:
+            assert err[0] <= 1e-13 * scale
+        else:
+            assert err[0] > 0.0
+
+    def test_adaptive_bisection_resolves_a_sharp_peak(self):
+        # one K21 panel cannot resolve a peak of width 1e-3; bisection must
+        c = 1e-3
+        val, err = _quad_segment(lambda x: 1.0 / (c * c + x * x), -1.0, 1.0,
+                                 1e-10)
+        exact = 2.0 / c * np.arctan(1.0 / c)
+        assert abs(val / exact - 1.0) <= 1e-10
+        assert err <= 1e-10 * val
+
+    def test_scalar_valued_integrand_is_broadcast(self):
+        val, _ = _quad_segment(lambda x: 2.0, 0.0, 3.0, 1e-10)
+        assert val == pytest.approx(6.0, rel=1e-15)
+
+    def test_overflow_asks_for_larger_s_min(self):
+        with pytest.raises(QuadratureError, match="raise s_min"):
+            _quad_segment(np.exp, 0.0, 1000.0, 1e-8)
+
+    def test_non_finite_value_diverges(self):
+        with pytest.raises(QuadratureError, match="diverged"):
+            _quad_segment(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-8)
+
+    def test_non_integrable_singularity_stalls(self):
+        # 1/x on (0, 1]: every bisection of the first panel adds ln 2, so
+        # the error estimate never falls below the tolerance
+        with pytest.raises(QuadratureError, match="stalled"):
+            _quad_segment(lambda x: 1.0 / x, 0.0, 1.0, 1e-8)
+
+
+# ---------------------------------------------------------- scipy oracles
+
+@pytest.fixture(scope="module")
+def scipy_interpolate():
+    return pytest.importorskip("scipy.interpolate")
+
+
+@pytest.fixture(scope="module")
+def scipy_integrate():
+    return pytest.importorskip("scipy.integrate")
+
+
+def _nodes(kind, n=24):
+    if kind == "uniform":
+        return np.linspace(-3.0, 2.0, n)
+    rng = np.random.default_rng(7)
+    return np.cumsum(rng.uniform(0.05, 1.0, n)) - 4.0
+
+
+def _data(kind, x):
+    if kind == "monotone":
+        return np.exp(0.7 * x) + x
+    if kind == "non_monotone":
+        return np.sin(1.7 * x) + 0.3 * x ** 2
+    # flat segments and a sign change of the secants
+    y = np.round(np.sin(x), 1)
+    y[5:9] = y[5]
+    return y
+
+
+def _queries(x):
+    inner = np.linspace(x[0], x[-1], 1001)
+    outside = np.array([x[0] - 0.3, x[0] - 1e-12, x[-1] + 1e-12, x[-1] + 0.3])
+    return np.concatenate([x, inner, outside])
+
+
+class TestPchipMatchesScipy:
+    @pytest.mark.parametrize("nodes", ["uniform", "non_uniform"])
+    @pytest.mark.parametrize("data", ["monotone", "non_monotone", "flat"])
+    @pytest.mark.parametrize("ncol", [1, 2])
+    def test_values_and_node_slopes(self, scipy_interpolate, nodes, data,
+                                    ncol):
+        x = _nodes(nodes)
+        y = _data(data, x)
+        if ncol == 2:
+            y = np.column_stack([y, _data("monotone", x)])
+        ref = scipy_interpolate.PchipInterpolator(x, y)
+        ours = _Pchip(x, y)
+        assert (ours._inv_step is not None) == (nodes == "uniform")
+        q = _queries(x)
+        got = ours(q)
+        want = ref(q)
+        if ncol == 2:
+            want = np.moveaxis(want, -1, 0)
+        scale = np.max(np.abs(y))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        # nodes are reproduced and the end slopes are PCHIP's
+        at_nodes = got[..., :x.size] if ncol == 2 else got[:x.size]
+        assert np.max(np.abs(at_nodes - (y.T if ncol == 2 else y))) \
+            <= 1e-13 * scale
+        slopes = ref.derivative()(x)
+        assert np.max(np.abs(ours.slopes - slopes)) \
+            <= 1e-13 * max(np.max(np.abs(slopes)), 1.0)
+
+    def test_shape_contract(self):
+        x = _nodes("uniform")
+        y = np.column_stack([_data("monotone", x)] * 3)
+        q = np.full((4, 5), 0.25)
+        assert _Pchip(x, y)(q).shape == (3, 4, 5)
+        assert _Pchip(x, y[:, 0])(q).shape == (4, 5)
+        assert _Pchip(x, y)(0.25).shape == (3,)
+        assert _Pchip(x, y[:, 0])(0.25).shape == ()
+
+
+class _ScipyPchip:
+    """PchipInterpolator behind _Pchip's call contract."""
+
+    def __init__(self, x, y):
+        from scipy.interpolate import PchipInterpolator
+        self._itp = PchipInterpolator(x, y)
+        self._multi = np.ndim(y) > 1
+        self.slopes = self._itp.derivative()(x)
+
+    def __call__(self, x):
+        out = self._itp(x)
+        return np.moveaxis(out, -1, 0) if self._multi else out
+
+
+def _scipy_quad_segment(fn, a, b, tol):
+    """QUADPACK reference with _quad_segment's error contract."""
+    from scipy import integrate
+    with np.errstate(over="raise"):
+        try:
+            val, err = integrate.quad(lambda t: float(fn(t)), a, b,
+                                      epsabs=0.0, epsrel=tol, limit=200)
+        except FloatingPointError as exc:
+            raise QuadratureError("overflow; raise s_min") from exc
+    if not np.isfinite(val) or err > 10.0 * tol * max(abs(val), 1e-300):
+        raise QuadratureError("reference quadrature failed")
+    return val, err
+
+
+@pytest.fixture
+def scipy_kernels(monkeypatch, scipy_interpolate, scipy_integrate):
+    """Route coeffs through PchipInterpolator and quad while active."""
+    def use():
+        monkeypatch.setattr(coeffs, "_Pchip", _ScipyPchip)
+        monkeypatch.setattr(coeffs, "_quad_segment", _scipy_quad_segment)
+    return use
+
+
+def _max_rel(a, b):
+    return max(float(np.max(np.abs(a.column(c) / b.column(c) - 1.0)))
+               for c in COLUMNS if c != "s")
+
+
+class TestQuadratureMatchesScipy:
+    @pytest.mark.parametrize("entry", example_catalog(), ids=lambda e: e.name)
+    def test_catalog_integrands(self, scipy_integrate, entry):
+        prof = entry.make_profile()
+        s_min = entry.build_opts.get("s_min", prof.s_min_hint or 1e-8)
+        edges = np.linspace(np.log(s_min), np.log(prof.M), 9)
+
+        def inv_sP(t):
+            return 1.0 / prof(np.exp(t))
+
+        for a, b in zip(edges, edges[1:]):
+            got, _ = _quad_segment(inv_sP, a, b, 1e-10)
+            want, _ = scipy_integrate.quad(lambda t: float(inv_sP(t)), a, b,
+                                           epsabs=0.0, epsrel=1e-12)
+            assert abs(got / want - 1.0) <= 1e-13
+
+
+class TestTablesMatchScipyPath:
+    @pytest.mark.parametrize("entry", example_catalog(), ids=lambda e: e.name)
+    def test_catalog_tables(self, scipy_kernels, entry):
+        lam = LambdaChoice(entry.Lambda)
+        ours = build_table(entry.make_profile(), lam, **entry.build_opts)
+        scipy_kernels()
+        ref = build_table(entry.make_profile(), lam, **entry.build_opts)
+        assert np.array_equal(ours.s, ref.s)
+        assert _max_rel(ours, ref) <= 1e-13
+
+    def test_quadrature_built_rate(self, scipy_kernels):
+        # no closed form for int zeta(r)/r dr: the profile itself is built
+        # by quadrature on 2048 log nodes and read back through the cubic
+        def make():
+            prof = exp_zeta_profile(_zeta_slow, kind="exp_zeta_slow",
+                                    s_min_hint=1e-8)
+            return build_table(prof, LambdaChoice(1.0))
+
+        ours = make()
+        scipy_kernels()
+        ref = make()
+        assert _max_rel(ours, ref) <= 1e-8

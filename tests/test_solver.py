@@ -272,7 +272,7 @@ class TestSharedKernel:
 
     def test_joint_eval_shape(self, beta1_table):
         u = np.full((3, 4), 0.5)
-        assert beta1_table.eval(("F", "h"), u).shape == (3, 4, 2)
+        assert beta1_table.eval(("F", "h"), u).shape == (2, 3, 4)
         assert beta1_table.eval(("F", "h"), 0.5).shape == (2,)
         with pytest.raises(DomainError):
             beta1_table.eval(("F", "h"), 2.0)
