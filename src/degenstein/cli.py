@@ -350,6 +350,7 @@ def write_snapshots_csv(path: str, trace: solver_mod.SolveTrace) -> None:
 def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
     out = args.out or (cfg.out_dir if cfg is not None else ".")
     os.makedirs(out, exist_ok=True)
+    args.resolved_out = out  # where main drops error.json if a phase fails
     return out
 
 
@@ -608,7 +609,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _PhaseFailure as pf:
-        out = args.out or "."
+        out = getattr(args, "resolved_out", None) or args.out or "."
         payload = {
             "error": type(pf.err).__name__,
             "message": str(pf.err),

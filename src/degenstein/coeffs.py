@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -365,6 +366,12 @@ class CoefficientTable:
     def M(self) -> float:
         return float(self.s[-1])
 
+    @cached_property
+    def _domain(self) -> tuple:
+        """The node range and its roundoff slack, fixed with the nodes."""
+        lo, hi = self.s_min, self.M
+        return lo, hi, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)
+
     @property
     def lam(self) -> float:
         if self.Lambda is None:
@@ -405,20 +412,19 @@ class CoefficientTable:
         ``F, h = table.eval(("F", "h"), s)`` unpacks them.
         """
         arr = np.asarray(s, dtype=float)
-        lo, hi = self.s_min, self.M
+        lo, hi, lo_ok, hi_ok = self._domain
         if arr.size:
             amin, amax = arr.min(), arr.max()
             # negated comparisons, so NaN is rejected too
-            if not (amin >= lo * (1.0 - 1e-12) and amax <= hi * (1.0 + 1e-12)):
-                bad = arr[~((arr >= lo * (1.0 - 1e-12))
-                            & (arr <= hi * (1.0 + 1e-12)))]
+            if not (amin >= lo_ok and amax <= hi_ok):
+                bad = arr[~((arr >= lo_ok) & (arr <= hi_ok))]
                 raise DomainError(
                     f"evaluation outside [{lo:g}, {hi:g}]: first offender "
                     f"{bad.flat[0]:g}"
                 )
             if amin < lo or amax > hi:
                 arr = np.minimum(np.maximum(arr, lo), hi)
-        mode, itp = self._interpolator(column)
+        mode, itp = self._interp.get(column) or self._interpolator(column)
         out = itp(np.log(arr))
         if mode == "log":
             np.exp(out, out=out)
@@ -684,10 +690,15 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
     zeta_over_s_integral : callable, optional
         Closed form of int_s^M zeta(r)/r dr.  Without it the integral is
         tabulated once on a fine log grid and interpolated, which is accurate
-        but slightly slower to construct.
+        but slightly slower to construct.  The grid spans
+        [min(1e-9*M, s_min_hint), M] at 2048 nodes per nine decades, and an
+        evaluation below it raises DomainError rather than extrapolating.
     """
     if zeta_over_s_integral is None:
-        grid_t = np.linspace(np.log(1e-9 * M), np.log(M), 2048)
+        lower = 1e-9 * M if s_min_hint is None else min(1e-9 * M, s_min_hint)
+        decades = np.log10(M / lower)
+        n_nodes = 1 + int(np.ceil(2047 * decades / 9.0 - 1e-9))
+        grid_t = np.linspace(np.log(lower), np.log(M), n_nodes)
 
         def rate(tt):
             return zeta(np.exp(tt))
@@ -699,7 +710,12 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
         itp = _Pchip(grid_t, vals)
 
         def zeta_over_s_integral(s):
-            return itp(np.log(np.asarray(s, dtype=float)))
+            s = np.asarray(s, dtype=float)
+            if np.any(s < lower * (1.0 - 1e-12)):
+                raise DomainError(
+                    f"rate integral tabulated on [{lower:g}, {M:g}] only; "
+                    f"pass s_min_hint to reach {float(np.min(s)):g}")
+            return itp(np.log(s))
 
     integral = zeta_over_s_integral
 

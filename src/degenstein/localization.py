@@ -214,7 +214,8 @@ def table_state_eval(table: CoefficientTable, column: str,
 
 
 def _snapshot_schedule(trace: SolveTrace, T_prime: float):
-    """Stored instants up to T_prime, closed with the interpolated endpoint."""
+    """Stored instants up to T_prime, closed with the interpolated endpoint:
+    (times, fields, number of stored fields leading the list)."""
     if not (0.0 <= T_prime <= trace.T * (1 + 1e-12)):
         raise DomainError(f"T_prime={T_prime:g} outside [0, {trace.T:g}]")
     T_prime = min(T_prime, trace.T)
@@ -223,10 +224,31 @@ def _snapshot_schedule(trace: SolveTrace, T_prime: float):
         if t <= T_prime * (1 + 1e-12):
             times.append(min(float(t), T_prime))
             fields.append(f)
+    n_stored = len(fields)
     if times[-1] < T_prime * (1 - 1e-12):
         times.append(T_prime)
         fields.append(trace.field_at(T_prime))
-    return np.asarray(times), fields
+    return np.asarray(times), fields, n_stored
+
+
+def _state_H_G(trace: SolveTrace, table: CoefficientTable, fields: list,
+               n_stored: int):
+    """(H(u), G(u)) for each field of a snapshot schedule.  Those of stored
+    snapshots are evaluated once per (trace, table) and kept on the trace,
+    since energy_Y reads them again for every n and every T' probe."""
+    slot = trace._table_states.get(id(table))
+    if slot is None or slot[0] is not table:
+        slot = (table, [None] * len(trace.fields))
+        trace._table_states[id(table)] = slot
+    stored = slot[1]
+    for i, u in enumerate(fields):
+        pair = stored[i] if i < n_stored else None
+        if pair is None:
+            pair = (table_state_eval(table, "H", u),
+                    table_state_eval(table, "G", u))
+            if i < n_stored:
+                stored[i] = pair
+        yield pair
 
 
 def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
@@ -239,16 +261,15 @@ def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
     """
     grid = trace.grid
     theta = cutoffs.theta(grid, n)
-    times, fields = _snapshot_schedule(trace, T_prime)
+    times, fields, n_stored = _snapshot_schedule(trace, T_prime)
     vol = grid.cell_volume
     theta_sq = theta * theta
 
     sup_mass = 0.0
     grad_vals = np.empty(len(times))
-    for i, u in enumerate(fields):
-        sup_mass = max(sup_mass, float(np.sum(theta_sq * table_state_eval(table, "H", u))) * vol)
-        w = theta * table_state_eval(table, "G", u)
-        grad_vals[i] = grad_energy(w, grid)
+    for i, (H, G) in enumerate(_state_H_G(trace, table, fields, n_stored)):
+        sup_mass = max(sup_mass, float(np.sum(theta_sq * H)) * vol)
+        grad_vals[i] = grad_energy(theta * G, grid)
     time_term = float(_trapezoid(grad_vals, times)) if len(times) > 1 else 0.0
     return T_prime ** pack.beta_exp * (sup_mass + time_term)
 

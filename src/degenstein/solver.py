@@ -14,6 +14,12 @@ maximum-principle tripwires checked on every step, so `solve` raises
 RangeError at the step that breaks them.  D comes from one joint evaluation
 of the F and h columns per step (`CoefficientTable.eval` with a tuple).
 
+The kernel steps only the active window, the bounding box of the cells that
+differ from the floor eps plus one cell: the localized solution leaves most
+of the grid at eps, and there the update is exactly zero, since
+eps - 2*eps + eps == 0.0 in IEEE arithmetic.  Skipping those cells changes
+no bit of the result (`SolveTrace.cell_updates` counts the cells stepped).
+
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
 
@@ -27,6 +33,7 @@ fraction, which would not vanish under refinement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -70,7 +77,7 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def h(self) -> tuple:
         return tuple((b - a) / m for (a, b), m in zip(self.extent, self.n))
 
@@ -227,11 +234,31 @@ def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 class _Kernel:
     """The explicit step, shared by solve, step_explicit and cfl_dt.
 
-    Built once per (problem, grid, boundary weight): it holds the CFL
-    constant, the interior slice, the boundary pin eps*psi and the admissible
+    A kernel marches one field on one (problem, grid, boundary weight): it
+    holds the CFL constant, the boundary pin eps*psi and the admissible
     range, so a step is D from one joint F/h evaluation, the CFL bound, the
-    forward-Euler update of the interior and the tripwires, which are min/max
-    reductions on the new interior.
+    forward-Euler update and the tripwires, which are min/max reductions on
+    the new values.
+
+    Only the active window is stepped: the per-axis bounding box of the
+    cells whose value differs from the floor eps, grown by one cell on each
+    side and clipped to the interior.  Skipping the cells outside it is
+    exact: such a cell and its neighbors all hold eps, the difference
+    eps - 2*eps + eps is 0.0 in IEEE arithmetic (2*eps and eps - 2*eps are
+    exact), so forward Euler leaves the cell at eps bit for bit.  The first
+    diffusivity call evaluates the whole grid (which is also the domain
+    check of the ring) and fixes the window; later calls grow the box by one
+    cell on each side whose edge row (1-D: edge cell) has left eps, then
+    evaluate D on the window plus its one-cell halo only.  The box never
+    shrinks.  A hump that fills the box, or a ring pin eps*psi that differs
+    from eps, makes the window the whole interior and the step the
+    full-grid one.
+
+    The CFL maximum of D over the slab is the full-grid one without any
+    constant for the cells outside: every cell that differs from eps lies
+    in the slab, the cells outside it hold eps, and while the window leaves
+    interior cells out, its edge on that side holds eps too, so D(eps) is
+    in the slab (D need not be monotone, so it has to be).
     """
 
     def __init__(self, prob: EpsProblem, grid: GridSpec,
@@ -247,24 +274,84 @@ class _Kernel:
         self.lo = prob.eps * min(1.0, float(psi_vals.min()))
         self.hi = prob.u_max
         self.slack = 1e-12 * max(self.hi, 1.0)
+        self.bounds = None           # window [a, b) per axis, from the first call
+        # du^2/D over the interior, 0.0 outside the window, so the
+        # dissipation sum runs in the full-grid order
+        self.work = np.zeros(tuple(m - 2 for m in grid.n))
+        self.cell_updates = 0
+
+    def _set_window(self, bounds):
+        self.bounds = bounds
+        self.win = tuple(slice(a, b) for a, b in bounds)
+        self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
+        self.win_inner = tuple(slice(a - 1, b - 1) for a, b in bounds)
+        self.size = int(np.prod([b - a for a, b in bounds]))
+        n = self.grid.n
+        self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
+        # edge rows that can still grow: (axis, side, index of the row), and
+        # the flat indices of all their cells for the one per-step test
+        self.edges = []
+        edge_cells = np.zeros(n, dtype=bool)
+        for k, ((a, b), m) in enumerate(zip(bounds, n)):
+            for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1)):
+                if room:
+                    row = self.win[:k] + (at,) + self.win[k + 1:]
+                    self.edges.append((k, side, row))
+                    edge_cells[row] = True
+        self.edge_idx = np.flatnonzero(edge_cells)
+
+    def _open(self, values: np.ndarray) -> None:
+        """Fix the window for values from the cells that differ from eps."""
+        off = values != self.prob.eps
+        bounds = []
+        for k, m in enumerate(self.grid.n):
+            others = tuple(j for j in range(off.ndim) if j != k)
+            hit = np.flatnonzero(off.any(axis=others))
+            # nothing off the floor: one interior cell stands in for the box
+            a, b = (int(hit[0]), int(hit[-1])) if hit.size else (1, 0)
+            bounds.append((max(1, a - 1), min(m - 1, b + 2)))
+        self._set_window(bounds)
+
+    def _grow(self, values: np.ndarray) -> None:
+        eps = self.prob.eps
+        hits = [(k, side) for k, side, edge in self.edges
+                if (values[edge] != eps).any()]
+        if hits:
+            bounds = [list(ab) for ab in self.bounds]
+            for k, side in hits:
+                bounds[k][side] += 1 if side else -1
+            self._set_window([tuple(ab) for ab in bounds])
 
     def diffusivity(self, values: np.ndarray):
-        """D(values) and the largest stable step for it."""
-        D = self.prob.diffusivity(values)
+        """D on the window plus its halo, and the largest stable step for
+        values, which after the first call must be this kernel's last step
+        output."""
+        if self.bounds is None:
+            D = self.prob.diffusivity(values)
+            self._open(values)
+            return D[self.slab], self.cfl / float(D.max())
+        if self.edges and (values.take(self.edge_idx) != self.prob.eps).any():
+            self._grow(values)
+        D = self.prob.diffusivity(values[self.slab])
         return D, self.cfl / float(D.max())
 
     def step(self, values: np.ndarray, D: np.ndarray, dt: float,
              lo: float, hi: float, out: np.ndarray):
-        """Write the forward-Euler update of the interior into out, whose
-        boundary ring must already hold the pin; lo and hi are the extrema
-        of values.  Returns the extrema of out, after raising RangeError if
-        out leaves the admissible range or the interior update breaks the
-        discrete maximum principle (neither can happen under the CFL bound;
-        the checks are tripwires)."""
-        inner = self.inner
-        new = out[inner]
-        np.add(values[inner], dt * D[inner] * _laplacian(values, self.grid), out=new)
+        """Write the forward-Euler update of the window into out, whose
+        other cells must already hold the pin on the boundary ring and the
+        values elsewhere; D is the diffusivity call's, lo and hi are the
+        extrema of values.  Returns the extrema of out, after raising
+        RangeError if out leaves the admissible range or the interior update
+        breaks the discrete maximum principle (neither can happen under the
+        CFL bound; the checks are tripwires)."""
+        new = out[self.win]
+        np.add(values[self.win],
+               dt * D[self.inner] * _laplacian(values[self.slab], self.grid),
+               out=new)
+        self.cell_updates += self.size
         new_lo, new_hi = float(new.min()), float(new.max())
+        if self.partial:  # the interior cells outside the window hold eps
+            new_lo, new_hi = min(new_lo, self.prob.eps), max(new_hi, self.prob.eps)
         out_lo, out_hi = min(new_lo, self.ring_lo), max(new_hi, self.ring_hi)
         slack = self.slack
         if out_lo < self.lo - slack or out_hi > self.hi + slack:
@@ -274,6 +361,15 @@ class _Kernel:
         if new_hi > hi + slack or new_lo < lo - slack:
             raise RangeError("discrete maximum principle violated")
         return out_lo, out_hi
+
+    def dissipation(self, values: np.ndarray, new: np.ndarray,
+                    D: np.ndarray) -> float:
+        """Sum of du^2/D over the interior for the step values -> new."""
+        w = self.work[self.win_inner]
+        np.subtract(new[self.win], values[self.win], out=w)
+        np.multiply(w, w, out=w)
+        np.divide(w, D[self.inner], out=w)
+        return float(self.work.sum())
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -297,6 +393,7 @@ def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
     new = kern.pin.copy()
+    new[kern.inner] = values[kern.inner]
     kern.step(values, D, dt, float(values.min()), float(values.max()), new)
     return Field(values=new, time=fld.time + dt)
 
@@ -314,6 +411,11 @@ class SolveTrace:
     max_u_history: np.ndarray
     boundary_transient: float
     n_steps: int
+    cell_updates: int = 0        # interior cell updates computed (active window)
+    # table columns evaluated on the stored snapshots, kept by the
+    # localization layer (the snapshots are read-only once solved)
+    _table_states: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @property
     def T(self) -> float:
@@ -400,10 +502,9 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
         new = spare
         u_lo, u_hi = kern.step(u, D, dt, u_lo, u_hi, out=new)
 
-        du = new[inner] - u[inner]
         diss_old = diss
         # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D, per-step value
-        diss += float(np.sum(du * du / D[inner])) / dt * vol
+        diss += kern.dissipation(u, new, D) / dt * vol
 
         t_new = t + dt
         while next_snap < len(snap_times) and snap_times[next_snap] <= t_new + 1e-15 * T:
@@ -429,7 +530,7 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
                       dissipation=snap_diss, dt_history=np.asarray(dt_hist),
                       max_u_history=np.asarray(max_hist),
                       boundary_transient=boundary_transient,
-                      n_steps=len(dt_hist))
+                      n_steps=len(dt_hist), cell_updates=kern.cell_updates)
 
 
 def grad_energy(values: np.ndarray, grid: GridSpec) -> float:

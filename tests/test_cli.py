@@ -211,6 +211,19 @@ class TestFailurePaths:
         assert code == EXIT_SOLVER
         assert load_json(out, "error.json")["exit_code"] == EXIT_SOLVER
 
+    def test_error_json_goes_to_config_out_dir(self, tmp_path, monkeypatch):
+        # no --out: a solver-phase failure leaves error.json where the
+        # config's artifacts would go, not in the working directory
+        monkeypatch.chdir(tmp_path)
+        artifacts = tmp_path / "artifacts"
+        cfg = write_config(tmp_path, out_dir=str(artifacts),
+                           bump={"center": [0.5], "radius": 0.2,
+                                 "height": 0.2, "shape": "tent"})
+        code = main(["solve", "--config", cfg, "--quiet"])
+        assert code == EXIT_SOLVER
+        assert load_json(artifacts, "error.json")["phase"] == "solve"
+        assert not (tmp_path / "error.json").exists()
+
     def test_watched_ball_outside_grid(self, tmp_path):
         cfg = write_config(tmp_path,
                            bump={"center": [-0.6], "radius": 0.2,

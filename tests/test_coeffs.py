@@ -17,6 +17,7 @@ from degenstein.coeffs import (COLUMNS, CoefficientTable, DegeneracyProfile,
                                LambdaChoice, build_table, constant_table,
                                custom_profile, exp_inv_profile,
                                exp_zeta_profile, integral_I, power_profile)
+from degenstein.checker import _zeta_slow, _zeta_slow_integral
 from degenstein.errors import AssumptionError, DomainError
 
 # int_{0.5}^{1} exp(1/t)/t dt, frozen from three independent
@@ -281,3 +282,19 @@ class TestFactories:
         # keeps table builds inside representable territory
         assert prof.s_min_hint >= 1.0 / 200.0
         assert prof(np.array([prof.s_min_hint]))[0] > 0.0
+
+    def test_quadrature_built_rate_reaches_s_min_hint(self):
+        # without a closed form the rate integral is tabulated down to
+        # min(1e-9 M, s_min_hint); below that it raises, never extrapolates
+        ref = lambda s: np.exp(-_zeta_slow_integral(s))  # noqa: E731
+        deep = exp_zeta_profile(_zeta_slow, kind="exp_zeta_slow",
+                                s_min_hint=1e-12)
+        s = np.geomspace(1e-12, 1.0, 4001)
+        assert np.max(np.abs(deep(s) / ref(s) - 1.0)) <= 1e-7
+        default = exp_zeta_profile(_zeta_slow, kind="exp_zeta_slow")
+        assert default(np.array([1e-9]))[0] == pytest.approx(ref(1e-9), rel=1e-7)
+        for s_low in (1e-10, 1e-12):
+            with pytest.raises(DomainError):
+                default(np.array([s_low]))
+        with pytest.raises(DomainError):
+            build_table(default, LambdaChoice(1.0), s_min=1e-10, K=64)

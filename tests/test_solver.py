@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstein import solver as solver_mod
-from degenstein.coeffs import LambdaChoice, build_table, exp_zeta_profile
+from degenstein.coeffs import (CoefficientTable, LambdaChoice, build_table,
+                               exp_zeta_profile)
 from degenstein.errors import CflError, DomainError, RangeError
 from degenstein.solver import (EpsProblem, Field, GridSpec, bump, cfl_dt,
                                energy_identity_residual, eps_sweep,
@@ -312,3 +313,99 @@ class TestSharedKernel:
             solve(prob, desk_grid, 0.01, snapshot_times=2)
         # caught by the per-step tripwire, long before the field reaches T
         assert 0 < len(calls) < n_full // 10, (len(calls), n_full)
+
+
+def _full_grid_solve(prob, grid, T, n_snap):
+    """The solve loop before the active window: every step evaluates D and
+    updates every interior cell.  Returns (fields, dissipation, dt_history,
+    max_u_history)."""
+    g_vals, psi_vals = prob.sample_on(grid)
+    cfl = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
+    inner = (slice(1, -1),) * grid.dim
+    h2 = [h ** 2 for h in grid.h]
+    pin = prob.eps * psi_vals
+    u = pin.copy()
+    u[inner] = (prob.eps + g_vals)[inner]
+    times = np.linspace(0.0, T, n_snap)
+    fields, diss_at = [u.copy()], [0.0]
+    t, diss, dts, maxes = 0.0, 0.0, [], []
+    while t < T - 1e-15 * T:
+        D = prob.diffusivity(u)
+        dt = min(cfl / float(D.max()), T - t)
+        if grid.dim == 1:
+            lap = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2[0]
+        else:
+            lap = ((u[:-2, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[2:, 1:-1]) / h2[0]
+                   + (u[1:-1, :-2] - 2.0 * u[1:-1, 1:-1] + u[1:-1, 2:]) / h2[1])
+        new = pin.copy()
+        new[inner] = u[inner] + dt * D[inner] * lap
+        du = new[inner] - u[inner]
+        diss_new = diss + float(np.sum(du * du / D[inner])) / dt * grid.cell_volume
+        t_new = t + dt
+        while len(fields) < n_snap and times[len(fields)] <= t_new + 1e-15 * T:
+            w = (times[len(fields)] - t) / dt
+            fields.append(u + w * (new - u))
+            diss_at.append(diss + w * (diss_new - diss))
+        dts.append(dt)
+        maxes.append(float(new.max()))
+        u, t, diss = new, t_new, diss_new
+    if len(fields) < n_snap:
+        fields.append(u.copy())
+        diss_at.append(diss)
+    return fields, np.array(diss_at), np.array(dts), np.array(maxes)
+
+
+def _oracle_hump(x, y):
+    return 0.5 * np.maximum(0.25 - (x - 0.1) ** 2 - (y + 0.2) ** 2, 0.0)
+
+
+def _falling_D_table():
+    """D = (F + eps)/h largest at the floor: F = 1, h = 1 + 10 s."""
+    s = np.geomspace(1e-8, 1.0, 64)
+    ones = np.ones_like(s)
+    return CoefficientTable(s=s, I=ones, H=s, h=1.0 + 10.0 * s, F=ones,
+                            Fprime=0.0 * s, G=0.0 * s)
+
+
+class TestActiveWindow:
+    """The windowed step against the full-grid loop: skipping cells that hold
+    eps with eps neighbors is exact, so fields, steps and maxima must agree
+    bit for bit."""
+
+    GRID_1D = GridSpec(extent=((-1.0, 1.0),), n=(201,))
+    GRID_2D = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(32, 32))
+    CASES = {
+        "tent": (GRID_1D, dict(g=bump((-0.6,), 0.2, 0.2)), 0.05),
+        "cos2": (GRID_1D, dict(g=bump((0.1,), 0.3, 0.05, shape="cos2")), 0.02),
+        "oracle-2d": (GRID_2D, dict(g=_oracle_hump), 0.02),
+        "psi": (GRID_1D, dict(g=bump((-0.6,), 0.2, 0.2),
+                              psi=lambda x: 1.0 + 0.5 * np.cos(x)), 0.01),
+        "ring": (GRID_1D, dict(g=bump((-0.9,), 0.2, 0.2)), 0.02),
+        "g-positive": (GRID_1D, dict(g=lambda x: 0.1 + 0.05 * np.cos(3 * x)),
+                       0.005),
+        "falling-D": (GRID_1D, dict(g=bump((0.2,), 0.2, 0.2)), 0.01),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_grid_loop(self, beta1_table, case):
+        grid, data, T = self.CASES[case]
+        table = _falling_D_table() if case == "falling-D" else beta1_table
+        prob = EpsProblem(table=table, eps=1e-6, **data)
+        fields, diss, dts, maxes = _full_grid_solve(prob, grid, T, 5)
+        trace = solve(prob, grid, T, snapshot_times=5)
+        assert trace.n_steps == len(dts)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.fields, fields))
+        assert np.array_equal(trace.dt_history, dts)
+        assert np.array_equal(trace.max_u_history, maxes)
+        assert np.max(np.abs(trace.dissipation - diss)
+                      / np.maximum(np.abs(diss), 1e-300)) <= 1e-13
+        full = trace.n_steps * int(grid.interior_mask().sum())
+        if case in ("tent", "cos2", "oracle-2d", "ring", "falling-D"):
+            assert trace.cell_updates < full
+        else:
+            assert trace.cell_updates == full
+
+    def test_desk_work_count(self, desk_trace_beta1, desk_grid):
+        interior = int(desk_grid.interior_mask().sum())
+        assert 0 < desk_trace_beta1.cell_updates \
+            < desk_trace_beta1.n_steps * interior / 2
