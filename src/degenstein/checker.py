@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coeffs import (CoefficientTable, DegeneracyProfile, LambdaChoice,
-                     build_table, exp_inv_profile, exp_zeta_profile,
-                     power_profile)
+                     build_table, custom_profile, exp_inv_profile,
+                     exp_zeta_profile, power_profile)
 from .errors import DomainError
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
     "check_profile",
     "example_catalog",
     "CatalogEntry",
+    "PROFILES",
+    "custom_csv_profile",
 ]
 
 C_FLOOR_DEFAULT = 0.5
@@ -198,24 +200,46 @@ def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
     return report
 
 
-# -- worked example catalog ------------------------------------------------
+# -- profile registry -------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
-    """One worked degeneracy example with its expected measured limits."""
+    """One named degeneracy: its profile kind, factory (beta, M, tail) ->
+    profile, build floor, and the limits its default-beta estimates must
+    reproduce.  s_min_floor, when set, lifts the lowest table node to
+    max(s_min_hint, floor); otherwise build_table's default applies."""
 
-    name: str
-    make_profile: Callable[[], DegeneracyProfile]
-    Lambda: float
-    build_opts: dict
+    kind: str
+    factory: Callable[[float, float, Optional[float]], DegeneracyProfile]
     expected: dict  # keys: A_est/B_est/sPprimeI_trend -> (value, tol, mode)
+    takes_beta: bool = True
+    s_min_floor: Optional[float] = None
+    Lambda: float = 1.0
 
-    def profile(self) -> DegeneracyProfile:
-        return self.make_profile()
+    @property
+    def name(self) -> str:
+        return f"{self.kind}_beta1" if self.takes_beta else self.kind
 
-    def run(self) -> AssumptionReport:
-        return check_profile(self.profile(), LambdaChoice(self.Lambda),
-                             **self.build_opts)
+    def make_profile(self, beta: float = 1.0, M: float = 1.0,
+                     tail: Optional[float] = None) -> DegeneracyProfile:
+        return self.factory(beta, M, tail)
+
+    def build_opts_for(self, profile: DegeneracyProfile) -> dict:
+        if self.s_min_floor is None:
+            return {}
+        return {"s_min": max(profile.s_min_hint, self.s_min_floor)}
+
+    @property
+    def build_opts(self) -> dict:
+        return self.build_opts_for(self.make_profile())
+
+    def run(self, profile: Optional[DegeneracyProfile] = None) -> AssumptionReport:
+        """Check profile (default: the default-beta one) at this entry's
+        Lambda and build floor."""
+        if profile is None:
+            profile = self.make_profile()
+        return check_profile(profile, LambdaChoice(self.Lambda),
+                             **self.build_opts_for(profile))
 
     def matches(self, report: AssumptionReport):
         """Compare measured estimates against the expected limits.
@@ -239,76 +263,68 @@ def _zeta_bounded(s):
     return 1.0 + np.asarray(s, dtype=float) / 2.0
 
 
-def _zeta_bounded_integral(s):
+# int_s^M zeta(r)/r dr; -log(s) + log(M) rather than log(M/s), so M = 1
+# gives the bits of the plain -log(s) form
+def _zeta_bounded_integral(s, M=1.0):
     s = np.asarray(s, dtype=float)
-    return -np.log(s) + (1.0 - s) / 2.0
+    return -np.log(s) + np.log(M) + (M - s) / 2.0
 
 
 def _zeta_slow(s):
     return 1.0 - np.log(np.asarray(s, dtype=float))
 
 
-def _zeta_slow_integral(s):
+def _zeta_slow_integral(s, M=1.0):
     s = np.asarray(s, dtype=float)
-    return -np.log(s) + 0.5 * np.log(s) ** 2
+    return -np.log(s) + np.log(M) + 0.5 * np.log(s) ** 2 - 0.5 * np.log(M) ** 2
+
+
+# The four worked degeneracies keyed by profile kind, the one definition the
+# CLI, configs and the catalog read.  The rate kinds are
+# P = exp(-int_s^M zeta(r)/r dr); exp_inv's s_min floor keeps 1/(s*P) in
+# double range, so its limits are read as trends.
+#   power s^beta: P*I identically 1/beta, s*P'*I identically 1
+#   exp_inv exp(-1/s^beta): P*I tends to 0, s*P'*I to 1
+#   bounded rate zeta = 1 + s/2: P*I tends to 1/zeta(0) = 1
+#   slow rate zeta = 1 - log s: P*I tends to 0 like 1/zeta, s*P'*I to 1
+_UNIT_LIMITS = {"A_est": (1.0, 0.10, "rel"), "B_est": (1.0, 0.10, "rel"),
+                "sPprimeI_trend": (1.0, 0.10, "rel")}
+PROFILES = {e.kind: e for e in (
+    CatalogEntry(
+        kind="power",
+        factory=lambda beta, M, tail: power_profile(beta, M=M, tail=tail),
+        expected=_UNIT_LIMITS),
+    CatalogEntry(
+        kind="exp_inv",
+        factory=lambda beta, M, tail: exp_inv_profile(beta, M=M),
+        expected={"B_est": (0.0, 0.05, "abs"),
+                  "sPprimeI_trend": (1.0, 0.10, "rel")},
+        s_min_floor=1e-2),
+    CatalogEntry(
+        kind="exp_zeta_bounded",
+        factory=lambda beta, M, tail: exp_zeta_profile(
+            _zeta_bounded, lambda s: _zeta_bounded_integral(s, M), M=M,
+            kind="exp_zeta_bounded"),
+        expected=_UNIT_LIMITS, takes_beta=False),
+    CatalogEntry(
+        kind="exp_zeta_slow",
+        factory=lambda beta, M, tail: exp_zeta_profile(
+            _zeta_slow, lambda s: _zeta_slow_integral(s, M), M=M,
+            kind="exp_zeta_slow", s_min_hint=1e-8 * M),
+        expected={**_UNIT_LIMITS, "B_est": (0.0, 0.10, "abs")},
+        takes_beta=False),
+)}
 
 
 def example_catalog() -> list:
-    """The four worked degeneracies, with limits the estimates must reproduce.
+    """The registry entries, each checkable against its expected limits."""
+    return list(PROFILES.values())
 
-    1. power law s^beta: P*I identically 1/beta, s*P'*I identically 1
-    2. essential singularity exp(-1/s^beta): P*I tends to 0, s*P'*I to 1
-    3. bounded rate zeta(s) = 1 + s/2: P*I tends to 1/zeta(0) = 1
-    4. slowly diverging rate zeta(s) = 1 - log s: P*I tends to 0 like 1/zeta,
-       s*P'*I to 1
 
-    Exponential-family entries carry profile-specific s_min floors keeping
-    1/(s*P) inside double-precision range; their limits are read as trends.
-    """
-    return [
-        CatalogEntry(
-            name="power_beta1",
-            make_profile=lambda: power_profile(1.0),
-            Lambda=1.0,
-            build_opts={},
-            expected={
-                "A_est": (1.0, 0.10, "rel"),
-                "B_est": (1.0, 0.10, "rel"),
-                "sPprimeI_trend": (1.0, 0.10, "rel"),
-            },
-        ),
-        CatalogEntry(
-            name="exp_inv_beta1",
-            make_profile=lambda: exp_inv_profile(1.0),
-            Lambda=1.0,
-            build_opts={"s_min": 0.01},
-            expected={
-                "B_est": (0.0, 0.05, "abs"),
-                "sPprimeI_trend": (1.0, 0.10, "rel"),
-            },
-        ),
-        CatalogEntry(
-            name="exp_zeta_bounded",
-            make_profile=lambda: exp_zeta_profile(
-                _zeta_bounded, _zeta_bounded_integral, kind="exp_zeta"),
-            Lambda=1.0,
-            build_opts={},
-            expected={
-                "A_est": (1.0, 0.10, "rel"),
-                "B_est": (1.0, 0.10, "rel"),
-                "sPprimeI_trend": (1.0, 0.10, "rel"),
-            },
-        ),
-        CatalogEntry(
-            name="exp_zeta_slow",
-            make_profile=lambda: exp_zeta_profile(
-                _zeta_slow, _zeta_slow_integral, kind="exp_zeta_slow"),
-            Lambda=1.0,
-            build_opts={},
-            expected={
-                "A_est": (1.0, 0.10, "rel"),
-                "B_est": (0.0, 0.10, "abs"),
-                "sPprimeI_trend": (1.0, 0.10, "rel"),
-            },
-        ),
-    ]
+def custom_csv_profile(path) -> DegeneracyProfile:
+    """Profile kind 'custom': (s, P) samples from a CSV with one header row;
+    the domain edge M is the last sampled s."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:
+        raise DomainError(f"custom profile CSV {path} needs s and P columns")
+    return custom_profile(data[:, 0], data[:, 1])

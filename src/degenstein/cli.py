@@ -16,6 +16,7 @@ other artifacts:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -40,7 +41,8 @@ EXIT_LOCALIZATION = 5
 EXIT_KINETIC = 6
 EXIT_IO = 7
 
-_EXAMPLE_KINDS = ("power", "exp_inv", "exp_zeta_bounded", "exp_zeta_slow")
+# the registry kinds, plus the two that build no named profile
+PROFILE_KINDS = (*checker_mod.PROFILES, "custom", "constant")
 
 
 class _PhaseFailure(Exception):
@@ -51,23 +53,17 @@ class _PhaseFailure(Exception):
         self.err = err
 
 
+@contextlib.contextmanager
 def _phase(code: int, phase: str):
-    """Decorator-ish context: run fn, convert any failure to _PhaseFailure."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is None:
-                return False
-            if isinstance(exc, _PhaseFailure):
-                return False
-            if isinstance(exc, OSError):
-                raise _PhaseFailure(EXIT_IO, phase, exc) from exc
-            if isinstance(exc, (DegensteinError, ValueError, RuntimeError)):
-                raise _PhaseFailure(code, phase, exc) from exc
-            return False
-    return _Ctx()
+    """Run the block as one pipeline phase: an OSError becomes a
+    _PhaseFailure with exit 7, a package, value or runtime error one with
+    code; an inner _PhaseFailure and anything else propagate unchanged."""
+    try:
+        yield
+    except OSError as e:
+        raise _PhaseFailure(EXIT_IO, phase, e) from e
+    except (DegensteinError, ValueError, RuntimeError) as e:
+        raise _PhaseFailure(code, phase, e) from e
 
 
 # ----------------------------------------------------------------- config
@@ -167,7 +163,7 @@ class ExperimentConfig:
         prof = _check_block(raw, "profile")
         if prof is None or "kind" not in prof:
             raise ConfigError("profile must be an object with a 'kind'")
-        if prof["kind"] not in _EXAMPLE_KINDS + ("custom", "constant"):
+        if prof["kind"] not in PROFILE_KINDS:
             raise ConfigError(f"unknown profile kind '{prof['kind']}'")
         if prof["kind"] == "custom":
             _require(prof, "path", "profile")
@@ -206,6 +202,9 @@ class ExperimentConfig:
         if bump is not None:
             for key in ("center", "radius", "height"):
                 _require(bump, key, "bump")
+            if len(np.atleast_1d(bump["center"])) != len(n):
+                raise ConfigError(f"bump.center must have {len(n)} "
+                                  f"components, got {bump['center']!r}")
         loc = _check_block(raw, "localization")
         if loc is not None:
             for key in ("x0", "R", "Rp"):
@@ -237,29 +236,11 @@ class ExperimentConfig:
 
 
 def _make_profile(block: dict):
-    kind = block["kind"]
-    M = float(block.get("M", 1.0))
-    if kind == "power":
-        return coeffs.power_profile(float(block.get("beta", 1.0)), M=M,
-                                    tail=block.get("tail"))
-    if kind == "exp_inv":
-        return coeffs.exp_inv_profile(float(block.get("beta", 1.0)), M=M)
-    if kind == "exp_zeta_bounded":
-        return coeffs.exp_zeta_profile(
-            zeta=lambda s: 1.0 + 0.5 * s,
-            zeta_over_s_integral=lambda s: -np.log(s) + 0.5 * (1.0 - s),
-            M=M, kind="exp_zeta_bounded")
-    if kind == "exp_zeta_slow":
-        return coeffs.exp_zeta_profile(
-            zeta=lambda s: 1.0 - np.log(s),
-            zeta_over_s_integral=lambda s: -np.log(s) + 0.5 * np.log(s) ** 2,
-            M=M, kind="exp_zeta_slow", s_min_hint=1e-8 * M)
-    if kind == "custom":
-        path = _require(block, "path", "profile")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        # the domain edge M is the last sampled s
-        return coeffs.custom_profile(data[:, 0], data[:, 1])
-    raise ConfigError(f"profile kind '{kind}' has no direct profile")
+    if block["kind"] == "custom":
+        return checker_mod.custom_csv_profile(block["path"])
+    return checker_mod.PROFILES[block["kind"]].make_profile(
+        beta=float(block.get("beta", 1.0)), M=float(block.get("M", 1.0)),
+        tail=block.get("tail"))
 
 
 def _build_table(cfg: ExperimentConfig):
@@ -368,18 +349,10 @@ def _load_config(args) -> ExperimentConfig:
 def cmd_check(args) -> int:
     with _phase(EXIT_CONFIG, "config"):
         if args.example:
-            beta = args.beta if args.beta is not None else 1.0
-            if args.example == "power":
-                prof = coeffs.power_profile(beta)
-                opts = {"s_min": 1e-8, "K": 256}
-            elif args.example == "exp_inv":
-                prof = coeffs.exp_inv_profile(beta)
-                opts = {"s_min": max(prof.s_min_hint, 1e-2), "K": 256}
-            else:
-                cfgspec = {"kind": args.example}
-                prof = _make_profile(cfgspec)
-                opts = {"s_min": 1e-8, "K": 256}
-            lam = coeffs.LambdaChoice(1.0)
+            entry = checker_mod.PROFILES[args.example]
+            if args.beta is not None and not entry.takes_beta:
+                raise ConfigError(f"--example {args.example} takes no --beta")
+            prof = entry.make_profile(1.0 if args.beta is None else args.beta)
             cfg = None
         else:
             cfg = _load_config(args)
@@ -393,7 +366,7 @@ def cmd_check(args) -> int:
             lam = coeffs.LambdaChoice(tab.Lambda)
             report = checker_mod.check_profile(prof, lam, table=tab)
         else:
-            report = checker_mod.check_profile(prof, lam, **opts)
+            report = entry.run(prof)
     with _phase(EXIT_IO, "write"):
         report.to_json(os.path.join(out, "report.json"))
     _say(args, f"check: {'PASS' if report.all_pass() else 'FAIL'}  "
@@ -563,10 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("check", help="profile assumption report")
     _add_common(p)
-    p.add_argument("--example", choices=_EXAMPLE_KINDS,
+    p.add_argument("--example", choices=tuple(checker_mod.PROFILES),
                    help="run a built-in catalog profile instead of a config")
     p.add_argument("--beta", type=float, default=None,
-                   help="exponent for the power/exp_inv examples")
+                   help="exponent for the " + "/".join(
+                       k for k, e in checker_mod.PROFILES.items()
+                       if e.takes_beta) + " examples")
     p.set_defaults(func=cmd_check)
 
     p = sp.add_parser("table", help="write the coefficient table CSV")
@@ -592,18 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The env knob caps worker threads; the current pipeline is sequential,
-    # so any positive value is already honored.
-    threads = os.environ.get("DEGENSTEIN_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                print("DEGENSTEIN_THREADS must be >= 1", file=sys.stderr)
-                return EXIT_CONFIG
-        except ValueError:
-            print("DEGENSTEIN_THREADS must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
-
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -444,7 +444,7 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
         if snapshot_times < 2:
             raise DomainError("need at least snapshots at 0 and T")
         return np.linspace(0.0, T, int(snapshot_times))
-    times = np.asarray(snapshot_times, dtype=float)
+    times = np.array(snapshot_times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) <= 0):
         raise DomainError("snapshot times must be strictly increasing")
     if abs(times[0]) > 1e-15 or abs(times[-1] - T) > 1e-12 * max(T, 1.0):

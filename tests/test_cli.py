@@ -8,11 +8,17 @@ a subprocess.
 import json
 import os
 
+import numpy as np
 import pytest
 
+from degenstein.checker import (PROFILES, _zeta_bounded, _zeta_slow,
+                                example_catalog)
 from degenstein.cli import (EXIT_COEFFS, EXIT_CONFIG, EXIT_IO,
                             EXIT_KINETIC, EXIT_LOCALIZATION, EXIT_OK,
-                            EXIT_SOLVER, main)
+                            EXIT_SOLVER, PROFILE_KINDS, ExperimentConfig,
+                            build_parser, main)
+from degenstein.coeffs import exp_zeta_profile
+from degenstein.errors import ConfigError
 
 BASE = {
     "profile": {"kind": "power", "beta": 1.0, "M": 1.0},
@@ -255,19 +261,73 @@ class TestFailurePaths:
         assert code == EXIT_COEFFS
 
 
-class TestThreadKnob:
-    def test_rejects_garbage(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DEGENSTEIN_THREADS", "abc")
-        assert main(["check", "--example", "power",
-                     "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "integer" in capsys.readouterr().err
+class TestInputShapes:
+    @pytest.mark.parametrize("body", [
+        "s\n1e-8\n1e-4\n1e-2\n1.0\n",
+        "s,P\n1.0,1.0\n",
+    ], ids=["one-column", "one-row"])
+    def test_custom_csv_wrong_shape_exits_coeffs(self, tmp_path, body):
+        samples = tmp_path / "profile.csv"
+        samples.write_text(body)
+        cfg = write_config(tmp_path, profile={"kind": "custom",
+                                              "path": str(samples)})
+        code, out = run(tmp_path, "table", "--config", cfg)
+        assert code == EXIT_COEFFS
+        err = load_json(out, "error.json")
+        assert err["error"] == "DomainError"
+        assert err["phase"] == "coefficients"
 
-    def test_rejects_nonpositive(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENSTEIN_THREADS", "0")
-        assert main(["check", "--example", "power",
-                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    def test_bump_center_of_wrong_dimension(self, tmp_path):
+        cfg = write_config(tmp_path, bump={"center": [-0.6, 0.0]})
+        code, out = run(tmp_path, "solve", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert load_json(out, "error.json")["error"] == "ConfigError"
 
-    def test_accepts_positive(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGENSTEIN_THREADS", "4")
-        code, _ = run(tmp_path, "check", "--example", "power")
+    @pytest.mark.parametrize("kind", ["exp_zeta_bounded", "exp_zeta_slow"])
+    def test_beta_rejected_where_unused(self, tmp_path, kind):
+        code, out = run(tmp_path, "check", "--example", kind, "--beta", "7")
+        assert code == EXIT_CONFIG
+        assert load_json(out, "error.json")["phase"] == "config"
+
+
+class TestProfileRegistry:
+    """The CLI choices, the config kinds and the checker catalog all read
+    the one registry in checker.PROFILES."""
+
+    def test_kinds_agree(self):
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        example, = [a for a in subcommands["check"]._actions
+                    if a.dest == "example"]
+        kinds = list(PROFILES)
+        assert list(example.choices) == kinds
+        assert [e.kind for e in example_catalog()] == kinds
+        assert list(PROFILE_KINDS) == kinds + ["custom", "constant"]
+        for kind in kinds + ["constant"]:
+            raw = json.loads(json.dumps(BASE))
+            raw["profile"] = {"kind": kind}
+            assert ExperimentConfig.from_dict(raw).profile["kind"] == kind
+        raw["profile"] = {"kind": "exp_zeta"}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("kind", list(PROFILES))
+    def test_check_example_is_catalog_report(self, tmp_path, kind):
+        code, out = run(tmp_path, "check", "--example", kind)
+        assert code == EXIT_OK
+        assert load_json(out, "report.json") == \
+            json.loads(PROFILES[kind].run().to_json())
+
+    @pytest.mark.parametrize("M", [0.5, 2.0])
+    @pytest.mark.parametrize("kind, zeta", [
+        ("exp_zeta_bounded", _zeta_bounded), ("exp_zeta_slow", _zeta_slow)])
+    def test_rate_integral_runs_to_M(self, tmp_path, kind, zeta, M):
+        # the closed forms integrate zeta(r)/r over [s, M]; the reference
+        # tabulates that integral by quadrature, and its last interpolation
+        # interval below M is good to about 1.2e-7 (slow rate, M = 2)
+        closed = PROFILES[kind].make_profile(M=M)
+        quad = exp_zeta_profile(zeta, M=M)
+        s = np.geomspace(1e-6 * M, M, 2000)
+        assert np.allclose(closed(s), quad(s), rtol=2e-7, atol=0.0)
+        cfg = write_config(tmp_path, profile={"kind": kind, "M": M})
+        code, _ = run(tmp_path, "table", "--config", cfg)
         assert code == EXIT_OK

@@ -144,6 +144,20 @@ class TestSnapshots:
         with pytest.raises(DomainError):
             solve(prob, desk_grid, T=0.01, snapshot_times=[0.001, 0.01])
 
+    def test_schedule_array_is_not_aliased(self, beta1_table, desk_grid,
+                                           desk_bump):
+        # endpoints within roundoff of 0 and T are snapped on a copy: the
+        # caller's array keeps its values and the trace owns its times
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        sched = np.array([1e-16, 0.005, 0.01 * (1 + 1e-13)])
+        before = sched.copy()
+        trace = solve(prob, desk_grid, T=0.01, snapshot_times=sched)
+        assert np.array_equal(sched, before)
+        assert trace.times is not sched
+        assert trace.times[0] == 0.0 and trace.times[-1] == 0.01
+        sched[1] = 0.007
+        assert trace.times[1] == 0.005
+
     def test_out_of_range_query(self, desk_trace_beta1):
         with pytest.raises(DomainError):
             desk_trace_beta1.field_at(1.0)
