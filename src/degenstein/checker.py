@@ -206,13 +206,15 @@ def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
 class CatalogEntry:
     """One named degeneracy: its profile kind, factory (beta, M, tail) ->
     profile, build floor, and the limits its default-beta estimates must
-    reproduce.  s_min_floor, when set, lifts the lowest table node to
+    reproduce.  takes_beta and takes_tail say whether the factory reads
+    beta and tail.  s_min_floor, when set, lifts the lowest table node to
     max(s_min_hint, floor); otherwise build_table's default applies."""
 
     kind: str
     factory: Callable[[float, float, Optional[float]], DegeneracyProfile]
     expected: dict  # keys: A_est/B_est/sPprimeI_trend -> (value, tol, mode)
     takes_beta: bool = True
+    takes_tail: bool = False
     s_min_floor: Optional[float] = None
     Lambda: float = 1.0
 
@@ -293,7 +295,7 @@ PROFILES = {e.kind: e for e in (
     CatalogEntry(
         kind="power",
         factory=lambda beta, M, tail: power_profile(beta, M=M, tail=tail),
-        expected=_UNIT_LIMITS),
+        expected=_UNIT_LIMITS, takes_tail=True),
     CatalogEntry(
         kind="exp_inv",
         factory=lambda beta, M, tail: exp_inv_profile(beta, M=M),

@@ -167,6 +167,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown profile kind '{prof['kind']}'")
         if prof["kind"] == "custom":
             _require(prof, "path", "profile")
+        entry = checker_mod.PROFILES.get(prof["kind"])
+        if entry is not None:
+            # a beta other than the default 1 or a tail would be ignored
+            if not entry.takes_beta and prof.get("beta", 1.0) != 1.0:
+                raise ConfigError(f"profile kind '{prof['kind']}' takes no "
+                                  f"beta, got {prof['beta']!r}")
+            if not entry.takes_tail and prof.get("tail") is not None:
+                raise ConfigError(f"profile kind '{prof['kind']}' takes no "
+                                  f"tail, got {prof['tail']!r}")
         lam = raw.get("lambda", 1.0)
         if not (lam == "auto" or (_is_number(lam) and lam > 0)):
             raise ConfigError("lambda must be a positive number or 'auto'")
@@ -209,6 +218,9 @@ class ExperimentConfig:
         if loc is not None:
             for key in ("x0", "R", "Rp"):
                 _require(loc, key, "localization")
+            if len(np.atleast_1d(loc["x0"])) != len(n):
+                raise ConfigError(f"localization.x0 must have {len(n)} "
+                                  f"components, got {loc['x0']!r}")
         psi = float(_check_type(raw.get("psi", 1.0), "number", "psi"))
         snapshots = _check_type(raw.get("snapshots", 33), "snapshots",
                                 "snapshots")

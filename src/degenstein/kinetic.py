@@ -9,11 +9,19 @@ zero.  In the diffusive limit the density obeys u_t = lap(P(u) u / 2), the
 divergence-form cousin of the quasilinear solver equation, which is what the
 cross-validation measures.
 
-Weights are built per occupied cell (the kernel width follows the local
-u), the truncated tail is renormalized so each row sums to one exactly, and
-the redistribution is one scatter-add that sums into every destination in a
-fixed order (retained mass first, then offsets in increasing order, sources
-in increasing order), so steps are bit-reproducible.
+A weight row depends only on the kernel width sigma(u) (and on the reach K
+of the widest occupied cell), so a step builds one row per distinct width
+among the occupied cells; with a = beta every cell shares one row.  The
+truncated tail is renormalized so each row sums to one exactly.  The moved
+mass is added offset by offset with contiguous slices over the span of
+occupied cells: offsets in increasing order, and within one offset the
+sources that leave through the left wall (a reversed slice when mirrored,
+a shifted one when wrapped), then the direct slice, then those that leave
+through the right wall.  Every cell thus receives its retained mass first
+and then its jumps ordered by offset and by source, the order of one
+scatter-add over (offset, source) pairs, so steps are bit-reproducible and
+bit for bit those of that scatter; empty cells inside the span add +0.0,
+which changes no sum.
 """
 
 from __future__ import annotations
@@ -104,20 +112,23 @@ def power_family_kernel(beta: float, tau0: float, a: float = 1.0,
     return JumpKernel(tau=tau, var=var, shape=shape, support_radius=support_radius)
 
 
-def _weight_rows(kernel: JumpKernel, u: np.ndarray, h: float):
-    """Per-cell kernel weights at offsets k*h, rows renormalized to 1.
-
-    Returns (offsets, W) with W[i, :] the distribution for cell i.  Cells
-    whose kernel is narrower than a cell collapse to the identity row.
-    """
+def _sigma_and_reach(kernel: JumpKernel, u: np.ndarray, h: float):
+    """Kernel widths sigma(u) (0 where u = 0) and the reach K in cells of
+    the widest support radius among them."""
     u = np.asarray(u, dtype=float)
-    sigma2 = np.where(u > 0.0, kernel.var(u), 0.0)
-    sigma = np.sqrt(sigma2)
+    sigma = np.sqrt(np.where(u > 0.0, kernel.var(u), 0.0))
     radius = np.where(u > 0.0, kernel.support_radius(u), 0.0)
     K = int(np.ceil(float(radius.max(initial=0.0)) / h)) if radius.size else 0
+    return sigma, K
+
+
+def _rows(shape: str, sigma: np.ndarray, K: int, h: float):
+    """Kernel weights at offsets -K..K (times h) for each width in sigma,
+    rows renormalized to 1; a zero width gives the identity row.  A row
+    depends only on (shape, sigma, K, h)."""
     offsets = np.arange(-K, K + 1)
     dx = offsets * h
-    if kernel.shape == "gaussian_truncated":
+    if shape == "gaussian_truncated":
         with np.errstate(divide="ignore", invalid="ignore"):
             W = np.exp(-0.5 * (dx[None, :] / sigma[:, None]) ** 2)
         W = np.where(np.abs(dx)[None, :] <= _GAUSS_CUT * sigma[:, None], W, 0.0)
@@ -130,6 +141,16 @@ def _weight_rows(kernel: JumpKernel, u: np.ndarray, h: float):
     W[sigma == 0.0, K] = 1.0   # degenerate kernel: stay put
     W /= W.sum(axis=1, keepdims=True)
     return offsets, W
+
+
+def _weight_rows(kernel: JumpKernel, u: np.ndarray, h: float):
+    """Per-cell kernel weights at offsets k*h, rows renormalized to 1.
+
+    Returns (offsets, W) with W[i, :] the distribution for cell i.  Cells
+    whose kernel is narrower than a cell collapse to the identity row.
+    """
+    sigma, K = _sigma_and_reach(kernel, u, h)
+    return _rows(kernel.shape, sigma, K, h)
 
 
 def kernel_moments(kernel: JumpKernel, u: float, grid_h: float):
@@ -157,15 +178,49 @@ def kernel_moments(kernel: JumpKernel, u: float, grid_h: float):
     return mass, mean, variance
 
 
+def _add_moved(out: np.ndarray, moved: np.ndarray, lo: int, K: int,
+               periodic: bool) -> None:
+    """Add moved[k + K, s - lo], the mass source cell s sends to offset k,
+    into out at s + k folded back into the domain (needs K < n).
+
+    Offsets go in increasing order.  Within one offset the sources that
+    leave through the left wall come first (a reversed slice when
+    mirrored), then the direct slice, then those leaving through the right
+    wall: every cell receives its jumps ordered by offset, then by source.
+    """
+    n = out.shape[0]
+    hi = lo + moved.shape[1]
+    for k in range(-K, K + 1):
+        row = moved[k + K]
+        a = min(hi, -k)                    # s + k < 0 for s < a
+        if a > lo:
+            if periodic:
+                out[lo + k + n:a + k + n] += row[:a - lo]
+            else:
+                out[-a - k:-lo - k] += row[:a - lo][::-1]
+        b0, b1 = max(lo, -k), min(hi, n - k)
+        if b1 > b0:
+            out[b0 + k:b1 + k] += row[b0 - lo:b1 - lo]
+        c = max(lo, n - k)                 # s + k >= n for s >= c
+        if hi > c:
+            if periodic:
+                out[c + k - n:hi + k - n] += row[c - lo:]
+            else:
+                out[2 * n - hi - k:2 * n - c - k] += row[c - lo:][::-1]
+
+
 def master_step(fld: Field, grid: GridSpec, kernel: JumpKernel,
                 sink: Optional[SinkTerm], dt: float,
                 closure: str = "reflect") -> Field:
     """One synchronous fractional-redistribution step of the master equation.
 
-    Per cell, the fraction dt/tau(u) of its mass moves through the cell's
-    own kernel row; boundary leakage folds back by mirror reflection (or
-    wraps, with closure='periodic'), so mass is conserved exactly before the
-    sink acts.
+    Per cell, the fraction dt/tau(u) of its mass moves through the kernel
+    row of the cell's width; boundary leakage folds back by mirror
+    reflection (or wraps, with closure='periodic'), so mass is conserved
+    exactly before the sink acts.  The rows are built once per distinct
+    width and summed in per-offset slices (see the module docstring).  A
+    kernel reach K with 2K+1 > 2n raises ResolutionError before any row is
+    built.
     """
     if grid.dim != 1:
         raise DomainError("master equation stepping is one-dimensional here")
@@ -195,22 +250,20 @@ def master_step(fld: Field, grid: GridSpec, kernel: JumpKernel,
     out = u - emit
     if np.any(emit > 0.0):
         src = np.flatnonzero(active)
-        offsets, W = _weight_rows(kernel, u[src], h)
-        if offsets.size > 2 * n:
+        sigma, K = _sigma_and_reach(kernel, u[src], h)
+        if 2 * K + 1 > 2 * n:
             raise ResolutionError("kernel support exceeds the domain")
-        # offset-major (offset, source) destinations and weights; bincount
-        # sums in array order, so each destination receives its retained
-        # mass first and then the jumps in the fixed offset/source order
-        dest = offsets[:, None] + src
-        if closure == "periodic":
-            dest = np.mod(dest, n)
+        # one row per distinct width; the span's cells with u = 0 emit 0.0
+        widths, which = np.unique(sigma, return_inverse=True)
+        _, rows = _rows(kernel.shape, widths, K, h)
+        lo, hi = int(src[0]), int(src[-1]) + 1
+        if widths.size == 1:
+            W = rows.T                     # (2K+1, 1) broadcasts over the span
         else:
-            dest = np.where(dest < 0, -1 - dest, dest)
-            dest = np.where(dest >= n, 2 * n - 1 - dest, dest)
-        moved = W.T * emit[src]
-        out = np.bincount(np.concatenate([np.arange(n), dest.ravel()]),
-                          weights=np.concatenate([out, moved.ravel()]),
-                          minlength=n)
+            span_row = np.zeros(hi - lo, dtype=np.intp)
+            span_row[src - lo] = which
+            W = rows.T[:, span_row]
+        _add_moved(out, W * emit[lo:hi], lo, K, closure == "periodic")
 
     if sink is not None:
         x = grid.axis_centers(0)

@@ -248,6 +248,18 @@ class TestFailurePaths:
         assert code == EXIT_KINETIC
         assert load_json(out, "error.json")["error"] == "StepError"
 
+    def test_kinetic_kernel_wider_than_domain(self, tmp_path):
+        # tau0 = 4: sigma = 2, so 2K+1 = 1609 offsets on 201 cells
+        cfg = write_config(tmp_path, T=0.01, localization=None,
+                           bump={"center": [0.0], "radius": 0.3,
+                                 "height": 0.05, "shape": "cos2"},
+                           kinetic={"tau0": 4.0, "a": 1.0, "dt": 1.5e-4})
+        code, out = run(tmp_path, "kinetic-compare", "--config", cfg)
+        assert code == EXIT_KINETIC
+        err = load_json(out, "error.json")
+        assert err["error"] == "ResolutionError"
+        assert err["phase"] == "kinetic"
+
     def test_kinetic_needs_power_profile(self, tmp_path):
         cfg = write_config(tmp_path, profile={"kind": "exp_inv", "beta": 1.0,
                                               "M": 1.0})
@@ -282,6 +294,38 @@ class TestInputShapes:
         code, out = run(tmp_path, "solve", "--config", cfg)
         assert code == EXIT_CONFIG
         assert load_json(out, "error.json")["error"] == "ConfigError"
+
+    def test_watch_center_of_wrong_dimension(self, tmp_path):
+        cfg = write_config(tmp_path, localization={"x0": [0.5, 0.0]})
+        code, out = run(tmp_path, "localize", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert load_json(out, "error.json")["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "exp_inv", "tail": 5.0},
+        {"kind": "exp_zeta_bounded", "tail": 0.1},
+        {"kind": "exp_zeta_slow", "tail": 5.0},
+        {"kind": "exp_zeta_bounded", "beta": 2.0},
+        {"kind": "exp_zeta_slow", "beta": 0.5},
+    ], ids=["exp_inv-tail", "bounded-tail", "slow-tail", "bounded-beta",
+            "slow-beta"])
+    def test_profile_field_rejected_where_unused(self, tmp_path, profile):
+        cfg = write_config(tmp_path, profile=profile)
+        code, out = run(tmp_path, "table", "--config", cfg)
+        assert code == EXIT_CONFIG
+        err = load_json(out, "error.json")
+        assert err["error"] == "ConfigError"
+        assert err["phase"] == "config"
+
+    def test_power_reads_tail(self, tmp_path):
+        tables = []
+        for sub, tail in (("plain", None), ("tail", 0.5)):
+            cfg = write_config(tmp_path, name=f"{sub}.json",
+                               profile={"tail": tail})
+            code, out = run(tmp_path, "table", "--config", cfg, sub=sub)
+            assert code == EXIT_OK
+            tables.append((out / "table.csv").read_text())
+        assert tables[0] != tables[1]
 
     @pytest.mark.parametrize("kind", ["exp_zeta_bounded", "exp_zeta_slow"])
     def test_beta_rejected_where_unused(self, tmp_path, kind):

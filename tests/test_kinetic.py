@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import degenstein.kinetic as kinetic_mod
 from degenstein.errors import (DomainError, ResolutionError, StepError)
 from degenstein.kinetic import (JumpKernel, SinkTerm, _weight_rows,
                                 kernel_moments, master_step,
@@ -211,7 +212,7 @@ class TestMasterStep:
 
 def reference_master_step(u, grid, kernel, sink, dt, closure):
     """The per-offset np.add.at redistribution loop over every cell, kept as
-    the bit-for-bit reference for master_step's single scatter."""
+    the bit-for-bit reference for master_step's per-offset slice folds."""
     n, h = u.shape[0], grid.h[0]
     active = u > 0.0
     with np.errstate(divide="ignore"):
@@ -260,7 +261,104 @@ class TestScatterMatchesReference:
         assert offsets.size >= 3
 
 
+def reach_kernel(n, K, shape, varying, u_max):
+    """Kernel on n cells of [0, 1] whose widest occupied cell (u = u_max)
+    reaches exactly K cells: fixed width (a = beta = 1) or width growing
+    with u (beta = 2, a = 1, sigma^2 = tau0 * u)."""
+    cut = 4.0 if shape == "gaussian_truncated" else math.sqrt(6.0)
+    sigma = (K - 0.5) / n / cut
+    if varying:
+        return power_family_kernel(beta=2.0, tau0=sigma * sigma / u_max,
+                                   a=1.0, shape=shape)
+    return power_family_kernel(beta=1.0, tau0=sigma * sigma, a=1.0,
+                               shape=shape)
+
+
+def gapped_densities(n, rng):
+    """Occupied sets with gaps: both walls, one wall, the interior, and a
+    single cell; values drawn from a few levels so widths repeat."""
+    levels = np.array([0.2, 0.5, 1.0])
+    full = rng.choice(levels, n) * (rng.uniform(size=n) < 0.6)
+    full[0] = full[-1] = 1.0
+    left = full.copy()
+    left[n // 2:] = 0.0
+    inner = full.copy()
+    inner[:2] = inner[-2:] = 0.0
+    inner[n // 2] = 1.0
+    single = np.zeros(n)
+    single[n // 3] = 1.0
+    return [full, left, inner, single]
+
+
+class TestFoldsMatchReference:
+    """Kernels reaching most of the domain, where the left fold, the direct
+    slice and the right fold of one offset overlap."""
+
+    @pytest.mark.parametrize("closure", ["reflect", "periodic"])
+    @pytest.mark.parametrize("shape", ["gaussian_truncated", "triangular"])
+    @pytest.mark.parametrize("varying", [False, True],
+                             ids=["fixed", "varying"])
+    @pytest.mark.parametrize("n,frac", [(8, 0.3), (8, 0.99), (13, 0.6),
+                                        (20, 0.45), (31, 0.3), (31, 0.99)])
+    def test_bit_identical_on_small_grids(self, closure, shape, varying, n,
+                                          frac):
+        grid = GridSpec(extent=((0.0, 1.0),), n=(n,))
+        K = max(1, round(frac * (n - 1)))
+        kern = reach_kernel(n, K, shape, varying, u_max=1.0)
+        dt = 0.5 * float(np.asarray(kern.tau(np.asarray([1.0])))[0])
+        rng = np.random.default_rng(1000 * n + K)
+        for u in gapped_densities(n, rng):
+            offsets, _ = _weight_rows(kern, u, grid.h[0])
+            assert offsets.size == 2 * K + 1
+            fld = Field(values=u, time=0.0)
+            for _ in range(3):
+                ref = reference_master_step(fld.values, grid, kern, None, dt,
+                                            closure)
+                fld = master_step(fld, grid, kern, None, dt, closure=closure)
+                assert np.array_equal(fld.values, ref)
+
+    @pytest.mark.parametrize("case", ["reach-n", "lab-tau0-4"])
+    def test_too_wide_rejected_before_any_row(self, monkeypatch, case):
+        # K = n on 8 cells is the first reach past 2K+1 <= 2n; tau0 = 4 on
+        # the lab's 1601 cells gives 2K+1 = 12809 offsets for 481 occupied
+        # cells, about 49 MB per weight temporary had the rows come first
+        def no_rows(*args):
+            raise AssertionError("weight rows built before the width check")
+
+        if case == "reach-n":
+            grid = GridSpec(extent=((0.0, 1.0),), n=(8,))
+            u = np.ones(8)
+            kern = reach_kernel(8, 8, "gaussian_truncated", False, 1.0)
+            dt = 1e-6
+        else:
+            grid = GridSpec(extent=((-1.0, 1.0),), n=(1601,))
+            u = grid.sample(bump((0.0,), 0.3, 0.05, shape="cos2"))
+            kern = power_family_kernel(beta=1.0, tau0=4.0, a=1.0)
+            dt = 1.5e-4
+        monkeypatch.setattr(kinetic_mod, "_rows", no_rows)
+        with pytest.raises(ResolutionError):
+            master_step(Field(values=u, time=0.0), grid, kern, None, dt)
+
+
 class TestRunMaster:
+    def test_matches_reference_loop(self, kin_grid, kin_density):
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        times, fields = run_master(kin_density, kin_grid, kern, None,
+                                   T=0.01, dt=1.5e-4)
+        u, t = kin_density.copy(), 0.0
+        ref_times, ref_fields = [t], [u]
+        while t < 0.01 - 1e-15 * 0.01:
+            step = min(1.5e-4, 0.01 - t)
+            u = reference_master_step(u, kin_grid, kern, None, step,
+                                      "reflect")
+            t = t + step
+            ref_times.append(t)
+            ref_fields.append(u)
+        assert np.array_equal(times, ref_times)
+        assert len(fields) == len(ref_fields) == 68
+        for got, want in zip(fields, ref_fields):
+            assert np.array_equal(got, want)
+
     def test_lands_exactly_on_horizon(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         times, fields = run_master(kin_density, kin_grid, kern, None,
