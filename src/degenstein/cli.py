@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -79,7 +80,10 @@ def _is_integer(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, float)
+    """An integer or a finite float: JSON's NaN and Infinity are not numbers
+    a run can use."""
+    return _is_integer(value) or (isinstance(value, float)
+                                  and math.isfinite(value))
 
 
 def _is_number_list(value) -> bool:
@@ -98,8 +102,9 @@ _TYPE_CHECKS = {
 
 def _check_type(value, kind: str, what: str):
     """Raise ConfigError unless value has the JSON type kind, one of
-    _TYPE_CHECKS ('numbers' is a number or a list of numbers, 'snapshots'
-    an integer count or a list of times); a trailing '?' also admits null."""
+    _TYPE_CHECKS (a 'number' is finite, 'numbers' is a number or a list of
+    numbers, 'snapshots' an integer count or a list of times); a trailing
+    '?' also admits null."""
     nullable = kind.endswith("?")
     if not ((nullable and value is None) or _TYPE_CHECKS[kind.rstrip("?")](value)):
         raise ConfigError(f"{what} must be of type {kind.rstrip('?')}, "

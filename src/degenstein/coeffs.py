@@ -402,26 +402,32 @@ class CoefficientTable:
                 self._interp[name] = ("lin", _Pchip(t, y))
         return self._interp[name]
 
-    def eval(self, column, s):
+    def eval(self, column, s, bounds=None):
         """Evaluate a column at concentrations s in [s_min, M].
 
         Exact at the nodes; monotone-preserving cubic in between.  Arguments
         outside the tabulated range (beyond roundoff slack) raise DomainError.
         A tuple of positive column names is evaluated through one joint
         interpolant and returns the columns along a leading axis, so
-        ``F, h = table.eval(("F", "h"), s)`` unpacks them.
+        ``F, h = table.eval(("F", "h"), s)`` unpacks them.  bounds, when
+        given, is an interval (lo, hi) that holds every value of s, such as
+        the extrema of a field s is cut from; it stands in for the scan of s
+        in the domain check, and s itself is scanned only if the interval
+        leaves the domain.
         """
         arr = np.asarray(s, dtype=float)
         lo, hi, lo_ok, hi_ok = self._domain
         if arr.size:
-            amin, amax = arr.min(), arr.max()
+            amin, amax = (arr.min(), arr.max()) if bounds is None else bounds
             # negated comparisons, so NaN is rejected too
             if not (amin >= lo_ok and amax <= hi_ok):
                 bad = arr[~((arr >= lo_ok) & (arr <= hi_ok))]
-                raise DomainError(
-                    f"evaluation outside [{lo:g}, {hi:g}]: first offender "
-                    f"{bad.flat[0]:g}"
-                )
+                if bad.size:
+                    raise DomainError(
+                        f"evaluation outside [{lo:g}, {hi:g}]: first offender "
+                        f"{bad.flat[0]:g}"
+                    )
+            # clamping values inside [lo, hi] leaves them as they are
             if amin < lo or amax > hi:
                 arr = np.minimum(np.maximum(arr, lo), hi)
         mode, itp = self._interp.get(column) or self._interpolator(column)

@@ -8,17 +8,30 @@ cells.  Under the CFL bound every update is a convex combination of
 neighbors, so the discrete maximum principle holds exactly; a clamp event is
 an error, never a silent fix.
 
-There is one step kernel, `_Kernel`, and `solve`, `step_explicit` and
-`cfl_dt` all go through it: one CFL formula, one update, and the range and
-maximum-principle tripwires checked on every step, so `solve` raises
-RangeError at the step that breaks them.  D comes from one joint evaluation
-of the F and h columns per step (`CoefficientTable.eval` with a tuple).
+There is one step kernel, `_Kernel`, and one time loop, `_march`; `solve`,
+`eps_sweep`, `step_explicit` and `cfl_dt` all go through them: one CFL
+formula, one update, and the range and maximum-principle tripwires checked
+on every step, so a march raises RangeError at the step that breaks them.
+D comes from one joint evaluation of the F and h columns per step
+(`CoefficientTable.eval` with a tuple).
+
+The kernel and the loop carry a leading batch axis of rungs: problems that
+share the table, grid, g, psi, u_max and safety and differ only in the floor
+eps.  `eps_sweep` marches its whole ladder in lock step, so each numpy call
+serves every rung, and `solve` is the march of a stack of one.  eps is a
+per-rung column, so D = (F + eps)/h broadcasts; each rung keeps its own
+time, step (the CFL bound from its own max D, capped at T - t), tripwires,
+snapshots and dissipation sum, and leaves the stack at the step where it
+reaches T.
 
 The kernel steps only the active window, the bounding box of the cells that
-differ from the floor eps plus one cell: the localized solution leaves most
-of the grid at eps, and there the update is exactly zero, since
-eps - 2*eps + eps == 0.0 in IEEE arithmetic.  Skipping those cells changes
-no bit of the result (`SolveTrace.cell_updates` counts the cells stepped).
+differ from their rung's floor, plus one cell, over all rungs: the localized
+solution leaves most of the grid at eps, and there the update is exactly
+zero, since eps - 2*eps + eps == 0.0 in IEEE arithmetic.  Skipping those
+cells, or stepping a cell that is inside another rung's box but at this
+rung's floor, changes no bit of the result, so every rung of a lock-step
+march equals its own `solve` bit for bit (`SolveTrace.cell_updates` counts
+the cells stepped).
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -32,7 +45,8 @@ fraction, which would not vanish under refinement).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
@@ -213,96 +227,149 @@ class EpsProblem:
                 raise DomainError("g does not vanish on the declared empty ball")
         return g_vals, psi_vals
 
-    def diffusivity(self, values: np.ndarray) -> np.ndarray:
-        F, h = self.table.eval(("F", "h"), values)
-        F += self.eps
+    def diffusivity(self, values: np.ndarray, eps=None,
+                    bounds: Optional[tuple] = None) -> np.ndarray:
+        """D = (F + eps)/h at values.  eps defaults to this problem's floor;
+        a stack of fields takes a column of floors, one per field.  bounds,
+        when given, hold every value (see `CoefficientTable.eval`)."""
+        F, h = self.table.eval(("F", "h"), values, bounds)
+        F += self.eps if eps is None else eps
         F /= h
         return F
 
 
 def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Five-point (1-D: three-point) Laplacian on the interior cells only."""
+    """Five-point (1-D: three-point) Laplacian on the interior cells only, of
+    one field or of a stack of fields along a leading axis."""
     h = grid.h
     if grid.dim == 1:
-        return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h[0] ** 2
+        return (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) / h[0] ** 2
     return (
-        (values[:-2, 1:-1] - 2.0 * values[1:-1, 1:-1] + values[2:, 1:-1]) / h[0] ** 2
-        + (values[1:-1, :-2] - 2.0 * values[1:-1, 1:-1] + values[1:-1, 2:]) / h[1] ** 2
+        (values[..., :-2, 1:-1] - 2.0 * values[..., 1:-1, 1:-1]
+         + values[..., 2:, 1:-1]) / h[0] ** 2
+        + (values[..., 1:-1, :-2] - 2.0 * values[..., 1:-1, 1:-1]
+           + values[..., 1:-1, 2:]) / h[1] ** 2
     )
 
 
 class _Kernel:
-    """The explicit step, shared by solve, step_explicit and cfl_dt.
+    """The explicit step, shared by every march, step_explicit and cfl_dt.
 
-    A kernel marches one field on one (problem, grid, boundary weight): it
-    holds the CFL constant, the boundary pin eps*psi and the admissible
-    range, so a step is D from one joint F/h evaluation, the CFL bound, the
-    forward-Euler update and the tripwires, which are min/max reductions on
-    the new values.
+    A kernel steps a stack of fields, one per rung, on one grid: rungs are
+    problems that differ only in the floor eps, and every array it handles
+    has a leading rung axis.  It holds the CFL constant, the boundary pins
+    eps*psi and the admissible ranges, so a step is D from one joint F/h
+    evaluation, each rung's CFL bound, the forward-Euler update and each
+    rung's tripwires, which are min/max reductions on the new values.
 
     Only the active window is stepped: the per-axis bounding box of the
-    cells whose value differs from the floor eps, grown by one cell on each
-    side and clipped to the interior.  Skipping the cells outside it is
-    exact: such a cell and its neighbors all hold eps, the difference
-    eps - 2*eps + eps is 0.0 in IEEE arithmetic (2*eps and eps - 2*eps are
-    exact), so forward Euler leaves the cell at eps bit for bit.  The first
-    diffusivity call evaluates the whole grid (which is also the domain
-    check of the ring) and fixes the window; later calls grow the box by one
-    cell on each side whose edge row (1-D: edge cell) has left eps, then
+    cells whose value differs from its rung's floor, over all rungs, grown
+    by one cell on each side and clipped to the interior.  Skipping the
+    cells outside it is exact: such a cell and its neighbors all hold their
+    rung's eps, the difference eps - 2*eps + eps is 0.0 in IEEE arithmetic
+    (2*eps and eps - 2*eps are exact), so forward Euler leaves the cell at
+    eps bit for bit.  The same holds for a cell inside the window that is
+    outside the box its own rung alone would have: it and its neighbors
+    hold that rung's eps, so its update is 0.0 too, and each rung's fields
+    are those of its own one-rung march.  The first diffusivity call
+    evaluates the whole grid (which is also the domain check of the ring)
+    and fixes the window; later calls grow the box by one cell on each side
+    whose edge row (1-D: edge cell) has left its floor in some rung, then
     evaluate D on the window plus its one-cell halo only.  The box never
-    shrinks.  A hump that fills the box, or a ring pin eps*psi that differs
-    from eps, makes the window the whole interior and the step the
-    full-grid one.
+    shrinks, also when rungs leave the stack.  A hump that fills the box, or
+    a ring pin eps*psi that differs from eps, makes the window the whole
+    interior and the step the full-grid one.
 
-    The CFL maximum of D over the slab is the full-grid one without any
-    constant for the cells outside: every cell that differs from eps lies
-    in the slab, the cells outside it hold eps, and while the window leaves
-    interior cells out, its edge on that side holds eps too, so D(eps) is
-    in the slab (D need not be monotone, so it has to be).
+    Each rung's CFL maximum of D over the slab is its full-grid one without
+    any constant for the cells outside: every cell that differs from the
+    rung's eps lies in the slab, the cells outside it hold eps, and while
+    the rung's own box leaves interior cells out, its edge on that side
+    holds eps too, so D(eps) is in the slab (D need not be monotone, so it
+    has to be).  The cells a wider window adds hold eps and add only that
+    value again.
+
+    Per-rung scalars (floors, steps, extrema) are Python lists: at a handful
+    of rungs a loop over floats costs less than a numpy call on a few
+    numbers, so a stack of one pays little for the rung axis.
     """
 
-    def __init__(self, prob: EpsProblem, grid: GridSpec,
+    def __init__(self, probs: Sequence[EpsProblem], grid: GridSpec,
                  psi_vals: Optional[np.ndarray] = None):
+        prob = probs[0]
         if psi_vals is None:
             psi_vals = grid.sample(prob.psi)
-        self.prob, self.grid = prob, grid
+        self.prob, self.grid, self.psi_vals = prob, grid, psi_vals
         self.cfl = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
-        self.inner = (slice(1, -1),) * grid.dim
-        self.pin = prob.eps * psi_vals
-        ring = self.pin[~grid.interior_mask()]
-        self.ring_lo, self.ring_hi = float(ring.min()), float(ring.max())
-        self.lo = prob.eps * min(1.0, float(psi_vals.min()))
+        dim = grid.dim
+        self.axes = tuple(range(1, dim + 1))        # the grid axes of a stack
+        self.col = (-1,) + (1,) * dim               # shape of a rung column
+        self.inner = (slice(None),) + (slice(1, -1),) * dim
+        self.ring = ~grid.interior_mask()
         self.hi = prob.u_max
         self.slack = 1e-12 * max(self.hi, 1.0)
         self.bounds = None           # window [a, b) per axis, from the first call
-        # du^2/D over the interior, 0.0 outside the window, so the
-        # dissipation sum runs in the full-grid order
-        self.work = np.zeros(tuple(m - 2 for m in grid.n))
-        self.cell_updates = 0
+        # the update, then du^2/D, over the interior; 0.0 outside the
+        # window, so the dissipation sum runs in the full-grid order
+        self.work = np.zeros((len(probs),) + tuple(m - 2 for m in grid.n))
+        self.cell_updates = 0        # per rung: every rung steps the window
+        self._set_rungs(np.array([p.eps for p in probs]))
+
+    def _set_rungs(self, eps: np.ndarray) -> None:
+        """Everything that depends on the floors of the stack's rungs."""
+        self.eps, self.eps_col = eps, eps.reshape(self.col)
+        self.pin = self.eps_col * self.psi_vals
+        ring = self.pin[:, self.ring]
+        psi_lo = min(1.0, float(self.psi_vals.min()))
+        floors = eps.tolist()
+        # per rung: floor, lower end of the admissible range, ring extrema
+        self.rungs = list(zip(floors, [e * psi_lo for e in floors],
+                              ring.min(axis=1).tolist(),
+                              ring.max(axis=1).tolist()))
+        self.dt = np.zeros(eps.size)             # the rungs' steps
+        self.dt_col = self.dt.reshape(self.col)
+        if self.bounds is not None:
+            self._index_edges()
+
+    def keep(self, rows) -> None:
+        """Drop every rung but the stack rows listed in rows."""
+        self.work = self.work[rows]
+        self._set_rungs(self.eps[rows])
 
     def _set_window(self, bounds):
         self.bounds = bounds
-        self.win = tuple(slice(a, b) for a, b in bounds)
-        self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
-        self.win_inner = tuple(slice(a - 1, b - 1) for a, b in bounds)
+        win = tuple(slice(a, b) for a, b in bounds)
+        every = (slice(None),)
+        self.win = every + win
+        self.slab = every + tuple(slice(a - 1, b + 1) for a, b in bounds)
+        self.win_inner = every + tuple(slice(a - 1, b - 1) for a, b in bounds)
         self.size = int(np.prod([b - a for a, b in bounds]))
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
-        # edge rows that can still grow: (axis, side, index of the row), and
-        # the flat indices of all their cells for the one per-step test
+        # edge rows that can still grow: (axis, side, stack index of the
+        # row), and the flat grid indices of all their cells for the one
+        # per-step test
         self.edges = []
         edge_cells = np.zeros(n, dtype=bool)
         for k, ((a, b), m) in enumerate(zip(bounds, n)):
             for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1)):
                 if room:
-                    row = self.win[:k] + (at,) + self.win[k + 1:]
-                    self.edges.append((k, side, row))
+                    row = win[:k] + (at,) + win[k + 1:]
+                    self.edges.append((k, side, every + row))
                     edge_cells[row] = True
         self.edge_idx = np.flatnonzero(edge_cells)
+        self._index_edges()
+
+    def _index_edges(self) -> None:
+        """The edge cells of every rung in a flat stack, and their floors."""
+        cells = int(np.prod(self.grid.n))
+        rows = np.arange(self.eps.size)[:, None] * cells
+        self.edge_take = (rows + self.edge_idx).ravel()
+        self.edge_floor = np.repeat(self.eps, self.edge_idx.size)
 
     def _open(self, values: np.ndarray) -> None:
-        """Fix the window for values from the cells that differ from eps."""
-        off = values != self.prob.eps
+        """Fix the window for values from the cells that differ from their
+        rung's eps."""
+        off = (values != self.eps_col).any(axis=0)
         bounds = []
         for k, m in enumerate(self.grid.n):
             others = tuple(j for j in range(off.ndim) if j != k)
@@ -313,69 +380,85 @@ class _Kernel:
         self._set_window(bounds)
 
     def _grow(self, values: np.ndarray) -> None:
-        eps = self.prob.eps
+        floors = self.eps_col[..., 0]     # against a row of every rung
         hits = [(k, side) for k, side, edge in self.edges
-                if (values[edge] != eps).any()]
+                if (values[edge] != floors).any()]
         if hits:
             bounds = [list(ab) for ab in self.bounds]
             for k, side in hits:
                 bounds[k][side] += 1 if side else -1
             self._set_window([tuple(ab) for ab in bounds])
 
-    def diffusivity(self, values: np.ndarray):
-        """D on the window plus its halo, and the largest stable step for
-        values, which after the first call must be this kernel's last step
-        output."""
+    def diffusivity(self, values: np.ndarray, lo: Optional[float] = None,
+                    hi: Optional[float] = None):
+        """D on the window plus its halo for a stack of fields, and each
+        rung's largest stable step.  After the first call, values must be
+        this kernel's last step output, and lo, hi bound all its values
+        (the extrema the tripwires return), which spares the table's domain
+        check a scan of the slab."""
         if self.bounds is None:
-            D = self.prob.diffusivity(values)
+            D = self.prob.diffusivity(values, self.eps_col)
             self._open(values)
-            return D[self.slab], self.cfl / float(D.max())
-        if self.edges and (values.take(self.edge_idx) != self.prob.eps).any():
-            self._grow(values)
-        D = self.prob.diffusivity(values[self.slab])
-        return D, self.cfl / float(D.max())
+            top, D = np.maximum.reduce(D, self.axes), D[self.slab]
+        else:
+            if self.edges and np.count_nonzero(values.take(self.edge_take)
+                                               != self.edge_floor):
+                self._grow(values)
+            D = self.prob.diffusivity(values[self.slab], self.eps_col, (lo, hi))
+            top = np.maximum.reduce(D, self.axes)
+        cfl = self.cfl
+        return D, [cfl / m for m in top.tolist()]
 
-    def step(self, values: np.ndarray, D: np.ndarray, dt: float,
-             lo: float, hi: float, out: np.ndarray):
+    def step(self, values: np.ndarray, D: np.ndarray, dts: list, lo: list,
+             hi: list, out: np.ndarray):
         """Write the forward-Euler update of the window into out, whose
-        other cells must already hold the pin on the boundary ring and the
-        values elsewhere; D is the diffusivity call's, lo and hi are the
-        extrema of values.  Returns the extrema of out, after raising
-        RangeError if out leaves the admissible range or the interior update
-        breaks the discrete maximum principle (neither can happen under the
-        CFL bound; the checks are tripwires)."""
-        new = out[self.win]
-        np.add(values[self.win],
-               dt * D[self.inner] * _laplacian(values[self.slab], self.grid),
-               out=new)
-        self.cell_updates += self.size
-        new_lo, new_hi = float(new.min()), float(new.max())
-        if self.partial:  # the interior cells outside the window hold eps
-            new_lo, new_hi = min(new_lo, self.prob.eps), max(new_hi, self.prob.eps)
-        out_lo, out_hi = min(new_lo, self.ring_lo), max(new_hi, self.ring_hi)
-        slack = self.slack
-        if out_lo < self.lo - slack or out_hi > self.hi + slack:
-            raise RangeError(
-                f"field left [{self.lo:g}, {self.hi:g}]: range [{out_lo:g}, {out_hi:g}]"
-            )
-        if new_hi > hi + slack or new_lo < lo - slack:
-            raise RangeError("discrete maximum principle violated")
-        return out_lo, out_hi
+        other cells must already hold the pins on the boundary ring and the
+        values elsewhere; D is the diffusivity call's, dts, lo and hi are
+        the rungs' steps and extrema of values.
 
-    def dissipation(self, values: np.ndarray, new: np.ndarray,
-                    D: np.ndarray) -> float:
-        """Sum of du^2/D over the interior for the step values -> new."""
+        Returns the rungs' extrema of out and their sums of du^2/D over the
+        interior (the dissipation integrand of the step), after raising
+        RangeError if a rung's out leaves its admissible range or its
+        interior update breaks the discrete maximum principle (neither can
+        happen under the CFL bound; the checks are tripwires).
+        """
+        self.dt[:] = dts
+        old, new, Dw = values[self.win], out[self.win], D[self.inner]
         w = self.work[self.win_inner]
-        np.subtract(new[self.win], values[self.win], out=w)
-        np.multiply(w, w, out=w)
-        np.divide(w, D[self.inner], out=w)
-        return float(self.work.sum())
+        np.multiply(Dw, self.dt_col, out=w)
+        w *= _laplacian(values[self.slab], self.grid)
+        np.add(old, w, out=new)
+        self.cell_updates += self.size
+        new_lo = np.minimum.reduce(new, self.axes).tolist()
+        new_hi = np.maximum.reduce(new, self.axes).tolist()
+        out_lo, out_hi = [], []
+        partial, top, slack = self.partial, self.hi, self.slack
+        for (eps, floor, ring_lo, ring_hi), n_lo, n_hi, p_lo, p_hi in zip(
+                self.rungs, new_lo, new_hi, lo, hi):
+            if partial:  # the interior cells outside the window hold eps
+                n_lo, n_hi = min(n_lo, eps), max(n_hi, eps)
+            o_lo, o_hi = min(n_lo, ring_lo), max(n_hi, ring_hi)
+            # negated comparisons, so NaN trips them too
+            if not (o_lo >= floor - slack and o_hi <= top + slack):
+                raise RangeError(
+                    f"eps={eps:g}: field left [{floor:g}, {top:g}]: "
+                    f"range [{o_lo:g}, {o_hi:g}]")
+            if not (n_hi <= p_hi + slack and n_lo >= p_lo - slack):
+                raise RangeError(f"eps={eps:g}: discrete maximum principle "
+                                 f"violated")
+            out_lo.append(o_lo)
+            out_hi.append(o_hi)
+        # du^2/D with du the rounded update, in the full-grid order
+        np.subtract(new, old, out=w)
+        w *= w
+        w /= Dw
+        return out_lo, out_hi, np.add.reduce(self.work, self.axes).tolist()
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, safety * min(h)^2 / (2 * dim * max D)."""
-    return _Kernel(prob, grid).diffusivity(values)[1]
+    return _Kernel([prob], grid).diffusivity(values[None])[1][0]
 
 
 def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
@@ -387,15 +470,16 @@ def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
     update leaves the admissible range or breaks the discrete max principle
     (neither can happen under the CFL bound; the checks are tripwires).
     """
-    kern = _Kernel(prob, grid, psi_vals)
-    values = fld.values
-    D, bound = kern.diffusivity(values)
+    kern = _Kernel([prob], grid, psi_vals)
+    values = fld.values[None]
+    D, (bound,) = kern.diffusivity(values)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
     new = kern.pin.copy()
     new[kern.inner] = values[kern.inner]
-    kern.step(values, D, dt, float(values.min()), float(values.max()), new)
-    return Field(values=new, time=fld.time + dt)
+    kern.step(values, D, [dt], [float(values.min())], [float(values.max())],
+              new)
+    return Field(values=new[0], time=fld.time + dt)
 
 
 @dataclass
@@ -453,9 +537,113 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
     return times
 
 
+def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
+           snapshot_times: Union[None, int, Sequence[float]]) -> list:
+    """March a stack of rungs in lock step to time T; one SolveTrace per
+    rung, in the order given.
+
+    The rungs must differ only in eps (share the table, g, psi, u_max and
+    safety; `eps_sweep` builds them with `dataclasses.replace`), since the
+    kernel holds the first rung's.  Each rung's trace is the one its own
+    one-rung march gives, bit for bit (see `_Kernel`); its cell_updates
+    counts the cells of the shared window it stepped.
+    """
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"final time must be positive and finite, got {T!r}")
+    snap_times = _resolve_snapshots(snapshot_times, T)
+    snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
+
+    g_vals, psi_vals = probs[0].sample_on(grid)
+    for p in probs[1:]:
+        p.sample_on(grid)            # each rung's own range checks
+    kern = _Kernel(probs, grid, psi_vals)
+    inner, axes = kern.inner, kern.axes
+    u0 = kern.eps_col + g_vals
+    u = kern.pin.copy()
+    u[inner] = u0[inner]
+    boundary_transient = np.abs(u0 - u).max(axis=axes).tolist()
+    # two stacks whose boundary rings hold the pins; each step writes the
+    # interior of one from the other
+    spare = u.copy()
+
+    vol = grid.cell_volume
+    n = len(probs)
+    fields = [[f.copy()] for f in u]
+    snap_diss = [np.zeros(n_snap) for _ in range(n)]
+    dt_hist = [[] for _ in range(n)]
+    max_hist = [[] for _ in range(n)]
+    traces = [None] * n
+    # per stack row: the rung it holds, its time, dissipation sum, next
+    # snapshot and that snapshot's time (inf once all are taken); the steps
+    # and maxima since the stack last changed, a row of the stack per step
+    # in flat lists of floats (no per-step containers for the collector)
+    live, ts, diss, nxt = list(range(n)), [0.0] * n, [0.0] * n, [1] * n
+    snaps.append(math.inf)
+    due = [snaps[1]] * n
+    dt_rows, hi_rows = [], []
+    u_lo, u_hi = u.min(axis=axes).tolist(), u.max(axis=axes).tolist()
+    t_end = T - tol
+    max_steps = 50_000_000
+    for _ in range(max_steps):
+        if not live:
+            break
+        D, bound = kern.diffusivity(u, min(u_lo), max(u_hi))
+        dts = [min(b, T - t) for b, t in zip(bound, ts)]
+        new = spare
+        # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
+        # sums of du^2/D, divided by dt below
+        u_lo, u_hi, sums = kern.step(u, D, dts, u_lo, u_hi, out=new)
+        done = []
+        for r, dt in enumerate(dts):
+            t, diss_old = ts[r], diss[r]
+            diss[r] = diss_new = diss_old + sums[r] / dt * vol
+            ts[r] = t_new = t + dt
+            while due[r] <= t_new + tol:
+                w = (due[r] - t) / dt
+                fields[live[r]].append(u[r] + w * (new[r] - u[r]))
+                snap_diss[live[r]][nxt[r]] = diss_old + w * (diss_new - diss_old)
+                nxt[r] += 1
+                due[r] = snaps[nxt[r]]
+            if t_new >= t_end:
+                done.append(r)
+        dt_rows += dts
+        hi_rows += u_hi
+        spare, u = u, new
+        if done:
+            for r, i in enumerate(live):
+                dt_hist[i] += dt_rows[r::len(live)]
+                max_hist[i] += hi_rows[r::len(live)]
+            dt_rows, hi_rows = [], []
+            for r in done:
+                i = live[r]
+                if nxt[r] < n_snap:
+                    fields[i].append(u[r].copy())
+                    snap_diss[i][nxt[r]] = diss[r]
+                    nxt[r] += 1
+                assert nxt[r] == n_snap, "snapshot schedule not exhausted"
+                traces[i] = SolveTrace(
+                    grid=grid, prob=probs[i], times=snap_times.copy(),
+                    fields=fields[i], dissipation=snap_diss[i],
+                    dt_history=np.asarray(dt_hist[i]),
+                    max_u_history=np.asarray(max_hist[i]),
+                    boundary_transient=boundary_transient[i],
+                    n_steps=len(dt_hist[i]), cell_updates=kern.cell_updates)
+            rows = [r for r in range(len(live)) if r not in done]
+            live, ts, diss, nxt, due, u_lo, u_hi = (
+                [x[r] for r in rows]
+                for x in (live, ts, diss, nxt, due, u_lo, u_hi))
+            if live:
+                kern.keep(rows)
+                u, spare = u[rows], spare[rows]
+    else:
+        raise CflError("step budget exhausted before reaching T")
+    return traces
+
+
 def solve(prob: EpsProblem, grid: GridSpec, T: float,
           snapshot_times: Union[None, int, Sequence[float]] = None) -> SolveTrace:
-    """March the explicit scheme to time T with adaptive CFL-bounded steps.
+    """March the explicit scheme to time T with adaptive CFL-bounded steps:
+    the lock-step march of a stack of one.
 
     Snapshots are linearly interpolated in time onto the requested instants,
     so step placement never depends on the output schedule.  Every step goes
@@ -464,73 +652,9 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     maximum-principle violation raises RangeError at the step where it
     happens.  The cumulative dissipation integral uses the same diffusivity
     evaluation as the step itself, which is what makes the energy identity
-    check tight.
+    check tight.  T must be positive and finite.
     """
-    if T <= 0:
-        raise DomainError("final time must be positive")
-    snap_times = _resolve_snapshots(snapshot_times, T)
-
-    g_vals, psi_vals = prob.sample_on(grid)
-    kern = _Kernel(prob, grid, psi_vals)
-    inner = kern.inner
-    u0 = prob.eps + g_vals
-    u = kern.pin.copy()
-    u[inner] = u0[inner]
-    boundary_transient = float(np.abs(u0 - u).max())
-    # two buffers whose boundary rings hold the pin; each step writes the
-    # interior of one from the other
-    spare = u.copy()
-
-    vol = grid.cell_volume
-    fields = []
-    snap_diss = np.zeros(len(snap_times))
-    next_snap = 0
-    if snap_times[0] == 0.0:
-        fields.append(u.copy())
-        next_snap = 1
-
-    t = 0.0
-    diss = 0.0
-    u_lo, u_hi = float(u.min()), float(u.max())
-    dt_hist, max_hist = [], []
-    max_steps = 50_000_000
-    for _ in range(max_steps):
-        if t >= T - 1e-15 * T:
-            break
-        D, dt = kern.diffusivity(u)
-        dt = min(dt, T - t)
-        new = spare
-        u_lo, u_hi = kern.step(u, D, dt, u_lo, u_hi, out=new)
-
-        diss_old = diss
-        # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D, per-step value
-        diss += kern.dissipation(u, new, D) / dt * vol
-
-        t_new = t + dt
-        while next_snap < len(snap_times) and snap_times[next_snap] <= t_new + 1e-15 * T:
-            ts = snap_times[next_snap]
-            w = (ts - t) / dt
-            fields.append(u + w * (new - u))
-            snap_diss[next_snap] = diss_old + w * (diss - diss_old)
-            next_snap += 1
-        dt_hist.append(dt)
-        max_hist.append(u_hi)
-        spare, u = u, new
-        t = t_new
-    else:
-        raise CflError("step budget exhausted before reaching T")
-
-    if next_snap < len(snap_times):
-        fields.append(u.copy())
-        snap_diss[next_snap] = diss
-        next_snap += 1
-    assert next_snap == len(snap_times), "snapshot schedule not exhausted"
-
-    return SolveTrace(grid=grid, prob=prob, times=snap_times, fields=fields,
-                      dissipation=snap_diss, dt_history=np.asarray(dt_hist),
-                      max_u_history=np.asarray(max_hist),
-                      boundary_transient=boundary_transient,
-                      n_steps=len(dt_hist), cell_updates=kern.cell_updates)
+    return _march([prob], grid, T, snapshot_times)[0]
 
 
 def grad_energy(values: np.ndarray, grid: GridSpec) -> float:
@@ -586,17 +710,18 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
               eps_values: Sequence[float],
               snapshot_times: Union[None, int, Sequence[float]] = 2) -> SweepResult:
     """Re-solve the same problem over a decreasing ladder of floors and
-    report L1 gaps between consecutive final-time fields."""
+    report L1 gaps between consecutive final-time fields.
+
+    The ladder is one lock-step march: a rung per floor, each `prob` with
+    only eps replaced, all stepped by the same numpy calls over the union of
+    their active windows.  Each final field is bit for bit the one `solve`
+    gives for its rung alone, and a RangeError names the rung's eps.
+    """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:
         raise DomainError("need at least two floor values")
-    finals = []
-    for e in eps_values:
-        p = EpsProblem(table=prob.table, eps=float(e), g=prob.g, psi=prob.psi,
-                       u_max=prob.u_max, safety=prob.safety,
-                       support_tol_factor=prob.support_tol_factor,
-                       omega_prime=prob.omega_prime)
-        finals.append(solve(p, grid, T, snapshot_times).fields[-1])
+    rungs = [replace(prob, eps=float(e)) for e in eps_values]
+    finals = [tr.fields[-1] for tr in _march(rungs, grid, T, snapshot_times)]
     vol = grid.cell_volume
     distances = np.array([
         float(np.sum(np.abs(a - b))) * vol for a, b in zip(finals, finals[1:])

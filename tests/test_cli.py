@@ -209,6 +209,31 @@ class TestFailurePaths:
         err = load_json(out, "error.json")
         assert err["error"] == "ConfigError" and err["phase"] == "config"
 
+    @pytest.mark.parametrize("override", [
+        {"eps": float("nan")},
+        {"psi": float("nan")},
+        {"bump": {"radius": float("nan")}},
+        {"bump": {"height": float("inf")}},
+        {"grid": {"extent": [[-1.0, float("nan")]]}},
+        {"T": float("nan")},
+        {"T": float("inf")},
+        {"eps_sweep": [1e-3, float("nan")]},
+        {"snapshots": [0.0, float("nan"), 0.02]},
+        {"localization": {"R": float("-inf")}},
+        {"lambda": float("nan")},
+    ], ids=["eps-nan", "psi-nan", "radius-nan", "height-inf", "extent-nan",
+            "T-nan", "T-inf", "sweep-nan", "snapshots-nan", "R-neg-inf",
+            "lambda-nan"])
+    @pytest.mark.parametrize("command", ["solve", "sweep-eps"])
+    def test_non_finite_numbers_exit_config(self, tmp_path, override,
+                                            command):
+        # JSON's NaN and Infinity parse as floats; no run can use them
+        cfg = write_config(tmp_path, **override)
+        code, out = run(tmp_path, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        err = load_json(out, "error.json")
+        assert err["error"] == "ConfigError" and err["phase"] == "config"
+
     def test_bump_inside_watched_ball(self, tmp_path):
         cfg = write_config(tmp_path,
                            bump={"center": [0.5], "radius": 0.2,

@@ -188,6 +188,19 @@ class TestEval:
         with pytest.raises(DomainError):
             beta1_table.eval("Q", 0.5)
 
+    def test_bounds_stand_in_for_the_scan(self, beta1_table):
+        # an interval that holds every value changes no bit, also when it
+        # reaches past the domain (the clamp leaves inner values alone)
+        tab = beta1_table
+        s = np.geomspace(1e-6, 0.9, 301).reshape(1, -1)
+        ref = tab.eval(("F", "h"), s)
+        for bounds in ((1e-6, 0.9), (tab.s_min, tab.M), (1e-9, 1.5)):
+            assert np.array_equal(tab.eval(("F", "h"), s, bounds), ref)
+        # an interval past the domain sends the check to the values
+        bad = np.array([0.5, tab.M * 1.5])
+        with pytest.raises(DomainError, match="first offender 1.5"):
+            tab.eval("F", bad, (0.0, 2.0))
+
 
 class TestCsv:
     def test_round_trip_is_exact(self, beta1_table, tmp_path):
