@@ -34,13 +34,13 @@ fine = solve(prob, GridSpec(extent=((-1.0, 1.0),), n=(801,)), 0.05, 11)
 print(f"on 801 cells: {energy_identity_residual(fine):.3e}")
 
 # asking for a too-large step is an error, not a silent blowup
-from degenstein import CflError, Field, cfl_dt, step_explicit
+from degenstein import CflError, cfl_dt, step_explicit
 
 g_vals, psi_vals = prob.sample_on(grid)
 u0 = prob.eps + g_vals
 u0[~grid.interior_mask()] = prob.eps * psi_vals[~grid.interior_mask()]
 dt_ok = cfl_dt(prob, grid, u0)
 try:
-    step_explicit(Field(values=u0, time=0.0), prob, grid, 3.0 * dt_ok)
+    step_explicit(u0, prob, grid, 3.0 * dt_ok)
 except CflError as e:
     print(f"oversized step rejected: {e}")

@@ -23,7 +23,7 @@ from .checker import (
     check_almost_decreasing, check_profile, example_catalog,
 )
 from .solver import (
-    GridSpec, Field, EpsProblem, SolveTrace, SweepResult, bump, cfl_dt,
+    GridSpec, EpsProblem, SolveTrace, SweepResult, bump, cfl_dt,
     step_explicit, solve, grad_energy, energy_identity_residual, eps_sweep,
 )
 from .localization import (

@@ -112,32 +112,38 @@ def _check_type(value, kind: str, what: str):
     return value
 
 
-# JSON types of the optional fields of each config block
+# JSON types of the optional fields of each config block, or for an
+# enumerated string the tuple of the values it admits
 _BLOCK_TYPES = {
     "profile": {"kind": "string", "M": "number", "beta": "number",
                 "tail": "number?", "path": "string", "F0": "number",
                 "h0": "number"},
     "bump": {"center": "numbers", "radius": "number", "height": "number",
-             "shape": "string"},
+             "shape": solver_mod.BUMP_SHAPES},
     "localization": {"x0": "numbers", "R": "number", "Rp": "number"},
     "exponents": {"C1": "number", "S": "number", "j": "number?"},
     "table": {"s_min": "number?", "K": "integer", "quad_tol": "number"},
     "kinetic": {"tau0": "number", "a": "number", "dt": "number",
-                "shape": "string"},
+                "shape": kinetic.KERNEL_SHAPES},
 }
 
 
 def _check_block(raw: dict, key: str):
     """raw[key] as a dict (None when absent or null), every present field
-    type-checked."""
+    type-checked and every enumerated string checked against its values."""
     block = raw.get(key)
     if block is None:
         return None
     if not isinstance(block, dict):
         raise ConfigError(f"'{key}' must be an object")
     for name, kind in _BLOCK_TYPES[key].items():
-        if name in block:
+        if name not in block:
+            continue
+        if not isinstance(kind, tuple):
             _check_type(block[name], kind, f"{key}.{name}")
+        elif block[name] not in kind:
+            raise ConfigError(f"unknown {key}.{name} {block[name]!r}; "
+                              f"expected one of {kind}")
     return block
 
 

@@ -14,10 +14,12 @@ The algebraic identities s*F = H^(Lambda+1), (s*F)^(lam/2) = H and
 h*s*P = H^(Lambda+1) hold by construction; the numerical content is the
 accuracy of the I and G quadratures and the sign of F'.
 
-Both numerical kernels are numpy-only: I comes from an adaptive 21-point
-Gauss-Kronrod rule (Piessens et al., QUADPACK, 1983), and the table is read
-back through a monotone piecewise-cubic Hermite interpolant with PCHIP slopes
-(Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) in log s.
+Both numerical kernels are numpy-only: every integral uses one 21-point
+Gauss-Kronrod rule (Piessens et al., QUADPACK, 1983) in one vectorized pass
+over all segments, bisecting only the segments that miss the tolerance, and
+the table is read back through a monotone piecewise-cubic Hermite
+interpolant with PCHIP slopes (Fritsch & Carlson, SIAM J. Numer. Anal. 17,
+1980) in log s.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ __all__ = [
 ]
 
 COLUMNS = ("s", "I", "H", "h", "F", "Fprime", "G")
-
-# 15-point Gauss-Legendre rule used for per-segment quadrature of smooth
-# integrands; abscissae on [-1, 1].
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 
 # 21-point Kronrod extension of the 10-point Gauss rule on [-1, 1] (the
 # QUADPACK qk21 table): nonnegative abscissae in decreasing order, the
@@ -234,6 +232,23 @@ def _quad_segment(fn, a: float, b: float, tol: float):
     return val, err
 
 
+def _quad_segments(fn, edges, tol: float) -> np.ndarray:
+    """Integrals of fn over every [edges[i], edges[i+1]]: one K21 pass, then
+    `_quad_segment` for each segment that misses its first test (NaN and inf
+    miss), or for all of them in order if the pass overflows, so that a
+    QuadratureError names the failing segment."""
+    a, b = edges[:-1], edges[1:]
+    try:
+        with np.errstate(over="raise"):
+            vals, errs = _gauss_kronrod(fn, a, b)
+        miss = ~(errs <= tol * np.abs(vals))
+    except FloatingPointError:
+        vals, miss = np.empty(a.size), np.ones(a.size, dtype=bool)
+    for i in np.flatnonzero(miss):
+        vals[i], _ = _quad_segment(fn, a[i], b[i], tol)
+    return vals
+
+
 class _Pchip:
     """Monotone piecewise-cubic Hermite interpolant of one or more columns.
 
@@ -332,12 +347,9 @@ def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
         return tail
     n_chunk = max(1, int(np.ceil(t_hi - t_lo)))
     edges = np.linspace(t_lo, t_hi, n_chunk + 1)
-    total = 0.0
+    chunks = _quad_segments(integrand, edges, quad_tol)
     # accumulate from the M side, where the integrand is smallest
-    for k in range(n_chunk - 1, -1, -1):
-        val, _ = _quad_segment(integrand, edges[k], edges[k + 1], quad_tol)
-        total += val
-    return total + tail
+    return float(np.cumsum(chunks[::-1])[-1]) + tail
 
 
 @dataclass
@@ -498,12 +510,6 @@ class CoefficientTable:
         return CoefficientTable(Lambda=Lambda, **cols)
 
 
-def _segment_gauss(fn, a: float, b: float) -> float:
-    """Fixed 15-point Gauss-Legendre integral of fn over [a, b]."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(np.sum(_GL_W * fn(mid + half * _GL_X)))
-
-
 def _fprime_closed_form(profile: DegeneracyProfile, s: np.ndarray,
                         Lambda: float, I_vals: np.ndarray) -> np.ndarray:
     """Exact derivative of the diffusion weight in terms of I and P:
@@ -522,11 +528,11 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
                 ) -> CoefficientTable:
     """Tabulate the full coefficient family on K log-spaced nodes.
 
-    The I column is always quadrature-built (segment integrals accumulated
-    from the M side); closed forms, when the profile carries them, only feed
-    the derivative column and test comparisons.  F' <= 0 at any node aborts
-    the build: it signals that Lambda is too small for this profile's
-    sup P*I.
+    The I column is always quadrature-built (one K21 pass over the node
+    segments, refining only those that miss quad_tol, summed from the M
+    side); closed forms, when the profile carries them, only feed the
+    derivative column and test comparisons.  F' <= 0 at any node aborts the
+    build: it signals that Lambda is too small for this profile's sup P*I.
     """
     if K < 16:
         raise DomainError("need at least 16 nodes")
@@ -550,9 +556,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
         return 1.0 / profile(np.exp(tt))
 
     # inner integral per node: sum of segment integrals from the M side
-    seg = np.empty(K - 1)
-    for i in range(K - 1):
-        seg[i], _ = _quad_segment(inv_sP, t[i], t[i + 1], quad_tol)
+    seg = _quad_segments(inv_sP, t, quad_tol)
     I_vals = np.empty(K)
     I_vals[-1] = tail
     I_vals[:-1] = tail + np.cumsum(seg[::-1])[::-1]
@@ -596,11 +600,8 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     # G <= sqrt(s*F) hold by Cauchy-Schwarz rather than by luck.
     _, fp_itp = table._interpolator("Fprime")
 
-    def sqrt_fp(ss):
-        return np.exp(0.5 * fp_itp(np.log(ss)))
-
-    def fp_model(ss):
-        return np.exp(fp_itp(np.log(ss)))
+    def fp_model(ss, power):
+        return np.exp(power * fp_itp(np.log(ss)))
 
     # endpoint piece on [0, s_min]: power-law continuation with the
     # interpolant's own log-log slope at the first node, equivalent to the
@@ -610,19 +611,16 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
         raise AssumptionError(
             f"gradient transform endpoint integral diverges (log-slope {q0:g})"
         )
-    G = np.empty(K)
     alpha_end = F[0] * (q0 + 1.0) / (Fp[0] * s[0])
-    G[0] = np.sqrt(alpha_end * Fp[0]) * s[0] / (q0 / 2.0 + 1.0)
-    for i in range(K - 1):
-        raw_g = _segment_gauss(sqrt_fp, s[i], s[i + 1])
-        raw_f = _segment_gauss(fp_model, s[i], s[i + 1])
-        alpha = (F[i + 1] - F[i]) / raw_f
-        if not (alpha > 0.0):
-            raise AssumptionError(
-                f"diffusion weight increment not positive near s={s[i]:g}"
-            )
-        G[i + 1] = G[i] + np.sqrt(alpha) * raw_g
-    table.G = G
+    G0 = np.sqrt(alpha_end * Fp[0]) * s[0] / (q0 / 2.0 + 1.0)
+    # smooth between nodes: the K21 column, no refinement
+    raw_g, _ = _gauss_kronrod(lambda ss: fp_model(ss, 0.5), s[:-1], s[1:])
+    raw_f, _ = _gauss_kronrod(lambda ss: fp_model(ss, 1.0), s[:-1], s[1:])
+    alpha = np.diff(F) / raw_f
+    if not np.all(alpha > 0.0):
+        raise AssumptionError("diffusion weight increment not positive near "
+                              f"s={s[np.argmin(alpha > 0.0)]:g}")
+    table.G = np.cumsum(np.concatenate([[G0], np.sqrt(alpha) * raw_g]))
     table._interp.pop("G", None)
 
     table.validate()
@@ -710,9 +708,7 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
             return zeta(np.exp(tt))
 
         vals = np.zeros_like(grid_t)
-        for i in range(len(grid_t) - 2, -1, -1):
-            piece, _ = _quad_segment(rate, grid_t[i], grid_t[i + 1], 1e-10)
-            vals[i] = vals[i + 1] + piece
+        vals[:-1] = np.cumsum(_quad_segments(rate, grid_t, 1e-10)[::-1])[::-1]
         itp = _Pchip(grid_t, vals)
 
         def zeta_over_s_integral(s):

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, RangeError, ResolutionError, StepError
-from .solver import Field, GridSpec
+from .solver import GridSpec
 
 __all__ = [
     "JumpKernel",
@@ -44,7 +44,7 @@ __all__ = [
     "run_master",
 ]
 
-_SHAPES = ("gaussian_truncated", "triangular")
+KERNEL_SHAPES = ("gaussian_truncated", "triangular")
 _GAUSS_CUT = 4.0         # truncation radius in units of sigma
 _TRI_HALF_WIDTH = math.sqrt(6.0)  # triangular half-width giving variance sigma^2
 
@@ -65,8 +65,8 @@ class JumpKernel:
     support_radius: Callable
 
     def __post_init__(self):
-        if self.shape not in _SHAPES:
-            raise DomainError(f"kernel shape must be one of {_SHAPES}")
+        if self.shape not in KERNEL_SHAPES:
+            raise DomainError(f"kernel shape must be one of {KERNEL_SHAPES}")
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,9 @@ def _add_moved(out: np.ndarray, moved: np.ndarray, lo: int, K: int,
                 out[2 * n - hi - k:2 * n - c - k] += row[c - lo:][::-1]
 
 
-def master_step(fld: Field, grid: GridSpec, kernel: JumpKernel,
+def master_step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
                 sink: Optional[SinkTerm], dt: float,
-                closure: str = "reflect") -> Field:
+                closure: str = "reflect") -> np.ndarray:
     """One synchronous fractional-redistribution step of the master equation.
 
     Per cell, the fraction dt/tau(u) of its mass moves through the kernel
@@ -228,7 +228,7 @@ def master_step(fld: Field, grid: GridSpec, kernel: JumpKernel,
         raise DomainError("closure must be 'reflect' or 'periodic'")
     if dt <= 0:
         raise DomainError("dt must be positive")
-    u = np.asarray(fld.values, dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.min(initial=0.0) < 0.0:
         raise DomainError("density must be nonnegative")
     n = u.shape[0]
@@ -271,7 +271,7 @@ def master_step(fld: Field, grid: GridSpec, kernel: JumpKernel,
 
     if out.min() < -1e-12 * max(1.0, float(u.max(initial=0.0))):
         raise RangeError("redistribution produced negative density")
-    return Field(values=out, time=fld.time + dt)
+    return out
 
 
 def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
@@ -281,14 +281,15 @@ def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
     returns (times, fields) with initial and final states included."""
     if T <= 0:
         raise DomainError("final time must be positive")
-    fld = Field(values=np.asarray(density0, dtype=float).copy(), time=0.0)
+    u = np.asarray(density0, dtype=float).copy()
     times = [0.0]
-    fields = [fld.values.copy()]
+    fields = [u]
     t = 0.0
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
-        fld = master_step(fld, grid, kernel, sink, step, closure=closure)
-        t = fld.time
+        # each step returns a new array, so the stored fields stay as they are
+        u = master_step(u, grid, kernel, sink, step, closure=closure)
+        t += step
         times.append(t)
-        fields.append(fld.values.copy())
+        fields.append(u)
     return np.asarray(times), fields

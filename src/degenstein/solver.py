@@ -57,7 +57,6 @@ from .errors import CflError, DomainError, RangeError
 
 __all__ = [
     "GridSpec",
-    "Field",
     "EpsProblem",
     "SolveTrace",
     "SweepResult",
@@ -139,12 +138,7 @@ class GridSpec:
         raise DomainError(f"cannot place shape {arr.shape} on grid {self.n}")
 
 
-@dataclass
-class Field:
-    """Grid function with its time stamp."""
-
-    values: np.ndarray
-    time: float
+BUMP_SHAPES = ("tent", "cos2")
 
 
 def bump(center, radius: float, height: float, shape: str = "tent") -> Callable:
@@ -156,7 +150,7 @@ def bump(center, radius: float, height: float, shape: str = "tent") -> Callable:
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if radius <= 0 or height <= 0:
         raise DomainError("bump radius and height must be positive")
-    if shape not in ("tent", "cos2"):
+    if shape not in BUMP_SHAPES:
         raise DomainError(f"unknown bump shape '{shape}'")
 
     def g(*mesh):
@@ -461,8 +455,8 @@ def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     return _Kernel([prob], grid).diffusivity(values[None])[1][0]
 
 
-def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
-                  psi_vals: Optional[np.ndarray] = None) -> Field:
+def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
+                  dt: float, psi_vals: Optional[np.ndarray] = None) -> np.ndarray:
     """One forward-Euler update with the boundary ring re-pinned, through the
     same kernel that solve marches with.
 
@@ -471,7 +465,7 @@ def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
     (neither can happen under the CFL bound; the checks are tripwires).
     """
     kern = _Kernel([prob], grid, psi_vals)
-    values = fld.values[None]
+    values = values[None]
     D, (bound,) = kern.diffusivity(values)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
@@ -479,7 +473,7 @@ def step_explicit(fld: Field, prob: EpsProblem, grid: GridSpec, dt: float,
     new[kern.inner] = values[kern.inner]
     kern.step(values, D, [dt], [float(values.min())], [float(values.max())],
               new)
-    return Field(values=new[0], time=fld.time + dt)
+    return new[0]
 
 
 @dataclass

@@ -19,7 +19,7 @@ from degenstein.kinetic import kernel_moments, power_family_kernel, run_master
 from degenstein.localization import (CutoffFamily, ExponentPack,
                                      de_giorgi_trace, lady_bound,
                                      lady_threshold, time_to_threshold)
-from degenstein.solver import (EpsProblem, Field, GridSpec, bump, cfl_dt,
+from degenstein.solver import (EpsProblem, GridSpec, bump, cfl_dt,
                                energy_identity_residual, eps_sweep, solve,
                                step_explicit)
 
@@ -135,9 +135,8 @@ def test_criterion_4_confinement_versus_control():
         u0[~interior] = control.eps * psi_vals[~interior]
         thr = control.support_threshold
         supported0 = int(np.count_nonzero(u0 > thr))
-        one = step_explicit(Field(values=u0, time=0.0), control, grid,
-                            cfl_dt(control, grid, u0))
-        supported1 = int(np.count_nonzero(one.values > thr))
+        one = step_explicit(u0, control, grid, cfl_dt(control, grid, u0))
+        supported1 = int(np.count_nonzero(one > thr))
         assert 0 < supported1 - supported0 <= 2, (supported0, supported1)
 
         trace = solve(control, grid, 0.3, 61)

@@ -200,8 +200,11 @@ class TestFailurePaths:
         {"bump": {"radius": "r"}},
         {"localization": {"R": [0.4]}},
         {"kinetic": {"dt": "q"}},
+        {"bump": {"shape": "box"}},
+        {"kinetic": {"shape": "box"}},
     ], ids=["n-list-of-str", "snapshots-str", "K-str", "n-scalar",
-            "eps-str", "sweep-scalar", "radius-str", "R-list", "dt-str"])
+            "eps-str", "sweep-scalar", "radius-str", "R-list", "dt-str",
+            "bump-shape-unknown", "kinetic-shape-unknown"])
     def test_config_type_errors_exit_config(self, tmp_path, override):
         cfg = write_config(tmp_path, **override)
         code, out = run(tmp_path, "solve", "--config", cfg)

@@ -16,7 +16,7 @@ from degenstein.errors import (DomainError, ResolutionError, StepError)
 from degenstein.kinetic import (JumpKernel, SinkTerm, _weight_rows,
                                 kernel_moments, master_step,
                                 power_family_kernel, run_master)
-from degenstein.solver import (EpsProblem, Field, GridSpec, bump, solve)
+from degenstein.solver import (EpsProblem, GridSpec, bump, solve)
 
 H = 0.005   # desk spacing: 401 cells on [-1, 1]
 
@@ -124,22 +124,22 @@ class TestMasterStep:
     def test_mass_conserved_both_closures(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         for closure in ("reflect", "periodic"):
-            fld = Field(values=kin_density.copy(), time=0.0)
+            fld = kin_density.copy()
             m0 = kin_density.sum() * kin_grid.cell_volume
             worst = 0.0
             for _ in range(20):
                 fld = master_step(fld, kin_grid, kern, None, 1.5e-4,
                                   closure=closure)
-                m = fld.values.sum() * kin_grid.cell_volume
+                m = fld.sum() * kin_grid.cell_volume
                 worst = max(worst, abs(m - m0) / m0)
             assert worst <= 1e-12
 
     def test_even_data_stays_even(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        fld = Field(values=kin_density.copy(), time=0.0)
+        fld = kin_density.copy()
         for _ in range(20):
             fld = master_step(fld, kin_grid, kern, None, 1.5e-4)
-        assert np.abs(fld.values - fld.values[::-1]).max() <= 1e-12
+        assert np.abs(fld - fld[::-1]).max() <= 1e-12
 
     def test_zero_cells_never_emit_and_support_dilates_by_K(self, kin_grid):
         u = np.zeros(401)
@@ -147,23 +147,21 @@ class TestMasterStep:
         u[j] = 0.04
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         K = math.ceil(float(kern.support_radius(np.asarray([0.04]))[0]) / H)
-        fld = master_step(Field(values=u, time=0.0), kin_grid, kern, None,
-                          1.5e-4)
-        support = np.nonzero(fld.values)[0]
+        fld = master_step(u, kin_grid, kern, None, 1.5e-4)
+        support = np.nonzero(fld)[0]
         assert support.min() >= j - K and support.max() <= j + K
         outside = np.ones(401, dtype=bool)
         outside[j - K:j + K + 1] = False
-        assert np.all(fld.values[outside] == 0.0)
+        assert np.all(fld[outside] == 0.0)
 
     def test_degenerate_width_is_identity(self, kin_grid, kin_density):
         zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
         kern = JumpKernel(tau=lambda u: np.full_like(
             np.asarray(u, dtype=float), 0.01),
             var=zero, shape="gaussian_truncated", support_radius=zero)
-        fld = master_step(Field(values=kin_density.copy(), time=0.0),
-                          kin_grid, kern, None, 5e-3)
+        fld = master_step(kin_density.copy(), kin_grid, kern, None, 5e-3)
         # every row collapses to stay-put, so emit returns to its own cell
-        assert np.abs(fld.values - kin_density).max() <= \
+        assert np.abs(fld - kin_density).max() <= \
             1e-15 * kin_density.max()
 
     def test_step_larger_than_fastest_clock_rejected(self, kin_grid,
@@ -171,43 +169,38 @@ class TestMasterStep:
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         tau_min = 1.5e-4 / kin_density.max()      # tau = tau0 / u
         with pytest.raises(StepError):
-            master_step(Field(values=kin_density.copy(), time=0.0), kin_grid,
-                        kern, None, 2.0 * tau_min)
+            master_step(kin_density.copy(), kin_grid, kern, None,
+                        2.0 * tau_min)
 
     def test_sink_absorbs_and_clamps(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         m0 = kin_density.sum() * kin_grid.cell_volume
         gentle = SinkTerm(m=lambda x, u: -5.0 * np.ones_like(u))
-        fld = master_step(Field(values=kin_density.copy(), time=0.0),
-                          kin_grid, kern, gentle, 1.5e-4)
-        assert fld.values.sum() * kin_grid.cell_volume < m0
-        assert fld.values.min() >= 0.0
+        fld = master_step(kin_density.copy(), kin_grid, kern, gentle, 1.5e-4)
+        assert fld.sum() * kin_grid.cell_volume < m0
+        assert fld.min() >= 0.0
         brutal = SinkTerm(m=lambda x, u: -1e9 * np.ones_like(u))
-        fld = master_step(Field(values=kin_density.copy(), time=0.0),
-                          kin_grid, kern, brutal, 1.5e-4)
-        assert np.all(fld.values == 0.0)
+        fld = master_step(kin_density.copy(), kin_grid, kern, brutal, 1.5e-4)
+        assert np.all(fld == 0.0)
 
     def test_source_disguised_as_sink_rejected(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         source = SinkTerm(m=lambda x, u: 5.0 * np.ones_like(u))
         with pytest.raises(DomainError):
-            master_step(Field(values=kin_density.copy(), time=0.0), kin_grid,
-                        kern, source, 1.5e-4)
+            master_step(kin_density.copy(), kin_grid, kern, source, 1.5e-4)
 
     def test_guards(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        fld = Field(values=kin_density.copy(), time=0.0)
+        fld = kin_density.copy()
         with pytest.raises(DomainError):
             master_step(fld, kin_grid, kern, None, 1.5e-4, closure="absorb")
         with pytest.raises(DomainError):
             master_step(fld, kin_grid, kern, None, 0.0)
         with pytest.raises(DomainError):
-            master_step(Field(values=-kin_density, time=0.0), kin_grid, kern,
-                        None, 1.5e-4)
+            master_step(-kin_density, kin_grid, kern, None, 1.5e-4)
         grid2 = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(16, 16))
         with pytest.raises(DomainError):
-            master_step(Field(values=np.zeros((16, 16)), time=0.0), grid2,
-                        kern, None, 1.5e-4)
+            master_step(np.zeros((16, 16)), grid2, kern, None, 1.5e-4)
 
 
 def reference_master_step(u, grid, kernel, sink, dt, closure):
@@ -250,12 +243,11 @@ class TestScatterMatchesReference:
         kern = power_family_kernel(beta=beta, tau0=tau0, a=a, shape=shape)
         sink = SinkTerm(m=lambda x, v: -3.0 * v) if with_sink else None
         dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u.max()])))[0])
-        fld = Field(values=u.copy(), time=0.0)
+        fld = u.copy()
         for _ in range(4):
-            ref = reference_master_step(fld.values, kin_grid, kern, sink, dt,
-                                        closure)
+            ref = reference_master_step(fld, kin_grid, kern, sink, dt, closure)
             fld = master_step(fld, kin_grid, kern, sink, dt, closure=closure)
-            assert np.array_equal(fld.values, ref)
+            assert np.array_equal(fld, ref)
         # the occupied wall cells really spread (not identity rows)
         offsets, _ = _weight_rows(kern, u[:2], kin_grid.h[0])
         assert offsets.size >= 3
@@ -310,12 +302,11 @@ class TestFoldsMatchReference:
         for u in gapped_densities(n, rng):
             offsets, _ = _weight_rows(kern, u, grid.h[0])
             assert offsets.size == 2 * K + 1
-            fld = Field(values=u, time=0.0)
+            fld = u
             for _ in range(3):
-                ref = reference_master_step(fld.values, grid, kern, None, dt,
-                                            closure)
+                ref = reference_master_step(fld, grid, kern, None, dt, closure)
                 fld = master_step(fld, grid, kern, None, dt, closure=closure)
-                assert np.array_equal(fld.values, ref)
+                assert np.array_equal(fld, ref)
 
     @pytest.mark.parametrize("case", ["reach-n", "lab-tau0-4"])
     def test_too_wide_rejected_before_any_row(self, monkeypatch, case):
@@ -337,7 +328,7 @@ class TestFoldsMatchReference:
             dt = 1.5e-4
         monkeypatch.setattr(kinetic_mod, "_rows", no_rows)
         with pytest.raises(ResolutionError):
-            master_step(Field(values=u, time=0.0), grid, kern, None, dt)
+            master_step(u, grid, kern, None, dt)
 
 
 class TestRunMaster:

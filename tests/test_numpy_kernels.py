@@ -1,14 +1,19 @@
 """The numpy-only numerical kernels of degenstein.coeffs.
 
-The package imports no scipy: the monotone cubic `_Pchip` and the adaptive
-Gauss-Kronrod `_quad_segment` replace `scipy.interpolate.PchipInterpolator`
-and `scipy.integrate.quad`.  scipy stays a test-time oracle here: the
+The package imports no scipy: the monotone cubic `_Pchip` and the
+Gauss-Kronrod integrators (`_quad_segments`, one K21 pass over all segments
+that hands the segments missing the tolerance to the adaptive
+`_quad_segment`) replace `scipy.interpolate.PchipInterpolator` and
+`scipy.integrate.quad`.  scipy stays a test-time oracle here: the
 interpolant must match PchipInterpolator to 1e-13 of the data scale, the
 quadrature must match quad on the catalog integrands, and whole tables built
-through the numpy kernels must match tables built through the scipy ones
-(1e-13 relative on the catalog, 1e-8 on the quadrature-built exp_zeta rate,
-inside its 10*quad_tol build tolerance).  The import guard and the
-QuadratureError paths need no scipy.
+through the numpy kernels must match tables built with PchipInterpolator and
+with every segment integrated by quad (1e-13 relative on the catalog, 1e-8
+on the quadrature-built exp_zeta rate, inside its 10*quad_tol build
+tolerance).  The one-pass integrator is also checked against the
+per-segment loop it replaced, and whole tables against that loop plus the
+15-point Gauss-Legendre G pass it replaced (1e-13 relative).  The import
+guard and the QuadratureError paths need no scipy.
 """
 
 import os
@@ -22,7 +27,8 @@ import degenstein
 from degenstein import coeffs
 from degenstein.checker import _zeta_slow, example_catalog
 from degenstein.coeffs import (COLUMNS, LambdaChoice, _gauss_kronrod, _Pchip,
-                               _quad_segment, build_table, exp_zeta_profile)
+                               _quad_segment, _quad_segments, build_table,
+                               exp_zeta_profile, power_profile)
 from degenstein.errors import QuadratureError
 
 
@@ -203,12 +209,18 @@ def _scipy_quad_segment(fn, a, b, tol):
     return val, err
 
 
+def _scipy_quad_segments(fn, edges, tol):
+    """QUADPACK on every segment, in place of the one K21 pass."""
+    return np.array([_scipy_quad_segment(fn, a, b, tol)[0]
+                     for a, b in zip(edges[:-1], edges[1:])])
+
+
 @pytest.fixture
 def scipy_kernels(monkeypatch, scipy_interpolate, scipy_integrate):
     """Route coeffs through PchipInterpolator and quad while active."""
     def use():
         monkeypatch.setattr(coeffs, "_Pchip", _ScipyPchip)
-        monkeypatch.setattr(coeffs, "_quad_segment", _scipy_quad_segment)
+        monkeypatch.setattr(coeffs, "_quad_segments", _scipy_quad_segments)
     return use
 
 
@@ -256,3 +268,98 @@ class TestTablesMatchScipyPath:
         scipy_kernels()
         ref = make()
         assert _max_rel(ours, ref) <= 1e-8
+
+
+# ------------------------------------------- one pass against the loops
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+
+
+def _segment_loop(fn, edges, tol):
+    """Reference: `_quad_segment` on each segment in turn."""
+    return np.array([_quad_segment(fn, a, b, tol)[0]
+                     for a, b in zip(edges[:-1], edges[1:])])
+
+
+def _gauss_legendre_G(tab):
+    """Reference G: build_table's endpoint piece, then per segment the
+    15-point Gauss-Legendre integrals of sqrt(F') and F' of the F'
+    interpolant, rescaled to the exact F increment and added in order."""
+    s, F, Fp = tab.s, tab.F, tab.Fprime
+    _, itp = tab._interpolator("Fprime")
+    q0 = float(itp.slopes[0])
+    G = np.empty(s.size)
+    G[0] = np.sqrt(F[0] * (q0 + 1.0) / (Fp[0] * s[0]) * Fp[0]) * s[0] \
+        / (q0 / 2.0 + 1.0)
+    for i in range(s.size - 1):
+        mid, half = 0.5 * (s[i] + s[i + 1]), 0.5 * (s[i + 1] - s[i])
+        log_fp = itp(np.log(mid + half * _GL_X))
+        raw_g = half * float(np.sum(_GL_W * np.exp(0.5 * log_fp)))
+        raw_f = half * float(np.sum(_GL_W * np.exp(log_fp)))
+        G[i + 1] = G[i] + np.sqrt((F[i + 1] - F[i]) / raw_f) * raw_g
+    return G
+
+
+def _zeta_slow_by_quadrature():
+    return exp_zeta_profile(_zeta_slow, kind="exp_zeta_slow", s_min_hint=1e-8)
+
+
+_TABLE_CASES = [pytest.param(e.make_profile, e.Lambda, e.build_opts,
+                             id=e.name) for e in example_catalog()] + [
+    pytest.param(lambda: power_profile(2.0), 1.0, {}, id="power_beta2"),
+    pytest.param(_zeta_slow_by_quadrature, 1.0, {},
+                 id="exp_zeta_slow_quadrature"),
+]
+
+
+class TestOnePassMatchesSegmentLoops:
+    @pytest.mark.parametrize("make, Lambda, opts", _TABLE_CASES)
+    def test_tables(self, monkeypatch, make, Lambda, opts):
+        ours = build_table(make(), LambdaChoice(Lambda), **opts)
+        # the profile (for the rate kind without a closed form) and I
+        # through the per-segment loop, G through the Gauss-Legendre loop
+        monkeypatch.setattr(coeffs, "_quad_segments", _segment_loop)
+        ref = build_table(make(), LambdaChoice(Lambda), **opts)
+        ref.G = _gauss_legendre_G(ref)
+        assert np.array_equal(ours.s, ref.s)
+        assert _max_rel(ours, ref) <= 1e-13
+
+    def test_sharp_peak_is_bisected_where_it_misses(self, monkeypatch):
+        c, tol = 1e-3, 1e-10
+
+        def peak(x):
+            return 1.0 / (c * c + x * x)
+
+        edges = np.linspace(-1.0, 1.0, 9)
+        want = _segment_loop(peak, edges, tol)
+        refined = []
+
+        def spy(fn, a, b, tol):
+            refined.append((a, b))
+            return _quad_segment(fn, a, b, tol)
+
+        monkeypatch.setattr(coeffs, "_quad_segment", spy)
+        got = _quad_segments(peak, edges, tol)
+        # only the two segments at the peak miss the one-panel test
+        assert refined == [(-0.25, 0.0), (0.0, 0.25)]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+        exact = 2.0 / c * np.arctan(1.0 / c)
+        assert abs(got.sum() / exact - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("fn, edges, match", [
+        (np.exp, [0.0, 100.0, 200.0, 300.0, 800.0],
+         r"integrand overflow on \[300, 800\]; raise s_min"),
+        # an overflow that leaves no trace in the values: min(inf, 1) = 1
+        (lambda x: np.minimum(np.exp(x), 1.0),
+         [0.0, 100.0, 200.0, 300.0, 800.0],
+         r"integrand overflow on \[300, 800\]; raise s_min"),
+        (lambda x: np.where((x > 0.5) & (x < 0.75), np.nan, 1.0),
+         [0.0, 0.25, 0.5, 0.75, 1.0], r"diverged on \[0\.5, 0\.75\]"),
+    ], ids=["overflow", "hidden-overflow", "nan"])
+    def test_failure_names_the_segment(self, fn, edges, match):
+        edges = np.array(edges)
+        with pytest.raises(QuadratureError, match=match) as want:
+            _segment_loop(fn, edges, 1e-8)
+        with pytest.raises(QuadratureError, match=match) as got:
+            _quad_segments(fn, edges, 1e-8)
+        assert str(got.value) == str(want.value)

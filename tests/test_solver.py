@@ -16,7 +16,7 @@ from degenstein import solver as solver_mod
 from degenstein.coeffs import (CoefficientTable, LambdaChoice, build_table,
                                exp_zeta_profile)
 from degenstein.errors import CflError, DomainError, RangeError
-from degenstein.solver import (EpsProblem, Field, GridSpec, bump, cfl_dt,
+from degenstein.solver import (EpsProblem, GridSpec, bump, cfl_dt,
                                energy_identity_residual, eps_sweep,
                                grad_energy, solve, step_explicit)
 
@@ -93,7 +93,7 @@ class TestFixedPointAndGuards:
         u0 = 1e-6 + g_vals
         dt = 10.0 * cfl_dt(prob, desk_grid, u0)
         with pytest.raises(CflError):
-            step_explicit(Field(u0, 0.0), prob, desk_grid, dt, psi_vals)
+            step_explicit(u0, prob, desk_grid, dt, psi_vals)
 
     def test_max_principle_monotone(self, desk_trace_beta1):
         peaks = desk_trace_beta1.max_u_history
@@ -307,10 +307,10 @@ class TestSharedKernel:
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
         u0 = prob.eps + desk_grid.sample(desk_bump)
         dt = cfl_dt(prob, desk_grid, u0)
-        one = step_explicit(Field(u0, 0.0), prob, desk_grid, dt)
+        one = step_explicit(u0, prob, desk_grid, dt)
         trace = solve(prob, desk_grid, dt, snapshot_times=2)
         assert trace.n_steps == 1
-        assert np.array_equal(one.values, trace.fields[-1])
+        assert np.array_equal(one, trace.fields[-1])
 
     def test_overshoot_raises_at_the_failing_step(self, beta1_table,
                                                   desk_grid, desk_bump,
