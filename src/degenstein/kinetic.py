@@ -11,17 +11,27 @@ cross-validation measures.
 
 A weight row depends only on the kernel width sigma(u) (and on the reach K
 of the widest occupied cell), so a step builds one row per distinct width
-among the occupied cells; with a = beta every cell shares one row.  The
-truncated tail is renormalized so each row sums to one exactly.  The moved
-mass is added offset by offset with contiguous slices over the span of
-occupied cells: offsets in increasing order, and within one offset the
-sources that leave through the left wall (a reversed slice when mirrored,
-a shifted one when wrapped), then the direct slice, then those that leave
-through the right wall.  Every cell thus receives its retained mass first
-and then its jumps ordered by offset and by source, the order of one
+among the occupied cells; with a = beta every cell shares one row, and
+run_master builds it once.  The truncated tail is renormalized so each row
+sums to one exactly.  tau, var and the reach are evaluated on the occupied
+cells only.
+
+The moved mass is summed in one reduction.  For the occupied span [lo, hi)
+a zeroed stack of 2K+2 rows covers the unfolded destinations lo-K..hi-1+K:
+row 0 holds the retained mass, and row j+1 the mass sent to offset j-K,
+written through one strided view that shifts it right by j columns.  numpy
+reduces axis 0 of a C-contiguous array row by row, adding each row into
+the running sums (pairwise summation applies only along a contiguous
+reduced axis), so every cell receives its retained mass first and then its
+jumps in offset order.  Mass that crosses a wall (mirrored, or wrapped with
+closure='periodic') lands only on the first and last K cells.  For those
+border strips the stack's terms are gathered per offset in the order left
+wall, direct, right wall, that is by source, and reduced the same way; the
+rest of the domain takes the single reduction.  This is the order of one
 scatter-add over (offset, source) pairs, so steps are bit-reproducible and
-bit for bit those of that scatter; empty cells inside the span add +0.0,
-which changes no sum.
+bit for bit those of that scatter.  The stack's zeros (empty cells inside
+the span, offsets that miss a cell) add +0.0 to sums of nonnegative terms,
+which changes none of them.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, RangeError, ResolutionError, StepError
 from .solver import GridSpec
@@ -178,35 +189,121 @@ def kernel_moments(kernel: JumpKernel, u: float, grid_h: float):
     return mass, mean, variance
 
 
-def _add_moved(out: np.ndarray, moved: np.ndarray, lo: int, K: int,
-               periodic: bool) -> None:
-    """Add moved[k + K, s - lo], the mass source cell s sends to offset k,
-    into out at s + k folded back into the domain (needs K < n).
+class _LastRows:
+    """The weight rows of the previous step, rebuilt only when (shape,
+    widths, K, h) changes: with a = beta a whole run builds them once."""
 
-    Offsets go in increasing order.  Within one offset the sources that
-    leave through the left wall come first (a reversed slice when
-    mirrored), then the direct slice, then those leaving through the right
-    wall: every cell receives its jumps ordered by offset, then by source.
+    def __init__(self):
+        self._key = self._rows = None
+
+    def __call__(self, shape: str, widths: np.ndarray, K: int, h: float):
+        key = (shape, widths.tobytes(), K, h)
+        if key != self._key:
+            self._key, self._rows = key, _rows(shape, widths, K, h)[1]
+        return self._rows
+
+
+def _fold_moved(out: np.ndarray, W: np.ndarray, emit: np.ndarray, lo: int,
+                hi: int, K: int, periodic: bool) -> None:
+    """Add W[k + K] * emit[lo:hi], the mass each cell s of the occupied span
+    [lo, hi) sends to offset k, into out at s + k folded back into the
+    domain (needs K < n).
+
+    One reduction over a skewed stack serves every cell that no wall
+    term reaches; the border strips reduce their own gathered terms (see
+    the module docstring for the order and why it is the scatter's).
     """
     n = out.shape[0]
-    hi = lo + moved.shape[1]
-    for k in range(-K, K + 1):
-        row = moved[k + K]
-        a = min(hi, -k)                    # s + k < 0 for s < a
-        if a > lo:
-            if periodic:
-                out[lo + k + n:a + k + n] += row[:a - lo]
-            else:
-                out[-a - k:-lo - k] += row[:a - lo][::-1]
-        b0, b1 = max(lo, -k), min(hi, n - k)
-        if b1 > b0:
-            out[b0 + k:b1 + k] += row[b0 - lo:b1 - lo]
-        c = max(lo, n - k)                 # s + k >= n for s >= c
-        if hi > c:
-            if periodic:
-                out[c + k - n:hi + k - n] += row[c - lo:]
-            else:
-                out[2 * n - hi - k:2 * n - c - k] += row[c - lo:][::-1]
+    base, width = lo - K, hi - lo + 2 * K    # stack column c is cell base + c
+    stack = np.zeros((2 * K + 2, width))
+    a, b = max(base, 0), min(base + width, n)
+    stack[0, a - base:b - base] = out[a:b]
+    # row j + 1 holds offset j - K shifted right by j columns: one view
+    # whose row stride is one element longer than the stack's.  einsum
+    # forms the same products as W * emit, in about two thirds of the time
+    # when W is one broadcast column
+    skew = as_strided(stack[1:], shape=(2 * K + 1, hi - lo),
+                      strides=(stack.strides[0] + stack.itemsize,
+                               stack.itemsize))
+    np.einsum("ij,j->ij", W, emit[lo:hi], out=skew)
+    walls = base < 0 or base + width > n
+    if walls:
+        # only the first and last K cells can receive mass that crossed a
+        # wall; stack columns of each one's left-wall, direct and right-wall
+        # terms
+        d = np.arange(n)
+        d = d[(d < K) | (d >= n - K)]
+        t = np.stack((d - n, d, d + n) if periodic
+                     else (-1 - d, d, 2 * n - 1 - d)) - base
+        inside = (t >= 0) & (t < width)
+        terms = np.where(inside, stack[1:, np.where(inside, t, 0)], 0.0)
+        # rows: retained, then per offset left wall, direct, right wall.  d
+        # holds cells 0 and n - 1, so the reduce runs row by row (numpy
+        # would sum a lone column pairwise)
+        border = np.add.reduce(
+            np.concatenate((out[d][None], terms.reshape(-1, d.size))), axis=0)
+    # width is 1 only when K = 0: two rows, where pairwise is sequential
+    out[a:b] = np.add.reduce(stack, axis=0)[a - base:b - base]
+    if walls:
+        out[d] = border
+
+
+def _positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
+          sink: Optional[SinkTerm], dt: float, closure: str,
+          rows_of: _LastRows) -> np.ndarray:
+    if grid.dim != 1:
+        raise DomainError("master equation stepping is one-dimensional here")
+    if closure not in ("reflect", "periodic"):
+        raise DomainError("closure must be 'reflect' or 'periodic'")
+    _positive_finite("dt", dt)
+    u = np.asarray(u, dtype=float)
+    if not u.min(initial=0.0) >= 0.0:
+        raise DomainError("density must be nonnegative (and not NaN)")
+    n = u.shape[0]
+    h = grid.h[0]
+
+    # tau, var and the reach are evaluated on the occupied cells only
+    src = np.flatnonzero(u > 0.0)
+    p = np.zeros_like(u)
+    if src.size:
+        occ = u[src]
+        tau = np.asarray(kernel.tau(occ), dtype=float)
+        tau_min = float(tau.min())
+        if dt > tau_min * (1.0 + 1e-12):
+            raise StepError(
+                f"dt={dt:g} exceeds the fastest waiting time {tau_min:g}")
+        p[src] = dt / tau
+
+    emit = u * p
+    out = u - emit
+    if np.any(emit > 0.0):
+        sigma, K = _sigma_and_reach(kernel, occ, h)
+        if 2 * K + 1 > 2 * n:
+            raise ResolutionError("kernel support exceeds the domain")
+        # one row per distinct width; the span's cells with u = 0 emit 0.0
+        lo, hi = int(src[0]), int(src[-1]) + 1
+        if np.all(sigma == sigma[0]):
+            W = rows_of(kernel.shape, sigma[:1], K, h).T   # broadcasts
+        else:
+            widths, which = np.unique(sigma, return_inverse=True)
+            span_row = np.zeros(hi - lo, dtype=np.intp)
+            span_row[src - lo] = which
+            W = rows_of(kernel.shape, widths, K, h).T[:, span_row]
+        _fold_moved(out, W, emit, lo, hi, K, closure == "periodic")
+
+    if sink is not None:
+        x = grid.axis_centers(0)
+        out = np.maximum(0.0, out + dt * sink.rate(x, out))
+
+    # negated so that NaN trips it too
+    if not out.min() >= -1e-12 * max(1.0, float(u.max(initial=0.0))):
+        raise RangeError("redistribution produced negative or NaN density")
+    return out
 
 
 def master_step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
@@ -218,69 +315,25 @@ def master_step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
     row of the cell's width; boundary leakage folds back by mirror
     reflection (or wraps, with closure='periodic'), so mass is conserved
     exactly before the sink acts.  The rows are built once per distinct
-    width and summed in per-offset slices (see the module docstring).  A
-    kernel reach K with 2K+1 > 2n raises ResolutionError before any row is
-    built.
+    width and the moved mass is summed by one row-ordered reduction, plus
+    one over the border strips when mass crosses a wall (see the module
+    docstring).  dt must be positive and finite.  A kernel reach K with
+    2K+1 > 2n raises ResolutionError before any row is built; a negative
+    or NaN result raises RangeError.
     """
-    if grid.dim != 1:
-        raise DomainError("master equation stepping is one-dimensional here")
-    if closure not in ("reflect", "periodic"):
-        raise DomainError("closure must be 'reflect' or 'periodic'")
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    u = np.asarray(u, dtype=float)
-    if u.min(initial=0.0) < 0.0:
-        raise DomainError("density must be nonnegative")
-    n = u.shape[0]
-    h = grid.h[0]
-
-    active = u > 0.0
-    if np.any(active):
-        tau_vals = np.asarray(kernel.tau(u), dtype=float)
-        tau_min = float(tau_vals[active].min())
-        if dt > tau_min * (1.0 + 1e-12):
-            raise StepError(
-                f"dt={dt:g} exceeds the fastest waiting time {tau_min:g}")
-        with np.errstate(divide="ignore"):
-            p = np.where(active, dt / tau_vals, 0.0)
-    else:
-        p = np.zeros_like(u)
-
-    emit = u * p
-    out = u - emit
-    if np.any(emit > 0.0):
-        src = np.flatnonzero(active)
-        sigma, K = _sigma_and_reach(kernel, u[src], h)
-        if 2 * K + 1 > 2 * n:
-            raise ResolutionError("kernel support exceeds the domain")
-        # one row per distinct width; the span's cells with u = 0 emit 0.0
-        widths, which = np.unique(sigma, return_inverse=True)
-        _, rows = _rows(kernel.shape, widths, K, h)
-        lo, hi = int(src[0]), int(src[-1]) + 1
-        if widths.size == 1:
-            W = rows.T                     # (2K+1, 1) broadcasts over the span
-        else:
-            span_row = np.zeros(hi - lo, dtype=np.intp)
-            span_row[src - lo] = which
-            W = rows.T[:, span_row]
-        _add_moved(out, W * emit[lo:hi], lo, K, closure == "periodic")
-
-    if sink is not None:
-        x = grid.axis_centers(0)
-        out = np.maximum(0.0, out + dt * sink.rate(x, out))
-
-    if out.min() < -1e-12 * max(1.0, float(u.max(initial=0.0))):
-        raise RangeError("redistribution produced negative density")
-    return out
+    return _step(u, grid, kernel, sink, dt, closure, _LastRows())
 
 
 def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
                sink: Optional[SinkTerm], T: float, dt: float,
                closure: str = "reflect"):
     """March master_step to time T (last step truncated to land exactly);
-    returns (times, fields) with initial and final states included."""
-    if T <= 0:
-        raise DomainError("final time must be positive")
+    returns (times, fields) with initial and final states included.  T and
+    dt must be positive and finite; the weight rows carry over between
+    steps while (shape, widths, K, h) is unchanged."""
+    _positive_finite("final time T", T)
+    _positive_finite("dt", dt)
+    rows_of = _LastRows()
     u = np.asarray(density0, dtype=float).copy()
     times = [0.0]
     fields = [u]
@@ -288,7 +341,7 @@ def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
         # each step returns a new array, so the stored fields stay as they are
-        u = master_step(u, grid, kernel, sink, step, closure=closure)
+        u = _step(u, grid, kernel, sink, step, closure, rows_of)
         t += step
         times.append(t)
         fields.append(u)

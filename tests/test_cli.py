@@ -6,10 +6,13 @@ a subprocess.
 """
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenstein.checker import (PROFILES, _zeta_bounded, _zeta_slow,
                                 example_catalog)
@@ -403,3 +406,133 @@ class TestProfileRegistry:
         cfg = write_config(tmp_path, profile={"kind": kind, "M": M})
         code, _ = run(tmp_path, "table", "--config", cfg)
         assert code == EXIT_OK
+
+
+# ------------------------------------------------------------ config fuzz
+
+# the config printed in the README
+README_CONFIG = {
+    "profile": {"kind": "power", "beta": 1.0, "M": 1.0},
+    "lambda": 1.0,
+    "table": {"s_min": 1e-8, "K": 256},
+    "grid": {"extent": [[-1.0, 1.0]], "n": [401]},
+    "eps": 1e-6,
+    "T": 0.05,
+    "snapshots": 33,
+    "bump": {"center": [-0.6], "radius": 0.2, "height": 0.2, "shape": "tent"},
+    "psi": 1.0,
+    "localization": {"x0": [0.5], "R": 0.4, "Rp": 0.2},
+    "eps_sweep": [1e-3, 5e-4, 2.5e-4],
+    "kinetic": {"tau0": 1.5e-4, "a": 1.0, "dt": 1.5e-4},
+    "out_dir": "out",
+}
+
+# values of a wrong JSON type for each kind of field in README_CONFIG; null
+# is left out for the optional blocks (null means absent) and for s_min
+# (null is valid there)
+_WRONG = {
+    "number": ["1e-3", True, None, {}, [1.0]],
+    "integer": ["256", True, None, {}, [256], 256.5],
+    "number?": ["1e-8", True, {}, [1e-8]],
+    "numbers": ["0.5", True, None, {}, [], ["0.5"]],
+    "snapshots": ["33", True, None, {}, [], 2.5, ["0.1"]],
+    "string": [1, True, None, {}, ["out"]],
+    "kind": [1, True, None, {}, ["power"]],
+    "enum": [1, True, None, {}, ["tent"]],
+    "lambda": ["1.0", True, None, {}, [1.0]],
+    "extent": ["-1,1", 1.0, True, None, {}, [], [[-1.0]],
+               [[-1.0, 1.0, 2.0]], [-1.0, 1.0]],
+    "pair": ["ab", 1.0, True, None, [1.0], ["a", "b"]],
+    "n": ["401", 401, True, None, {}, [], [401, 401]],
+    "sweep": ["1e-3", 1e-3, True, {}, [1e-3], ["a", "b"]],
+    "block": ["x", 1, True, [1]],
+    "required block": ["x", 1, True, [1], None],
+}
+_LEAVES = {
+    ("profile",): "required block", ("profile", "kind"): "kind",
+    ("profile", "beta"): "number", ("profile", "M"): "number",
+    ("lambda",): "lambda", ("table",): "block",
+    ("table", "s_min"): "number?", ("table", "K"): "integer",
+    ("grid",): "required block", ("grid", "extent"): "extent",
+    ("grid", "extent", 0): "pair", ("grid", "extent", 0, 0): "number",
+    ("grid", "extent", 0, 1): "number", ("grid", "n"): "n",
+    ("grid", "n", 0): "integer", ("eps",): "number", ("T",): "number",
+    ("snapshots",): "snapshots", ("bump",): "block",
+    ("bump", "center"): "numbers", ("bump", "center", 0): "number",
+    ("bump", "radius"): "number", ("bump", "height"): "number",
+    ("bump", "shape"): "enum", ("psi",): "number",
+    ("localization",): "block", ("localization", "x0"): "numbers",
+    ("localization", "x0", 0): "number", ("localization", "R"): "number",
+    ("localization", "Rp"): "number", ("eps_sweep",): "sweep",
+    ("eps_sweep", 1): "number", ("kinetic",): "block",
+    ("kinetic", "tau0"): "number", ("kinetic", "a"): "number",
+    ("kinetic", "dt"): "number", ("out_dir",): "string",
+}
+_NUMERIC = ("number", "number?", "integer", "lambda", "snapshots")
+_REQUIRED = [("profile",), ("profile", "kind"), ("grid",), ("grid", "extent"),
+             ("grid", "n"), ("bump", "center"), ("bump", "radius"),
+             ("bump", "height"), ("localization", "x0"),
+             ("localization", "R"), ("localization", "Rp")]
+_UNKNOWN_ENUMS = [(("profile", "kind"), "fancy"), (("profile", "kind"), "Power"),
+                  (("bump", "shape"), "box"), (("kinetic", "shape"), "boxcar"),
+                  (("lambda",), "automatic")]
+_COMMANDS = ["check", "table", "solve", "localize", "kinetic-compare",
+             "sweep-eps"]
+
+_WRONG_TYPE = st.sampled_from(sorted(_LEAVES)).flatmap(
+    lambda path: st.sampled_from(_WRONG[_LEAVES[path]]).map(
+        lambda v: ("set", path, v)))
+_NON_FINITE = st.sampled_from(sorted(
+    p for p, kind in _LEAVES.items() if kind in _NUMERIC)).flatmap(
+    lambda path: st.sampled_from([math.nan, math.inf, -math.inf]).map(
+        lambda v: ("set", path, v)))
+_MUTATION = st.one_of(
+    _WRONG_TYPE, _NON_FINITE,
+    st.sampled_from(_REQUIRED).map(lambda p: ("del", p, None)),
+    st.sampled_from(_UNKNOWN_ENUMS).map(lambda pv: ("set", pv[0], pv[1])))
+
+
+def _apply(cfg, mutation):
+    """Apply one mutation; skip it when an earlier one replaced or removed
+    a container on its path (the config is invalid already)."""
+    op, path, value = mutation
+    node = cfg
+    for key in path[:-1]:
+        if isinstance(node, dict) and key in node:
+            node = node[key]
+        elif isinstance(node, list) and isinstance(key, int) \
+                and key < len(node):
+            node = node[key]
+        else:
+            return
+    key = path[-1]
+    if isinstance(node, dict) and op == "set":
+        node[key] = value
+    elif isinstance(node, dict):
+        node.pop(key, None)
+    elif isinstance(node, list) and isinstance(key, int) and key < len(node):
+        node[key] = value
+
+
+class TestConfigFuzz:
+    """One to three mutations of the README config, each a wrong type, a
+    missing required key, an unknown enumerated value or a non-finite
+    number: every subcommand exits 2 at config load, never 1 (the
+    catch-all) and never later."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+           command=st.sampled_from(_COMMANDS))
+    def test_mutated_readme_config_exits_config(self, tmp_path_factory,
+                                                mutations, command):
+        root = tmp_path_factory.getbasetemp() / "config-fuzz"
+        root.mkdir(exist_ok=True)
+        cfg = json.loads(json.dumps(README_CONFIG))
+        for mutation in mutations:
+            _apply(cfg, mutation)
+        path = root / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path),
+                     "--out", str(root / "out"), "--quiet"])
+        assert code == EXIT_CONFIG, (mutations, command, code)

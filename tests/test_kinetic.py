@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import degenstein.kinetic as kinetic_mod
-from degenstein.errors import (DomainError, ResolutionError, StepError)
+from degenstein.errors import (DomainError, RangeError, ResolutionError,
+                               StepError)
 from degenstein.kinetic import (JumpKernel, SinkTerm, _weight_rows,
                                 kernel_moments, master_step,
                                 power_family_kernel, run_master)
@@ -205,7 +206,8 @@ class TestMasterStep:
 
 def reference_master_step(u, grid, kernel, sink, dt, closure):
     """The per-offset np.add.at redistribution loop over every cell, kept as
-    the bit-for-bit reference for master_step's per-offset slice folds."""
+    the bit-for-bit reference for master_step's row-ordered reduction and
+    border strips."""
     n, h = u.shape[0], grid.h[0]
     active = u > 0.0
     with np.errstate(divide="ignore"):
@@ -331,6 +333,18 @@ class TestFoldsMatchReference:
             master_step(u, grid, kern, None, dt)
 
 
+def reference_march(u, grid, kernel, T, dt, closure):
+    """run_master's time loop over reference_master_step."""
+    t, times, fields = 0.0, [0.0], [u]
+    while t < T - 1e-15 * T:
+        step = min(dt, T - t)
+        u = reference_master_step(u, grid, kernel, None, step, closure)
+        t = t + step
+        times.append(t)
+        fields.append(u)
+    return times, fields
+
+
 class TestRunMaster:
     def test_matches_reference_loop(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
@@ -350,6 +364,30 @@ class TestRunMaster:
         for got, want in zip(fields, ref_fields):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("closure", ["reflect", "periodic"])
+    @pytest.mark.parametrize("shape", ["gaussian_truncated", "triangular"])
+    def test_matches_reference_loop_across_the_walls(self, kin_grid, closure,
+                                                     shape):
+        # humps within K of both walls and widths that vary with u
+        # (a != beta), so the border strips take mass across both walls on
+        # every step
+        u0 = kin_grid.sample(bump((-0.9,), 0.3, 0.3, shape="cos2")) \
+            + kin_grid.sample(bump((0.95,), 0.2, 0.2, shape="tent"))
+        kern = power_family_kernel(beta=2.0, tau0=2e-3, a=1.0, shape=shape)
+        offsets, W = _weight_rows(kern, u0, kin_grid.h[0])
+        K, occupied = int(offsets[-1]), np.flatnonzero(u0)
+        assert K >= 10 and np.unique(W, axis=0).shape[0] > 10
+        assert occupied[0] < K and occupied[-1] >= u0.size - K
+        dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u0.max()])))[0])
+        times, fields = run_master(u0, kin_grid, kern, None, T=24 * dt,
+                                   dt=dt, closure=closure)
+        ref_times, ref_fields = reference_march(u0, kin_grid, kern, 24 * dt,
+                                                dt, closure)
+        assert np.array_equal(times, ref_times)
+        assert len(fields) == len(ref_fields) >= 25
+        for got, want in zip(fields, ref_fields):
+            assert np.array_equal(got, want)
+
     def test_lands_exactly_on_horizon(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         times, fields = run_master(kin_density, kin_grid, kern, None,
@@ -364,6 +402,43 @@ class TestRunMaster:
         before = kin_density.copy()
         run_master(kin_density, kin_grid, kern, None, T=5e-4, dt=2.5e-4)
         assert np.array_equal(kin_density, before)
+
+
+_NOT_POSITIVE_FINITE = pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 0.0],
+    ids=["nan", "inf", "-inf", "zero"])
+
+
+class TestNonFiniteInputs:
+    """T and dt must be positive and finite: a NaN or infinite T once
+    returned the initial state alone, and a NaN dt an all-NaN field."""
+
+    @_NOT_POSITIVE_FINITE
+    def test_master_step_dt(self, kin_grid, kin_density, bad):
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        with pytest.raises(DomainError, match="dt must be positive and finite"):
+            master_step(kin_density, kin_grid, kern, None, bad)
+
+    @_NOT_POSITIVE_FINITE
+    @pytest.mark.parametrize("which", ["T", "dt"])
+    def test_run_master_times(self, kin_grid, kin_density, which, bad):
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        times = {"T": 1e-3, "dt": 1.5e-4, which: bad}
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            run_master(kin_density, kin_grid, kern, None, **times)
+
+    def test_nan_density_rejected(self, kin_grid, kin_density):
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        u = kin_density.copy()
+        u[7] = math.nan
+        with pytest.raises(DomainError, match="nonnegative"):
+            master_step(u, kin_grid, kern, None, 1.5e-4)
+
+    def test_nan_result_trips_the_density_check(self, kin_grid, kin_density):
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        nan_sink = SinkTerm(m=lambda x, u: np.full_like(u, math.nan))
+        with pytest.raises(RangeError, match="negative or NaN"):
+            master_step(kin_density, kin_grid, kern, nan_sink, 1.5e-4)
 
 
 class TestDiffusiveLimit:

@@ -8,9 +8,9 @@ that hands the segments missing the tolerance to the adaptive
 interpolant must match PchipInterpolator to 1e-13 of the data scale, the
 quadrature must match quad on the catalog integrands, and whole tables built
 through the numpy kernels must match tables built with PchipInterpolator and
-with every segment integrated by quad (1e-13 relative on the catalog, 1e-8
-on the quadrature-built exp_zeta rate, inside its 10*quad_tol build
-tolerance).  The one-pass integrator is also checked against the
+with every segment integrated by quad, the G pass's two K21 columns
+included (1e-13 relative on the catalog, 1e-8 on the quadrature-built
+exp_zeta rate, inside its 10*quad_tol build tolerance).  The one-pass integrator is also checked against the
 per-segment loop it replaced, and whole tables against that loop plus the
 15-point Gauss-Legendre G pass it replaced (1e-13 relative).  The import
 guard and the QuadratureError paths need no scipy.
@@ -217,10 +217,23 @@ def _scipy_quad_segments(fn, edges, tol):
 
 @pytest.fixture
 def scipy_kernels(monkeypatch, scipy_interpolate, scipy_integrate):
-    """Route coeffs through PchipInterpolator and quad while active."""
+    """Route coeffs through PchipInterpolator and quad while active: the
+    profile, I and G integrals all come from QUADPACK.  use() returns the
+    segment counts of the calls build_table's G pass made to
+    `_gauss_kronrod`, so a test can check that G really went through quad."""
+    g_calls = []
+
+    def gauss_kronrod(fn, a, b):
+        # QUADPACK on every [a_j, b_j] behind _gauss_kronrod's contract
+        g_calls.append(a.size)
+        return (np.array([_scipy_quad_segment(fn, x, y, 1e-13)[0]
+                          for x, y in zip(a, b)]), np.zeros(a.size))
+
     def use():
         monkeypatch.setattr(coeffs, "_Pchip", _ScipyPchip)
         monkeypatch.setattr(coeffs, "_quad_segments", _scipy_quad_segments)
+        monkeypatch.setattr(coeffs, "_gauss_kronrod", gauss_kronrod)
+        return g_calls
     return use
 
 
@@ -251,8 +264,10 @@ class TestTablesMatchScipyPath:
     def test_catalog_tables(self, scipy_kernels, entry):
         lam = LambdaChoice(entry.Lambda)
         ours = build_table(entry.make_profile(), lam, **entry.build_opts)
-        scipy_kernels()
+        g_calls = scipy_kernels()
         ref = build_table(entry.make_profile(), lam, **entry.build_opts)
+        # sqrt(F') and F' over every segment, both through quad
+        assert g_calls == [ref.s.size - 1] * 2
         assert np.array_equal(ours.s, ref.s)
         assert _max_rel(ours, ref) <= 1e-13
 
@@ -265,8 +280,9 @@ class TestTablesMatchScipyPath:
             return build_table(prof, LambdaChoice(1.0))
 
         ours = make()
-        scipy_kernels()
+        g_calls = scipy_kernels()
         ref = make()
+        assert g_calls == [ref.s.size - 1] * 2
         assert _max_rel(ours, ref) <= 1e-8
 
 
