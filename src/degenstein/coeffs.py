@@ -255,19 +255,22 @@ class _Pchip:
     y holds one column per trailing index over strictly increasing nodes x.
     Node slopes are PCHIP's (Fritsch & Carlson): the weighted harmonic mean
     of the adjacent secants where they share a sign and zero otherwise, and
-    the shape-preserving one-sided three-point formula at both ends.  The
-    cubic coefficients of every segment are computed once, as a contiguous
-    (4*ncol, nseg) block, so a call is one segment lookup (arithmetic on
-    uniformly spaced nodes, a binary search otherwise), one gather and one
-    Horner pass.  The end cubics extrapolate beyond the nodes.  A call
-    returns the columns on a leading axis: shape x.shape for a single
-    column, (ncol,) + x.shape for several.
+    the shape-preserving one-sided three-point formula at both ends.
+
+    Everything a call needs is one contiguous gather block with a column
+    per segment and a copy of the last: row 0 the segment's left node, rows
+    1-4 its cubic's coefficients from the highest power down (per column of
+    y along a second axis when there are several).  A call is one segment
+    index (arithmetic on uniform nodes, a binary search in x[1:] otherwise),
+    one `take` of the block at that index shaped like x, and one Horner
+    pass.  x[-1] indexes the copy; beyond the nodes the take clips to the
+    end columns, so the end cubics extrapolate.  The columns come back on a
+    leading axis: x.shape for one, (ncol,) + x.shape for several.
     """
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        self._multi = y.ndim > 1
         cols = y.reshape(len(x), -1)
         hk = np.diff(x)[:, None]
         mk = np.diff(cols, axis=0) / hk
@@ -284,14 +287,16 @@ class _Pchip:
                             self._end_slope(hk[-1], hk[-2], mk[-1], mk[-2])[None]])
         self.slopes = d.reshape(y.shape)
         t = (d[:-1] + d[1:] - 2.0 * mk) / hk
-        c = np.stack([t / hk, (mk - d[:-1]) / hk - t, d[:-1], cols[:-1]])
-        self._ncol, self._nseg = cols.shape[1], len(x) - 1
-        # row k*ncol + j holds the power-(3-k) coefficient of column j
-        self._c = np.ascontiguousarray(
-            c.transpose(0, 2, 1).reshape(4 * self._ncol, self._nseg))
-        self._x = x
-        step = (x[-1] - x[0]) / self._nseg
+        left = np.broadcast_to(x[:-1, None], mk.shape)
+        block = np.stack([left, t / hk, (mk - d[:-1]) / hk - t, d[:-1],
+                          cols[:-1]])
+        block = np.concatenate([block, block[:, -1:]], axis=1)
+        # (5, nseg + 1), or (5, ncol, nseg + 1) for several columns
+        self._block = np.ascontiguousarray(
+            block.transpose(0, 2, 1) if y.ndim > 1 else block[..., 0])
+        step = (x[-1] - x[0]) / (len(x) - 1)
         uniform = np.ptp(hk) <= 1e-9 * step
+        self._x0, self._right = x[0], x[1:]
         self._inv_step = 1.0 / step if uniform else None
 
     @staticmethod
@@ -303,25 +308,19 @@ class _Pchip:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        xf = x.ravel()
         if self._inv_step is not None:
-            i = ((xf - self._x[0]) * self._inv_step).astype(np.intp)
+            i = ((x - self._x0) * self._inv_step).astype(np.intp)
         else:
-            i = self._x.searchsorted(xf, side="right")
-            i -= 1
-        np.minimum(i, self._nseg - 1, out=i)
-        np.maximum(i, 0, out=i)
-        dx = xf - self._x.take(i)
-        c = self._c.take(i, axis=1).reshape(4, self._ncol, xf.size)
-        out = c[0] * dx
-        out += c[1]
+            i = self._right.searchsorted(x, side="right")
+        g = self._block.take(i, axis=-1, mode="clip")
+        dx = x - g[0]
+        out = g[1] * dx
+        out += g[2]
         out *= dx
-        out += c[2]
+        out += g[3]
         out *= dx
-        out += c[3]
-        if self._multi:
-            return out.reshape((self._ncol,) + x.shape)
-        return out.reshape(x.shape)
+        out += g[4]
+        return out
 
 
 def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
@@ -425,7 +424,9 @@ class CoefficientTable:
         given, is an interval (lo, hi) that holds every value of s, such as
         the extrema of a field s is cut from; it stands in for the scan of s
         in the domain check, and s itself is scanned only if the interval
-        leaves the domain.
+        leaves the domain.  Past the check, an evaluation is one log, one
+        gather of the interpolant's padded block at an index shaped like s
+        (see `_Pchip`), one Horner pass and, for positive columns, one exp.
         """
         arr = np.asarray(s, dtype=float)
         lo, hi, lo_ok, hi_ok = self._domain
@@ -444,10 +445,10 @@ class CoefficientTable:
                 arr = np.minimum(np.maximum(arr, lo), hi)
         mode, itp = self._interp.get(column) or self._interpolator(column)
         out = itp(np.log(arr))
+        if out.ndim == 0:    # a scalar s gives a numpy scalar
+            return float(np.exp(out) if mode == "log" else out)
         if mode == "log":
             np.exp(out, out=out)
-        if out.ndim == 0:
-            return float(out)
         return out
 
     def identity_residuals(self) -> dict:

@@ -67,7 +67,9 @@ class JumpKernel:
     tau and var act on arrays of nonnegative densities; cells with u = 0
     never jump (tau is infinite there), which the stepper encodes as a zero
     emission fraction.  support_radius(u) is the truncation radius of the
-    discretized kernel.
+    discretized kernel; the built-in families' radius is a fixed multiple of
+    the width sqrt(var(u)), which a step takes from the widths it has
+    already evaluated, while a hand-built kernel's radius is called.
     """
 
     tau: Callable
@@ -90,7 +92,8 @@ class SinkTerm:
     def rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.m(x, u), dtype=float)
         vals = np.broadcast_to(vals, u.shape)
-        if vals.max(initial=-math.inf) > 1e-15:
+        # negated, so a NaN rate is rejected too
+        if not vals.max(initial=-math.inf) <= 1e-15:
             raise DomainError("sink rate must be <= 0 everywhere")
         return vals
 
@@ -116,21 +119,34 @@ def power_family_kernel(beta: float, tau0: float, a: float = 1.0,
             return np.where(u > 0.0, tau0 * u ** (beta - a), 0.0)
 
     factor = _GAUSS_CUT if shape == "gaussian_truncated" else _TRI_HALF_WIDTH
-
-    def support_radius(u):
-        return factor * np.sqrt(var(u))
-
-    return JumpKernel(tau=tau, var=var, shape=shape, support_radius=support_radius)
+    return JumpKernel(tau=tau, var=var, shape=shape,
+                      support_radius=_WidthMultiple(factor, var))
 
 
-def _sigma_and_reach(kernel: JumpKernel, u: np.ndarray, h: float):
-    """Kernel widths sigma(u) (0 where u = 0) and the reach K in cells of
-    the widest support radius among them."""
-    u = np.asarray(u, dtype=float)
-    sigma = np.sqrt(np.where(u > 0.0, kernel.var(u), 0.0))
-    radius = np.where(u > 0.0, kernel.support_radius(u), 0.0)
-    K = int(np.ceil(float(radius.max(initial=0.0)) / h)) if radius.size else 0
-    return sigma, K
+class _WidthMultiple:
+    """support_radius of the built-in families: factor * sqrt(var(u))."""
+
+    def __init__(self, factor: float, var: Callable):
+        self.factor, self.var = factor, var
+
+    def __call__(self, u):
+        return self.factor * np.sqrt(self.var(u))
+
+
+def _sigma_and_reach(kernel: JumpKernel, occ: np.ndarray, h: float):
+    """Kernel widths sigma of the occupied densities occ (all > 0) and the
+    reach K in cells of the widest support radius among them.  A built-in
+    family's radius is factor * sigma, and rounding is monotone, so its
+    largest is factor * max(sigma), bit for bit, with var evaluated once."""
+    sigma = np.sqrt(kernel.var(occ))
+    if sigma.shape != occ.shape:     # a var that returns one constant
+        sigma = np.broadcast_to(sigma, occ.shape)
+    radius = kernel.support_radius
+    if isinstance(radius, _WidthMultiple) and radius.var is kernel.var:
+        top = radius.factor * float(sigma.max(initial=0.0))
+    else:
+        top = float(np.max(radius(occ), initial=0.0))
+    return sigma, math.ceil(top / h)
 
 
 def _rows(shape: str, sigma: np.ndarray, K: int, h: float):
@@ -158,9 +174,13 @@ def _weight_rows(kernel: JumpKernel, u: np.ndarray, h: float):
     """Per-cell kernel weights at offsets k*h, rows renormalized to 1.
 
     Returns (offsets, W) with W[i, :] the distribution for cell i.  Cells
-    whose kernel is narrower than a cell collapse to the identity row.
+    whose kernel is narrower than a cell collapse to the identity row, and
+    so do cells with u = 0.
     """
-    sigma, K = _sigma_and_reach(kernel, u, h)
+    u = np.asarray(u, dtype=float)
+    occupied = u > 0.0
+    sigma = np.zeros(u.shape)
+    sigma[occupied], K = _sigma_and_reach(kernel, u[occupied], h)
     return _rows(kernel.shape, sigma, K, h)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable
 from .errors import DomainError, GeometryError
-from .solver import GridSpec, SolveTrace, grad_energy
+from .solver import GridSpec, SolveTrace, _grad_energies
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -215,40 +215,31 @@ def table_state_eval(table: CoefficientTable, column: str,
 
 def _snapshot_schedule(trace: SolveTrace, T_prime: float):
     """Stored instants up to T_prime, closed with the interpolated endpoint:
-    (times, fields, number of stored fields leading the list)."""
+    (times, number of stored fields leading them, the field at T_prime or
+    None when a stored one closes the schedule)."""
     if not (0.0 <= T_prime <= trace.T * (1 + 1e-12)):
         raise DomainError(f"T_prime={T_prime:g} outside [0, {trace.T:g}]")
     T_prime = min(T_prime, trace.T)
-    times, fields = [], []
-    for t, f in zip(trace.times, trace.fields):
-        if t <= T_prime * (1 + 1e-12):
-            times.append(min(float(t), T_prime))
-            fields.append(f)
-    n_stored = len(fields)
+    times = [min(float(t), T_prime) for t in trace.times
+             if t <= T_prime * (1 + 1e-12)]
+    n_stored = len(times)
     if times[-1] < T_prime * (1 - 1e-12):
         times.append(T_prime)
-        fields.append(trace.field_at(T_prime))
-    return np.asarray(times), fields, n_stored
+        return np.asarray(times), n_stored, trace.field_at(T_prime)
+    return np.asarray(times), n_stored, None
 
 
-def _state_H_G(trace: SolveTrace, table: CoefficientTable, fields: list,
-               n_stored: int):
-    """(H(u), G(u)) for each field of a snapshot schedule.  Those of stored
-    snapshots are evaluated once per (trace, table) and kept on the trace,
-    since energy_Y reads them again for every n and every T' probe."""
+def _stored_H_G(trace: SolveTrace, table: CoefficientTable):
+    """H(u) and G(u) of the stored snapshots, stacked along a leading axis.
+    They are evaluated once per (trace, table) and kept on the trace, since
+    energy_Y reads them again for every n and every T' probe."""
     slot = trace._table_states.get(id(table))
     if slot is None or slot[0] is not table:
-        slot = (table, [None] * len(trace.fields))
-        trace._table_states[id(table)] = slot
-    stored = slot[1]
-    for i, u in enumerate(fields):
-        pair = stored[i] if i < n_stored else None
-        if pair is None:
-            pair = (table_state_eval(table, "H", u),
-                    table_state_eval(table, "G", u))
-            if i < n_stored:
-                stored[i] = pair
-        yield pair
+        # field by field, so an evaluation's temporaries stay field-sized
+        H = np.stack([table_state_eval(table, "H", u) for u in trace.fields])
+        G = np.stack([table_state_eval(table, "G", u) for u in trace.fields])
+        slot = trace._table_states[id(table)] = (table, H, G)
+    return slot[1], slot[2]
 
 
 def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
@@ -257,20 +248,24 @@ def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
 
     The sup runs over stored snapshots (a lower bound of the true sup); the
     space-time term is a trapezoid in time of the centered-difference
-    gradient energy of the product theta_n * G(u).
+    gradient energy of the product theta_n * G(u).  Both are one row-wise
+    pass over the cached H and G stacks of the stored snapshots, joined by
+    the interpolated endpoint's row when T' falls between two.
     """
     grid = trace.grid
     theta = cutoffs.theta(grid, n)
-    times, fields, n_stored = _snapshot_schedule(trace, T_prime)
-    vol = grid.cell_volume
-    theta_sq = theta * theta
-
-    sup_mass = 0.0
-    grad_vals = np.empty(len(times))
-    for i, (H, G) in enumerate(_state_H_G(trace, table, fields, n_stored)):
-        sup_mass = max(sup_mass, float(np.sum(theta_sq * H)) * vol)
-        grad_vals[i] = grad_energy(theta * G, grid)
-    time_term = float(_trapezoid(grad_vals, times)) if len(times) > 1 else 0.0
+    times, n_stored, tail = _snapshot_schedule(trace, T_prime)
+    H, G = _stored_H_G(trace, table)
+    H, G = H[:n_stored], G[:n_stored]
+    if tail is not None:
+        u = tail[None]
+        H = np.concatenate([H, table_state_eval(table, "H", u)])
+        G = np.concatenate([G, table_state_eval(table, "G", u)])
+    # a row sums its cells as one field does
+    mass = np.add.reduce((theta * theta * H).reshape(len(H), -1), axis=1)
+    sup_mass = max([0.0] + (mass * grid.cell_volume).tolist())
+    grad = _grad_energies(theta * G, grid)
+    time_term = float(_trapezoid(grad, times)) if len(times) > 1 else 0.0
     return T_prime ** pack.beta_exp * (sup_mass + time_term)
 
 

@@ -13,7 +13,8 @@ There is one step kernel, `_Kernel`, and one time loop, `_march`; `solve`,
 formula, one update, and the range and maximum-principle tripwires checked
 on every step, so a march raises RangeError at the step that breaks them.
 D comes from one joint evaluation of the F and h columns per step
-(`CoefficientTable.eval` with a tuple).
+(`CoefficientTable.eval` with a tuple): one log, one padded gather of
+both columns' cubics, one Horner pass and one exp over the window.
 
 The kernel and the loop carry a leading batch axis of rungs: problems that
 share the table, grid, g, psi, u_max and safety and differ only in the floor
@@ -305,6 +306,7 @@ class _Kernel:
         # the update, then du^2/D, over the interior; 0.0 outside the
         # window, so the dissipation sum runs in the full-grid order
         self.work = np.zeros((len(probs),) + tuple(m - 2 for m in grid.n))
+        self.w = None                # the window's view of work
         self.cell_updates = 0        # per rung: every rung steps the window
         self._set_rungs(np.array([p.eps for p in probs]))
 
@@ -322,6 +324,7 @@ class _Kernel:
         self.dt = np.zeros(eps.size)             # the rungs' steps
         self.dt_col = self.dt.reshape(self.col)
         if self.bounds is not None:
+            self.w = self.work[self.win_inner]
             self._index_edges()
 
     def keep(self, rows) -> None:
@@ -336,6 +339,7 @@ class _Kernel:
         self.win = every + win
         self.slab = every + tuple(slice(a - 1, b + 1) for a, b in bounds)
         self.win_inner = every + tuple(slice(a - 1, b - 1) for a, b in bounds)
+        self.w = self.work[self.win_inner]
         self.size = int(np.prod([b - a for a, b in bounds]))
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
@@ -354,11 +358,13 @@ class _Kernel:
         self._index_edges()
 
     def _index_edges(self) -> None:
-        """The edge cells of every rung in a flat stack, and their floors."""
+        """The edge cells of every rung in a flat stack, and their floors as
+        a list of floats, which the per-step test compares with == (NaN
+        differs)."""
         cells = int(np.prod(self.grid.n))
         rows = np.arange(self.eps.size)[:, None] * cells
         self.edge_take = (rows + self.edge_idx).ravel()
-        self.edge_floor = np.repeat(self.eps, self.edge_idx.size)
+        self.edge_floor = np.repeat(self.eps, self.edge_idx.size).tolist()
 
     def _open(self, values: np.ndarray) -> None:
         """Fix the window for values from the cells that differ from their
@@ -395,8 +401,8 @@ class _Kernel:
             self._open(values)
             top, D = np.maximum.reduce(D, self.axes), D[self.slab]
         else:
-            if self.edges and np.count_nonzero(values.take(self.edge_take)
-                                               != self.edge_floor):
+            if self.edges and \
+                    values.take(self.edge_take).tolist() != self.edge_floor:
                 self._grow(values)
             D = self.prob.diffusivity(values[self.slab], self.eps_col, (lo, hi))
             top = np.maximum.reduce(D, self.axes)
@@ -417,8 +423,7 @@ class _Kernel:
         happen under the CFL bound; the checks are tripwires).
         """
         self.dt[:] = dts
-        old, new, Dw = values[self.win], out[self.win], D[self.inner]
-        w = self.work[self.win_inner]
+        old, new, Dw, w = values[self.win], out[self.win], D[self.inner], self.w
         np.multiply(Dw, self.dt_col, out=w)
         w *= _laplacian(values[self.slab], self.grid)
         np.add(old, w, out=new)
@@ -654,25 +659,30 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
 def grad_energy(values: np.ndarray, grid: GridSpec) -> float:
     """Integral of |grad u|^2, centered differences inside, one-sided at the
     edges."""
-    comps = []
-    h = grid.h
-    if grid.dim == 1:
-        gx = np.empty_like(values)
-        gx[1:-1] = (values[2:] - values[:-2]) / (2.0 * h[0])
-        gx[0] = (values[1] - values[0]) / h[0]
-        gx[-1] = (values[-1] - values[-2]) / h[0]
-        comps.append(gx)
-    else:
-        gx = np.empty_like(values)
-        gx[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * h[0])
-        gx[0, :] = (values[1, :] - values[0, :]) / h[0]
-        gx[-1, :] = (values[-1, :] - values[-2, :]) / h[0]
-        gy = np.empty_like(values)
-        gy[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * h[1])
-        gy[:, 0] = (values[:, 1] - values[:, 0]) / h[1]
-        gy[:, -1] = (values[:, -1] - values[:, -2]) / h[1]
-        comps.extend([gx, gy])
-    return float(sum(np.sum(c * c) for c in comps)) * grid.cell_volume
+    return float(_grad_energies(values[None], grid)[0])
+
+
+def _grad_energies(stack: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """grad_energy of each field of a stack along a leading axis.  The
+    differences are written in place into one stack-sized array per axis,
+    and each row's squares are summed over one contiguous run of its
+    cells, pairwise as numpy sums a single field, so every row is bit for
+    bit its field's grad_energy."""
+    total = 0.0
+    for k, h in enumerate(grid.h):
+        g = np.empty(stack.shape)
+        # grid axis k last: centered differences inside, one-sided at the
+        # edges
+        v, gv = stack.swapaxes(k + 1, -1), g.swapaxes(k + 1, -1)
+        np.subtract(v[..., 2:], v[..., :-2], out=gv[..., 1:-1])
+        gv[..., 1:-1] /= 2.0 * h
+        np.subtract(v[..., 1], v[..., 0], out=gv[..., 0])
+        np.subtract(v[..., -1], v[..., -2], out=gv[..., -1])
+        gv[..., 0] /= h
+        gv[..., -1] /= h
+        g *= g
+        total = total + np.add.reduce(g.reshape(len(stack), -1), axis=1)
+    return total * grid.cell_volume
 
 
 def energy_identity_residual(trace: SolveTrace, tau: Optional[float] = None) -> float:

@@ -7,6 +7,7 @@ which is the non-divergence-form flux term, not noise.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import pytest
 import degenstein.kinetic as kinetic_mod
 from degenstein.errors import (DomainError, RangeError, ResolutionError,
                                StepError)
-from degenstein.kinetic import (JumpKernel, SinkTerm, _weight_rows,
-                                kernel_moments, master_step,
+from degenstein.kinetic import (KERNEL_SHAPES, JumpKernel, SinkTerm,
+                                _weight_rows, kernel_moments, master_step,
                                 power_family_kernel, run_master)
 from degenstein.solver import (EpsProblem, GridSpec, bump, solve)
 
@@ -435,10 +436,75 @@ class TestNonFiniteInputs:
             master_step(u, kin_grid, kern, None, 1.5e-4)
 
     def test_nan_result_trips_the_density_check(self, kin_grid, kin_density):
+        # a NaN waiting time gives NaN emission fractions, which no earlier
+        # check sees; the result's density check does
+        kern = replace(power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0),
+                       tau=lambda u: np.full_like(u, math.nan))
+        with pytest.raises(RangeError, match="negative or NaN"):
+            master_step(kin_density, kin_grid, kern, None, 1.5e-4)
+
+    def test_nan_sink_rate_rejected(self, kin_grid, kin_density):
+        # NaN > 1e-15 is False; the negated check rejects it where the sink
+        # is applied, not later as a NaN density
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         nan_sink = SinkTerm(m=lambda x, u: np.full_like(u, math.nan))
-        with pytest.raises(RangeError, match="negative or NaN"):
+        with pytest.raises(DomainError, match="sink rate"):
             master_step(kin_density, kin_grid, kern, nan_sink, 1.5e-4)
+
+
+class TestReach:
+    """The built-in families' reach comes from the widths the step already
+    has; a hand-built kernel's own support_radius still sets its reach."""
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("beta,a", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.5)])
+    def test_reach_from_widths_is_the_called_radius(self, kin_grid,
+                                                    kin_density, shape,
+                                                    beta, a):
+        kern = power_family_kernel(beta=beta, tau0=2e-4, a=a, shape=shape)
+        called = replace(kern, support_radius=lambda u: kern.support_radius(u))
+        got = ref = kin_density
+        for _ in range(3):
+            got = master_step(got, kin_grid, kern, None, 1e-4)
+            ref = master_step(ref, kin_grid, called, None, 1e-4)
+            assert np.array_equal(got, ref)
+        assert np.array_equal(_weight_rows(kern, kin_density, H)[1],
+                              _weight_rows(called, kin_density, H)[1])
+
+    def test_var_evaluated_once_per_step(self, kin_grid, kin_density):
+        kern = power_family_kernel(beta=2.0, tau0=2e-4, a=1.0)
+        calls = []
+
+        def var(u):
+            calls.append(1)
+            return kern.var(u)
+
+        counted = replace(kern, var=var, support_radius=kinetic_mod
+                          ._WidthMultiple(kern.support_radius.factor, var))
+        out = master_step(kin_density, kin_grid, counted, None, 1e-4)
+        assert len(calls) == 1
+        assert np.array_equal(
+            out, master_step(kin_density, kin_grid, kern, None, 1e-4))
+
+    def test_hand_built_radius_sets_the_reach(self, kin_grid):
+        u = np.zeros(401)
+        u[200] = 0.04
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        wide = replace(kern, support_radius=lambda v: 2.0 * kern.support_radius(v))
+        K = math.ceil(float(kern.support_radius(np.asarray([0.04]))[0]) / H)
+        K_wide = math.ceil(float(wide.support_radius(np.asarray([0.04]))[0]) / H)
+        assert K_wide > K
+        assert _weight_rows(kern, u, H)[0][-1] == K
+        assert _weight_rows(wide, u, H)[0][-1] == K_wide
+
+    def test_constant_var_broadcasts(self, kin_grid, kin_density):
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        sigma2 = float(kern.var(np.asarray([0.5]))[0])     # a = beta: constant
+        const = replace(kern, var=lambda u: sigma2,
+                        support_radius=lambda u: 4.0 * math.sqrt(sigma2))
+        assert np.array_equal(
+            master_step(kin_density, kin_grid, const, None, 1e-4),
+            master_step(kin_density, kin_grid, kern, None, 1e-4))
 
 
 class TestDiffusiveLimit:

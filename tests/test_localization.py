@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenstein import localization
 from degenstein.errors import DomainError, GeometryError
 from degenstein.localization import (CutoffFamily, ExponentPack,
                                      de_giorgi_trace, default_j, empty_radius,
@@ -23,6 +24,7 @@ from degenstein.solver import EpsProblem, GridSpec, SolveTrace, solve
 
 X0 = (0.5,)
 R, RP = 0.4, 0.2
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +264,71 @@ class TestDeGiorgiTrace:
                              estimate=False)
         text = json.dumps(dg.to_dict(), sort_keys=True)
         assert "threshold" in text and "exponents" in text
+
+
+def _field_grad_energy(w, grid):
+    """1-D gradient energy of one field, written out."""
+    h = grid.h[0]
+    gx = np.empty_like(w)
+    gx[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
+    gx[0] = (w[1] - w[0]) / h
+    gx[-1] = (w[-1] - w[-2]) / h
+    return float(np.sum(gx * gx)) * grid.cell_volume
+
+
+def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime):
+    """energy_Y as one Python pass per snapshot of the schedule, each
+    field's H and G evaluated on its own: the bit-for-bit reference of the
+    stacked pass (1-D traces)."""
+    grid = trace.grid
+    theta = cutoffs.theta(grid, n)
+    times, fields = [], []
+    for t, f in zip(trace.times, trace.fields):
+        if t <= T_prime * (1 + 1e-12):
+            times.append(min(float(t), T_prime))
+            fields.append(f)
+    if times[-1] < T_prime * (1 - 1e-12):
+        times.append(T_prime)
+        fields.append(trace.field_at(T_prime))
+    sup_mass, grads = 0.0, []
+    for u in fields:
+        H = table_state_eval(table, "H", u)
+        G = table_state_eval(table, "G", u)
+        sup_mass = max(sup_mass,
+                       float(np.sum(theta * theta * H)) * grid.cell_volume)
+        grads.append(_field_grad_energy(theta * G, grid))
+    time_term = float(_trapezoid(grads, times)) if len(times) > 1 else 0.0
+    return T_prime ** pack.beta_exp * (sup_mass + time_term)
+
+
+class TestStackedEnergies:
+    """energy_Y reads the stored snapshots' H and G as one stack per (trace,
+    table) and reduces it row by row; every value is that of the loop over
+    snapshots, bit for bit."""
+
+    def test_probes_match_the_snapshot_loop(self, desk_trace_beta1, cutoffs,
+                                            desk_pack, beta1_table):
+        T = desk_trace_beta1.T
+        # stored instants, between them, tiny horizons and T itself
+        for T_prime in (0.0, 1e-9, 0.3 * T / 32, T / 32, 0.51 * T, T):
+            for n in (0, 3, 6):
+                got = energy_Y(desk_trace_beta1, cutoffs, desk_pack,
+                               beta1_table, n, T_prime)
+                want = _per_snapshot_energy_Y(desk_trace_beta1, cutoffs,
+                                              desk_pack, beta1_table, n,
+                                              T_prime)
+                assert got == want, (T_prime, n)
+
+    def test_de_giorgi_trace_matches_the_snapshot_loop(
+            self, desk_trace_beta1, cutoffs, desk_pack, beta1_table,
+            monkeypatch):
+        got = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
+                              beta1_table)
+        monkeypatch.setattr(localization, "energy_Y", _per_snapshot_energy_Y)
+        want = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
+                               beta1_table)
+        assert np.array_equal(got.Y, want.Y)
+        assert got.T_prime == want.T_prime > 0.0
 
 
 class TestTPrime:

@@ -181,6 +181,65 @@ class TestPchipMatchesScipy:
         assert _Pchip(x, y[:, 0])(0.25).shape == ()
 
 
+def _clamp_path(itp, x, q):
+    """_Pchip's call before the padded gather, kept as the bit-for-bit
+    reference: the segment index clamped to [0, nseg - 1] on both sides,
+    the left nodes and the coefficient rows gathered apart, on a raveled
+    query."""
+    nseg = x.size - 1
+    ncol = itp._block.shape[1] if itp._block.ndim == 3 else 1
+    c = itp._block[1:, ..., :nseg].reshape(4 * ncol, nseg)
+    q = np.asarray(q, dtype=float)
+    qf = q.ravel()
+    if itp._inv_step is not None:
+        i = ((qf - x[0]) * itp._inv_step).astype(np.intp)
+    else:
+        i = x.searchsorted(qf, side="right") - 1
+    i = np.clip(i, 0, nseg - 1)
+    dx = qf - x.take(i)
+    c = c.take(i, axis=1).reshape(4, ncol, qf.size)
+    out = ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
+    return out.reshape((ncol,) + q.shape) if ncol > 1 else out.reshape(q.shape)
+
+
+class TestPchipGather:
+    """One padded gather per call against the clamp path, bit for bit."""
+
+    @pytest.mark.parametrize("nodes", ["uniform", "non_uniform"])
+    @pytest.mark.parametrize("ncol", [1, 2])
+    def test_matches_the_clamp_path(self, nodes, ncol):
+        x = _nodes(nodes)
+        y = _data("non_monotone", x)
+        if ncol == 2:
+            y = np.column_stack([y, _data("monotone", x)])
+        itp = _Pchip(x, y)
+        below, above = np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)
+        q = np.concatenate([
+            x, 0.5 * (x[1:] + x[:-1]),                   # every node, midpoints
+            [x[0], x[-1], below, above,                  # the ends, roundoff
+             x[0] - 1e-12, x[-1] + 1e-12,                # slack
+             x[0] - 0.3, x[-1] + 0.3, x[0] - 50.0, x[-1] + 50.0]])
+        for qs in (q, q[:q.size // 2 * 2].reshape(2, -1)):
+            got = itp(qs)
+            want = _clamp_path(itp, x, qs)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        for point in (x[0], x[-1], below, 0.37):
+            assert np.array_equal(itp(point), _clamp_path(itp, x, point))
+
+    def test_table_evaluation_at_the_domain_edges(self, beta1_table):
+        tab = beta1_table
+        lo, hi = tab.s_min, tab.M
+        s = np.concatenate([tab.s, np.geomspace(lo, hi, 777),
+                            [lo * (1.0 - 5e-13), hi * (1.0 + 5e-13)]])
+        _, itp = tab._interpolator(("F", "h"))
+        want = np.exp(_clamp_path(itp, np.log(tab.s),
+                                  np.log(np.clip(s, lo, hi))))
+        assert np.array_equal(tab.eval(("F", "h"), s), want)
+        assert np.array_equal(tab.eval(("F", "h"), s, (s.min(), s.max())),
+                              want)
+
+
 class _ScipyPchip:
     """PchipInterpolator behind _Pchip's call contract."""
 
@@ -220,8 +279,15 @@ def scipy_kernels(monkeypatch, scipy_interpolate, scipy_integrate):
     """Route coeffs through PchipInterpolator and quad while active: the
     profile, I and G integrals all come from QUADPACK.  use() returns the
     segment counts of the calls build_table's G pass made to
-    `_gauss_kronrod`, so a test can check that G really went through quad."""
-    g_calls = []
+    `_gauss_kronrod`, so a test can check that G really went through quad,
+    and the query sizes of every call the oracle interpolant served, so a
+    path that bypassed it would fail instead of checking nothing."""
+    g_calls, pchip_calls = [], []
+
+    class CountingPchip(_ScipyPchip):
+        def __call__(self, x):
+            pchip_calls.append(np.size(x))
+            return super().__call__(x)
 
     def gauss_kronrod(fn, a, b):
         # QUADPACK on every [a_j, b_j] behind _gauss_kronrod's contract
@@ -230,10 +296,10 @@ def scipy_kernels(monkeypatch, scipy_interpolate, scipy_integrate):
                           for x, y in zip(a, b)]), np.zeros(a.size))
 
     def use():
-        monkeypatch.setattr(coeffs, "_Pchip", _ScipyPchip)
+        monkeypatch.setattr(coeffs, "_Pchip", CountingPchip)
         monkeypatch.setattr(coeffs, "_quad_segments", _scipy_quad_segments)
         monkeypatch.setattr(coeffs, "_gauss_kronrod", gauss_kronrod)
-        return g_calls
+        return g_calls, pchip_calls
     return use
 
 
@@ -264,10 +330,12 @@ class TestTablesMatchScipyPath:
     def test_catalog_tables(self, scipy_kernels, entry):
         lam = LambdaChoice(entry.Lambda)
         ours = build_table(entry.make_profile(), lam, **entry.build_opts)
-        g_calls = scipy_kernels()
+        g_calls, pchip_calls = scipy_kernels()
         ref = build_table(entry.make_profile(), lam, **entry.build_opts)
-        # sqrt(F') and F' over every segment, both through quad
+        # sqrt(F') and F' over every segment, both through quad, with the
+        # F' model read through PchipInterpolator
         assert g_calls == [ref.s.size - 1] * 2
+        assert pchip_calls
         assert np.array_equal(ours.s, ref.s)
         assert _max_rel(ours, ref) <= 1e-13
 
@@ -280,9 +348,10 @@ class TestTablesMatchScipyPath:
             return build_table(prof, LambdaChoice(1.0))
 
         ours = make()
-        g_calls = scipy_kernels()
+        g_calls, pchip_calls = scipy_kernels()
         ref = make()
         assert g_calls == [ref.s.size - 1] * 2
+        assert pchip_calls
         assert _max_rel(ours, ref) <= 1e-8
 
 

@@ -201,6 +201,41 @@ class TestConvergenceAndEnergy:
         E = grad_energy(2.0 * x, grid)  # |grad| = 2 everywhere
         assert E == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [(64,), (801,), (40, 56), (96, 100)])
+    def test_stacked_grad_energies_match_the_field_formula(self, rng, n):
+        # each row of a stack, summed pairwise over its cells, against the
+        # per-field differences and sums written out; (96, 100) exceeds
+        # numpy's 8192-element buffer
+        grid = GridSpec(extent=((0.0, 1.0),) * len(n), n=n)
+        stack = rng.uniform(0.0, 1.0, (5,) + n)
+        got = solver_mod._grad_energies(stack, grid)
+        for row, u in zip(got, stack):
+            assert row == _field_grad_energy(u, grid) == grad_energy(u, grid)
+
+
+def _field_grad_energy(values, grid):
+    """grad_energy of one field as it was written before the stacked pass:
+    centered differences inside, one-sided at the edges, per axis."""
+    comps = []
+    h = grid.h
+    if grid.dim == 1:
+        gx = np.empty_like(values)
+        gx[1:-1] = (values[2:] - values[:-2]) / (2.0 * h[0])
+        gx[0] = (values[1] - values[0]) / h[0]
+        gx[-1] = (values[-1] - values[-2]) / h[0]
+        comps.append(gx)
+    else:
+        gx = np.empty_like(values)
+        gx[1:-1, :] = (values[2:, :] - values[:-2, :]) / (2.0 * h[0])
+        gx[0, :] = (values[1, :] - values[0, :]) / h[0]
+        gx[-1, :] = (values[-1, :] - values[-2, :]) / h[0]
+        gy = np.empty_like(values)
+        gy[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * h[1])
+        gy[:, 0] = (values[:, 1] - values[:, 0]) / h[1]
+        gy[:, -1] = (values[:, -1] - values[:, -2]) / h[1]
+        comps.extend([gx, gy])
+    return float(sum(np.sum(c * c) for c in comps)) * grid.cell_volume
+
 
 class TestBoundaryWeight:
     def test_nonconstant_psi_transient_reported(self, beta1_table, desk_grid):
@@ -381,6 +416,19 @@ def _falling_D_table():
     ones = np.ones_like(s)
     return CoefficientTable(s=s, I=ones, H=s, h=1.0 + 10.0 * s, F=ones,
                             Fprime=0.0 * s, G=0.0 * s)
+
+
+class TestDeskStepPlacement:
+    def test_desk_seed_zero_counts(self, beta1_table):
+        # the benchmark desk's seed-0 inputs: counts that depend on no
+        # machine and pin where every step lands and how wide its window is
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(801,))
+        prob = EpsProblem(table=beta1_table, eps=1e-6,
+                          g=bump((-0.6,), 0.2, 0.2), psi=1.0,
+                          omega_prime=((0.5,), 0.4))
+        trace = solve(prob, grid, 0.05, 33)
+        assert trace.n_steps == 5478
+        assert trace.cell_updates == 952_653
 
 
 class TestActiveWindow:
