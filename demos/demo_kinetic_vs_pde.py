@@ -31,11 +31,11 @@ for n, dt in ((401, 1.5e-4), (801, 7.5e-5)):
     pde = trace.fields[-1] - prob.eps
 
     d0 = grid.sample(shape)
-    times, fields = run_master(d0, grid, kern, None, T, dt)
+    times, master = run_master(d0, grid, kern, None, T, dt)
     vol = grid.cell_volume
     mass0 = d0.sum() * vol
-    drift = abs(fields[-1].sum() * vol - mass0) / mass0
-    gap = np.abs(fields[-1] - pde).sum() * vol / mass0
+    drift = abs(master.sum() * vol - mass0) / mass0
+    gap = np.abs(master - pde).sum() * vol / mass0
     print(f"n={n:4d}, dt={dt:.1e}: {len(times) - 1} jumps, "
           f"mass drift {drift:.1e}, L1 gap to PDE = {gap:.4%}")
 

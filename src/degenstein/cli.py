@@ -499,15 +499,15 @@ def cmd_kinetic_compare(args) -> int:
             shape=kin.get("shape", "gaussian_truncated"))
         d0 = grid.sample(prob.g)
         dt = float(kin.get("dt", kin.get("tau0", 1.5e-4)))
-        _, fields = kinetic.run_master(d0, grid, kernel, None, cfg.T, dt)
+        _, master = kinetic.run_master(d0, grid, kernel, None, cfg.T, dt)
         pde = trace.fields[-1] - prob.eps
         vol = grid.cell_volume
         mass = float(d0.sum()) * vol
-        l1 = float(np.abs(fields[-1] - pde).sum()) * vol
+        l1 = float(np.abs(master - pde).sum()) * vol
     with _phase(EXIT_IO, "write"):
         x = grid.axis_centers(0)
         _write_csv(os.path.join(out, "kinetic.csv"), "x,master,pde",
-                   [x, fields[-1], pde])
+                   [x, master, pde])
         write_json(os.path.join(out, "kinetic.json"), {
             "T": cfg.T, "dt": dt, "mass": mass, "l1_distance": l1,
             "l1_over_mass": l1 / mass if mass > 0 else 0.0,

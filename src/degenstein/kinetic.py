@@ -294,6 +294,9 @@ def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
         occ = u[src]
         tau = np.asarray(kernel.tau(occ), dtype=float)
         tau_min = float(tau.min())
+        # negated, so a NaN waiting time is rejected here
+        if not tau_min > 0.0:
+            raise DomainError(f"waiting times must be positive, got {tau_min!r}")
         if dt > tau_min * (1.0 + 1e-12):
             raise StepError(
                 f"dt={dt:g} exceeds the fastest waiting time {tau_min:g}")
@@ -348,21 +351,19 @@ def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
                sink: Optional[SinkTerm], T: float, dt: float,
                closure: str = "reflect"):
     """March master_step to time T (last step truncated to land exactly);
-    returns (times, fields) with initial and final states included.  T and
-    dt must be positive and finite; the weight rows carry over between
-    steps while (shape, widths, K, h) is unchanged."""
+    returns (times, u_T): the end time of every step, starting at 0.0, and
+    the density at T.  One density is held at a time.  T and dt must be
+    positive and finite; the weight rows carry over between steps while
+    (shape, widths, K, h) is unchanged."""
     _positive_finite("final time T", T)
     _positive_finite("dt", dt)
     rows_of = _LastRows()
     u = np.asarray(density0, dtype=float).copy()
     times = [0.0]
-    fields = [u]
     t = 0.0
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
-        # each step returns a new array, so the stored fields stay as they are
         u = _step(u, grid, kernel, sink, step, closure, rows_of)
         t += step
         times.append(t)
-        fields.append(u)
-    return np.asarray(times), fields
+    return np.asarray(times), u

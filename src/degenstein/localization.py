@@ -56,6 +56,9 @@ class CutoffFamily:
     x0: tuple
     R: float
     Rp: float
+    # theta_n per (grid, n), built on first use
+    _thetas: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.Rp < self.R):
@@ -82,11 +85,17 @@ class CutoffFamily:
 
     def theta(self, grid: GridSpec, n: int) -> np.ndarray:
         """Cutoff theta_n on the grid: 1 inside B_{R_{n+1}}, 0 outside
-        B_{R_n}, linear ramp in between (slope b^{n+1}/R)."""
-        self.check_inside(grid)
-        d = grid.distance_to(self.x0)
-        Rn, Rn1 = self.R_n(n), self.R_n(n + 1)
-        return np.clip((Rn - d) / (Rn - Rn1), 0.0, 1.0)
+        B_{R_n}, linear ramp in between (slope b^{n+1}/R).  Built once per
+        (grid, n) and kept, read-only, for the many energy probes."""
+        theta = self._thetas.get((grid, n))
+        if theta is None:
+            self.check_inside(grid)
+            d = grid.distance_to(self.x0)
+            Rn, Rn1 = self.R_n(n), self.R_n(n + 1)
+            theta = np.clip((Rn - d) / (Rn - Rn1), 0.0, 1.0)
+            theta.flags.writeable = False
+            self._thetas[grid, n] = theta
+        return theta
 
 
 def default_j(N_dim: int) -> float:

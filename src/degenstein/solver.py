@@ -21,9 +21,10 @@ share the table, grid, g, psi, u_max and safety and differ only in the floor
 eps.  `eps_sweep` marches its whole ladder in lock step, so each numpy call
 serves every rung, and `solve` is the march of a stack of one.  eps is a
 per-rung column, so D = (F + eps)/h broadcasts; each rung keeps its own
-time, step (the CFL bound from its own max D, capped at T - t), tripwires,
-snapshots and dissipation sum, and leaves the stack at the step where it
-reaches T.
+time, step (the CFL bound from its own max D, capped at T - t) and
+tripwires, and leaves the stack at the step where it reaches T.  A march
+that builds traces also keeps each rung's snapshots, step histories and
+dissipation sum; the ladder's keeps only each rung's field at T.
 
 The kernel steps only the active window, the bounding box of the cells that
 differ from their rung's floor, plus one cell, over all rungs: the localized
@@ -416,11 +417,10 @@ class _Kernel:
         values elsewhere; D is the diffusivity call's, dts, lo and hi are
         the rungs' steps and extrema of values.
 
-        Returns the rungs' extrema of out and their sums of du^2/D over the
-        interior (the dissipation integrand of the step), after raising
-        RangeError if a rung's out leaves its admissible range or its
-        interior update breaks the discrete maximum principle (neither can
-        happen under the CFL bound; the checks are tripwires).
+        Returns the rungs' extrema of out, after raising RangeError if a
+        rung's out leaves its admissible range or its interior update
+        breaks the discrete maximum principle (neither can happen under the
+        CFL bound; the checks are tripwires).
         """
         self.dt[:] = dts
         old, new, Dw, w = values[self.win], out[self.win], D[self.inner], self.w
@@ -428,6 +428,7 @@ class _Kernel:
         w *= _laplacian(values[self.slab], self.grid)
         np.add(old, w, out=new)
         self.cell_updates += self.size
+        self.last = old, new, Dw
         new_lo = np.minimum.reduce(new, self.axes).tolist()
         new_hi = np.maximum.reduce(new, self.axes).tolist()
         out_lo, out_hi = [], []
@@ -447,11 +448,18 @@ class _Kernel:
                                  f"violated")
             out_lo.append(o_lo)
             out_hi.append(o_hi)
-        # du^2/D with du the rounded update, in the full-grid order
+        return out_lo, out_hi
+
+    def dissipation(self) -> list:
+        """The rungs' sums of du^2/D over the interior for the last step
+        (the dissipation integrand), du the rounded update, summed in the
+        full-grid order."""
+        old, new, Dw = self.last
+        w = self.w
         np.subtract(new, old, out=w)
         w *= w
         w /= Dw
-        return out_lo, out_hi, np.add.reduce(self.work, self.axes).tolist()
+        return np.add.reduce(self.work, self.axes).tolist()
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -536,20 +544,45 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
     return times
 
 
+MAX_STEPS = 50_000_000
+
+
+def _check_budget(kern: _Kernel, D: np.ndarray, bound: list, T: float) -> None:
+    """CflError when a rung's CFL step projects more than MAX_STEPS steps to
+    T, naming its max D and the cell where it occurs."""
+    for r, b in enumerate(bound):
+        if T > MAX_STEPS * b:            # False for a NaN step
+            at = np.unravel_index(int(np.argmax(D[r])), D[r].shape)
+            # the slab starts one cell before the window on each axis
+            cell = tuple(int(i) + a - 1 for i, (a, _) in zip(at, kern.bounds))
+            x = ", ".join(f"{kern.grid.axis_centers(k)[c]:.4g}"
+                          for k, c in enumerate(cell))
+            raise CflError(
+                f"eps={kern.eps[r]:g}: max D = {float(D[r][at]):.3g} at cell "
+                f"{cell}, x = ({x}): CFL steps of {b:.3g} project "
+                f"{T / b if b > 0 else math.inf:.3g} steps to T={T:g}, over "
+                f"the budget of {MAX_STEPS}")
+
+
 def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
-           snapshot_times: Union[None, int, Sequence[float]]) -> list:
+           snapshot_times: Union[None, int, Sequence[float]],
+           ledger: bool = True) -> list:
     """March a stack of rungs in lock step to time T; one SolveTrace per
-    rung, in the order given.
+    rung, in the order given.  With ledger=False the march keeps no
+    dissipation sums, histories or snapshots, and a rung's entry is its
+    field at T alone, bit for bit its trace's last field.
 
     The rungs must differ only in eps (share the table, g, psi, u_max and
     safety; `eps_sweep` builds them with `dataclasses.replace`), since the
     kernel holds the first rung's.  Each rung's trace is the one its own
     one-rung march gives, bit for bit (see `_Kernel`); its cell_updates
-    counts the cells of the shared window it stepped.
+    counts the cells of the shared window it stepped.  After the first
+    step, a rung whose CFL step projects more than MAX_STEPS steps to T
+    raises CflError.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
-    snap_times = _resolve_snapshots(snapshot_times, T)
+    snap_times = _resolve_snapshots(snapshot_times if ledger else 2, T)
     snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
 
     g_vals, psi_vals = probs[0].sample_on(grid)
@@ -567,11 +600,11 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
 
     vol = grid.cell_volume
     n = len(probs)
-    fields = [[f.copy()] for f in u]
+    fields = [[f.copy()] if ledger else [] for f in u]
     snap_diss = [np.zeros(n_snap) for _ in range(n)]
     dt_hist = [[] for _ in range(n)]
     max_hist = [[] for _ in range(n)]
-    traces = [None] * n
+    results = [None] * n
     # per stack row: the rung it holds, its time, dissipation sum, next
     # snapshot and that snapshot's time (inf once all are taken); the steps
     # and maxima since the stack last changed, a row of the stack per step
@@ -582,31 +615,37 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
     dt_rows, hi_rows = [], []
     u_lo, u_hi = u.min(axis=axes).tolist(), u.max(axis=axes).tolist()
     t_end = T - tol
-    max_steps = 50_000_000
-    for _ in range(max_steps):
+    for k in range(MAX_STEPS):
         if not live:
             break
         D, bound = kern.diffusivity(u, min(u_lo), max(u_hi))
         dts = [min(b, T - t) for b, t in zip(bound, ts)]
         new = spare
-        # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
-        # sums of du^2/D, divided by dt below
-        u_lo, u_hi, sums = kern.step(u, D, dts, u_lo, u_hi, out=new)
+        u_lo, u_hi = kern.step(u, D, dts, u_lo, u_hi, out=new)
+        if not k:
+            _check_budget(kern, D, bound, T)
+        if ledger:
+            # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the
+            # step's sums of du^2/D, divided by dt below
+            sums = kern.dissipation()
+            dt_rows += dts
+            hi_rows += u_hi
         done = []
         for r, dt in enumerate(dts):
-            t, diss_old = ts[r], diss[r]
-            diss[r] = diss_new = diss_old + sums[r] / dt * vol
+            t = ts[r]
             ts[r] = t_new = t + dt
+            if ledger:
+                diss_old = diss[r]
+                diss[r] = diss_new = diss_old + sums[r] / dt * vol
             while due[r] <= t_new + tol:
                 w = (due[r] - t) / dt
                 fields[live[r]].append(u[r] + w * (new[r] - u[r]))
-                snap_diss[live[r]][nxt[r]] = diss_old + w * (diss_new - diss_old)
+                if ledger:
+                    snap_diss[live[r]][nxt[r]] = diss_old + w * (diss_new - diss_old)
                 nxt[r] += 1
                 due[r] = snaps[nxt[r]]
             if t_new >= t_end:
                 done.append(r)
-        dt_rows += dts
-        hi_rows += u_hi
         spare, u = u, new
         if done:
             for r, i in enumerate(live):
@@ -620,13 +659,14 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
                     snap_diss[i][nxt[r]] = diss[r]
                     nxt[r] += 1
                 assert nxt[r] == n_snap, "snapshot schedule not exhausted"
-                traces[i] = SolveTrace(
+                results[i] = SolveTrace(
                     grid=grid, prob=probs[i], times=snap_times.copy(),
                     fields=fields[i], dissipation=snap_diss[i],
                     dt_history=np.asarray(dt_hist[i]),
                     max_u_history=np.asarray(max_hist[i]),
                     boundary_transient=boundary_transient[i],
-                    n_steps=len(dt_hist[i]), cell_updates=kern.cell_updates)
+                    n_steps=len(dt_hist[i]), cell_updates=kern.cell_updates
+                ) if ledger else fields[i][-1]
             rows = [r for r in range(len(live)) if r not in done]
             live, ts, diss, nxt, due, u_lo, u_hi = (
                 [x[r] for r in rows]
@@ -636,7 +676,7 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
                 u, spare = u[rows], spare[rows]
     else:
         raise CflError("step budget exhausted before reaching T")
-    return traces
+    return results
 
 
 def solve(prob: EpsProblem, grid: GridSpec, T: float,
@@ -711,21 +751,22 @@ class SweepResult:
 
 
 def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
-              eps_values: Sequence[float],
-              snapshot_times: Union[None, int, Sequence[float]] = 2) -> SweepResult:
+              eps_values: Sequence[float]) -> SweepResult:
     """Re-solve the same problem over a decreasing ladder of floors and
     report L1 gaps between consecutive final-time fields.
 
     The ladder is one lock-step march: a rung per floor, each `prob` with
     only eps replaced, all stepped by the same numpy calls over the union of
-    their active windows.  Each final field is bit for bit the one `solve`
-    gives for its rung alone, and a RangeError names the rung's eps.
+    their active windows.  The march keeps each rung's field at T and
+    nothing else: no dissipation sums, step histories or snapshots.  Each
+    final field is bit for bit the one `solve` gives for its rung alone, and
+    a RangeError names the rung's eps.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:
         raise DomainError("need at least two floor values")
     rungs = [replace(prob, eps=float(e)) for e in eps_values]
-    finals = [tr.fields[-1] for tr in _march(rungs, grid, T, snapshot_times)]
+    finals = _march(rungs, grid, T, None, ledger=False)
     vol = grid.cell_volume
     distances = np.array([
         float(np.sum(np.abs(a - b))) * vol for a, b in zip(finals, finals[1:])

@@ -197,10 +197,10 @@ def test_criterion_6_kinetic_diffusive_limit():
             trace = solve(prob, grid, 0.01, 2)
             pde = trace.fields[-1] - prob.eps
             d0 = grid.sample(shape)
-            _, fields = run_master(d0, grid, kern, None, 0.01, dt)
+            _, master = run_master(d0, grid, kern, None, 0.01, dt)
             vol = grid.cell_volume
             mass = float(d0.sum()) * vol
-            gaps[n] = float(np.abs(fields[-1] - pde).sum()) * vol / mass
+            gaps[n] = float(np.abs(master - pde).sum()) * vol / mass
         assert gaps[401] <= 0.05 and gaps[801] <= 0.05, gaps
         assert gaps[801] < gaps[401], gaps
 

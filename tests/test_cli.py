@@ -21,6 +21,7 @@ from degenstein.cli import (EXIT_COEFFS, EXIT_CONFIG, EXIT_IO,
                             EXIT_SOLVER, PROFILE_KINDS, ExperimentConfig,
                             build_parser, main)
 from degenstein.coeffs import exp_zeta_profile
+from degenstein import solver as solver_mod
 from degenstein.errors import ConfigError
 
 BASE = {
@@ -536,3 +537,35 @@ class TestConfigFuzz:
         code = main([command, "--config", str(path),
                      "--out", str(root / "out"), "--quiet"])
         assert code == EXIT_CONFIG, (mutations, command, code)
+
+
+class TestStiffKinds:
+    """On the README config, exp_zeta_slow and exp_inv (at its s_min floor
+    1e-2) put D(eps) = (F(eps) + eps)/h(eps) near 1e33: a CFL step near
+    1e-39, whose march would spin for about 40 minutes before its step
+    budget.  The first step's projection exits 4 instead."""
+
+    @pytest.mark.parametrize("kind,floor", [("exp_zeta_slow", None),
+                                            ("exp_inv", 1e-2)])
+    def test_solve_exits_4_after_one_step(self, tmp_path, monkeypatch, kind,
+                                          floor):
+        steps = []
+        step = solver_mod._Kernel.step
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["profile"] = {"kind": kind, "M": 1.0}
+        if floor is not None:
+            cfg["table"]["s_min"] = cfg["eps"] = floor
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(tmp_path, "solve", "--config", str(path))
+        assert code == EXIT_SOLVER
+        err = load_json(out, "error.json")
+        assert err["error"] == "CflError" and err["phase"] == "solve"
+        assert "max D" in err["message"] and "budget" in err["message"]
+        assert len(steps) == 1

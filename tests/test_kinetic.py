@@ -7,6 +7,7 @@ which is the non-divergence-form flux term, not noise.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -335,35 +336,29 @@ class TestFoldsMatchReference:
 
 
 def reference_march(u, grid, kernel, T, dt, closure):
-    """run_master's time loop over reference_master_step."""
-    t, times, fields = 0.0, [0.0], [u]
+    """run_master's time loop over reference_master_step: (times, u_T)."""
+    t, times = 0.0, [0.0]
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
         u = reference_master_step(u, grid, kernel, None, step, closure)
         t = t + step
         times.append(t)
-        fields.append(u)
-    return times, fields
+    return times, u
 
 
 class TestRunMaster:
+    """run_master returns every step's end time and the density at T; the
+    per-step densities are covered by the master_step reference tests."""
+
     def test_matches_reference_loop(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        times, fields = run_master(kin_density, kin_grid, kern, None,
-                                   T=0.01, dt=1.5e-4)
-        u, t = kin_density.copy(), 0.0
-        ref_times, ref_fields = [t], [u]
-        while t < 0.01 - 1e-15 * 0.01:
-            step = min(1.5e-4, 0.01 - t)
-            u = reference_master_step(u, kin_grid, kern, None, step,
-                                      "reflect")
-            t = t + step
-            ref_times.append(t)
-            ref_fields.append(u)
+        times, u_T = run_master(kin_density, kin_grid, kern, None,
+                                T=0.01, dt=1.5e-4)
+        ref_times, ref_u = reference_march(kin_density.copy(), kin_grid,
+                                           kern, 0.01, 1.5e-4, "reflect")
+        assert len(times) == 68
         assert np.array_equal(times, ref_times)
-        assert len(fields) == len(ref_fields) == 68
-        for got, want in zip(fields, ref_fields):
-            assert np.array_equal(got, want)
+        assert np.array_equal(u_T, ref_u)
 
     @pytest.mark.parametrize("closure", ["reflect", "periodic"])
     @pytest.mark.parametrize("shape", ["gaussian_truncated", "triangular"])
@@ -380,29 +375,48 @@ class TestRunMaster:
         assert K >= 10 and np.unique(W, axis=0).shape[0] > 10
         assert occupied[0] < K and occupied[-1] >= u0.size - K
         dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u0.max()])))[0])
-        times, fields = run_master(u0, kin_grid, kern, None, T=24 * dt,
-                                   dt=dt, closure=closure)
-        ref_times, ref_fields = reference_march(u0, kin_grid, kern, 24 * dt,
-                                                dt, closure)
+        times, u_T = run_master(u0, kin_grid, kern, None, T=24 * dt,
+                                dt=dt, closure=closure)
+        ref_times, ref_u = reference_march(u0, kin_grid, kern, 24 * dt,
+                                           dt, closure)
+        assert len(times) >= 25
         assert np.array_equal(times, ref_times)
-        assert len(fields) == len(ref_fields) >= 25
-        for got, want in zip(fields, ref_fields):
-            assert np.array_equal(got, want)
+        assert np.array_equal(u_T, ref_u)
 
     def test_lands_exactly_on_horizon(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        times, fields = run_master(kin_density, kin_grid, kern, None,
-                                   T=1.03e-3, dt=2.5e-4)
+        times, u_T = run_master(kin_density, kin_grid, kern, None,
+                                T=1.03e-3, dt=2.5e-4)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(1.03e-3, rel=1e-12)
-        assert len(times) == len(fields) == 6      # 4 full steps + truncated
+        assert len(times) == 6      # 4 full steps + truncated
         assert np.all(np.diff(times) > 0)
+        assert u_T.shape == kin_density.shape
 
     def test_input_density_not_mutated(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         before = kin_density.copy()
         run_master(kin_density, kin_grid, kern, None, T=5e-4, dt=2.5e-4)
         assert np.array_equal(kin_density, before)
+
+    def test_memory_does_not_grow_with_the_steps(self, kin_grid):
+        # a density that fills the domain keeps every step's temporaries
+        # the same size, so four times the steps may add only the longer
+        # times array, not a density per step
+        u0 = 0.05 + kin_grid.sample(bump((0.0,), 0.3, 0.05, shape="cos2"))
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                run_master(u0, kin_grid, kern, None, T=steps * 1e-4, dt=1e-4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)                       # first-call allocations out of the way
+        short, long = peak(10), peak(40)
+        assert long - short <= 2 * u0.nbytes, (short, long, u0.nbytes)
 
 
 _NOT_POSITIVE_FINITE = pytest.mark.parametrize(
@@ -435,12 +449,12 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError, match="nonnegative"):
             master_step(u, kin_grid, kern, None, 1.5e-4)
 
-    def test_nan_result_trips_the_density_check(self, kin_grid, kin_density):
-        # a NaN waiting time gives NaN emission fractions, which no earlier
-        # check sees; the result's density check does
+    def test_nan_waiting_time_rejected(self, kin_grid, kin_density):
+        # dt > NaN is False; the negated check rejects a NaN waiting time
+        # before it becomes NaN emission fractions
         kern = replace(power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0),
                        tau=lambda u: np.full_like(u, math.nan))
-        with pytest.raises(RangeError, match="negative or NaN"):
+        with pytest.raises(DomainError, match="waiting times"):
             master_step(kin_density, kin_grid, kern, None, 1.5e-4)
 
     def test_nan_sink_rate_rejected(self, kin_grid, kin_density):
@@ -515,9 +529,9 @@ class TestDiffusiveLimit:
         trace = solve(prob, kin_grid, 0.01, 2)
         pde = trace.fields[-1] - prob.eps
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        _, fields = run_master(kin_density, kin_grid, kern, None, 0.01,
+        _, master = run_master(kin_density, kin_grid, kern, None, 0.01,
                                1.5e-4)
         vol = kin_grid.cell_volume
         mass = kin_density.sum() * vol
-        gap = np.abs(fields[-1] - pde).sum() * vol / mass
+        gap = np.abs(master - pde).sum() * vol / mass
         assert gap <= 0.05            # measured ~1.33%: the flux-term gap

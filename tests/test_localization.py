@@ -330,6 +330,31 @@ class TestStackedEnergies:
         assert np.array_equal(got.Y, want.Y)
         assert got.T_prime == want.T_prime > 0.0
 
+    def test_theta_built_once_per_n(self, desk_trace_beta1, desk_pack,
+                                    beta1_table, monkeypatch):
+        # Y_0..Y_6 and the T' bisection's many n = 0 probes
+        family = CutoffFamily(x0=X0, R=R, Rp=RP)
+        Y_fresh = [energy_Y(desk_trace_beta1, CutoffFamily(x0=X0, R=R, Rp=RP),
+                            desk_pack, beta1_table, n, desk_trace_beta1.T)
+                   for n in range(7)]
+        builds, probes = [], []
+        distance_to, probe = GridSpec.distance_to, localization.energy_Y
+
+        def counted_build(grid, x0):
+            builds.append(1)
+            return distance_to(grid, x0)
+
+        def counted_probe(*args):
+            probes.append(1)
+            return probe(*args)
+
+        monkeypatch.setattr(GridSpec, "distance_to", counted_build)
+        monkeypatch.setattr(localization, "energy_Y", counted_probe)
+        dg = de_giorgi_trace(desk_trace_beta1, family, desk_pack, beta1_table)
+        assert len(builds) == 7 < len(probes)
+        assert np.array_equal(dg.Y, Y_fresh)
+        assert not family.theta(desk_trace_beta1.grid, 0).flags.writeable
+
 
 class TestTPrime:
     def test_clean_state_certifies_full_horizon(self, cutoffs, desk_pack,
