@@ -56,9 +56,6 @@ class CutoffFamily:
     x0: tuple
     R: float
     Rp: float
-    # theta_n per (grid, n), built on first use
-    _thetas: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.Rp < self.R):
@@ -85,17 +82,11 @@ class CutoffFamily:
 
     def theta(self, grid: GridSpec, n: int) -> np.ndarray:
         """Cutoff theta_n on the grid: 1 inside B_{R_{n+1}}, 0 outside
-        B_{R_n}, linear ramp in between (slope b^{n+1}/R).  Built once per
-        (grid, n) and kept, read-only, for the many energy probes."""
-        theta = self._thetas.get((grid, n))
-        if theta is None:
-            self.check_inside(grid)
-            d = grid.distance_to(self.x0)
-            Rn, Rn1 = self.R_n(n), self.R_n(n + 1)
-            theta = np.clip((Rn - d) / (Rn - Rn1), 0.0, 1.0)
-            theta.flags.writeable = False
-            self._thetas[grid, n] = theta
-        return theta
+        B_{R_n}, linear ramp in between (slope b^{n+1}/R)."""
+        self.check_inside(grid)
+        d = grid.distance_to(self.x0)
+        Rn, Rn1 = self.R_n(n), self.R_n(n + 1)
+        return np.clip((Rn - d) / (Rn - Rn1), 0.0, 1.0)
 
 
 def default_j(N_dim: int) -> float:
@@ -252,17 +243,21 @@ def _stored_H_G(trace: SolveTrace, table: CoefficientTable):
 
 
 def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
-             table: CoefficientTable, n: int, T_prime: float) -> float:
+             table: CoefficientTable, n: int, T_prime: float, *,
+             theta: Optional[np.ndarray] = None) -> float:
     """Quadrature value of Y_n[T'] on a solver trace.
 
     The sup runs over stored snapshots (a lower bound of the true sup); the
     space-time term is a trapezoid in time of the centered-difference
     gradient energy of the product theta_n * G(u).  Both are one row-wise
     pass over the cached H and G stacks of the stored snapshots, joined by
-    the interpolated endpoint's row when T' falls between two.
+    the interpolated endpoint's row when T' falls between two.  theta, if
+    given, must be cutoffs.theta(trace.grid, n); a caller that probes one n
+    many times builds it once.
     """
     grid = trace.grid
-    theta = cutoffs.theta(grid, n)
+    if theta is None:
+        theta = cutoffs.theta(grid, n)
     times, n_stored, tail = _snapshot_schedule(trace, T_prime)
     H, G = _stored_H_G(trace, table)
     H, G = H[:n_stored], G[:n_stored]
@@ -316,9 +311,12 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
     The verdict checks Y_n <= 2 D b^(2(n-1)) Y_{n-1}^(1+kj); the factor 2 is
     quadrature slack on top of the stored bound column.  T_prime in the
     result is the certified horizon from bisection (unless estimate=False).
+    Each theta_n is built once, the bisection reusing theta_0.
     """
     horizon = trace.T if T_prime is None else float(T_prime)
-    Y = np.array([energy_Y(trace, cutoffs, pack, table, n, horizon)
+    thetas = [cutoffs.theta(trace.grid, n) for n in range(n_max + 1)]
+    Y = np.array([energy_Y(trace, cutoffs, pack, table, n, horizon,
+                           theta=thetas[n])
                   for n in range(n_max + 1)])
     bound = np.full(n_max + 1, np.nan)
     d = pack.delta
@@ -331,25 +329,30 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
         "nonincreasing_after_1": bool(np.all(np.diff(Y[1:]) <= 1e-12 * max(Y.max(), 1e-300))),
         "y0_below_threshold": bool(Y[0] <= pack.threshold),
     }
-    Tp = estimate_T_prime(trace, cutoffs, pack, table) if estimate else horizon
+    Tp = (estimate_T_prime(trace, cutoffs, pack, table, theta0=thetas[0])
+          if estimate else horizon)
     return DeGiorgiTrace(T_prime=Tp, Y_horizon=horizon, Y=Y, bound=bound,
                          threshold=pack.threshold, verdict=verdict, pack=pack)
 
 
 def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
                      pack: ExponentPack, table: CoefficientTable,
-                     rtol: float = 1e-3) -> float:
+                     rtol: float = 1e-3, *,
+                     theta0: Optional[np.ndarray] = None) -> float:
     """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection; 0 if even
-    arbitrarily small horizons fail.
+    arbitrarily small horizons fail.  theta0, if given, must be
+    cutoffs.theta(trace.grid, 0); otherwise it is built here, once.
 
     Y_0[T'] is nondecreasing in T' and vanishes as T' -> 0 (the prefactor
     (T')^beta does), so the certified horizon is positive whenever the state
     has finite energy, though it can be far below T.
     """
     theta_L = pack.threshold
+    if theta0 is None:
+        theta0 = cutoffs.theta(trace.grid, 0)
 
     def y0(tp: float) -> float:
-        return energy_Y(trace, cutoffs, pack, table, 0, tp)
+        return energy_Y(trace, cutoffs, pack, table, 0, tp, theta=theta0)
 
     T = trace.T
     if y0(T) <= theta_L:

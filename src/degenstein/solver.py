@@ -21,10 +21,9 @@ share the table, grid, g, psi, u_max and safety and differ only in the floor
 eps.  `eps_sweep` marches its whole ladder in lock step, so each numpy call
 serves every rung, and `solve` is the march of a stack of one.  eps is a
 per-rung column, so D = (F + eps)/h broadcasts; each rung keeps its own
-time, step (the CFL bound from its own max D, capped at T - t) and
-tripwires, and leaves the stack at the step where it reaches T.  A march
-that builds traces also keeps each rung's snapshots, step histories and
-dissipation sum; the ladder's keeps only each rung's field at T.
+time, step (the CFL bound from its own max D, capped at T - t), tripwires,
+snapshots and dissipation sum, and leaves the stack at the step where it
+reaches T.
 
 The kernel steps only the active window, the bounding box of the cells that
 differ from their rung's floor, plus one cell, over all rungs: the localized
@@ -417,10 +416,11 @@ class _Kernel:
         values elsewhere; D is the diffusivity call's, dts, lo and hi are
         the rungs' steps and extrema of values.
 
-        Returns the rungs' extrema of out, after raising RangeError if a
-        rung's out leaves its admissible range or its interior update
-        breaks the discrete maximum principle (neither can happen under the
-        CFL bound; the checks are tripwires).
+        Returns the rungs' extrema of out and their sums of du^2/D over the
+        interior (the dissipation integrand of the step), after raising
+        RangeError if a rung's out leaves its admissible range or its
+        interior update breaks the discrete maximum principle (neither can
+        happen under the CFL bound; the checks are tripwires).
         """
         self.dt[:] = dts
         old, new, Dw, w = values[self.win], out[self.win], D[self.inner], self.w
@@ -428,7 +428,6 @@ class _Kernel:
         w *= _laplacian(values[self.slab], self.grid)
         np.add(old, w, out=new)
         self.cell_updates += self.size
-        self.last = old, new, Dw
         new_lo = np.minimum.reduce(new, self.axes).tolist()
         new_hi = np.maximum.reduce(new, self.axes).tolist()
         out_lo, out_hi = [], []
@@ -448,18 +447,11 @@ class _Kernel:
                                  f"violated")
             out_lo.append(o_lo)
             out_hi.append(o_hi)
-        return out_lo, out_hi
-
-    def dissipation(self) -> list:
-        """The rungs' sums of du^2/D over the interior for the last step
-        (the dissipation integrand), du the rounded update, summed in the
-        full-grid order."""
-        old, new, Dw = self.last
-        w = self.w
+        # du^2/D with du the rounded update, in the full-grid order
         np.subtract(new, old, out=w)
         w *= w
         w /= Dw
-        return np.add.reduce(self.work, self.axes).tolist()
+        return out_lo, out_hi, np.add.reduce(self.work, self.axes).tolist()
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -549,7 +541,12 @@ MAX_STEPS = 50_000_000
 
 def _check_budget(kern: _Kernel, D: np.ndarray, bound: list, T: float) -> None:
     """CflError when a rung's CFL step projects more than MAX_STEPS steps to
-    T, naming its max D and the cell where it occurs."""
+    T, naming its max D and the cell where it occurs.
+
+    The projection is T over the first step's CFL bound alone.  Where max
+    D falls as the solution evolves (D peaking at the peak of u, which
+    decays), later steps are longer, so a run rejected here might have
+    finished within MAX_STEPS steps."""
     for r, b in enumerate(bound):
         if T > MAX_STEPS * b:            # False for a NaN step
             at = np.unravel_index(int(np.argmax(D[r])), D[r].shape)
@@ -565,12 +562,9 @@ def _check_budget(kern: _Kernel, D: np.ndarray, bound: list, T: float) -> None:
 
 
 def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
-           snapshot_times: Union[None, int, Sequence[float]],
-           ledger: bool = True) -> list:
+           snapshot_times: Union[None, int, Sequence[float]]) -> list:
     """March a stack of rungs in lock step to time T; one SolveTrace per
-    rung, in the order given.  With ledger=False the march keeps no
-    dissipation sums, histories or snapshots, and a rung's entry is its
-    field at T alone, bit for bit its trace's last field.
+    rung, in the order given.
 
     The rungs must differ only in eps (share the table, g, psi, u_max and
     safety; `eps_sweep` builds them with `dataclasses.replace`), since the
@@ -582,7 +576,7 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
-    snap_times = _resolve_snapshots(snapshot_times if ledger else 2, T)
+    snap_times = _resolve_snapshots(snapshot_times, T)
     snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
 
     g_vals, psi_vals = probs[0].sample_on(grid)
@@ -600,11 +594,11 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
 
     vol = grid.cell_volume
     n = len(probs)
-    fields = [[f.copy()] if ledger else [] for f in u]
+    fields = [[f.copy()] for f in u]
     snap_diss = [np.zeros(n_snap) for _ in range(n)]
     dt_hist = [[] for _ in range(n)]
     max_hist = [[] for _ in range(n)]
-    results = [None] * n
+    traces = [None] * n
     # per stack row: the rung it holds, its time, dissipation sum, next
     # snapshot and that snapshot's time (inf once all are taken); the steps
     # and maxima since the stack last changed, a row of the stack per step
@@ -621,31 +615,26 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
         D, bound = kern.diffusivity(u, min(u_lo), max(u_hi))
         dts = [min(b, T - t) for b, t in zip(bound, ts)]
         new = spare
-        u_lo, u_hi = kern.step(u, D, dts, u_lo, u_hi, out=new)
+        # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
+        # sums of du^2/D, divided by dt below
+        u_lo, u_hi, sums = kern.step(u, D, dts, u_lo, u_hi, out=new)
         if not k:
             _check_budget(kern, D, bound, T)
-        if ledger:
-            # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the
-            # step's sums of du^2/D, divided by dt below
-            sums = kern.dissipation()
-            dt_rows += dts
-            hi_rows += u_hi
         done = []
         for r, dt in enumerate(dts):
-            t = ts[r]
+            t, diss_old = ts[r], diss[r]
+            diss[r] = diss_new = diss_old + sums[r] / dt * vol
             ts[r] = t_new = t + dt
-            if ledger:
-                diss_old = diss[r]
-                diss[r] = diss_new = diss_old + sums[r] / dt * vol
             while due[r] <= t_new + tol:
                 w = (due[r] - t) / dt
                 fields[live[r]].append(u[r] + w * (new[r] - u[r]))
-                if ledger:
-                    snap_diss[live[r]][nxt[r]] = diss_old + w * (diss_new - diss_old)
+                snap_diss[live[r]][nxt[r]] = diss_old + w * (diss_new - diss_old)
                 nxt[r] += 1
                 due[r] = snaps[nxt[r]]
             if t_new >= t_end:
                 done.append(r)
+        dt_rows += dts
+        hi_rows += u_hi
         spare, u = u, new
         if done:
             for r, i in enumerate(live):
@@ -659,14 +648,13 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
                     snap_diss[i][nxt[r]] = diss[r]
                     nxt[r] += 1
                 assert nxt[r] == n_snap, "snapshot schedule not exhausted"
-                results[i] = SolveTrace(
+                traces[i] = SolveTrace(
                     grid=grid, prob=probs[i], times=snap_times.copy(),
                     fields=fields[i], dissipation=snap_diss[i],
                     dt_history=np.asarray(dt_hist[i]),
                     max_u_history=np.asarray(max_hist[i]),
                     boundary_transient=boundary_transient[i],
-                    n_steps=len(dt_hist[i]), cell_updates=kern.cell_updates
-                ) if ledger else fields[i][-1]
+                    n_steps=len(dt_hist[i]), cell_updates=kern.cell_updates)
             rows = [r for r in range(len(live)) if r not in done]
             live, ts, diss, nxt, due, u_lo, u_hi = (
                 [x[r] for r in rows]
@@ -676,7 +664,7 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
                 u, spare = u[rows], spare[rows]
     else:
         raise CflError("step budget exhausted before reaching T")
-    return results
+    return traces
 
 
 def solve(prob: EpsProblem, grid: GridSpec, T: float,
@@ -757,16 +745,15 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
 
     The ladder is one lock-step march: a rung per floor, each `prob` with
     only eps replaced, all stepped by the same numpy calls over the union of
-    their active windows.  The march keeps each rung's field at T and
-    nothing else: no dissipation sums, step histories or snapshots.  Each
-    final field is bit for bit the one `solve` gives for its rung alone, and
-    a RangeError names the rung's eps.
+    their active windows, with snapshots at 0 and T only.  Each final field
+    is bit for bit the one `solve` gives for its rung alone, and a
+    RangeError names the rung's eps.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:
         raise DomainError("need at least two floor values")
     rungs = [replace(prob, eps=float(e)) for e in eps_values]
-    finals = _march(rungs, grid, T, None, ledger=False)
+    finals = [tr.fields[-1] for tr in _march(rungs, grid, T, 2)]
     vol = grid.cell_volume
     distances = np.array([
         float(np.sum(np.abs(a - b))) * vol for a, b in zip(finals, finals[1:])

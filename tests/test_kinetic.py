@@ -457,6 +457,20 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError, match="waiting times"):
             master_step(kin_density, kin_grid, kern, None, 1.5e-4)
 
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_nan_weights_trip_the_density_check(self, kin_grid, kin_density,
+                                                shape):
+        # finite waiting times and reach, but a NaN variance on the hump's
+        # top: its weight rows are NaN, which only the result's density
+        # tripwire sees
+        kern = JumpKernel(
+            tau=lambda u: np.full_like(u, 1.5e-4),
+            var=lambda u: np.where(u > 0.03, math.nan, 1e-3),
+            shape=shape, support_radius=lambda u: np.full_like(u, 0.1))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(RangeError, match="negative or NaN"):
+            master_step(kin_density, kin_grid, kern, None, 1.5e-4)
+
     def test_nan_sink_rate_rejected(self, kin_grid, kin_density):
         # NaN > 1e-15 is False; the negated check rejects it where the sink
         # is applied, not later as a NaN density

@@ -276,10 +276,12 @@ def _field_grad_energy(w, grid):
     return float(np.sum(gx * gx)) * grid.cell_volume
 
 
-def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime):
+def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime,
+                           theta=None):
     """energy_Y as one Python pass per snapshot of the schedule, each
     field's H and G evaluated on its own: the bit-for-bit reference of the
-    stacked pass (1-D traces)."""
+    stacked pass (1-D traces).  It builds its own theta_n and ignores a
+    passed one."""
     grid = trace.grid
     theta = cutoffs.theta(grid, n)
     times, fields = [], []
@@ -344,16 +346,19 @@ class TestStackedEnergies:
             builds.append(1)
             return distance_to(grid, x0)
 
-        def counted_probe(*args):
+        def counted_probe(*args, **kwargs):
             probes.append(1)
-            return probe(*args)
+            return probe(*args, **kwargs)
 
         monkeypatch.setattr(GridSpec, "distance_to", counted_build)
         monkeypatch.setattr(localization, "energy_Y", counted_probe)
         dg = de_giorgi_trace(desk_trace_beta1, family, desk_pack, beta1_table)
         assert len(builds) == 7 < len(probes)
         assert np.array_equal(dg.Y, Y_fresh)
-        assert not family.theta(desk_trace_beta1.grid, 0).flags.writeable
+        # the bisection alone builds theta_0 once, however many probes
+        builds.clear()
+        estimate_T_prime(desk_trace_beta1, family, desk_pack, beta1_table)
+        assert len(builds) == 1
 
 
 class TestTPrime:
