@@ -272,10 +272,11 @@ def _build_table(cfg: ExperimentConfig):
     block = cfg.profile
     opts = dict(cfg.table_opts)
     if block["kind"] == "constant":
+        s_min = opts.get("s_min")   # null means the default, as for the others
         tab = coeffs.constant_table(
             F0=float(block.get("F0", 1.0)), h0=float(block.get("h0", 1.0)),
             M=float(block.get("M", 1.0)),
-            s_min=float(opts.get("s_min", 1e-8)),
+            s_min=1e-8 if s_min is None else float(s_min),
             K=int(opts.get("K", 64)))
         return None, tab
     prof = _make_profile(block)
@@ -426,6 +427,7 @@ def cmd_solve(args) -> int:
         write_snapshots_csv(os.path.join(out, "snapshots.csv"), trace)
         write_json(os.path.join(out, "run.json"), {
             "T": trace.T, "n_steps": trace.n_steps,
+            "cell_updates": trace.cell_updates,
             "dt_min": float(trace.dt_history.min()),
             "dt_max": float(trace.dt_history.max()),
             "max_u_final": float(trace.max_u_history[-1]),
@@ -533,6 +535,7 @@ def cmd_sweep_eps(args) -> int:
         write_json(os.path.join(out, "sweep.json"), {
             "eps": [float(e) for e in result.eps_values],
             "l1_gaps": [float(d) for d in result.distances],
+            "n_steps": result.n_steps,
             "cauchy_decreasing": result.is_cauchy(),
         })
     _say(args, f"sweep-eps: gaps {['%.3e' % d for d in result.distances]} "

@@ -639,6 +639,8 @@ def power_profile(beta: float, M: float = 1.0,
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
+    if not (M > 0):     # before the default tail divides by M ** beta
+        raise DomainError("profile domain edge M must be positive")
     if tail is None:
         tail = M ** (-beta) / beta
     offset = tail - M ** (-beta) / beta
@@ -667,6 +669,8 @@ def exp_inv_profile(beta: float = 1.0, M: float = 1.0) -> DegeneracyProfile:
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
+    if not (M > 0):     # before c3 raises M to the power -beta
+        raise DomainError("profile domain edge M must be positive")
 
     def func(s):
         return np.exp(-np.asarray(s, dtype=float) ** -beta)
@@ -760,6 +764,10 @@ def constant_table(F0: float = 1.0, h0: float = 1.0, M: float = 1.0,
     Bypasses the calculus on purpose (the construction identities do not
     apply); used as the infinite-speed contrast in localization experiments.
     """
+    if not (0 < s_min < M and F0 > 0 and h0 > 0):
+        raise DomainError(f"constant table needs 0 < s_min < M and positive "
+                          f"F0, h0; got s_min={s_min:g}, M={M:g}, "
+                          f"F0={F0:g}, h0={h0:g}")
     s = np.geomspace(s_min, M, K)
     P0 = F0 / h0
     # inner integral consistent with the constant profile, for reporting only

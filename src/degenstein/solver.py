@@ -1,38 +1,44 @@
-"""Explicit solver for the regularized degenerate diffusion problem.
+"""Solver for the regularized degenerate diffusion problem.
 
 The evolution is quasilinear and nondivergent: the time weight h and the
 diffusion weight F from a coefficient table combine into the pointwise
-diffusivity D(u) = (F(u) + eps)/h(u), and each step is forward Euler on
-u_t = D(u) * lap(u) with a Dirichlet pin eps*psi on the boundary ring of
-cells.  Under the CFL bound every update is a convex combination of
-neighbors, so the discrete maximum principle holds exactly; a clamp event is
-an error, never a silent fix.
+diffusivity D(u) = (F(u) + eps)/h(u), and u_t = D(u) * lap(u) is marched
+with a Dirichlet pin eps*psi on the boundary ring of cells.  Every step
+keeps the discrete maximum principle; a clamp event is an error, never a
+silent fix.
 
-There is one step kernel, `_Kernel`, and one time loop, `_march`; `solve`,
-`eps_sweep`, `step_explicit` and `cfl_dt` all go through them: one CFL
-formula, one update, and the range and maximum-principle tripwires checked
-on every step, so a march raises RangeError at the step that breaks them.
-D comes from one joint evaluation of the F and h columns per step
-(`CoefficientTable.eval` with a tuple): one log, one padded gather of
-both columns' cubics, one Horner pass and one exp over the window.
+There are two step kernels behind one interface and one time loop,
+`_march`; which one runs is fixed by the caller, not by an option.
+`_Kernel` is forward Euler, and `solve`, `step_explicit` and `cfl_dt` go
+through it: one CFL formula, one update, under whose bound every update is
+a convex combination of neighbors.  `_ImplicitKernel` is lagged backward
+Euler, and `eps_sweep` marches the floor ladder with it: each step solves
+(I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n by batched parallel cyclic
+reduction (`_pcr`), an M-matrix solve for any dt, with steps 32 times the
+forward-Euler limit at each rung's D(max u).  Both check the range and
+maximum-principle tripwires on every step, so a march raises RangeError at
+the step that breaks them.  D comes from one joint evaluation of the F and
+h columns per step (`CoefficientTable.eval` with a tuple): one log, one
+padded gather of both columns' cubics, one Horner pass and one exp.
 
-The kernel and the loop carry a leading batch axis of rungs: problems that
-share the table, grid, g, psi, u_max and safety and differ only in the floor
-eps.  `eps_sweep` marches its whole ladder in lock step, so each numpy call
-serves every rung, and `solve` is the march of a stack of one.  eps is a
-per-rung column, so D = (F + eps)/h broadcasts; each rung keeps its own
-time, step (the CFL bound from its own max D, capped at T - t), tripwires,
-snapshots and dissipation sum, and leaves the stack at the step where it
-reaches T.
+The kernels and the loop carry a leading batch axis of rungs: problems
+that share the table, grid, g, psi, u_max and safety and differ only in
+the floor eps.  `eps_sweep` marches its whole ladder in lock step, so each
+numpy call serves every rung, and `solve` is the march of a stack of one.
+eps is a per-rung column, so D = (F + eps)/h broadcasts; each rung keeps
+its own time, step (capped at T - t), tripwires, snapshots and dissipation
+sum, and leaves the stack at the step where it reaches T.  Each rung of a
+lock-step march equals its own one-rung march of the same kernel bit for
+bit.
 
-The kernel steps only the active window, the bounding box of the cells that
-differ from their rung's floor, plus one cell, over all rungs: the localized
-solution leaves most of the grid at eps, and there the update is exactly
-zero, since eps - 2*eps + eps == 0.0 in IEEE arithmetic.  Skipping those
-cells, or stepping a cell that is inside another rung's box but at this
-rung's floor, changes no bit of the result, so every rung of a lock-step
-march equals its own `solve` bit for bit (`SolveTrace.cell_updates` counts
-the cells stepped).
+The explicit kernel steps only the active window, the bounding box of the
+cells that differ from their rung's floor, plus one cell, over all rungs:
+the localized solution leaves most of the grid at eps, and there the
+update is exactly zero, since eps - 2*eps + eps == 0.0 in IEEE arithmetic.
+Skipping those cells, or stepping a cell that is inside another rung's box
+but at this rung's floor, changes no bit of the result
+(`SolveTrace.cell_updates` counts the cells stepped).  The implicit kernel
+couples every interior cell and solves them all.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -248,7 +254,8 @@ def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 class _Kernel:
-    """The explicit step, shared by every march, step_explicit and cfl_dt.
+    """The explicit step, shared by `solve`, step_explicit and cfl_dt, and
+    the base of `_ImplicitKernel`.
 
     A kernel steps a stack of fields, one per rung, on one grid: rungs are
     problems that differ only in the floor eps, and every array it handles
@@ -389,12 +396,12 @@ class _Kernel:
                 bounds[k][side] += 1 if side else -1
             self._set_window([tuple(ab) for ab in bounds])
 
-    def diffusivity(self, values: np.ndarray, lo: Optional[float] = None,
-                    hi: Optional[float] = None):
+    def diffusivity(self, values: np.ndarray, lo: Optional[list] = None,
+                    hi: Optional[list] = None):
         """D on the window plus its halo for a stack of fields, and each
         rung's largest stable step.  After the first call, values must be
-        this kernel's last step output, and lo, hi bound all its values
-        (the extrema the tripwires return), which spares the table's domain
+        this kernel's last step output, and lo, hi the rungs' extrema of it
+        (the ones the tripwires return), which spare the table's domain
         check a scan of the slab."""
         if self.bounds is None:
             D = self.prob.diffusivity(values, self.eps_col)
@@ -404,7 +411,8 @@ class _Kernel:
             if self.edges and \
                     values.take(self.edge_take).tolist() != self.edge_floor:
                 self._grow(values)
-            D = self.prob.diffusivity(values[self.slab], self.eps_col, (lo, hi))
+            D = self.prob.diffusivity(values[self.slab], self.eps_col,
+                                      (min(lo), max(hi)))
             top = np.maximum.reduce(D, self.axes)
         cfl = self.cfl
         return D, [cfl / m for m in top.tolist()]
@@ -428,6 +436,12 @@ class _Kernel:
         w *= _laplacian(values[self.slab], self.grid)
         np.add(old, w, out=new)
         self.cell_updates += self.size
+        return self._finish(old, new, Dw, lo, hi)
+
+    def _finish(self, old, new, Dw, lo, hi):
+        """Each rung's tripwires on the window's new values, then its
+        extrema and its sum of du^2/D; see `step`."""
+        w = self.w
         new_lo = np.minimum.reduce(new, self.axes).tolist()
         new_hi = np.maximum.reduce(new, self.axes).tolist()
         out_lo, out_hi = [], []
@@ -452,6 +466,133 @@ class _Kernel:
         w *= w
         w /= Dw
         return out_lo, out_hi, np.add.reduce(self.work, self.axes).tolist()
+
+
+def _pcr(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
+         rhs: np.ndarray) -> np.ndarray:
+    """Solve diag[i] x[i] - lo[i] x[i-1] - up[i] x[i+1] = rhs[i] along the
+    first axis, batched over the others, by parallel cyclic reduction;
+    lo[0] and up[-1] must be 0.
+
+    A pass with stride s adds lo[i]/diag[i-s] times row i-s and
+    up[i]/diag[i+s] times row i+s to row i, which removes x[i-s] and
+    x[i+s] and couples row i to rows i-2s and i+2s; after ceil(log2 n)
+    passes every row is diagonal.  For an M-matrix (lo, up >= 0 and
+    diag >= lo + up) every coefficient stays nonnegative.  The rows live
+    in buffers padded on both sides by the largest stride (lo, up and rhs
+    with 0, diag with 1), so a row beyond the ends contributes nothing and
+    each pass is twelve elementwise numpy calls into the other set of
+    buffers.  Nothing mixes batch members, so each one's solution does not
+    depend on the others."""
+    n = rhs.shape[0]
+    pad = 1 << max(n - 1, 1).bit_length() >> 1     # the largest stride
+    core = slice(pad, pad + n)
+    # two sets of padded lo, diag, up and rhs rows
+    bufs = np.zeros((2, 4, n + 2 * pad) + rhs.shape[1:])
+    bufs[:, 1] = 1.0
+    bufs[0, :, core] = lo, diag, up, rhs
+    k_lo, k_up, tmp = (np.empty(rhs.shape) for _ in range(3))
+    s = 1
+    while s < n:
+        (lo, diag, up, rhs), (lo_n, diag_n, up_n, rhs_n) = bufs
+        prev, next_ = slice(pad - s, pad - s + n), slice(pad + s, pad + s + n)
+        np.divide(lo[core], diag[prev], out=k_lo)
+        np.divide(up[core], diag[next_], out=k_up)
+        d = rhs_n[core]
+        np.multiply(rhs[prev], k_lo, out=d)
+        d += rhs[core]
+        d += np.multiply(rhs[next_], k_up, out=tmp)
+        g = diag_n[core]
+        np.multiply(up[prev], k_lo, out=g)
+        np.subtract(diag[core], g, out=g)
+        g -= np.multiply(lo[next_], k_up, out=tmp)
+        np.multiply(lo[prev], k_lo, out=lo_n[core])
+        np.multiply(up[next_], k_up, out=up_n[core])
+        bufs = bufs[::-1]
+        s *= 2
+    _, diag, _, rhs = bufs[0]
+    return rhs[core] / diag[core]
+
+
+def _solve_lines(u: np.ndarray, r: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> np.ndarray:
+    """x with (1 + 2 r[i]) x[i] - r[i] (x[i-1] + x[i+1]) = u[i] along the
+    first axis, where x beyond the ends is held at left and right: one
+    backward-Euler sub-step of lines whose cells have r = dt*D/h^2.  Each
+    row is divided by 1 + 2r first, so no coefficient exceeds 1 even where
+    r is near 1e35."""
+    q = 1.0 + 2.0 * r
+    off = r / q
+    d = u / q
+    d[0] += off[0] * left
+    d[-1] += off[-1] * right
+    lo, up = off.copy(), off
+    lo[0] = 0.0
+    up[-1] = 0.0
+    return _pcr(lo, np.ones_like(d), up, d)
+
+
+# the implicit step is this many times the forward-Euler limit at a rung's
+# bulk diffusivity
+_IMPLICIT_C = 32.0
+
+
+class _ImplicitKernel(_Kernel):
+    """Lagged backward Euler over the whole interior, behind the explicit
+    kernel's calls: `eps_sweep` marches the floor ladder with it.
+
+    A step solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n with the ring
+    held at eps*psi.  In 1-D that is one tridiagonal system per rung; in
+    2-D, Lie splitting solves along x on every row and then along y on
+    every column, both with D lagged at u^n.  Every system of a step is
+    solved in one batch by `_pcr`.  Each matrix is an M-matrix, so the
+    discrete maximum principle holds for any dt, and the explicit kernel's
+    range and maximum-principle tripwires, with their slack of 1e-12 of
+    max(u_max, 1), stand for roundoff below the floor: nothing is clamped.
+
+    A rung's step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)), capped
+    at T - t by the march: a multiple of the forward-Euler limit at the
+    rung's bulk diffusivity, not at its max D, which for the kinds whose h
+    collapses faster than eps sits at the floor.  The error is first order
+    in that step.  Every operation is elementwise within a rung or a
+    reduction over one rung's cells, so each rung of a stack is bit for bit
+    its own one-rung march."""
+
+    def __init__(self, probs: Sequence[EpsProblem], grid: GridSpec,
+                 psi_vals: Optional[np.ndarray] = None):
+        super().__init__(probs, grid, psi_vals)
+        self.cfl = _IMPLICIT_C * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
+        self._set_window([(1, m - 1) for m in grid.n])
+        # a line's pins, once its axis is moved last
+        self.lines = (slice(None),) + (slice(1, -1),) * (grid.dim - 1)
+
+    def diffusivity(self, values: np.ndarray, lo: list, hi: list):
+        """D over the whole grid for a stack of fields, and each rung's
+        step from D at its max u; lo and hi are the rungs' extrema of
+        values.  The evaluation at the maxima scans them, so a NaN in a
+        field, which makes its extrema NaN, raises DomainError there."""
+        D = self.prob.diffusivity(values, self.eps_col, (min(lo), max(hi)))
+        top = self.prob.diffusivity(np.array(hi), self.eps)
+        cfl = self.cfl
+        return D, [cfl / m for m in top.tolist()]
+
+    def step(self, values: np.ndarray, D: np.ndarray, dts: list, lo: list,
+             hi: list, out: np.ndarray):
+        """Write the backward-Euler step of the interior into out, whose
+        ring must hold the pins; otherwise as `_Kernel.step`."""
+        self.dt[:] = dts
+        old, new, Dw = values[self.win], out[self.win], D[self.inner]
+        u = old
+        for k, h in enumerate(self.grid.h):
+            ax = k + 1
+            pin = np.moveaxis(self.pin, ax, -1)[self.lines]
+            x = _solve_lines(np.moveaxis(u, ax, 0),
+                             np.moveaxis(Dw * (self.dt_col / h ** 2), ax, 0),
+                             pin[..., 0], pin[..., -1])
+            u = np.moveaxis(x, 0, ax)
+        new[...] = u
+        self.cell_updates += self.size
+        return self._finish(old, new, Dw, lo, hi)
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -562,17 +703,19 @@ def _check_budget(kern: _Kernel, D: np.ndarray, bound: list, T: float) -> None:
 
 
 def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
-           snapshot_times: Union[None, int, Sequence[float]]) -> list:
-    """March a stack of rungs in lock step to time T; one SolveTrace per
-    rung, in the order given.
+           snapshot_times: Union[None, int, Sequence[float]],
+           kernel: type = _Kernel) -> list:
+    """March a stack of rungs in lock step to time T with the step kernel
+    `kernel` (`_Kernel`, forward Euler, or `_ImplicitKernel`, lagged
+    backward Euler); one SolveTrace per rung, in the order given.
 
     The rungs must differ only in eps (share the table, g, psi, u_max and
     safety; `eps_sweep` builds them with `dataclasses.replace`), since the
     kernel holds the first rung's.  Each rung's trace is the one its own
-    one-rung march gives, bit for bit (see `_Kernel`); its cell_updates
-    counts the cells of the shared window it stepped.  After the first
-    step, a rung whose CFL step projects more than MAX_STEPS steps to T
-    raises CflError.
+    one-rung march with the same kernel gives, bit for bit; its
+    cell_updates counts the cells of the shared window it stepped.  After
+    the first step, a rung whose step projects more than MAX_STEPS steps
+    to T raises CflError.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
@@ -582,7 +725,7 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
     g_vals, psi_vals = probs[0].sample_on(grid)
     for p in probs[1:]:
         p.sample_on(grid)            # each rung's own range checks
-    kern = _Kernel(probs, grid, psi_vals)
+    kern = kernel(probs, grid, psi_vals)
     inner, axes = kern.inner, kern.axes
     u0 = kern.eps_col + g_vals
     u = kern.pin.copy()
@@ -612,7 +755,7 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
     for k in range(MAX_STEPS):
         if not live:
             break
-        D, bound = kern.diffusivity(u, min(u_lo), max(u_hi))
+        D, bound = kern.diffusivity(u, u_lo, u_hi)
         dts = [min(b, T - t) for b, t in zip(bound, ts)]
         new = spare
         # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
@@ -733,6 +876,7 @@ class SweepResult:
     eps_values: np.ndarray
     finals: list
     distances: np.ndarray  # L1 gaps between consecutive final fields
+    n_steps: list          # implicit steps each rung took to T
 
     def is_cauchy(self) -> bool:
         return bool(np.all(np.diff(self.distances) < 0.0))
@@ -743,19 +887,27 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
     """Re-solve the same problem over a decreasing ladder of floors and
     report L1 gaps between consecutive final-time fields.
 
-    The ladder is one lock-step march: a rung per floor, each `prob` with
-    only eps replaced, all stepped by the same numpy calls over the union of
-    their active windows, with snapshots at 0 and T only.  Each final field
-    is bit for bit the one `solve` gives for its rung alone, and a
-    RangeError names the rung's eps.
+    The ladder is one lock-step march of `_ImplicitKernel`, lagged
+    backward Euler over the whole interior: a rung per floor, each `prob`
+    with only eps replaced, all stepped by the same numpy calls, with
+    snapshots at 0 and T only.  A rung's step is 32 times the
+    forward-Euler limit at its D(max u), so the ladder takes tens of steps
+    where `solve` takes thousands, at a first-order error in dt (about
+    3e-3 of the mass against explicit finals on a 401-cell halving ladder
+    from 1e-3), and the kinds whose D(eps) is near 1e33 finish too.  Each
+    final field is bit for bit that of its rung's own one-rung implicit
+    march, and a RangeError names the rung's eps.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:
         raise DomainError("need at least two floor values")
     rungs = [replace(prob, eps=float(e)) for e in eps_values]
-    finals = [tr.fields[-1] for tr in _march(rungs, grid, T, 2)]
+    traces = _march(rungs, grid, T, 2, _ImplicitKernel)
+    finals = [tr.fields[-1] for tr in traces]
     vol = grid.cell_volume
     distances = np.array([
         float(np.sum(np.abs(a - b))) * vol for a, b in zip(finals, finals[1:])
     ])
-    return SweepResult(eps_values=eps_values, finals=finals, distances=distances)
+    return SweepResult(eps_values=eps_values, finals=finals,
+                       distances=distances,
+                       n_steps=[tr.n_steps for tr in traces])

@@ -12,7 +12,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from degenstein.checker import check_profile, estimate_A_B, example_catalog
+from degenstein.checker import (PROFILES, check_profile, estimate_A_B,
+                                example_catalog)
 from degenstein.coeffs import (LambdaChoice, build_table, constant_table,
                                power_profile)
 from degenstein.kinetic import kernel_moments, power_family_kernel, run_master
@@ -227,3 +228,39 @@ def test_criterion_7_floor_ladder_cauchy():
         assert len(gaps) == 4
         assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
         assert sweep.is_cauchy()
+
+
+# Whether the watched ball stays at or below the support threshold
+# 11*eps in every final of the kind's ladder.  For exp_zeta_slow it does
+# not: its D_eps(eps) = P(eps) + eps/h(eps) is 3.8e5 at eps = 1e-3 and
+# grows as eps falls, so the floor diffuses almost at once, and u in the
+# ball rises from about 17*eps to about 160*eps down the ladder.  That is
+# the regularized problem's behaviour, recorded here as the finding it is;
+# the threshold stays.
+LADDER_BALL_CLEAN = {"power": True, "exp_inv": True,
+                     "exp_zeta_bounded": True, "exp_zeta_slow": False}
+
+
+def test_criterion_7_every_registry_kind():
+    with criterion(7, "floor ladder is Cauchy for every registry kind"):
+        grid = GridSpec(extent=EXTENT, n=(401,))
+        ball = grid.distance_to(WATCH["x0"]) <= WATCH["Rp"] + 1e-12
+        clean = {}
+        for kind, entry in PROFILES.items():
+            if kind == "exp_inv":    # its table starts at s_min = 1e-2
+                s_min, ladder = 1e-2, [8e-2, 4e-2, 2e-2, 1e-2]
+            else:
+                s_min, ladder = 1e-8, [1e-3 * 2.0 ** (-k) for k in range(5)]
+            tab = build_table(entry.make_profile(), LambdaChoice(1.0),
+                              s_min=s_min, K=256)
+            prob = desk_problem(tab, eps=ladder[0])
+            sweep = eps_sweep(prob, grid, 0.05, ladder)
+            gaps = list(sweep.distances)
+            assert all(b < a for a, b in zip(gaps, gaps[1:])), (kind, gaps)
+            ratios = [float(f[ball].max()) / e
+                      for f, e in zip(sweep.finals, ladder)]
+            clean[kind] = max(ratios) <= 1.0 + prob.support_tol_factor
+            print(f"  {kind}: steps {sweep.n_steps}, gaps "
+                  f"{', '.join(f'{g:.3e}' for g in gaps)}, ball max/eps "
+                  f"{', '.join(f'{q:.3g}' for q in ratios)}")
+        assert clean == LADDER_BALL_CLEAN, clean

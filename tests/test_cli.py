@@ -118,6 +118,8 @@ class TestHappyPaths:
         info = load_json(out, "run.json")
         assert info["T"] == pytest.approx(0.02)
         assert info["n_steps"] > 0
+        # the tent's active window, never the whole interior
+        assert 0 < info["cell_updates"] < info["n_steps"] * 199
         assert 0 < info["dt_min"] <= info["dt_max"]
         assert info["energy_residual"] < 5e-2
         assert info["boundary_transient"] == 0.0
@@ -152,14 +154,22 @@ class TestHappyPaths:
         assert len(info["l1_gaps"]) == 2
         assert info["cauchy_decreasing"]
         assert info["l1_gaps"][1] < info["l1_gaps"][0]
+        assert len(info["n_steps"]) == 3
+        assert all(isinstance(k, int) and 0 < k < 100 for k in info["n_steps"])
 
 
 class TestDeterminism:
-    def test_localize_reruns_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command,names",
+        [("localize", ("degiorgi.json", "front.csv", "snapshots.csv")),
+         ("solve", ("run.json", "snapshots.csv")),
+         ("sweep-eps", ("sweep.json",))],
+        ids=["localize", "solve", "sweep-eps"])
+    def test_reruns_byte_identical(self, tmp_path, command, names):
         cfg = write_config(tmp_path)
-        _, out1 = run(tmp_path, "localize", "--config", cfg, sub="a")
-        _, out2 = run(tmp_path, "localize", "--config", cfg, sub="b")
-        for name in ("degiorgi.json", "front.csv", "snapshots.csv"):
+        _, out1 = run(tmp_path, command, "--config", cfg, sub="a")
+        _, out2 = run(tmp_path, command, "--config", cfg, sub="b")
+        for name in names:
             with open(os.path.join(str(out1), name), "rb") as fh:
                 blob1 = fh.read()
             with open(os.path.join(str(out2), name), "rb") as fh:
@@ -297,6 +307,18 @@ class TestFailurePaths:
                                               "M": 1.0})
         code, _ = run(tmp_path, "kinetic-compare", "--config", cfg)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("profile,table,code", [
+        ({"kind": "constant"}, {"s_min": None}, EXIT_OK),
+        ({"kind": "constant", "M": 0.0}, {}, EXIT_COEFFS),
+        ({"kind": "constant", "M": -1.0}, {}, EXIT_COEFFS),
+        ({"kind": "exp_inv", "M": 0.0}, {"s_min": 1e-2}, EXIT_COEFFS),
+    ], ids=["constant-null-s_min", "constant-M0", "constant-Mneg",
+            "exp_inv-M0"])
+    def test_table_of_other_kinds_at_the_edges(self, tmp_path, profile,
+                                                table, code):
+        cfg = write_config(tmp_path, profile=profile, table=table)
+        assert run(tmp_path, "table", "--config", cfg)[0] == code
 
     def test_check_catches_broken_assumptions(self, tmp_path):
         # constant control profile: nothing to check, flagged at config level
@@ -515,11 +537,49 @@ def _apply(cfg, mutation):
         node[key] = value
 
 
+# out-of-range values of the right type, with the exit code of the phase
+# that reads them: every subcommand builds the table (3), the solving ones
+# build the grid and the hump (4), and kinetic-compare alone reads the
+# master equation's tau0 and dt (6)
+_SOLVING = ("solve", "localize", "kinetic-compare", "sweep-eps")
+_OUT_OF_RANGE = [
+    *((path, value, 3, _COMMANDS) for path in (
+        ("profile", "M"), ("profile", "beta"), ("table", "K"))
+      for value in (0, -1)),
+    *((path, value, 4, _SOLVING) for path in (
+        ("grid", "n", 0), ("bump", "radius"), ("bump", "height"))
+      for value in (0, -1)),
+    (("grid", "extent", 0), [1.0, -1.0], 4, _SOLVING),
+    *((path, value, 6, ("kinetic-compare",)) for path in (
+        ("kinetic", "tau0"), ("kinetic", "dt")) for value in (0, -1)),
+]
+
+
 class TestConfigFuzz:
     """One to three mutations of the README config, each a wrong type, a
     missing required key, an unknown enumerated value or a non-finite
     number: every subcommand exits 2 at config load, never 1 (the
-    catch-all) and never later."""
+    catch-all) and never later.  An out-of-range value of the right type
+    exits with the code of the phase that reads it."""
+
+    @pytest.mark.parametrize(
+        "path,value,code,readers", _OUT_OF_RANGE,
+        ids=[f"{'.'.join(map(str, p))}={v}" for p, v, _, _ in _OUT_OF_RANGE])
+    def test_out_of_range_value_exits_its_phase_code(self, tmp_path, path,
+                                                     value, code, readers):
+        cfg = json.loads(json.dumps(README_CONFIG))
+        # a short run for the subcommands that do not read the value
+        cfg["T"], cfg["snapshots"] = 0.002, 3
+        if _LEAVES[path] == "number":
+            value = float(value)
+        _apply(cfg, ("set", path, value))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        codes = {command: main([command, "--config", str(path), "--out",
+                                str(tmp_path / "out"), "--quiet"])
+                 for command in _COMMANDS}
+        assert codes == {command: code if command in readers else EXIT_OK
+                         for command in _COMMANDS}
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
@@ -543,7 +603,8 @@ class TestStiffKinds:
     """On the README config, exp_zeta_slow and exp_inv (at its s_min floor
     1e-2) put D(eps) = (F(eps) + eps)/h(eps) near 1e33: a CFL step near
     1e-39, whose march would spin for about 40 minutes before its step
-    budget.  The first step's projection exits 4 instead."""
+    budget.  The first step's projection exits 4 instead.  sweep-eps
+    marches implicitly and finishes."""
 
     @pytest.mark.parametrize("kind,floor", [("exp_zeta_slow", None),
                                             ("exp_inv", 1e-2)])
@@ -569,3 +630,15 @@ class TestStiffKinds:
         assert err["error"] == "CflError" and err["phase"] == "solve"
         assert "max D" in err["message"] and "budget" in err["message"]
         assert len(steps) == 1
+
+    def test_sweep_eps_finishes_exp_zeta_slow(self, tmp_path):
+        # the implicit ladder's step follows D at max u, not D(eps)
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["profile"] = {"kind": "exp_zeta_slow", "M": 1.0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(tmp_path, "sweep-eps", "--config", str(path))
+        assert code == EXIT_OK
+        info = load_json(out, "sweep.json")
+        assert info["cauchy_decreasing"]
+        assert all(0 < k < 100 for k in info["n_steps"])

@@ -505,17 +505,26 @@ def _assert_same_trace(got, ref):
 
 
 def _check_lock_step(prob, grid, T, ladder, snapshot_times=2):
-    """Each rung of the lock-step march against its own serial solve, bit
-    for bit, and eps_sweep's finals against the same solves (the finals do
-    not depend on the snapshot schedule).  Returns the serial traces."""
+    """Each rung of the explicit lock-step march against its own serial
+    solve, and each rung of the implicit one against its own one-rung
+    implicit march, bit for bit; eps_sweep's finals and step counts
+    against the one-rung implicit marches (the finals do not depend on the
+    snapshot schedule).  Returns the serial solves."""
     rungs = [replace(prob, eps=e) for e in ladder]
     serial = [solve(p, grid, T, snapshot_times) for p in rungs]
     for got, ref in zip(solver_mod._march(rungs, grid, T, snapshot_times),
                         serial):
         _assert_same_trace(got, ref)
+    implicit = solver_mod._ImplicitKernel
+    alone = [solver_mod._march([p], grid, T, snapshot_times, implicit)[0]
+             for p in rungs]
+    for got, ref in zip(solver_mod._march(rungs, grid, T, snapshot_times,
+                                          implicit), alone):
+        _assert_same_trace(got, ref)
     sweep = eps_sweep(prob, grid, T, ladder)
     assert all(np.array_equal(a, tr.fields[-1])
-               for a, tr in zip(sweep.finals, serial))
+               for a, tr in zip(sweep.finals, alone))
+    assert sweep.n_steps == [tr.n_steps for tr in alone]
     return serial
 
 
@@ -599,10 +608,129 @@ class TestLockStep:
 
         monkeypatch.setattr(solver_mod, "_laplacian", overshooting)
         with pytest.raises(RangeError) as info:
-            eps_sweep(prob, desk_grid, 0.01, ladder)
+            solver_mod._march([replace(prob, eps=e) for e in ladder],
+                              desk_grid, 0.01, 2)
         assert any(f"eps={e:g}:" in str(info.value) for e in ladder)
         # one stencil call per lock-step step, caught long before T
         assert 0 < len(calls) < n_honest // 10, (len(calls), n_honest)
+
+    def test_implicit_overshoot_raises_at_the_first_step(
+            self, beta1_table, desk_grid, desk_bump, monkeypatch):
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        calls = []
+        honest = solver_mod._pcr
+
+        def overshooting(*args):
+            calls.append(1)
+            return 10.0 * honest(*args)
+
+        monkeypatch.setattr(solver_mod, "_pcr", overshooting)
+        with pytest.raises(RangeError) as info:
+            eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
+        assert "eps=0.001:" in str(info.value)
+        assert len(calls) == 1
+
+
+def _thomas(u, r, left, right):
+    """The backward-Euler line solve as a scalar Thomas loop over Python
+    floats, on the rows as written: (1 + 2 r) x[i] - r x[i-1] - r x[i+1]."""
+    n = len(u)
+    rhs, r = [float(v) for v in u], [float(v) for v in r]
+    rhs[0] += r[0] * left
+    rhs[-1] += r[-1] * right
+    c, d = [0.0] * n, [0.0] * n
+    for i in range(n):
+        lo = -r[i] if i else 0.0
+        diag = 1.0 + 2.0 * r[i] - (lo * c[i - 1] if i else 0.0)
+        c[i] = -r[i] / diag
+        d[i] = (rhs[i] - (lo * d[i - 1] if i else 0.0)) / diag
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = d[i] - (c[i] * x[i + 1] if i < n - 1 else 0.0)
+    return np.array(x)
+
+
+def _dense(u, r, left, right):
+    n = len(u)
+    A = np.diag(1.0 + 2.0 * r)
+    A[np.arange(1, n), np.arange(n - 1)] = -r[1:]
+    A[np.arange(n - 1), np.arange(1, n)] = -r[:-1]
+    rhs = u.copy()
+    rhs[0] += r[0] * left
+    rhs[-1] += r[-1] * right
+    return np.linalg.solve(A, rhs)
+
+
+class TestParallelCyclicReduction:
+    """`_solve_lines` (rows scaled by 1 + 2r, then `_pcr`) against a dense
+    solve and a scalar Thomas loop of the rows as written, to 1e-13 of the
+    largest value, on batches of lines whose r spans 1e-8 to 1e35."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 37, 64, 101, 399])
+    def test_matches_dense_and_thomas(self, rng, n):
+        batch = 4
+        u = rng.random((n, batch))
+        r = 10.0 ** rng.uniform(-8.0, 35.0, (n, batch))
+        r[:, 1] = 1e35                     # a line at the floor of exp_inv
+        r[:, 2] = 16.0                     # a line in the bulk
+        left, right = rng.random(batch), rng.random(batch)
+        x = solver_mod._solve_lines(u, r, left, right)
+        for j in range(batch):
+            args = (u[:, j], r[:, j], left[j], right[j])
+            scale = np.abs(x[:, j]).max()
+            for ref in (_dense(*args), _thomas(*args)):
+                assert np.abs(x[:, j] - ref).max() <= 1e-13 * scale, (n, j)
+
+
+class TestImplicitLadder:
+    """The implicit lab ladder against the explicit one: first order in
+    dt, with the gaps, and so the Cauchy verdict, kept."""
+
+    LADDER = TestLockStep.LAB_LADDER
+    T = 0.05
+
+    @pytest.fixture(scope="class")
+    def lab(self, beta1_table):
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(401,))
+        prob = EpsProblem(table=beta1_table, eps=1e-3,
+                          g=bump((-0.6,), 0.2, 0.2), psi=1.0,
+                          omega_prime=((0.5,), 0.4))
+        rungs = [replace(prob, eps=e) for e in self.LADDER]
+        explicit = [tr.fields[-1]
+                    for tr in solver_mod._march(rungs, grid, self.T, 2)]
+        return grid, prob, explicit
+
+    @staticmethod
+    def _errors(sweep, explicit):
+        """Each rung's L1 distance to its explicit final, over its mass."""
+        return [float(np.abs(a - b).sum() / (b - e).sum())
+                for a, b, e in zip(sweep.finals, explicit, sweep.eps_values)]
+
+    def test_agrees_with_the_explicit_ladder(self, lab):
+        grid, prob, explicit = lab
+        sweep = eps_sweep(prob, grid, self.T, self.LADDER)
+        assert max(sweep.n_steps) <= 20     # the explicit ladder takes 1390
+        assert max(self._errors(sweep, explicit)) <= 5e-3
+        vol = grid.cell_volume
+        gaps = [float(np.abs(a - b).sum()) * vol
+                for a, b in zip(explicit, explicit[1:])]
+        assert np.allclose(sweep.distances, gaps, rtol=1e-2, atol=0.0)
+        assert sweep.is_cauchy()
+        slack = 1e-12      # the tripwires' own
+        for f, e in zip(sweep.finals, self.LADDER):
+            # between the floor and the initial maximum e + 0.2
+            assert f.min() >= e - slack and f.max() <= e + 0.2 + slack
+
+    def test_error_is_first_order_in_dt(self, lab, monkeypatch):
+        grid, prob, explicit = lab
+        full = self._errors(eps_sweep(prob, grid, self.T, self.LADDER),
+                            explicit)
+        monkeypatch.setattr(solver_mod, "_IMPLICIT_C",
+                            solver_mod._IMPLICIT_C / 2.0)
+        half = self._errors(eps_sweep(prob, grid, self.T, self.LADDER),
+                            explicit)
+        assert all(1.6 <= a / b <= 2.4 for a, b in zip(full, half)), \
+            (full, half)
 
 
 class TestExactSolution:
