@@ -84,12 +84,12 @@ def _trend_points(table: CoefficientTable) -> np.ndarray:
     return np.geomspace(lo, hi, TREND_POINTS)
 
 
-def check_A1(table: CoefficientTable, trend_factor: float = 2.0):
+def check_A1(table: CoefficientTable):
     """Estimate C1 = sup F/(G*G') over the nodes.
 
     Passes when the sup is finite and the ratio does not run away toward
-    s_min: consecutive values on the smallest nodes must stay within
-    trend_factor of each other.
+    s_min: consecutive values on the smallest nodes must stay within a
+    factor 2 of each other.
     """
     ratio = table.F / (table.G * np.sqrt(table.Fprime))
     if not np.all(np.isfinite(ratio)):
@@ -97,7 +97,7 @@ def check_A1(table: CoefficientTable, trend_factor: float = 2.0):
     C1 = float(np.max(ratio))
     head = ratio[:TREND_POINTS]
     steps = head[:-1] / head[1:]
-    bounded = bool(np.all(steps < trend_factor) and np.all(steps > 1.0 / trend_factor))
+    bounded = bool(np.all(steps < 2.0) and np.all(steps > 0.5))
     return C1, bounded, {"small_s_ratio": head.tolist()}
 
 

@@ -130,11 +130,11 @@ class DegeneracyProfile:
     def __call__(self, s):
         return self.func(np.asarray(s, dtype=float))
 
-    def validate(self, n_check: int = 24) -> None:
+    def validate(self) -> None:
         """Sample P on a geometric grid and enforce the profile invariants:
         strict positivity, the bound c3, and decay toward zero concentration."""
         lo = self.s_min_hint if self.s_min_hint is not None else 1e-8 * self.M
-        grid = np.geomspace(lo, self.M, n_check)
+        grid = np.geomspace(lo, self.M, 24)
         vals = np.asarray(self(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"profile '{self.kind}' not finite on ({lo:g}, {self.M:g}]")
@@ -168,13 +168,13 @@ class LambdaChoice:
         return 2.0 / (self.Lambda + 1.0)
 
     @staticmethod
-    def from_auto(A_est: float, margin: float = 0.5) -> "LambdaChoice":
-        """Pick Lambda so that (Lambda+1)/Lambda = A_est*(1+margin).
+    def from_auto(A_est: float) -> "LambdaChoice":
+        """Pick Lambda so that (Lambda+1)/Lambda = 1.5*A_est, a 50% margin.
 
-        When the target is not reachable (A_est*(1+margin) <= 1) every
-        positive Lambda already clears the constraint and we return 1.
+        When the target is not reachable (1.5*A_est <= 1) every positive
+        Lambda already clears the constraint and we return 1.
         """
-        target = A_est * (1.0 + margin)
+        target = A_est * 1.5
         if not np.isfinite(target) or target <= 1.0:
             return LambdaChoice(1.0)
         return LambdaChoice(1.0 / (target - 1.0))

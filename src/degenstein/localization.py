@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable
 from .errors import DomainError, GeometryError
-from .solver import GridSpec, SolveTrace, _grad_energies
+from .solver import SUPPORT_TOL_FACTOR, GridSpec, SolveTrace, _grad_energies
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -392,15 +392,14 @@ def empty_radius(values: np.ndarray, grid: GridSpec, x0, eps: float,
     return float(d.min()) if d.size else math.inf
 
 
-def front_series(trace: SolveTrace, x0_front, x0_empty=None,
-                 tol_support: Optional[float] = None):
+def front_series(trace: SolveTrace, x0_front, x0_empty=None):
     """Per-snapshot front radius around x0_front and empty radius around
-    x0_empty (defaults to x0_front): arrays (t, r_front, r_empty)."""
+    x0_empty (defaults to x0_front), at the problem's support threshold:
+    arrays (t, r_front, r_empty)."""
     if x0_empty is None:
         x0_empty = x0_front
     eps = trace.prob.eps
-    if tol_support is None:
-        tol_support = trace.prob.support_tol_factor * eps
+    tol_support = SUPPORT_TOL_FACTOR * eps
     r_front = np.array([front_radius(f, trace.grid, x0_front, eps, tol_support)
                         for f in trace.fields])
     r_empty = np.array([empty_radius(f, trace.grid, x0_empty, eps, tol_support)
@@ -408,15 +407,11 @@ def front_series(trace: SolveTrace, x0_front, x0_empty=None,
     return trace.times.copy(), r_front, r_empty
 
 
-def time_to_threshold(trace: SolveTrace, x0, radius: float,
-                      tol_support: Optional[float] = None) -> float:
-    """First time any cell within distance radius of x0 crosses the support
-    threshold, linearly interpolated between snapshots; +inf when censored
-    at the horizon."""
-    eps = trace.prob.eps
-    if tol_support is None:
-        tol_support = trace.prob.support_tol_factor * eps
-    thr = eps + tol_support
+def time_to_threshold(trace: SolveTrace, x0, radius: float) -> float:
+    """First time any cell within distance radius of x0 crosses the
+    problem's support threshold, linearly interpolated between snapshots;
+    +inf when censored at the horizon."""
+    thr = trace.prob.support_threshold
     for c, (lo, hi) in zip(x0, trace.grid.extent):
         if not lo <= c <= hi:
             raise GeometryError("probe center outside the grid box")

@@ -21,24 +21,22 @@ the step that breaks them.  D comes from one joint evaluation of the F and
 h columns per step (`CoefficientTable.eval` with a tuple): one log, one
 padded gather of both columns' cubics, one Horner pass and one exp.
 
-The kernels and the loop carry a leading batch axis of rungs: problems
-that share the table, grid, g, psi, u_max and safety and differ only in
-the floor eps.  `eps_sweep` marches its whole ladder in lock step, so each
-numpy call serves every rung, and `solve` is the march of a stack of one.
-eps is a per-rung column, so D = (F + eps)/h broadcasts; each rung keeps
-its own time, step (capped at T - t), tripwires, snapshots and dissipation
-sum, and leaves the stack at the step where it reaches T.  Each rung of a
-lock-step march equals its own one-rung march of the same kernel bit for
-bit.
+The implicit kernel and the loop carry a leading batch axis of rungs:
+problems that share the table, grid, g and psi and differ only in the
+floor eps.  `eps_sweep` marches its whole ladder in lock step, so each
+numpy call serves every rung.  eps is a per-rung column, so D = (F + eps)/h
+broadcasts; each rung keeps its own time, step (capped at T - t),
+tripwires, snapshots and dissipation sum, and leaves the stack at the step
+where it reaches T.  Each rung of a lock-step march equals its own one-rung
+march bit for bit.
 
-The explicit kernel steps only the active window, the bounding box of the
-cells that differ from their rung's floor, plus one cell, over all rungs:
-the localized solution leaves most of the grid at eps, and there the
-update is exactly zero, since eps - 2*eps + eps == 0.0 in IEEE arithmetic.
-Skipping those cells, or stepping a cell that is inside another rung's box
-but at this rung's floor, changes no bit of the result
-(`SolveTrace.cell_updates` counts the cells stepped).  The implicit kernel
-couples every interior cell and solves them all.
+The explicit kernel steps one field (`solve` is the march of a stack of
+one), and only its active window, the bounding box of the cells that
+differ from eps, plus one cell: the localized solution leaves most of the
+grid at eps, and there the update is exactly zero, since eps - 2*eps + eps
+== 0.0 in IEEE arithmetic.  Skipping those cells changes no bit of the
+result (`SolveTrace.cell_updates` counts the cells stepped).  The implicit
+kernel couples every interior cell and solves them all.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -75,8 +73,8 @@ __all__ = [
     "bump",
 ]
 
-DEFAULT_SAFETY = 0.4
-DEFAULT_SUPPORT_TOL_FACTOR = 10.0
+SAFETY = 0.4                # the explicit step's fraction of the CFL limit
+SUPPORT_TOL_FACTOR = 10.0   # a cell is supported above eps + this * eps
 
 
 @dataclass(frozen=True)
@@ -184,14 +182,9 @@ class EpsProblem:
     eps: float
     g: Union[Callable, np.ndarray, float] = 0.0
     psi: Union[Callable, np.ndarray, float] = 1.0
-    u_max: Optional[float] = None
-    safety: float = DEFAULT_SAFETY
-    support_tol_factor: float = DEFAULT_SUPPORT_TOL_FACTOR
     omega_prime: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.u_max is None:
-            self.u_max = self.table.M
         if not (0.0 < self.eps < self.u_max):
             raise DomainError("need 0 < eps < u_max")
         if self.eps < self.table.s_min:
@@ -199,14 +192,15 @@ class EpsProblem:
                 f"eps={self.eps:g} below the table's smallest node "
                 f"{self.table.s_min:g}; coefficients are undefined there"
             )
-        if self.u_max > self.table.M * (1 + 1e-12):
-            raise DomainError("u_max exceeds the table domain")
-        if not (0.0 < self.safety <= 1.0):
-            raise DomainError("CFL safety factor must lie in (0, 1]")
+
+    @property
+    def u_max(self) -> float:
+        """The top of the admissible range: the table's domain edge M."""
+        return self.table.M
 
     @property
     def support_threshold(self) -> float:
-        return self.eps + self.support_tol_factor * self.eps
+        return self.eps + SUPPORT_TOL_FACTOR * self.eps
 
     def sample_on(self, grid: GridSpec):
         g_vals = grid.sample(self.g)
@@ -257,42 +251,36 @@ class _Kernel:
     """The explicit step, shared by `solve`, step_explicit and cfl_dt, and
     the base of `_ImplicitKernel`.
 
-    A kernel steps a stack of fields, one per rung, on one grid: rungs are
-    problems that differ only in the floor eps, and every array it handles
-    has a leading rung axis.  It holds the CFL constant, the boundary pins
-    eps*psi and the admissible ranges, so a step is D from one joint F/h
-    evaluation, each rung's CFL bound, the forward-Euler update and each
-    rung's tripwires, which are min/max reductions on the new values.
+    Every array a kernel handles has a leading rung axis, one rung per
+    floor eps.  The explicit step takes a stack of one field and refuses a
+    wider one; `_ImplicitKernel` steps a ladder.  A kernel holds the CFL
+    constant, the boundary pins eps*psi and the admissible ranges, so a
+    step is D from one joint F/h evaluation, the CFL bound, the
+    forward-Euler update and the tripwires, which are min/max reductions on
+    the new values.
 
     Only the active window is stepped: the per-axis bounding box of the
-    cells whose value differs from its rung's floor, over all rungs, grown
-    by one cell on each side and clipped to the interior.  Skipping the
-    cells outside it is exact: such a cell and its neighbors all hold their
-    rung's eps, the difference eps - 2*eps + eps is 0.0 in IEEE arithmetic
-    (2*eps and eps - 2*eps are exact), so forward Euler leaves the cell at
-    eps bit for bit.  The same holds for a cell inside the window that is
-    outside the box its own rung alone would have: it and its neighbors
-    hold that rung's eps, so its update is 0.0 too, and each rung's fields
-    are those of its own one-rung march.  The first diffusivity call
+    cells whose value differs from eps, grown by one cell on each side and
+    clipped to the interior.  Skipping the cells outside it is exact: such
+    a cell and its neighbors all hold eps, the difference eps - 2*eps + eps
+    is 0.0 in IEEE arithmetic (2*eps and eps - 2*eps are exact), so forward
+    Euler leaves the cell at eps bit for bit.  The first diffusivity call
     evaluates the whole grid (which is also the domain check of the ring)
     and fixes the window; later calls grow the box by one cell on each side
-    whose edge row (1-D: edge cell) has left its floor in some rung, then
-    evaluate D on the window plus its one-cell halo only.  The box never
-    shrinks, also when rungs leave the stack.  A hump that fills the box, or
-    a ring pin eps*psi that differs from eps, makes the window the whole
-    interior and the step the full-grid one.
+    whose edge row (1-D: edge cell) has left the floor, then evaluate D on
+    the window plus its one-cell halo only.  The box never shrinks.  A hump
+    that fills the box, or a ring pin eps*psi that differs from eps, makes
+    the window the whole interior and the step the full-grid one.
 
-    Each rung's CFL maximum of D over the slab is its full-grid one without
-    any constant for the cells outside: every cell that differs from the
-    rung's eps lies in the slab, the cells outside it hold eps, and while
-    the rung's own box leaves interior cells out, its edge on that side
-    holds eps too, so D(eps) is in the slab (D need not be monotone, so it
-    has to be).  The cells a wider window adds hold eps and add only that
-    value again.
+    The CFL maximum of D over the slab is the full-grid one without any
+    constant for the cells outside: every cell that differs from eps lies
+    in the slab, the cells outside it hold eps, and while the box leaves
+    interior cells out, its edge on that side holds eps too, so D(eps) is
+    in the slab (D need not be monotone, so it has to be).
 
     Per-rung scalars (floors, steps, extrema) are Python lists: at a handful
     of rungs a loop over floats costs less than a numpy call on a few
-    numbers, so a stack of one pays little for the rung axis.
+    numbers.
     """
 
     def __init__(self, probs: Sequence[EpsProblem], grid: GridSpec,
@@ -301,7 +289,7 @@ class _Kernel:
         if psi_vals is None:
             psi_vals = grid.sample(prob.psi)
         self.prob, self.grid, self.psi_vals = prob, grid, psi_vals
-        self.cfl = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
+        self.cfl = SAFETY * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
         dim = grid.dim
         self.axes = tuple(range(1, dim + 1))        # the grid axes of a stack
         self.col = (-1,) + (1,) * dim               # shape of a rung column
@@ -314,7 +302,7 @@ class _Kernel:
         # window, so the dissipation sum runs in the full-grid order
         self.work = np.zeros((len(probs),) + tuple(m - 2 for m in grid.n))
         self.w = None                # the window's view of work
-        self.cell_updates = 0        # per rung: every rung steps the window
+        self.cell_updates = 0        # cells stepped, per rung
         self._set_rungs(np.array([p.eps for p in probs]))
 
     def _set_rungs(self, eps: np.ndarray) -> None:
@@ -330,14 +318,6 @@ class _Kernel:
                               ring.max(axis=1).tolist()))
         self.dt = np.zeros(eps.size)             # the rungs' steps
         self.dt_col = self.dt.reshape(self.col)
-        if self.bounds is not None:
-            self.w = self.work[self.win_inner]
-            self._index_edges()
-
-    def keep(self, rows) -> None:
-        """Drop every rung but the stack rows listed in rows."""
-        self.work = self.work[rows]
-        self._set_rungs(self.eps[rows])
 
     def _set_window(self, bounds):
         self.bounds = bounds
@@ -351,8 +331,9 @@ class _Kernel:
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
         # edge rows that can still grow: (axis, side, stack index of the
-        # row), and the flat grid indices of all their cells for the one
-        # per-step test
+        # row), and the flat indices of all their cells for the one per-step
+        # test, which compares their values, as a list of floats, with the
+        # floor's (NaN differs)
         self.edges = []
         edge_cells = np.zeros(n, dtype=bool)
         for k, ((a, b), m) in enumerate(zip(bounds, n)):
@@ -361,22 +342,16 @@ class _Kernel:
                     row = win[:k] + (at,) + win[k + 1:]
                     self.edges.append((k, side, every + row))
                     edge_cells[row] = True
-        self.edge_idx = np.flatnonzero(edge_cells)
-        self._index_edges()
-
-    def _index_edges(self) -> None:
-        """The edge cells of every rung in a flat stack, and their floors as
-        a list of floats, which the per-step test compares with == (NaN
-        differs)."""
-        cells = int(np.prod(self.grid.n))
-        rows = np.arange(self.eps.size)[:, None] * cells
-        self.edge_take = (rows + self.edge_idx).ravel()
-        self.edge_floor = np.repeat(self.eps, self.edge_idx.size).tolist()
+        self.edge_take = np.flatnonzero(edge_cells)
+        self.edge_floor = [float(self.eps[0])] * self.edge_take.size
 
     def _open(self, values: np.ndarray) -> None:
-        """Fix the window for values from the cells that differ from their
-        rung's eps."""
-        off = (values != self.eps_col).any(axis=0)
+        """Fix the window for the one field of values from the cells that
+        differ from eps."""
+        if len(values) != 1:
+            raise DomainError(f"the explicit step marches one field, not a "
+                              f"stack of {len(values)}")
+        off = values[0] != self.eps[0]
         bounds = []
         for k, m in enumerate(self.grid.n):
             others = tuple(j for j in range(off.ndim) if j != k)
@@ -387,9 +362,9 @@ class _Kernel:
         self._set_window(bounds)
 
     def _grow(self, values: np.ndarray) -> None:
-        floors = self.eps_col[..., 0]     # against a row of every rung
+        eps = self.eps[0]
         hits = [(k, side) for k, side, edge in self.edges
-                if (values[edge] != floors).any()]
+                if (values[edge] != eps).any()]
         if hits:
             bounds = [list(ab) for ab in self.bounds]
             for k, side in hits:
@@ -398,11 +373,11 @@ class _Kernel:
 
     def diffusivity(self, values: np.ndarray, lo: Optional[list] = None,
                     hi: Optional[list] = None):
-        """D on the window plus its halo for a stack of fields, and each
-        rung's largest stable step.  After the first call, values must be
-        this kernel's last step output, and lo, hi the rungs' extrema of it
-        (the ones the tripwires return), which spare the table's domain
-        check a scan of the slab."""
+        """D on the window plus its halo for a stack of one field, and its
+        largest stable step.  After the first call, values must be this
+        kernel's last step output, and lo, hi its extrema (the ones the
+        tripwires return), which spare the table's domain check a scan of
+        the slab."""
         if self.bounds is None:
             D = self.prob.diffusivity(values, self.eps_col)
             self._open(values)
@@ -566,6 +541,11 @@ class _ImplicitKernel(_Kernel):
         # a line's pins, once its axis is moved last
         self.lines = (slice(None),) + (slice(1, -1),) * (grid.dim - 1)
 
+    def keep(self, rows) -> None:
+        """Drop every rung but the stack rows listed in rows."""
+        self.work = self.w = self.work[rows]    # the window is the interior
+        self._set_rungs(self.eps[rows])
+
     def diffusivity(self, values: np.ndarray, lo: list, hi: list):
         """D over the whole grid for a stack of fields, and each rung's
         step from D at its max u; lo and hi are the rungs' extrema of
@@ -597,7 +577,7 @@ class _ImplicitKernel(_Kernel):
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
-    CFL bound, safety * min(h)^2 / (2 * dim * max D)."""
+    CFL bound, SAFETY * min(h)^2 / (2 * dim * max D)."""
     return _Kernel([prob], grid).diffusivity(values[None])[1][0]
 
 
@@ -707,15 +687,15 @@ def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
            kernel: type = _Kernel) -> list:
     """March a stack of rungs in lock step to time T with the step kernel
     `kernel` (`_Kernel`, forward Euler, or `_ImplicitKernel`, lagged
-    backward Euler); one SolveTrace per rung, in the order given.
+    backward Euler); one SolveTrace per rung, in the order given.  The
+    explicit kernel takes one rung.
 
-    The rungs must differ only in eps (share the table, g, psi, u_max and
-    safety; `eps_sweep` builds them with `dataclasses.replace`), since the
-    kernel holds the first rung's.  Each rung's trace is the one its own
-    one-rung march with the same kernel gives, bit for bit; its
-    cell_updates counts the cells of the shared window it stepped.  After
-    the first step, a rung whose step projects more than MAX_STEPS steps
-    to T raises CflError.
+    The rungs must differ only in eps (share the table, g and psi;
+    `eps_sweep` builds them with `dataclasses.replace`), since the kernel
+    holds the first rung's.  Each rung's trace is the one its own one-rung
+    march with the same kernel gives, bit for bit; its cell_updates counts
+    the cells it stepped.  After the first step, a rung whose step projects
+    more than MAX_STEPS steps to T raises CflError.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")

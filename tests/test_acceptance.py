@@ -20,9 +20,9 @@ from degenstein.kinetic import kernel_moments, power_family_kernel, run_master
 from degenstein.localization import (CutoffFamily, ExponentPack,
                                      de_giorgi_trace, lady_bound,
                                      lady_threshold, time_to_threshold)
-from degenstein.solver import (EpsProblem, GridSpec, bump, cfl_dt,
-                               energy_identity_residual, eps_sweep, solve,
-                               step_explicit)
+from degenstein.solver import (SUPPORT_TOL_FACTOR, EpsProblem, GridSpec,
+                               bump, cfl_dt, energy_identity_residual,
+                               eps_sweep, solve, step_explicit)
 
 EXTENT = ((-1.0, 1.0),)
 BUMP = dict(center=(-0.6,), radius=0.2, height=0.2)
@@ -259,7 +259,7 @@ def test_criterion_7_every_registry_kind():
             assert all(b < a for a, b in zip(gaps, gaps[1:])), (kind, gaps)
             ratios = [float(f[ball].max()) / e
                       for f, e in zip(sweep.finals, ladder)]
-            clean[kind] = max(ratios) <= 1.0 + prob.support_tol_factor
+            clean[kind] = max(ratios) <= 1.0 + SUPPORT_TOL_FACTOR
             print(f"  {kind}: steps {sweep.n_steps}, gaps "
                   f"{', '.join(f'{g:.3e}' for g in gaps)}, ball max/eps "
                   f"{', '.join(f'{q:.3g}' for q in ratios)}")

@@ -1,0 +1,16 @@
+"""The README's library quick start, run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+                        re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    residual, arrival = capsys.readouterr().out.split()
+    assert 1e-2 < float(residual) < 1.5e-2   # "~1.2e-2"
+    assert arrival == "inf"                  # "the ball stays clean"

@@ -294,7 +294,7 @@ def _reference_solve(prob, grid, T):
     t, n_steps = 0.0, 0
     while t < T - 1e-15 * T:
         D = (prob.table.eval("F", u) + prob.eps) / prob.table.eval("h", u)
-        dt = min(prob.safety * h ** 2 / (2.0 * float(D.max())), T - t)
+        dt = min(solver_mod.SAFETY * h ** 2 / (2.0 * float(D.max())), T - t)
         lap = np.zeros_like(u)
         lap[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h ** 2
         u = u + dt * D * lap
@@ -371,7 +371,7 @@ def _full_grid_solve(prob, grid, T, n_snap):
     updates every interior cell.  Returns (fields, dissipation, dt_history,
     max_u_history)."""
     g_vals, psi_vals = prob.sample_on(grid)
-    cfl = prob.safety * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
+    cfl = solver_mod.SAFETY * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
     inner = (slice(1, -1),) * grid.dim
     h2 = [h ** 2 for h in grid.h]
     pin = prob.eps * psi_vals
@@ -505,58 +505,64 @@ def _assert_same_trace(got, ref):
 
 
 def _check_lock_step(prob, grid, T, ladder, snapshot_times=2):
-    """Each rung of the explicit lock-step march against its own serial
-    solve, and each rung of the implicit one against its own one-rung
+    """Each rung of the implicit lock-step march against its own one-rung
     implicit march, bit for bit; eps_sweep's finals and step counts
-    against the one-rung implicit marches (the finals do not depend on the
-    snapshot schedule).  Returns the serial solves."""
+    against the one-rung marches (the finals do not depend on the
+    snapshot schedule).  Returns the lock-step traces."""
     rungs = [replace(prob, eps=e) for e in ladder]
-    serial = [solve(p, grid, T, snapshot_times) for p in rungs]
-    for got, ref in zip(solver_mod._march(rungs, grid, T, snapshot_times),
-                        serial):
-        _assert_same_trace(got, ref)
     implicit = solver_mod._ImplicitKernel
     alone = [solver_mod._march([p], grid, T, snapshot_times, implicit)[0]
              for p in rungs]
-    for got, ref in zip(solver_mod._march(rungs, grid, T, snapshot_times,
-                                          implicit), alone):
+    stacked = solver_mod._march(rungs, grid, T, snapshot_times, implicit)
+    for got, ref in zip(stacked, alone):
         _assert_same_trace(got, ref)
     sweep = eps_sweep(prob, grid, T, ladder)
     assert all(np.array_equal(a, tr.fields[-1])
                for a, tr in zip(sweep.finals, alone))
     assert sweep.n_steps == [tr.n_steps for tr in alone]
-    return serial
+    return stacked
 
 
 class TestLockStep:
-    """The lock-step ladder against serial solves: a cell outside a rung's
-    own box holds that rung's eps, so the union window changes no bit of
-    any rung."""
+    """The implicit lock-step ladder against one-rung implicit marches:
+    nothing mixes rungs, so the stack changes no bit of any rung.  The
+    explicit kernel steps one field and refuses a stack."""
 
     LAB_LADDER = [1e-3 * 2.0 ** (-k) for k in range(5)]
+    LAB_GRID = GridSpec(extent=((-1.0, 1.0),), n=(401,))
+
+    def lab_problem(self, table):
+        return EpsProblem(table=table, eps=1e-6, g=bump((-0.6,), 0.2, 0.2),
+                          psi=1.0, omega_prime=((0.5,), 0.4))
 
     def test_lab_ladder(self, beta1_table):
-        grid = GridSpec(extent=((-1.0, 1.0),), n=(401,))
-        prob = EpsProblem(table=beta1_table, eps=1e-6, g=bump((-0.6,), 0.2, 0.2),
-                          psi=1.0, omega_prime=((0.5,), 0.4))
-        serial = _check_lock_step(prob, grid, 0.05, self.LAB_LADDER)
-        # the rungs leave the stack at different steps
-        assert len({tr.n_steps for tr in serial}) == len(serial)
+        _check_lock_step(self.lab_problem(beta1_table), self.LAB_GRID, 0.05,
+                         self.LAB_LADDER)
+
+    def test_rungs_leave_at_different_steps(self, beta1_table):
+        stacked = _check_lock_step(self.lab_problem(beta1_table),
+                                   self.LAB_GRID, 0.05, [1e-3, 0.1, 1e-4, 0.3])
+        assert len({tr.n_steps for tr in stacked}) == 3
+
+    def test_explicit_stack_is_refused(self, beta1_table):
+        rungs = [replace(self.lab_problem(beta1_table), eps=e)
+                 for e in self.LAB_LADDER[:2]]
+        with pytest.raises(DomainError, match="one field"):
+            solver_mod._march(rungs, self.LAB_GRID, 0.05, 2)
 
     def test_2d_with_repeated_rung(self, beta1_table):
         grid = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(48, 48))
         prob = EpsProblem(table=beta1_table, eps=1e-5,
                           g=bump((0.1, -0.2), 0.4, 0.2, shape="cos2"), psi=1.0)
-        # the first rung is not the one whose box is widest
-        serial = _check_lock_step(prob, grid, 0.01, [5e-4, 1e-3, 5e-4, 1e-4])
-        assert serial[0].n_steps == serial[2].n_steps
+        stacked = _check_lock_step(prob, grid, 0.01, [5e-4, 1e-3, 5e-4, 1e-4])
+        assert stacked[0].n_steps == stacked[2].n_steps
 
     def test_hump_fills_the_box(self, beta1_table, desk_grid):
         prob = EpsProblem(table=beta1_table, eps=1e-6,
                           g=lambda x: 0.1 + 0.05 * np.cos(3 * x), psi=1.0)
-        serial = _check_lock_step(prob, desk_grid, 0.005, [1e-3, 1e-4, 1e-5])
+        stacked = _check_lock_step(prob, desk_grid, 0.005, [1e-3, 1e-4, 1e-5])
         interior = int(desk_grid.interior_mask().sum())
-        assert all(tr.cell_updates == tr.n_steps * interior for tr in serial)
+        assert all(tr.cell_updates == tr.n_steps * interior for tr in stacked)
 
     def test_nonconstant_psi(self, beta1_table, desk_grid):
         # the ring pin eps*psi differs from eps, and differently per rung
@@ -566,19 +572,8 @@ class TestLockStep:
 
     def test_explicit_snapshot_list(self, beta1_table, desk_grid, desk_bump):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        # a rising ladder: the last rung's box is the widest
         _check_lock_step(prob, desk_grid, 0.01, [4e-5, 2e-4, 1e-3],
                          snapshot_times=[0.0, 0.0011, 0.004, 0.0095, 0.01])
-
-    def test_cell_updates_count_the_shared_window(self, beta1_table,
-                                                  desk_grid, desk_bump):
-        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        rungs = [replace(prob, eps=e) for e in (1e-3, 1e-5)]
-        traces = solver_mod._march(rungs, desk_grid, 0.01, 2)
-        interior = int(desk_grid.interior_mask().sum())
-        for tr, p in zip(traces, rungs):
-            alone = solve(p, desk_grid, 0.01, 2).cell_updates
-            assert alone <= tr.cell_updates < tr.n_steps * interior
 
     @settings(max_examples=12, deadline=None)
     @given(ladder=st.lists(st.floats(min_value=1e-6, max_value=1e-2),
@@ -591,28 +586,6 @@ class TestLockStep:
         prob = EpsProblem(table=beta1_table, eps=1e-6,
                           g=bump((center,), 0.3, height), psi=1.0)
         _check_lock_step(prob, grid, T, ladder)
-
-    def test_overshoot_raises_at_the_failing_step(self, beta1_table,
-                                                  desk_grid, desk_bump,
-                                                  monkeypatch):
-        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        ladder = [1e-3, 1e-4, 1e-5]
-        n_honest = min(solve(replace(prob, eps=e), desk_grid, 0.01, 2).n_steps
-                       for e in ladder)
-        calls = []
-        honest = solver_mod._laplacian
-
-        def overshooting(values, grid):
-            calls.append(1)
-            return 10.0 * honest(values, grid)
-
-        monkeypatch.setattr(solver_mod, "_laplacian", overshooting)
-        with pytest.raises(RangeError) as info:
-            solver_mod._march([replace(prob, eps=e) for e in ladder],
-                              desk_grid, 0.01, 2)
-        assert any(f"eps={e:g}:" in str(info.value) for e in ladder)
-        # one stencil call per lock-step step, caught long before T
-        assert 0 < len(calls) < n_honest // 10, (len(calls), n_honest)
 
     def test_implicit_overshoot_raises_at_the_first_step(
             self, beta1_table, desk_grid, desk_bump, monkeypatch):
@@ -695,9 +668,8 @@ class TestImplicitLadder:
         prob = EpsProblem(table=beta1_table, eps=1e-3,
                           g=bump((-0.6,), 0.2, 0.2), psi=1.0,
                           omega_prime=((0.5,), 0.4))
-        rungs = [replace(prob, eps=e) for e in self.LADDER]
-        explicit = [tr.fields[-1]
-                    for tr in solver_mod._march(rungs, grid, self.T, 2)]
+        explicit = [solve(replace(prob, eps=e), grid, self.T, 2).fields[-1]
+                    for e in self.LADDER]
         return grid, prob, explicit
 
     @staticmethod
