@@ -16,28 +16,16 @@ of the mass on the desk run (see SAFETY).  `_ImplicitKernel` is lagged
 backward Euler, and `eps_sweep` marches the floor ladder with it: each step
 solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n by batched parallel cyclic
 reduction (`_pcr`), an M-matrix solve for any dt, with steps 32 times the
-forward-Euler limit at each rung's D(max u).  Both check the range and
+forward-Euler limit at D(max u).  Both check the range and
 maximum-principle tripwires on every step, so a march raises RangeError at
 the step that breaks them.  D comes from one joint evaluation of the F and
 h columns per step (`CoefficientTable.eval` with a tuple): one log, one
 padded gather of both columns' cubics, one Horner pass and one exp.
 
-The implicit kernel and the loop carry a leading batch axis of rungs:
-problems that share the table, grid, g and psi and differ only in the
-floor eps.  `eps_sweep` marches its whole ladder in lock step, so each
-numpy call serves every rung.  eps is a per-rung column, so D = (F + eps)/h
-broadcasts; each rung keeps its own time, step (capped at T - t),
-tripwires, snapshots and dissipation sum, and leaves the stack at the step
-where it reaches T.  Each rung of a lock-step march equals its own one-rung
-march bit for bit.
-
-The explicit kernel steps one field (`solve` is the march of a stack of
-one), and only its active window, the bounding box of the cells that
-differ from eps, plus one cell: the localized solution leaves most of the
-grid at eps, and there the update is exactly zero, since eps - 2*eps + eps
-== 0.0 in IEEE arithmetic.  Skipping those cells changes no bit of the
-result (`SolveTrace.cell_updates` counts the cells stepped).  The implicit
-kernel couples every interior cell and solves them all.
+Every march steps one field of one problem, and the floor ladder is a loop
+of them, one per eps.  The explicit kernel steps only the active window of
+the cells that differ from eps, which changes no bit of the result (see
+`_Kernel`); the implicit kernel solves the whole interior.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -169,6 +157,9 @@ def bump(center, radius: float, height: float, shape: str = "tent") -> Callable:
         raise DomainError(f"unknown bump shape '{shape}'")
 
     def g(*mesh):
+        if len(mesh) != center.size:
+            raise DomainError(f"bump center has {center.size} components, "
+                              f"the grid {len(mesh)} axes")
         r = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, center)))
         if shape == "tent":
             return height * np.clip(1.0 - r / radius, 0.0, None)
@@ -232,28 +223,32 @@ class EpsProblem:
                 raise DomainError("g does not vanish on the declared empty ball")
         return g_vals, psi_vals
 
-    def diffusivity(self, values: np.ndarray, eps=None,
+    def diffusivity(self, values: np.ndarray,
                     bounds: Optional[tuple] = None) -> np.ndarray:
-        """D = (F + eps)/h at values.  eps defaults to this problem's floor;
-        a stack of fields takes a column of floors, one per field.  bounds,
-        when given, hold every value (see `CoefficientTable.eval`)."""
+        """D = (F + eps)/h at values.  bounds, when given, hold every value
+        (see `CoefficientTable.eval`)."""
         F, h = self.table.eval(("F", "h"), values, bounds)
-        F += self.eps if eps is None else eps
+        F += self.eps
         F /= h
         return F
 
 
+def _on_grid(what: str, values: np.ndarray, grid: GridSpec) -> None:
+    if np.shape(values) != tuple(grid.n):
+        raise DomainError(f"{what} has shape {np.shape(values)}, not the "
+                          f"grid's {tuple(grid.n)}")
+
+
 def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Five-point (1-D: three-point) Laplacian on the interior cells only, of
-    one field or of a stack of fields along a leading axis."""
+    """Five-point (1-D: three-point) Laplacian on the interior cells only."""
     h = grid.h
     if grid.dim == 1:
-        return (values[..., :-2] - 2.0 * values[..., 1:-1] + values[..., 2:]) / h[0] ** 2
+        return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h[0] ** 2
     return (
-        (values[..., :-2, 1:-1] - 2.0 * values[..., 1:-1, 1:-1]
-         + values[..., 2:, 1:-1]) / h[0] ** 2
-        + (values[..., 1:-1, :-2] - 2.0 * values[..., 1:-1, 1:-1]
-           + values[..., 1:-1, 2:]) / h[1] ** 2
+        (values[:-2, 1:-1] - 2.0 * values[1:-1, 1:-1] + values[2:, 1:-1])
+        / h[0] ** 2
+        + (values[1:-1, :-2] - 2.0 * values[1:-1, 1:-1] + values[1:-1, 2:])
+        / h[1] ** 2
     )
 
 
@@ -261,14 +256,12 @@ class _Kernel:
     """The explicit step, shared by `solve`, step_explicit and cfl_dt, and
     the base of `_ImplicitKernel`.
 
-    Every array a kernel handles has a leading rung axis, one rung per
-    floor eps.  The explicit step takes a stack of one field and refuses a
-    wider one; `_ImplicitKernel` steps a ladder.  A kernel holds the CFL
-    constant, the boundary pins eps*psi and the admissible ranges, so a
-    step is D from one joint F/h evaluation, the CFL bound, the
-    forward-Euler update and the tripwires, which are min/max reductions on
-    the new values.  Under the bound each update is a convex combination
-    of its stencil, at a time error of 5e-5 of the mass (see SAFETY).
+    A kernel steps one field of one problem.  It holds the CFL constant,
+    the boundary pins eps*psi and the admissible ranges, so a step is D
+    from one joint F/h evaluation, the CFL bound, the forward-Euler update
+    and the tripwires, which are min/max reductions on the new values.
+    Under the bound each update is a convex combination of its stencil, at
+    a time error of 5e-5 of the mass (see SAFETY).
 
     Only the active window is stepped: the per-axis bounding box of the
     cells whose value differs from eps, grown by one cell on each side and
@@ -288,62 +281,40 @@ class _Kernel:
     in the slab, the cells outside it hold eps, and while the box leaves
     interior cells out, its edge on that side holds eps too, so D(eps) is
     in the slab (D need not be monotone, so it has to be).
-
-    Per-rung scalars (floors, steps, extrema) are Python lists: at a handful
-    of rungs a loop over floats costs less than a numpy call on a few
-    numbers.
     """
 
-    def __init__(self, probs: Sequence[EpsProblem], grid: GridSpec,
+    def __init__(self, prob: EpsProblem, grid: GridSpec,
                  psi_vals: Optional[np.ndarray] = None):
-        prob = probs[0]
         if psi_vals is None:
             psi_vals = grid.sample(prob.psi)
-        self.prob, self.grid, self.psi_vals = prob, grid, psi_vals
+        self.prob, self.grid, self.eps = prob, grid, prob.eps
         self.cfl = SAFETY * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
-        dim = grid.dim
-        self.axes = tuple(range(1, dim + 1))        # the grid axes of a stack
-        self.col = (-1,) + (1,) * dim               # shape of a rung column
-        self.inner = (slice(None),) + (slice(1, -1),) * dim
-        self.ring = ~grid.interior_mask()
+        self.inner = (slice(1, -1),) * grid.dim
+        self.pin = self.eps * psi_vals
+        ring = self.pin[~grid.interior_mask()]
+        self.ring_lo, self.ring_hi = float(ring.min()), float(ring.max())
+        # the lower end of the admissible range
+        self.floor = self.eps * min(1.0, float(psi_vals.min()))
         self.hi = prob.u_max
         self.slack = 1e-12 * max(self.hi, 1.0)
         self.bounds = None           # window [a, b) per axis, from the first call
         # the update, then du^2/D, over the interior; 0.0 outside the
         # window, so the dissipation sum runs in the full-grid order
-        self.work = np.zeros((len(probs),) + tuple(m - 2 for m in grid.n))
+        self.work = np.zeros(tuple(m - 2 for m in grid.n))
         self.w = None                # the window's view of work
-        self.cell_updates = 0        # cells stepped, per rung
-        self._set_rungs(np.array([p.eps for p in probs]))
-
-    def _set_rungs(self, eps: np.ndarray) -> None:
-        """Everything that depends on the floors of the stack's rungs."""
-        self.eps, self.eps_col = eps, eps.reshape(self.col)
-        self.pin = self.eps_col * self.psi_vals
-        ring = self.pin[:, self.ring]
-        psi_lo = min(1.0, float(self.psi_vals.min()))
-        floors = eps.tolist()
-        # per rung: floor, lower end of the admissible range, ring extrema
-        self.rungs = list(zip(floors, [e * psi_lo for e in floors],
-                              ring.min(axis=1).tolist(),
-                              ring.max(axis=1).tolist()))
-        self.dt = np.zeros(eps.size)             # the rungs' steps
-        self.dt_col = self.dt.reshape(self.col)
+        self.cell_updates = 0        # cells stepped
 
     def _set_window(self, bounds):
         self.bounds = bounds
-        win = tuple(slice(a, b) for a, b in bounds)
-        every = (slice(None),)
-        self.win = every + win
-        self.slab = every + tuple(slice(a - 1, b + 1) for a, b in bounds)
-        self.win_inner = every + tuple(slice(a - 1, b - 1) for a, b in bounds)
-        self.w = self.work[self.win_inner]
+        self.win = win = tuple(slice(a, b) for a, b in bounds)
+        self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
+        self.w = self.work[tuple(slice(a - 1, b - 1) for a, b in bounds)]
         self.size = int(np.prod([b - a for a, b in bounds]))
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
-        # edge rows that can still grow: (axis, side, stack index of the
-        # row), and the flat indices of all their cells for the one per-step
-        # test, which compares their values, as a list of floats, with the
+        # edge rows that can still grow: (axis, side, index of the row), and
+        # the flat indices of all their cells for the one per-step test,
+        # which compares their values, as a list of floats, with the
         # floor's (NaN differs)
         self.edges = []
         edge_cells = np.zeros(n, dtype=bool)
@@ -351,18 +322,14 @@ class _Kernel:
             for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1)):
                 if room:
                     row = win[:k] + (at,) + win[k + 1:]
-                    self.edges.append((k, side, every + row))
+                    self.edges.append((k, side, row))
                     edge_cells[row] = True
         self.edge_take = np.flatnonzero(edge_cells)
-        self.edge_floor = [float(self.eps[0])] * self.edge_take.size
+        self.edge_floor = [self.eps] * self.edge_take.size
 
     def _open(self, values: np.ndarray) -> None:
-        """Fix the window for the one field of values from the cells that
-        differ from eps."""
-        if len(values) != 1:
-            raise DomainError(f"the explicit step marches one field, not a "
-                              f"stack of {len(values)}")
-        off = values[0] != self.eps[0]
+        """Fix the window from the cells that differ from eps."""
+        off = values != self.eps
         bounds = []
         for k, m in enumerate(self.grid.n):
             others = tuple(j for j in range(off.ndim) if j != k)
@@ -373,85 +340,74 @@ class _Kernel:
         self._set_window(bounds)
 
     def _grow(self, values: np.ndarray) -> None:
-        eps = self.eps[0]
         hits = [(k, side) for k, side, edge in self.edges
-                if (values[edge] != eps).any()]
+                if (values[edge] != self.eps).any()]
         if hits:
             bounds = [list(ab) for ab in self.bounds]
             for k, side in hits:
                 bounds[k][side] += 1 if side else -1
             self._set_window([tuple(ab) for ab in bounds])
 
-    def diffusivity(self, values: np.ndarray, lo: Optional[list] = None,
-                    hi: Optional[list] = None):
-        """D on the window plus its halo for a stack of one field, and its
-        largest stable step.  After the first call, values must be this
-        kernel's last step output, and lo, hi its extrema (the ones the
-        tripwires return), which spare the table's domain check a scan of
-        the slab."""
+    def diffusivity(self, values: np.ndarray, lo: Optional[float] = None,
+                    hi: Optional[float] = None):
+        """D on the window plus its halo, and the largest stable step.
+        After the first call, values must be this kernel's last step
+        output, and lo, hi its extrema (the ones the tripwires return),
+        which spare the table's domain check a scan of the slab."""
         if self.bounds is None:
-            D = self.prob.diffusivity(values, self.eps_col)
+            D = self.prob.diffusivity(values)
             self._open(values)
-            top, D = np.maximum.reduce(D, self.axes), D[self.slab]
+            top, D = D.max(), D[self.slab]
         else:
             if self.edges and \
                     values.take(self.edge_take).tolist() != self.edge_floor:
                 self._grow(values)
-            D = self.prob.diffusivity(values[self.slab], self.eps_col,
-                                      (min(lo), max(hi)))
-            top = np.maximum.reduce(D, self.axes)
-        cfl = self.cfl
-        return D, [cfl / m for m in top.tolist()]
+            D = self.prob.diffusivity(values[self.slab], (lo, hi))
+            top = D.max()
+        return D, self.cfl / float(top)
 
-    def step(self, values: np.ndarray, D: np.ndarray, dts: list, lo: list,
-             hi: list, out: np.ndarray):
+    def step(self, values: np.ndarray, D: np.ndarray, dt: float, lo: float,
+             hi: float, out: np.ndarray):
         """Write the forward-Euler update of the window into out, whose
         other cells must already hold the pins on the boundary ring and the
-        values elsewhere; D is the diffusivity call's, dts, lo and hi are
-        the rungs' steps and extrema of values.
+        values elsewhere; D is the diffusivity call's, dt the step and lo,
+        hi the extrema of values.
 
-        Returns the rungs' extrema of out and their sums of du^2/D over the
-        interior (the dissipation integrand of the step), after raising
-        RangeError if a rung's out leaves its admissible range or its
-        interior update breaks the discrete maximum principle (neither can
-        happen under the CFL bound; the checks are tripwires).
+        Returns the extrema of out and its sum of du^2/D over the interior
+        (the dissipation integrand of the step), after raising RangeError
+        if out leaves the admissible range or its interior update breaks
+        the discrete maximum principle (neither can happen under the CFL
+        bound; the checks are tripwires).
         """
-        self.dt[:] = dts
         old, new, Dw, w = values[self.win], out[self.win], D[self.inner], self.w
-        np.multiply(Dw, self.dt_col, out=w)
+        np.multiply(Dw, dt, out=w)
         w *= _laplacian(values[self.slab], self.grid)
         np.add(old, w, out=new)
         self.cell_updates += self.size
         return self._finish(old, new, Dw, lo, hi)
 
     def _finish(self, old, new, Dw, lo, hi):
-        """Each rung's tripwires on the window's new values, then its
-        extrema and its sum of du^2/D; see `step`."""
-        w = self.w
-        new_lo = np.minimum.reduce(new, self.axes).tolist()
-        new_hi = np.maximum.reduce(new, self.axes).tolist()
-        out_lo, out_hi = [], []
-        partial, top, slack = self.partial, self.hi, self.slack
-        for (eps, floor, ring_lo, ring_hi), n_lo, n_hi, p_lo, p_hi in zip(
-                self.rungs, new_lo, new_hi, lo, hi):
-            if partial:  # the interior cells outside the window hold eps
-                n_lo, n_hi = min(n_lo, eps), max(n_hi, eps)
-            o_lo, o_hi = min(n_lo, ring_lo), max(n_hi, ring_hi)
-            # negated comparisons, so NaN trips them too
-            if not (o_lo >= floor - slack and o_hi <= top + slack):
-                raise RangeError(
-                    f"eps={eps:g}: field left [{floor:g}, {top:g}]: "
-                    f"range [{o_lo:g}, {o_hi:g}]")
-            if not (n_hi <= p_hi + slack and n_lo >= p_lo - slack):
-                raise RangeError(f"eps={eps:g}: discrete maximum principle "
-                                 f"violated")
-            out_lo.append(o_lo)
-            out_hi.append(o_hi)
+        """The tripwires on the window's new values, then the extrema and
+        the sum of du^2/D; see `step`."""
+        eps, top, slack = self.eps, self.hi, self.slack
+        n_lo, n_hi = float(new.min()), float(new.max())
+        if self.partial:  # the interior cells outside the window hold eps
+            n_lo, n_hi = min(n_lo, eps), max(n_hi, eps)
+        o_lo, o_hi = min(n_lo, self.ring_lo), max(n_hi, self.ring_hi)
+        # negated comparisons, so NaN trips them too
+        if not (o_lo >= self.floor - slack and o_hi <= top + slack):
+            raise RangeError(
+                f"eps={eps:g}: field left [{self.floor:g}, {top:g}]: "
+                f"range [{o_lo:g}, {o_hi:g}]")
+        if not (n_hi <= hi + slack and n_lo >= lo - slack):
+            raise RangeError(f"eps={eps:g}: discrete maximum principle "
+                             f"violated")
         # du^2/D with du the rounded update, in the full-grid order
+        w = self.w
         np.subtract(new, old, out=w)
         w *= w
         w /= Dw
-        return out_lo, out_hi, np.add.reduce(self.work, self.axes).tolist()
+        return o_lo, o_hi, float(np.add.reduce(self.work, None))
 
 
 def _pcr(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
@@ -464,7 +420,7 @@ def _pcr(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
     up[i]/diag[i+s] times row i+s to row i, which removes x[i-s] and
     x[i+s] and couples row i to rows i-2s and i+2s; after ceil(log2 n)
     passes every row is diagonal.  For an M-matrix (lo, up >= 0 and
-    diag >= lo + up) every coefficient stays nonnegative.  The rows live
+    diag >= lo + up) every coefficient stays nonnegative.  The rows sit
     in buffers padded on both sides by the largest stride (lo, up and rhs
     with 0, diag with 1), so a row beyond the ends contributes nothing and
     each pass is twelve elementwise numpy calls into the other set of
@@ -518,69 +474,59 @@ def _solve_lines(u: np.ndarray, r: np.ndarray, left: np.ndarray,
     return _pcr(lo, np.ones_like(d), up, d)
 
 
-# the implicit step is this many times the forward-Euler limit at a rung's
-# bulk diffusivity
+# the implicit step is this many times the forward-Euler limit at the bulk
+# diffusivity
 _IMPLICIT_C = 32.0
 
 
 class _ImplicitKernel(_Kernel):
-    """Lagged backward Euler over the whole interior, behind the explicit
-    kernel's calls: `eps_sweep` marches the floor ladder with it.
+    """Lagged backward Euler over the whole interior of one field, behind
+    the explicit kernel's calls: `eps_sweep` marches each floor of its
+    ladder with it.
 
     A step solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n with the ring
-    held at eps*psi.  In 1-D that is one tridiagonal system per rung; in
-    2-D, Lie splitting solves along x on every row and then along y on
-    every column, both with D lagged at u^n.  Every system of a step is
-    solved in one batch by `_pcr`.  Each matrix is an M-matrix, so the
-    discrete maximum principle holds for any dt, and the explicit kernel's
-    range and maximum-principle tripwires, with their slack of 1e-12 of
+    held at eps*psi.  In 1-D that is one tridiagonal system; in 2-D, Lie
+    splitting solves along x on every row and then along y on every
+    column, both with D lagged at u^n.  The systems along one axis are solved
+    in one batch by `_pcr`.  Each matrix is an M-matrix, so the discrete
+    maximum principle holds for any dt, and the explicit kernel's range
+    and maximum-principle tripwires, with their slack of 1e-12 of
     max(u_max, 1), stand for roundoff below the floor: nothing is clamped.
 
-    A rung's step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)), capped
-    at T - t by the march: a multiple of the forward-Euler limit at the
-    rung's bulk diffusivity, not at its max D, which for the kinds whose h
-    collapses faster than eps sits at the floor.  The error is first order
-    in that step.  Every operation is elementwise within a rung or a
-    reduction over one rung's cells, so each rung of a stack is bit for bit
-    its own one-rung march."""
+    The step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)), capped at
+    T - t by the march: a multiple of the forward-Euler limit at the bulk
+    diffusivity, not at max D, which for the kinds whose h collapses
+    faster than eps sits at the floor.  The error is first order in that
+    step."""
 
-    def __init__(self, probs: Sequence[EpsProblem], grid: GridSpec,
+    def __init__(self, prob: EpsProblem, grid: GridSpec,
                  psi_vals: Optional[np.ndarray] = None):
-        super().__init__(probs, grid, psi_vals)
+        super().__init__(prob, grid, psi_vals)
         self.cfl = _IMPLICIT_C * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
         self._set_window([(1, m - 1) for m in grid.n])
-        # a line's pins, once its axis is moved last
-        self.lines = (slice(None),) + (slice(1, -1),) * (grid.dim - 1)
+        # a line's pins, once its axis is swapped last
+        self.lines = (slice(1, -1),) * (grid.dim - 1)
 
-    def keep(self, rows) -> None:
-        """Drop every rung but the stack rows listed in rows."""
-        self.work = self.w = self.work[rows]    # the window is the interior
-        self._set_rungs(self.eps[rows])
+    def diffusivity(self, values: np.ndarray, lo: float, hi: float):
+        """D over the whole grid, and the step from D at max u; lo and hi
+        are the extrema of values.  The evaluation at the maximum scans it,
+        so a NaN in the field, which makes its extrema NaN, raises
+        DomainError there."""
+        D = self.prob.diffusivity(values, (lo, hi))
+        top = self.prob.diffusivity(np.array([hi]))
+        return D, self.cfl / float(top[0])
 
-    def diffusivity(self, values: np.ndarray, lo: list, hi: list):
-        """D over the whole grid for a stack of fields, and each rung's
-        step from D at its max u; lo and hi are the rungs' extrema of
-        values.  The evaluation at the maxima scans them, so a NaN in a
-        field, which makes its extrema NaN, raises DomainError there."""
-        D = self.prob.diffusivity(values, self.eps_col, (min(lo), max(hi)))
-        top = self.prob.diffusivity(np.array(hi), self.eps)
-        cfl = self.cfl
-        return D, [cfl / m for m in top.tolist()]
-
-    def step(self, values: np.ndarray, D: np.ndarray, dts: list, lo: list,
-             hi: list, out: np.ndarray):
+    def step(self, values: np.ndarray, D: np.ndarray, dt: float, lo: float,
+             hi: float, out: np.ndarray):
         """Write the backward-Euler step of the interior into out, whose
         ring must hold the pins; otherwise as `_Kernel.step`."""
-        self.dt[:] = dts
         old, new, Dw = values[self.win], out[self.win], D[self.inner]
         u = old
         for k, h in enumerate(self.grid.h):
-            ax = k + 1
-            pin = np.moveaxis(self.pin, ax, -1)[self.lines]
-            x = _solve_lines(np.moveaxis(u, ax, 0),
-                             np.moveaxis(Dw * (self.dt_col / h ** 2), ax, 0),
+            pin = self.pin.swapaxes(k, -1)[self.lines]
+            x = _solve_lines(u.swapaxes(k, 0), (Dw * (dt / h ** 2)).swapaxes(k, 0),
                              pin[..., 0], pin[..., -1])
-            u = np.moveaxis(x, 0, ax)
+            u = x.swapaxes(0, k)
         new[...] = u
         self.cell_updates += self.size
         return self._finish(old, new, Dw, lo, hi)
@@ -590,7 +536,8 @@ def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, SAFETY * min(h)^2 / (2 * dim * max D), which keeps each
     updated cell within its stencil's min and max (see SAFETY)."""
-    return _Kernel([prob], grid).diffusivity(values[None])[1][0]
+    _on_grid("values", values, grid)
+    return _Kernel(prob, grid).diffusivity(values)[1]
 
 
 def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
@@ -598,20 +545,23 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
     """One forward-Euler update with the boundary ring re-pinned, through the
     same kernel that solve marches with.
 
-    Raises CflError when dt exceeds the stability bound and RangeError if the
-    update leaves the admissible range or breaks the discrete max principle
-    (neither can happen under the CFL bound; the checks are tripwires).
+    Raises DomainError when values or psi_vals do not have the grid's
+    shape, CflError when dt exceeds the stability bound and RangeError if
+    the update leaves the admissible range or breaks the discrete max
+    principle (neither can happen under the CFL bound; the checks are
+    tripwires).
     """
-    kern = _Kernel([prob], grid, psi_vals)
-    values = values[None]
-    D, (bound,) = kern.diffusivity(values)
+    _on_grid("values", values, grid)
+    if psi_vals is not None:
+        _on_grid("psi_vals", psi_vals, grid)
+    kern = _Kernel(prob, grid, psi_vals)
+    D, bound = kern.diffusivity(values)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
     new = kern.pin.copy()
     new[kern.inner] = values[kern.inner]
-    kern.step(values, D, [dt], [float(values.min())], [float(values.max())],
-              new)
-    return new[0]
+    kern.step(values, D, dt, float(values.min()), float(values.max()), new)
+    return new
 
 
 @dataclass
@@ -672,140 +622,102 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
 MAX_STEPS = 50_000_000
 
 
-def _check_budget(kern: _Kernel, D: np.ndarray, bound: list, T: float) -> None:
-    """CflError when a rung's CFL step projects more than MAX_STEPS steps to
-    T, naming its max D and the cell where it occurs.
+def _check_budget(kern: _Kernel, D: np.ndarray, bound: float, T: float) -> None:
+    """CflError when the CFL step projects more than MAX_STEPS steps to T,
+    naming max D and the cell where it occurs.
 
     The projection is T over the first step's CFL bound alone.  Where max
     D falls as the solution evolves (D peaking at the peak of u, which
     decays), later steps are longer, so a run rejected here might have
     finished within MAX_STEPS steps."""
-    for r, b in enumerate(bound):
-        if T > MAX_STEPS * b:            # False for a NaN step
-            at = np.unravel_index(int(np.argmax(D[r])), D[r].shape)
-            # the slab starts one cell before the window on each axis
-            cell = tuple(int(i) + a - 1 for i, (a, _) in zip(at, kern.bounds))
-            x = ", ".join(f"{kern.grid.axis_centers(k)[c]:.4g}"
-                          for k, c in enumerate(cell))
-            raise CflError(
-                f"eps={kern.eps[r]:g}: max D = {float(D[r][at]):.3g} at cell "
-                f"{cell}, x = ({x}): CFL steps of {b:.3g} project "
-                f"{T / b if b > 0 else math.inf:.3g} steps to T={T:g}, over "
-                f"the budget of {MAX_STEPS}")
+    if T > MAX_STEPS * bound:            # False for a NaN step
+        at = np.unravel_index(int(np.argmax(D)), D.shape)
+        # the slab starts one cell before the window on each axis
+        cell = tuple(int(i) + a - 1 for i, (a, _) in zip(at, kern.bounds))
+        x = ", ".join(f"{kern.grid.axis_centers(k)[c]:.4g}"
+                      for k, c in enumerate(cell))
+        raise CflError(
+            f"eps={kern.eps:g}: max D = {float(D[at]):.3g} at cell "
+            f"{cell}, x = ({x}): CFL steps of {bound:.3g} project "
+            f"{T / bound if bound > 0 else math.inf:.3g} steps to T={T:g}, "
+            f"over the budget of {MAX_STEPS}")
 
 
-def _march(probs: Sequence[EpsProblem], grid: GridSpec, T: float,
+def _march(prob: EpsProblem, grid: GridSpec, T: float,
            snapshot_times: Union[None, int, Sequence[float]],
-           kernel: type = _Kernel) -> list:
-    """March a stack of rungs in lock step to time T with the step kernel
-    `kernel` (`_Kernel`, forward Euler, or `_ImplicitKernel`, lagged
-    backward Euler); one SolveTrace per rung, in the order given.  The
-    explicit kernel takes one rung.
-
-    The rungs must differ only in eps (share the table, g and psi;
-    `eps_sweep` builds them with `dataclasses.replace`), since the kernel
-    holds the first rung's.  Each rung's trace is the one its own one-rung
-    march with the same kernel gives, bit for bit; its cell_updates counts
-    the cells it stepped.  After the first step, a rung whose step projects
-    more than MAX_STEPS steps to T raises CflError.
+           kernel: type = _Kernel) -> SolveTrace:
+    """March the one field of prob to time T with the step kernel `kernel`
+    (`_Kernel`, forward Euler, or `_ImplicitKernel`, lagged backward
+    Euler).  After the first step, a step that projects more than
+    MAX_STEPS steps to T raises CflError.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
     snap_times = _resolve_snapshots(snapshot_times, T)
     snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
 
-    g_vals, psi_vals = probs[0].sample_on(grid)
-    for p in probs[1:]:
-        p.sample_on(grid)            # each rung's own range checks
-    kern = kernel(probs, grid, psi_vals)
-    inner, axes = kern.inner, kern.axes
-    u0 = kern.eps_col + g_vals
+    g_vals, psi_vals = prob.sample_on(grid)
+    kern = kernel(prob, grid, psi_vals)
+    u0 = prob.eps + g_vals
     u = kern.pin.copy()
-    u[inner] = u0[inner]
-    boundary_transient = np.abs(u0 - u).max(axis=axes).tolist()
-    # two stacks whose boundary rings hold the pins; each step writes the
+    u[kern.inner] = u0[kern.inner]
+    boundary_transient = float(np.abs(u0 - u).max())
+    # two fields whose boundary rings hold the pins; each step writes the
     # interior of one from the other
     spare = u.copy()
 
     vol = grid.cell_volume
-    n = len(probs)
-    fields = [[f.copy()] for f in u]
-    snap_diss = [np.zeros(n_snap) for _ in range(n)]
-    dt_hist = [[] for _ in range(n)]
-    max_hist = [[] for _ in range(n)]
-    traces = [None] * n
-    # per stack row: the rung it holds, its time, dissipation sum, next
-    # snapshot and that snapshot's time (inf once all are taken); the steps
-    # and maxima since the stack last changed, a row of the stack per step
-    # in flat lists of floats (no per-step containers for the collector)
-    live, ts, diss, nxt = list(range(n)), [0.0] * n, [0.0] * n, [1] * n
+    fields = [u.copy()]
+    snap_diss = np.zeros(n_snap)
+    dt_hist, max_hist = [], []
+    # the time, the dissipation sum, the next snapshot and its time (inf
+    # once all are taken)
+    t, diss, nxt = 0.0, 0.0, 1
     snaps.append(math.inf)
-    due = [snaps[1]] * n
-    dt_rows, hi_rows = [], []
-    u_lo, u_hi = u.min(axis=axes).tolist(), u.max(axis=axes).tolist()
+    due = snaps[1]
+    u_lo, u_hi = float(u.min()), float(u.max())
     t_end = T - tol
     for k in range(MAX_STEPS):
-        if not live:
-            break
         D, bound = kern.diffusivity(u, u_lo, u_hi)
-        dts = [min(b, T - t) for b, t in zip(bound, ts)]
+        dt = min(bound, T - t)
         new = spare
         # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
-        # sums of du^2/D, divided by dt below
-        u_lo, u_hi, sums = kern.step(u, D, dts, u_lo, u_hi, out=new)
+        # sum of du^2/D, divided by dt below
+        u_lo, u_hi, s = kern.step(u, D, dt, u_lo, u_hi, out=new)
         if not k:
             _check_budget(kern, D, bound, T)
-        done = []
-        for r, dt in enumerate(dts):
-            t, diss_old = ts[r], diss[r]
-            diss[r] = diss_new = diss_old + sums[r] / dt * vol
-            ts[r] = t_new = t + dt
-            while due[r] <= t_new + tol:
-                w = (due[r] - t) / dt
-                fields[live[r]].append(u[r] + w * (new[r] - u[r]))
-                snap_diss[live[r]][nxt[r]] = diss_old + w * (diss_new - diss_old)
-                nxt[r] += 1
-                due[r] = snaps[nxt[r]]
-            if t_new >= t_end:
-                done.append(r)
-        dt_rows += dts
-        hi_rows += u_hi
-        spare, u = u, new
-        if done:
-            for r, i in enumerate(live):
-                dt_hist[i] += dt_rows[r::len(live)]
-                max_hist[i] += hi_rows[r::len(live)]
-            dt_rows, hi_rows = [], []
-            for r in done:
-                i = live[r]
-                if nxt[r] < n_snap:
-                    fields[i].append(u[r].copy())
-                    snap_diss[i][nxt[r]] = diss[r]
-                    nxt[r] += 1
-                assert nxt[r] == n_snap, "snapshot schedule not exhausted"
-                traces[i] = SolveTrace(
-                    grid=grid, prob=probs[i], times=snap_times.copy(),
-                    fields=fields[i], dissipation=snap_diss[i],
-                    dt_history=np.asarray(dt_hist[i]),
-                    max_u_history=np.asarray(max_hist[i]),
-                    boundary_transient=boundary_transient[i],
-                    n_steps=len(dt_hist[i]), cell_updates=kern.cell_updates)
-            rows = [r for r in range(len(live)) if r not in done]
-            live, ts, diss, nxt, due, u_lo, u_hi = (
-                [x[r] for r in rows]
-                for x in (live, ts, diss, nxt, due, u_lo, u_hi))
-            if live:
-                kern.keep(rows)
-                u, spare = u[rows], spare[rows]
+        diss_old = diss
+        diss = diss_old + s / dt * vol
+        t_new = t + dt
+        while due <= t_new + tol:
+            w = (due - t) / dt
+            fields.append(u + w * (new - u))
+            snap_diss[nxt] = diss_old + w * (diss - diss_old)
+            nxt += 1
+            due = snaps[nxt]
+        dt_hist.append(dt)
+        max_hist.append(u_hi)
+        spare, u, t = u, new, t_new
+        if t >= t_end:
+            break
     else:
         raise CflError("step budget exhausted before reaching T")
-    return traces
+    if nxt < n_snap:
+        fields.append(u.copy())
+        snap_diss[nxt] = diss
+        nxt += 1
+    assert nxt == n_snap, "snapshot schedule not exhausted"
+    return SolveTrace(
+        grid=grid, prob=prob, times=snap_times, fields=fields,
+        dissipation=snap_diss, dt_history=np.asarray(dt_hist),
+        max_u_history=np.asarray(max_hist),
+        boundary_transient=boundary_transient, n_steps=len(dt_hist),
+        cell_updates=kern.cell_updates)
 
 
 def solve(prob: EpsProblem, grid: GridSpec, T: float,
           snapshot_times: Union[None, int, Sequence[float]] = None) -> SolveTrace:
-    """March the explicit scheme to time T with adaptive CFL-bounded steps:
-    the lock-step march of a stack of one.
+    """March the explicit scheme to time T with adaptive CFL-bounded steps.
 
     Snapshots are linearly interpolated in time onto the requested instants,
     so step placement never depends on the output schedule.  Every step goes
@@ -816,7 +728,7 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     evaluation as the step itself, which is what makes the energy identity
     check tight.  T must be positive and finite.
     """
-    return _march([prob], grid, T, snapshot_times)[0]
+    return _march(prob, grid, T, snapshot_times)
 
 
 def grad_energy(values: np.ndarray, grid: GridSpec) -> float:
@@ -868,7 +780,7 @@ class SweepResult:
     eps_values: np.ndarray
     finals: list
     distances: np.ndarray  # L1 gaps between consecutive final fields
-    n_steps: list          # implicit steps each rung took to T
+    n_steps: list          # implicit steps each floor took to T
 
     def is_cauchy(self) -> bool:
         return bool(np.all(np.diff(self.distances) < 0.0))
@@ -879,22 +791,20 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
     """Re-solve the same problem over a decreasing ladder of floors and
     report L1 gaps between consecutive final-time fields.
 
-    The ladder is one lock-step march of `_ImplicitKernel`, lagged
-    backward Euler over the whole interior: a rung per floor, each `prob`
-    with only eps replaced, all stepped by the same numpy calls, with
-    snapshots at 0 and T only.  A rung's step is 32 times the
-    forward-Euler limit at its D(max u), so the ladder takes tens of steps
-    where `solve` takes thousands, at a first-order error in dt (about
-    3e-3 of the mass against explicit finals on a 401-cell halving ladder
-    from 1e-3), and the kinds whose D(eps) is near 1e33 finish too.  Each
-    final field is bit for bit that of its rung's own one-rung implicit
-    march, and a RangeError names the rung's eps.
+    Each floor is its own march of `_ImplicitKernel`, lagged backward
+    Euler over the whole interior, of `prob` with only eps replaced, with
+    snapshots at 0 and T only.  The step is 32 times the forward-Euler
+    limit at D(max u), so a floor takes tens of steps where `solve` takes
+    thousands, at a first-order error in dt (about 3e-3 of the mass
+    against explicit finals on a 401-cell halving ladder from 1e-3), and
+    the kinds whose D(eps) is near 1e33 finish too.  A RangeError names
+    the floor's eps.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:
         raise DomainError("need at least two floor values")
-    rungs = [replace(prob, eps=float(e)) for e in eps_values]
-    traces = _march(rungs, grid, T, 2, _ImplicitKernel)
+    probs = [replace(prob, eps=float(e)) for e in eps_values]
+    traces = [_march(p, grid, T, 2, _ImplicitKernel) for p in probs]
     finals = [tr.fields[-1] for tr in traces]
     vol = grid.cell_volume
     distances = np.array([

@@ -80,6 +80,16 @@ class TestBump:
         with pytest.raises(DomainError):
             bump((0.0,), 0.1, 0.1, shape="box")
 
+    @pytest.mark.parametrize("center,n", [((0.0,), (32, 32)),
+                                          ((0.0, 0.3), (32,))],
+                             ids=["1-d-center-on-2-d", "2-d-center-on-1-d"])
+    def test_rejects_center_of_the_wrong_dimension(self, center, n):
+        # a 1-D center on a 2-D grid would be a ridge across the box, and a
+        # 2-D center on a 1-D grid would lose its second coordinate
+        grid = GridSpec(extent=((-1.0, 1.0),) * len(n), n=n)
+        with pytest.raises(DomainError, match="components"):
+            grid.sample(bump(center, 0.2, 0.1))
+
 
 class TestFixedPointAndGuards:
     def test_constant_state_is_bitwise_fixed(self, beta1_table, desk_grid):
@@ -95,6 +105,23 @@ class TestFixedPointAndGuards:
         dt = 10.0 * cfl_dt(prob, desk_grid, u0)
         with pytest.raises(CflError):
             step_explicit(u0, prob, desk_grid, dt, psi_vals)
+
+    @pytest.mark.parametrize("shape", [(102,), (50,), (1, 101)])
+    def test_field_of_the_wrong_shape_rejected(self, beta1_table, shape):
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(101,))
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=1.0)
+        values = np.full(shape, 1e-3)
+        with pytest.raises(DomainError, match=r"\(101,\)"):
+            cfl_dt(prob, grid, values)
+        with pytest.raises(DomainError, match=r"\(101,\)"):
+            step_explicit(values, prob, grid, 1e-9)
+
+    def test_psi_vals_of_the_wrong_shape_rejected(self, beta1_table):
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(101,))
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=1.0)
+        with pytest.raises(DomainError, match="psi_vals"):
+            step_explicit(np.full(101, 1e-3), prob, grid, 1e-9,
+                          psi_vals=np.ones(102))
 
     def test_max_principle_monotone(self, desk_trace_beta1):
         peaks = desk_trace_beta1.max_u_history
@@ -559,29 +586,29 @@ def _assert_same_trace(got, ref):
     assert got.boundary_transient == ref.boundary_transient
 
 
-def _check_lock_step(prob, grid, T, ladder, snapshot_times=2):
-    """Each rung of the implicit lock-step march against its own one-rung
-    implicit march, bit for bit; eps_sweep's finals and step counts
-    against the one-rung marches (the finals do not depend on the
-    snapshot schedule).  Returns the lock-step traces."""
-    rungs = [replace(prob, eps=e) for e in ladder]
+def _check_ladder(prob, grid, T, ladder, snapshot_times=2):
+    """Each floor's implicit march, against eps_sweep's finals bit for bit
+    (the finals do not depend on the snapshot schedule) and its step
+    counts; every final lies within [eps*min(psi, 1), max of its initial
+    field], to 1e-12.  Returns the sweep and the traces."""
     implicit = solver_mod._ImplicitKernel
-    alone = [solver_mod._march([p], grid, T, snapshot_times, implicit)[0]
-             for p in rungs]
-    stacked = solver_mod._march(rungs, grid, T, snapshot_times, implicit)
-    for got, ref in zip(stacked, alone):
-        _assert_same_trace(got, ref)
+    traces = [solver_mod._march(replace(prob, eps=e), grid, T,
+                                snapshot_times, implicit) for e in ladder]
     sweep = eps_sweep(prob, grid, T, ladder)
     assert all(np.array_equal(a, tr.fields[-1])
-               for a, tr in zip(sweep.finals, alone))
-    assert sweep.n_steps == [tr.n_steps for tr in alone]
-    return stacked
+               for a, tr in zip(sweep.finals, traces))
+    assert sweep.n_steps == [tr.n_steps for tr in traces]
+    psi_lo = min(1.0, float(grid.sample(prob.psi).min()))
+    for e, tr in zip(ladder, traces):
+        assert tr.fields[-1].min() >= e * psi_lo - 1e-12
+        assert tr.fields[-1].max() <= tr.fields[0].max() + 1e-12
+    return sweep, traces
 
 
-class TestLockStep:
-    """The implicit lock-step ladder against one-rung implicit marches:
-    nothing mixes rungs, so the stack changes no bit of any rung.  The
-    explicit kernel steps one field and refuses a stack."""
+class TestImplicitMarch:
+    """The floor ladder, one implicit march per eps: the step counts and
+    L1 gaps it gave when its floors were stepped as one stack, and the
+    range each final must keep."""
 
     LAB_LADDER = [1e-3 * 2.0 ** (-k) for k in range(5)]
     LAB_GRID = GridSpec(extent=((-1.0, 1.0),), n=(401,))
@@ -590,45 +617,61 @@ class TestLockStep:
         return EpsProblem(table=table, eps=1e-6, g=bump((-0.6,), 0.2, 0.2),
                           psi=1.0, omega_prime=((0.5,), 0.4))
 
+    @staticmethod
+    def assert_recorded(sweep, n_steps, gaps):
+        assert sweep.n_steps == n_steps
+        np.testing.assert_allclose(sweep.distances, gaps, rtol=1e-12, atol=0)
+
     def test_lab_ladder(self, beta1_table):
-        _check_lock_step(self.lab_problem(beta1_table), self.LAB_GRID, 0.05,
-                         self.LAB_LADDER)
+        sweep, _ = _check_ladder(self.lab_problem(beta1_table), self.LAB_GRID,
+                                 0.05, self.LAB_LADDER)
+        self.assert_recorded(sweep, [18] * 5, [
+            0.0011743011117536066, 0.0006258543263885081,
+            0.0003433153262506336, 0.00019607008850257583])
 
-    def test_rungs_leave_at_different_steps(self, beta1_table):
-        stacked = _check_lock_step(self.lab_problem(beta1_table),
-                                   self.LAB_GRID, 0.05, [1e-3, 0.1, 1e-4, 0.3])
-        assert len({tr.n_steps for tr in stacked}) == 3
+    def test_floors_take_different_step_counts(self, beta1_table):
+        sweep, _ = _check_ladder(self.lab_problem(beta1_table),
+                                 self.LAB_GRID, 0.05, [1e-3, 0.1, 1e-4, 0.3])
+        self.assert_recorded(sweep, [18, 40, 18, 87], [
+            0.20272015683936445, 0.20493855677548234, 0.6030350597647197])
 
-    def test_explicit_stack_is_refused(self, beta1_table):
-        rungs = [replace(self.lab_problem(beta1_table), eps=e)
-                 for e in self.LAB_LADDER[:2]]
-        with pytest.raises(DomainError, match="one field"):
-            solver_mod._march(rungs, self.LAB_GRID, 0.05, 2)
-
-    def test_2d_with_repeated_rung(self, beta1_table):
+    def test_2d_with_repeated_floor(self, beta1_table):
         grid = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(48, 48))
         prob = EpsProblem(table=beta1_table, eps=1e-5,
                           g=bump((0.1, -0.2), 0.4, 0.2, shape="cos2"), psi=1.0)
-        stacked = _check_lock_step(prob, grid, 0.01, [5e-4, 1e-3, 5e-4, 1e-4])
-        assert stacked[0].n_steps == stacked[2].n_steps
+        sweep, traces = _check_ladder(prob, grid, 0.01,
+                                      [5e-4, 1e-3, 5e-4, 1e-4])
+        self.assert_recorded(sweep, [1, 1, 1, 1], [
+            0.0020010185213985387, 0.0020010185213985387,
+            0.0016008172191260275])
+        _assert_same_trace(traces[2], traces[0])
 
     def test_hump_fills_the_box(self, beta1_table, desk_grid):
         prob = EpsProblem(table=beta1_table, eps=1e-6,
                           g=lambda x: 0.1 + 0.05 * np.cos(3 * x), psi=1.0)
-        stacked = _check_lock_step(prob, desk_grid, 0.005, [1e-3, 1e-4, 1e-5])
+        sweep, traces = _check_ladder(prob, desk_grid, 0.005,
+                                      [1e-3, 1e-4, 1e-5])
+        self.assert_recorded(sweep, [2, 2, 2], [
+            0.0017668348764503165, 0.0001766416036053774])
         interior = int(desk_grid.interior_mask().sum())
-        assert all(tr.cell_updates == tr.n_steps * interior for tr in stacked)
+        assert all(tr.cell_updates == tr.n_steps * interior for tr in traces)
 
     def test_nonconstant_psi(self, beta1_table, desk_grid):
-        # the ring pin eps*psi differs from eps, and differently per rung
+        # the ring pin eps*psi differs from eps, and differently per floor
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=bump((-0.6,), 0.2, 0.2),
                           psi=lambda x: 1.0 + 0.5 * np.cos(x))
-        _check_lock_step(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
+        sweep, _ = _check_ladder(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
+        self.assert_recorded(sweep, [5, 5, 5], [
+            0.0018374736735095611, 0.00018629185806294976])
 
     def test_explicit_snapshot_list(self, beta1_table, desk_grid, desk_bump):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        _check_lock_step(prob, desk_grid, 0.01, [4e-5, 2e-4, 1e-3],
-                         snapshot_times=[0.0, 0.0011, 0.004, 0.0095, 0.01])
+        times = [0.0, 0.0011, 0.004, 0.0095, 0.01]
+        sweep, traces = _check_ladder(prob, desk_grid, 0.01,
+                                      [4e-5, 2e-4, 1e-3], snapshot_times=times)
+        self.assert_recorded(sweep, [5, 5, 5], [
+            0.0003293445271922215, 0.0016280000506624123])
+        assert all(np.array_equal(tr.times, times) for tr in traces)
 
     @settings(max_examples=12, deadline=None)
     @given(ladder=st.lists(st.floats(min_value=1e-6, max_value=1e-2),
@@ -640,7 +683,7 @@ class TestLockStep:
         grid = GridSpec(extent=((-1.0, 1.0),), n=(64,))
         prob = EpsProblem(table=beta1_table, eps=1e-6,
                           g=bump((center,), 0.3, height), psi=1.0)
-        _check_lock_step(prob, grid, T, ladder)
+        _check_ladder(prob, grid, T, ladder)
 
     def test_implicit_overshoot_raises_at_the_first_step(
             self, beta1_table, desk_grid, desk_bump, monkeypatch):
@@ -714,7 +757,7 @@ class TestImplicitLadder:
     """The implicit lab ladder against the explicit one: first order in
     dt, with the gaps, and so the Cauchy verdict, kept."""
 
-    LADDER = TestLockStep.LAB_LADDER
+    LADDER = TestImplicitMarch.LAB_LADDER
     T = 0.05
 
     @pytest.fixture(scope="class")
