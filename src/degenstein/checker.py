@@ -34,7 +34,7 @@ __all__ = [
     "custom_csv_profile",
 ]
 
-C_FLOOR_DEFAULT = 0.5
+C_FLOOR = 0.5   # the almost-decreasing constant c must reach this
 TREND_POINTS = 8
 
 
@@ -127,12 +127,11 @@ def _dP(profile: DegeneracyProfile, s: np.ndarray) -> np.ndarray:
 
 
 def check_almost_decreasing(profile: DegeneracyProfile, table: CoefficientTable,
-                            mu: Optional[float] = None,
-                            c_floor: float = C_FLOOR_DEFAULT):
+                            mu: Optional[float] = None):
     """Almost-decreasing test for Q = P*I^mu.
 
     Q is almost decreasing when Q(t) >= c*Q(s) for every node pair t < s with
-    c >= c_floor.  With mu = None the exponent is taken from the sufficient
+    c >= C_FLOOR.  With mu = None the exponent is taken from the sufficient
     condition: mu = sup s*P'(s)*I(s), which makes Q nonincreasing whenever
     that sup is attained uniformly.  Work happens in logs; I^mu overflows
     doubles otherwise.
@@ -147,7 +146,7 @@ def check_almost_decreasing(profile: DegeneracyProfile, table: CoefficientTable,
     #     (running min of Qlog up to j-1) - Qlog[j])
     runmin = np.minimum.accumulate(Qlog)[:-1]
     c = float(np.exp(np.min(runmin - Qlog[1:])))
-    return c, bool(c >= c_floor), mu_used, sup_sPpI
+    return c, bool(c >= C_FLOOR), mu_used, sup_sPpI
 
 
 def _sPprimeI_trend(profile: DegeneracyProfile, table: CoefficientTable) -> float:
@@ -160,16 +159,13 @@ def _sPprimeI_trend(profile: DegeneracyProfile, table: CoefficientTable) -> floa
 
 def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
                   table: Optional[CoefficientTable] = None,
-                  c_floor: float = C_FLOOR_DEFAULT,
-                  mu: Optional[float] = None,
                   **build_opts) -> AssumptionReport:
     """Run the full battery of structural checks and collect a report."""
     if table is None:
         table = build_table(profile, lam, **build_opts)
     C1, a1_ok, a1_detail = check_A1(table)
     A_est, B_est, B_slope = estimate_A_B(profile, table)
-    c, ad_ok, mu_used, sup_sPpI = check_almost_decreasing(
-        profile, table, mu=mu, c_floor=c_floor)
+    c, ad_ok, mu_used, sup_sPpI = check_almost_decreasing(profile, table)
     res = table.identity_residuals()
     C2_residual = res["sF_pow_vs_H"]
     growth = (lam.Lambda + 1.0) / lam.Lambda
@@ -194,7 +190,7 @@ def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
                    "residual": C2_residual},
             "P2": {"pass": bool(p2_margin > 0.0), "margin": p2_margin,
                    "growth": growth},
-            "almost_decreasing": {"pass": ad_ok, "c": c, "c_floor": c_floor},
+            "almost_decreasing": {"pass": ad_ok, "c": c, "c_floor": C_FLOOR},
         },
     )
     return report
@@ -216,7 +212,6 @@ class CatalogEntry:
     takes_beta: bool = True
     takes_tail: bool = False
     s_min_floor: Optional[float] = None
-    Lambda: float = 1.0
 
     @property
     def name(self) -> str:
@@ -236,11 +231,11 @@ class CatalogEntry:
         return self.build_opts_for(self.make_profile())
 
     def run(self, profile: Optional[DegeneracyProfile] = None) -> AssumptionReport:
-        """Check profile (default: the default-beta one) at this entry's
-        Lambda and build floor."""
+        """Check profile (default: the default-beta one) at Lambda = 1 and
+        this entry's build floor."""
         if profile is None:
             profile = self.make_profile()
-        return check_profile(profile, LambdaChoice(self.Lambda),
+        return check_profile(profile, LambdaChoice(1.0),
                              **self.build_opts_for(profile))
 
     def matches(self, report: AssumptionReport):

@@ -268,7 +268,9 @@ def _make_profile(block: dict):
 
 def _build_table(cfg: ExperimentConfig):
     """Profile + table (+ auto Lambda resolution), or the nondegenerate
-    control table for kind 'constant'."""
+    control table for kind 'constant'.  A null table.s_min takes the
+    registry's build floor for the kind (exp_inv's 1e-2), as
+    `check --example` does."""
     block = cfg.profile
     opts = dict(cfg.table_opts)
     if block["kind"] == "constant":
@@ -285,6 +287,9 @@ def _build_table(cfg: ExperimentConfig):
         "K": int(opts.get("K", 256)),
         "quad_tol": float(opts.get("quad_tol", 1e-8)),
     }
+    entry = checker_mod.PROFILES.get(block["kind"])
+    if kwargs["s_min"] is None and entry is not None:
+        kwargs.update(entry.build_opts_for(prof))
     if cfg.lam_choice == "auto":
         provisional = coeffs.build_table(prof, coeffs.LambdaChoice(1.0), **kwargs)
         A_est, _, _ = checker_mod.estimate_A_B(prof, provisional)
@@ -300,7 +305,7 @@ def _make_grid(cfg: ExperimentConfig) -> solver_mod.GridSpec:
         n=tuple(int(m) for m in cfg.grid["n"]))
 
 
-def _make_problem(cfg: ExperimentConfig, tab, eps: Optional[float] = None):
+def _make_problem(cfg: ExperimentConfig, tab):
     g = 0.0
     if cfg.bump is not None:
         g = solver_mod.bump(cfg.bump["center"], float(cfg.bump["radius"]),
@@ -310,8 +315,8 @@ def _make_problem(cfg: ExperimentConfig, tab, eps: Optional[float] = None):
     if cfg.localization is not None:
         omega = (tuple(float(v) for v in np.atleast_1d(cfg.localization["x0"])),
                  float(cfg.localization["R"]))
-    return solver_mod.EpsProblem(table=tab, eps=cfg.eps if eps is None else eps,
-                                 g=g, psi=cfg.psi, omega_prime=omega)
+    return solver_mod.EpsProblem(table=tab, eps=cfg.eps, g=g, psi=cfg.psi,
+                                 omega_prime=omega)
 
 
 # ----------------------------------------------------------------- writers
@@ -353,9 +358,13 @@ def write_snapshots_csv(path: str, trace: solver_mod.SolveTrace) -> None:
 # -------------------------------------------------------------- subcommands
 
 def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
+    """The resolved output directory, created, with any error.json of an
+    earlier failed run in it removed."""
     out = args.out or (cfg.out_dir if cfg is not None else ".")
     os.makedirs(out, exist_ok=True)
     args.resolved_out = out  # where main drops error.json if a phase fails
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out, "error.json"))
     return out
 
 

@@ -249,6 +249,17 @@ def _quad_segments(fn, edges, tol: float) -> np.ndarray:
     return vals
 
 
+def _integrals_to_edge(g, t: np.ndarray, tol: float) -> np.ndarray:
+    """int_{e^t_i}^{e^t_-1} g(r)/r dr at every node of the increasing log
+    grid t: the integral of g(e^t) over each segment, summed from the last
+    node's side, where the integrands of the profile calculus are smallest.
+    The last entry is 0."""
+    out = np.zeros(len(t))
+    seg = _quad_segments(lambda tt: g(np.exp(tt)), t, tol)
+    out[:-1] = np.cumsum(seg[::-1])[::-1]
+    return out
+
+
 class _Pchip:
     """Monotone piecewise-cubic Hermite interpolant of one or more columns.
 
@@ -337,18 +348,13 @@ def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
     if tail < 0.0:
         raise DomainError("tail constant must be nonnegative")
     s = min(s, profile.M)
-
-    def integrand(t):
-        return 1.0 / profile(np.exp(t))
-
     t_lo, t_hi = np.log(s), np.log(profile.M)
     if t_hi - t_lo < 1e-15:
         return tail
     n_chunk = max(1, int(np.ceil(t_hi - t_lo)))
     edges = np.linspace(t_lo, t_hi, n_chunk + 1)
-    chunks = _quad_segments(integrand, edges, quad_tol)
-    # accumulate from the M side, where the integrand is smallest
-    return float(np.cumsum(chunks[::-1])[-1]) + tail
+    return float(_integrals_to_edge(lambda r: 1.0 / profile(r), edges,
+                                    quad_tol)[0]) + tail
 
 
 @dataclass
@@ -525,22 +531,22 @@ def _fprime_closed_form(profile: DegeneracyProfile, s: np.ndarray,
 
 def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
                 s_min: Optional[float] = None, K: int = 256,
-                quad_tol: float = 1e-8, tail: Optional[float] = None
-                ) -> CoefficientTable:
+                quad_tol: float = 1e-8) -> CoefficientTable:
     """Tabulate the full coefficient family on K log-spaced nodes.
 
     The I column is always quadrature-built (one K21 pass over the node
     segments, refining only those that miss quad_tol, summed from the M
     side); closed forms, when the profile carries them, only feed the
-    derivative column and test comparisons.  F' <= 0 at any node aborts the
-    build: it signals that Lambda is too small for this profile's sup P*I.
+    derivative column and test comparisons.  The tail constant is the
+    profile's, or 1/Lambda when it has none.  F' <= 0 at any node aborts
+    the build: it signals that Lambda is too small for this profile's
+    sup P*I.
     """
     if K < 16:
         raise DomainError("need at least 16 nodes")
     profile.validate()
     Lambda = lam.Lambda
-    if tail is None:
-        tail = profile.tail if profile.tail is not None else 1.0 / Lambda
+    tail = profile.tail if profile.tail is not None else 1.0 / Lambda
     if tail < 0.0:
         raise DomainError("tail constant must be nonnegative")
     if s_min is None:
@@ -552,15 +558,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     s = np.geomspace(s_min, profile.M, K)
     s[-1] = profile.M
     t = np.log(s)
-
-    def inv_sP(tt):
-        return 1.0 / profile(np.exp(tt))
-
-    # inner integral per node: sum of segment integrals from the M side
-    seg = _quad_segments(inv_sP, t, quad_tol)
-    I_vals = np.empty(K)
-    I_vals[-1] = tail
-    I_vals[:-1] = tail + np.cumsum(seg[::-1])[::-1]
+    I_vals = tail + _integrals_to_edge(lambda r: 1.0 / profile(r), t, quad_tol)
 
     P_vals = profile(s)
     H = (Lambda * I_vals) ** (-1.0 / Lambda)
@@ -708,13 +706,7 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
         decades = np.log10(M / lower)
         n_nodes = 1 + int(np.ceil(2047 * decades / 9.0 - 1e-9))
         grid_t = np.linspace(np.log(lower), np.log(M), n_nodes)
-
-        def rate(tt):
-            return zeta(np.exp(tt))
-
-        vals = np.zeros_like(grid_t)
-        vals[:-1] = np.cumsum(_quad_segments(rate, grid_t, 1e-10)[::-1])[::-1]
-        itp = _Pchip(grid_t, vals)
+        itp = _Pchip(grid_t, _integrals_to_edge(zeta, grid_t, 1e-10))
 
         def zeta_over_s_integral(s):
             s = np.asarray(s, dtype=float)
@@ -738,7 +730,7 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
                              s_min_hint=s_min_hint)
 
 
-def custom_profile(s_nodes, P_nodes, kind: str = "custom_table") -> DegeneracyProfile:
+def custom_profile(s_nodes, P_nodes) -> DegeneracyProfile:
     """Profile interpolated from tabulated (s, P) samples, monotone cubic in
     log-log space; used by the CLI's custom-table path."""
     s_nodes = np.asarray(s_nodes, dtype=float)
@@ -753,7 +745,7 @@ def custom_profile(s_nodes, P_nodes, kind: str = "custom_table") -> DegeneracyPr
         return np.exp(itp(np.log(np.asarray(s, dtype=float))))
 
     return DegeneracyProfile(func=func, M=float(s_nodes[-1]),
-                             c3=float(P_nodes.max()), kind=kind,
+                             c3=float(P_nodes.max()), kind="custom_table",
                              s_min_hint=float(s_nodes[0]))
 
 

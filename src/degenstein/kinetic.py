@@ -55,9 +55,12 @@ __all__ = [
     "run_master",
 ]
 
-KERNEL_SHAPES = ("gaussian_truncated", "triangular")
 _GAUSS_CUT = 4.0         # truncation radius in units of sigma
 _TRI_HALF_WIDTH = math.sqrt(6.0)  # triangular half-width giving variance sigma^2
+# each shape's support radius in units of its width sigma
+_RADIUS_IN_SIGMAS = {"gaussian_truncated": _GAUSS_CUT,
+                     "triangular": _TRI_HALF_WIDTH}
+KERNEL_SHAPES = tuple(_RADIUS_IN_SIGMAS)
 
 
 @dataclass(frozen=True)
@@ -66,20 +69,21 @@ class JumpKernel:
 
     tau and var act on arrays of nonnegative densities; cells with u = 0
     never jump (tau is infinite there), which the stepper encodes as a zero
-    emission fraction.  support_radius(u) is the truncation radius of the
-    discretized kernel; the built-in families' radius is a fixed multiple of
-    the width sqrt(var(u)), which a step takes from the widths it has
-    already evaluated, while a hand-built kernel's radius is called.
+    emission fraction.
     """
 
     tau: Callable
     var: Callable
     shape: str
-    support_radius: Callable
 
     def __post_init__(self):
         if self.shape not in KERNEL_SHAPES:
             raise DomainError(f"kernel shape must be one of {KERNEL_SHAPES}")
+
+    def support_radius(self, u):
+        """Truncation radius of the discretized kernel at densities u: the
+        shape's fixed multiple of the width sqrt(var(u))."""
+        return _RADIUS_IN_SIGMAS[self.shape] * np.sqrt(self.var(u))
 
 
 @dataclass(frozen=True)
@@ -118,34 +122,22 @@ def power_family_kernel(beta: float, tau0: float, a: float = 1.0,
         with np.errstate(divide="ignore"):
             return np.where(u > 0.0, tau0 * u ** (beta - a), 0.0)
 
-    factor = _GAUSS_CUT if shape == "gaussian_truncated" else _TRI_HALF_WIDTH
-    return JumpKernel(tau=tau, var=var, shape=shape,
-                      support_radius=_WidthMultiple(factor, var))
-
-
-class _WidthMultiple:
-    """support_radius of the built-in families: factor * sqrt(var(u))."""
-
-    def __init__(self, factor: float, var: Callable):
-        self.factor, self.var = factor, var
-
-    def __call__(self, u):
-        return self.factor * np.sqrt(self.var(u))
+    return JumpKernel(tau=tau, var=var, shape=shape)
 
 
 def _sigma_and_reach(kernel: JumpKernel, occ: np.ndarray, h: float):
     """Kernel widths sigma of the occupied densities occ (all > 0) and the
-    reach K in cells of the widest support radius among them.  A built-in
-    family's radius is factor * sigma, and rounding is monotone, so its
-    largest is factor * max(sigma), bit for bit, with var evaluated once."""
+    reach K in cells of the widest support radius among them.  The radius
+    is a fixed multiple of sigma, and rounding is monotone, so the largest
+    is that multiple of max(sigma), bit for bit, with var evaluated once."""
     sigma = np.sqrt(kernel.var(occ))
     if sigma.shape != occ.shape:     # a var that returns one constant
         sigma = np.broadcast_to(sigma, occ.shape)
-    radius = kernel.support_radius
-    if isinstance(radius, _WidthMultiple) and radius.var is kernel.var:
-        top = radius.factor * float(sigma.max(initial=0.0))
-    else:
-        top = float(np.max(radius(occ), initial=0.0))
+    top = _RADIUS_IN_SIGMAS[kernel.shape] * float(sigma.max(initial=0.0))
+    # negated, so a NaN width is rejected too
+    if not top < math.inf:
+        raise DomainError(f"kernel widths must be finite, got a support "
+                          f"radius of {top!r}")
     return sigma, math.ceil(top / h)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable
 from .errors import DomainError, GeometryError
-from .solver import SUPPORT_TOL_FACTOR, GridSpec, SolveTrace, _grad_energies
+from .solver import GridSpec, SolveTrace, _grad_energies
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -46,6 +46,11 @@ __all__ = [
     "front_series",
     "time_to_threshold",
 ]
+
+# (sqrt(s*F))^lam = H holds by the table's construction, so the constant
+# of that bound is 1
+C2 = 1.0
+_BISECT_RTOL = 1e-3    # estimate_T_prime stops at this relative bracket
 
 
 @dataclass(frozen=True)
@@ -102,20 +107,17 @@ class ExponentPack:
 
     From lam (the time-weight exponent, in (0,2)) and j the pack fixes
     k = (2-lam)/(2+2j-lam) in (0,1), the time power beta_exp =
-    (1-(1+j)k)/(kj) > 0, and D = b^4 (2 C1^2 + 1) C2^(1-k) S^(k(1+j)) / R^2.
-    The identity beta_exp + 1 - (1+j)k = beta_exp * (1+kj) rearranges the
-    definition and is kept as a tripwire.
+    (1-(1+j)k)/(kj) > 0, and D = b^4 (2 C1^2 + 1) C2^(1-k) S^(k(1+j)) / R^2
+    with the module constant C2 = 1.  The identity beta_exp + 1 - (1+j)k =
+    beta_exp * (1+kj) rearranges the definition and is kept as a tripwire.
     """
 
-    N_dim: int
     lam: float
     j: float
     b: float
     R: float
     S: float = 1.0
     C1: float = 1.0
-    C2: float = 1.0
-    Lambda: Optional[float] = None
     k: float = field(init=False)
     beta_exp: float = field(init=False)
     D: float = field(init=False)
@@ -123,8 +125,8 @@ class ExponentPack:
     def __post_init__(self):
         if not (0.0 < self.lam < 2.0):
             raise DomainError("lam must lie in (0, 2)")
-        if self.j <= 0 or self.S <= 0 or self.C1 <= 0 or self.C2 <= 0:
-            raise DomainError("j, S, C1, C2 must be positive")
+        if self.j <= 0 or self.S <= 0 or self.C1 <= 0:
+            raise DomainError("j, S, C1 must be positive")
         if self.b <= 2.0 or self.R <= 0:
             raise DomainError("need b > 2 and R > 0")
         k = (2.0 - self.lam) / (2.0 + 2.0 * self.j - self.lam)
@@ -132,7 +134,7 @@ class ExponentPack:
         if not (0.0 < k < 1.0 and (1.0 + self.j) * k < 1.0 and beta > 0.0):
             raise DomainError("exponents left their admissible ranges")
         D = (self.b ** 4 * (2.0 * self.C1 ** 2 + 1.0)
-             * self.C2 ** (1.0 - k) * self.S ** (k * (1.0 + self.j))
+             * C2 ** (1.0 - k) * self.S ** (k * (1.0 + self.j))
              / self.R ** 2)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "beta_exp", beta)
@@ -145,22 +147,24 @@ class ExponentPack:
     @property
     def threshold(self) -> float:
         """theta_L = D^(-1/(kj)) * b^(-2/(k^2 j^2)): the largest Y_0 the
-        iteration provably sends to zero."""
-        d = self.delta
-        return self.D ** (-1.0 / d) * self.b ** (-2.0 / d ** 2)
+        iteration provably sends to zero, lady_threshold of the recursion
+        y_{n+1} <= D (b^2)^n y_n^(1+kj)."""
+        return lady_threshold(self.D, self.b ** 2, self.delta)
 
     @classmethod
     def build(cls, cutoffs: CutoffFamily, N_dim: int, *,
               table: Optional[CoefficientTable] = None,
               lam: Optional[float] = None, C1: float = 1.0, S: float = 1.0,
-              C2: float = 1.0, j: Optional[float] = None) -> "ExponentPack":
+              j: Optional[float] = None) -> "ExponentPack":
+        """The pack of a run in N_dim dimensions: b and R from cutoffs, lam
+        given or 2/(Lambda+1) of the table's Lambda, j given or
+        default_j(N_dim)."""
         if lam is None:
             if table is None or table.Lambda is None:
                 raise DomainError("need lam directly or a table with Lambda")
             lam = 2.0 / (table.Lambda + 1.0)
-        Lambda = table.Lambda if table is not None else None
-        return cls(N_dim=N_dim, lam=lam, j=default_j(N_dim) if j is None else j,
-                   b=cutoffs.b, R=cutoffs.R, S=S, C1=C1, C2=C2, Lambda=Lambda)
+        return cls(lam=lam, j=default_j(N_dim) if j is None else j,
+                   b=cutoffs.b, R=cutoffs.R, S=S, C1=C1)
 
 
 def lady_bound(c: float, b: float, delta: float, y0: float, n: int) -> float:
@@ -297,25 +301,24 @@ class DeGiorgiTrace:
                 "lam": self.pack.lam, "j": self.pack.j, "k": self.pack.k,
                 "beta_exp": self.pack.beta_exp, "delta": self.pack.delta,
                 "D": self.pack.D, "b": self.pack.b, "R": self.pack.R,
-                "S": self.pack.S, "C1": self.pack.C1, "C2": self.pack.C2,
+                "S": self.pack.S, "C1": self.pack.C1, "C2": C2,
             },
         }
 
 
 def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
                     pack: ExponentPack, table: CoefficientTable,
-                    n_max: int = 6, T_prime: Optional[float] = None,
-                    estimate: bool = True) -> DeGiorgiTrace:
-    """Measure Y_0..Y_{n_max} and compare against the iterative inequality.
+                    n_max: int = 6) -> DeGiorgiTrace:
+    """Measure Y_0..Y_{n_max} at the trace's horizon T and compare against
+    the iterative inequality.
 
     The verdict checks Y_n <= 2 D b^(2(n-1)) Y_{n-1}^(1+kj); the factor 2 is
     quadrature slack on top of the stored bound column.  T_prime in the
-    result is the certified horizon from bisection (unless estimate=False).
+    result is the certified horizon from bisection (estimate_T_prime).
     Each theta_n is built once, the bisection reusing theta_0.
     """
-    horizon = trace.T if T_prime is None else float(T_prime)
     thetas = [cutoffs.theta(trace.grid, n) for n in range(n_max + 1)]
-    Y = np.array([energy_Y(trace, cutoffs, pack, table, n, horizon,
+    Y = np.array([energy_Y(trace, cutoffs, pack, table, n, trace.T,
                            theta=thetas[n])
                   for n in range(n_max + 1)])
     bound = np.full(n_max + 1, np.nan)
@@ -329,19 +332,18 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
         "nonincreasing_after_1": bool(np.all(np.diff(Y[1:]) <= 1e-12 * max(Y.max(), 1e-300))),
         "y0_below_threshold": bool(Y[0] <= pack.threshold),
     }
-    Tp = (estimate_T_prime(trace, cutoffs, pack, table, theta0=thetas[0])
-          if estimate else horizon)
-    return DeGiorgiTrace(T_prime=Tp, Y_horizon=horizon, Y=Y, bound=bound,
+    Tp = estimate_T_prime(trace, cutoffs, pack, table, theta0=thetas[0])
+    return DeGiorgiTrace(T_prime=Tp, Y_horizon=trace.T, Y=Y, bound=bound,
                          threshold=pack.threshold, verdict=verdict, pack=pack)
 
 
 def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
-                     pack: ExponentPack, table: CoefficientTable,
-                     rtol: float = 1e-3, *,
+                     pack: ExponentPack, table: CoefficientTable, *,
                      theta0: Optional[np.ndarray] = None) -> float:
-    """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection; 0 if even
-    arbitrarily small horizons fail.  theta0, if given, must be
-    cutoffs.theta(trace.grid, 0); otherwise it is built here, once.
+    """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection to a
+    bracket of _BISECT_RTOL relative; 0 if even arbitrarily small horizons
+    fail.  theta0, if given, must be cutoffs.theta(trace.grid, 0);
+    otherwise it is built here, once.
 
     Y_0[T'] is nondecreasing in T' and vanishes as T' -> 0 (the prefactor
     (T')^beta does), so the certified horizon is positive whenever the state
@@ -359,7 +361,7 @@ def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
         return T
     lo, hi = 0.0, T  # y0(lo) <= theta_L always (prefactor 0), y0(hi) > theta_L
     for _ in range(200):
-        if hi - lo <= rtol * max(hi, 1e-300):
+        if hi - lo <= _BISECT_RTOL * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
         if y0(mid) <= theta_L:
@@ -369,41 +371,38 @@ def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
     return lo
 
 
-def _supported_distances(values: np.ndarray, grid: GridSpec, x0,
-                         eps: float, tol_support: float) -> np.ndarray:
-    d = grid.distance_to(x0)
-    mask = values > eps + tol_support
-    return d[mask]
-
-
-def front_radius(values: np.ndarray, grid: GridSpec, x0, eps: float,
-                 tol_support: float) -> float:
-    """Sup of |x - x0| over cells above the support threshold eps + tol; 0
-    when nothing is supported."""
-    d = _supported_distances(values, grid, x0, eps, tol_support)
+def _farthest(d: np.ndarray) -> float:
     return float(d.max()) if d.size else 0.0
 
 
-def empty_radius(values: np.ndarray, grid: GridSpec, x0, eps: float,
-                 tol_support: float) -> float:
-    """Radius of the largest supported-cell-free ball around x0 (inf of
-    distances to supported cells); +inf when nothing is supported."""
-    d = _supported_distances(values, grid, x0, eps, tol_support)
+def _nearest(d: np.ndarray) -> float:
     return float(d.min()) if d.size else math.inf
+
+
+def front_radius(values: np.ndarray, grid: GridSpec, x0,
+                 threshold: float) -> float:
+    """Sup of |x - x0| over cells above threshold; 0 when nothing is
+    supported."""
+    return _farthest(grid.distance_to(x0)[values > threshold])
+
+
+def empty_radius(values: np.ndarray, grid: GridSpec, x0,
+                 threshold: float) -> float:
+    """Radius of the largest supported-cell-free ball around x0 (inf of
+    distances to cells above threshold); +inf when nothing is supported."""
+    return _nearest(grid.distance_to(x0)[values > threshold])
 
 
 def front_series(trace: SolveTrace, x0_front, x0_empty=None):
     """Per-snapshot front radius around x0_front and empty radius around
     x0_empty (defaults to x0_front), at the problem's support threshold:
-    arrays (t, r_front, r_empty)."""
-    if x0_empty is None:
-        x0_empty = x0_front
-    eps = trace.prob.eps
-    tol_support = SUPPORT_TOL_FACTOR * eps
-    r_front = np.array([front_radius(f, trace.grid, x0_front, eps, tol_support)
-                        for f in trace.fields])
-    r_empty = np.array([empty_radius(f, trace.grid, x0_empty, eps, tol_support)
-                        for f in trace.fields])
+    arrays (t, r_front, r_empty).  Each centre's distances are computed
+    once for all snapshots."""
+    thr = trace.prob.support_threshold
+    d_front = trace.grid.distance_to(x0_front)
+    d_empty = d_front if x0_empty is None else trace.grid.distance_to(x0_empty)
+    r_front = np.array([_farthest(d_front[f > thr]) for f in trace.fields])
+    r_empty = np.array([_nearest(d_empty[f > thr]) for f in trace.fields])
     return trace.times.copy(), r_front, r_empty
 
 

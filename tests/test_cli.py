@@ -272,6 +272,17 @@ class TestFailurePaths:
         assert load_json(artifacts, "error.json")["phase"] == "solve"
         assert not (tmp_path / "error.json").exists()
 
+    def test_success_removes_a_stale_error_json(self, tmp_path):
+        bad = write_config(tmp_path, "bad.json",
+                           grid={"extent": [[-1.0, 1.0]], "n": [4]})
+        code, out = run(tmp_path, "solve", "--config", bad)
+        assert code == EXIT_SOLVER
+        assert load_json(out, "error.json")["exit_code"] == EXIT_SOLVER
+        code, out = run(tmp_path, "solve", "--config", write_config(tmp_path))
+        assert code == EXIT_OK
+        assert (out / "run.json").exists()
+        assert not (out / "error.json").exists()
+
     def test_watched_ball_outside_grid(self, tmp_path):
         cfg = write_config(tmp_path,
                            bump={"center": [-0.6], "radius": 0.2,
@@ -414,6 +425,22 @@ class TestProfileRegistry:
         assert code == EXIT_OK
         assert load_json(out, "report.json") == \
             json.loads(PROFILES[kind].run().to_json())
+
+    @pytest.mark.parametrize("kind", list(PROFILES))
+    def test_config_of_only_the_kind_is_the_example(self, tmp_path, kind):
+        # a null table.s_min takes the registry's build floor (exp_inv's
+        # 1e-2) in a config as it does for --example
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"profile": {"kind": kind},
+                                    "grid": BASE["grid"]}))
+        code, from_config = run(tmp_path, "check", "--config", str(path),
+                                sub="config")
+        assert code == EXIT_OK
+        code, example = run(tmp_path, "check", "--example", kind,
+                            sub="example")
+        assert code == EXIT_OK
+        assert (from_config / "report.json").read_bytes() == \
+            (example / "report.json").read_bytes()
 
     @pytest.mark.parametrize("M", [0.5, 2.0])
     @pytest.mark.parametrize("kind, zeta", [
@@ -642,3 +669,62 @@ class TestStiffKinds:
         info = load_json(out, "sweep.json")
         assert info["cauchy_decreasing"]
         assert all(0 < k < 100 for k in info["n_steps"])
+
+
+class TestRecordedOutputs:
+    """Headline figures of the CLI, recorded from the code before the
+    checker, localization and kinetic layers lost their unused options and
+    second copies of shared rules; that cut changed no output.  Values, not
+    file hashes, so the check does not depend on one platform's libm."""
+
+    @pytest.mark.parametrize("kind, A_est, B_est, C1", [
+        ("power", 1.0000000000000018, 1.000000000000001, 1.0000000000000018),
+        ("exp_inv", 0.5545179984440193, 0.0, 0.7602151692361053),
+        ("exp_zeta_bounded", 1.0, 1.0000013831042642, 1.006350688555979),
+        ("exp_zeta_slow", 1.0, 0.05095619787331351, 1.0498908104297253),
+    ])
+    def test_check_example(self, tmp_path, kind, A_est, B_est, C1):
+        code, out = run(tmp_path, "check", "--example", kind)
+        assert code == EXIT_OK
+        report = load_json(out, "report.json")
+        np.testing.assert_allclose(
+            [report["A_est"], report["B_est"], report["C1_est"]],
+            [A_est, B_est, C1], rtol=1e-12, atol=0.0)
+
+    def test_localize_readme_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(README_CONFIG))
+        code, out = run(tmp_path, "localize", "--config", str(path))
+        assert code == EXIT_OK
+        dg = load_json(out, "degiorgi.json")
+        np.testing.assert_allclose(dg["T_prime"], 1.9418075680732732e-08,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dg["threshold"], 1.2085610364491632e-14,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dg["Y"], [
+            3.1110781248778844e-08, 2.3702803064737733e-08,
+            2.1232521720995482e-08, 2.040592857075189e-08,
+            2.020000249688282e-08, 1.9955245130170747e-08,
+            1.9950625938279324e-08], rtol=1e-12, atol=0.0)
+        assert dg["exponents"]["C2"] == 1.0
+        front = np.loadtxt(out / "front.csv", delimiter=",", skiprows=1)
+        np.testing.assert_allclose(front[-1, 1:],
+                                   [0.20299251870324186, 0.89900249376558605],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_kinetic_compare_lab_config(self, tmp_path):
+        # the benchmark's lab kinetic config: 1601 cells, a cos2 hump
+        cfg = {"profile": {"kind": "power", "beta": 1.0, "M": 1.0},
+               "lambda": 1.0, "table": {"s_min": 1e-8, "K": 256},
+               "grid": {"extent": [[-1.0, 1.0]], "n": [1601]},
+               "eps": 1e-6, "psi": 1.0, "T": 0.01, "snapshots": 2,
+               "bump": {"center": [0.0], "radius": 0.3, "height": 0.05,
+                        "shape": "cos2"},
+               "kinetic": {"tau0": 1.5e-4, "a": 1.0, "dt": 3.75e-5}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(tmp_path, "kinetic-compare", "--config", str(path))
+        assert code == EXIT_OK
+        np.testing.assert_allclose(
+            load_json(out, "kinetic.json")["l1_over_mass"],
+            0.013347607696345923, rtol=1e-12, atol=0.0)

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import degenstein.kinetic as kinetic_mod
-from degenstein.errors import (DomainError, RangeError, ResolutionError,
-                               StepError)
+from degenstein.errors import DomainError, ResolutionError, StepError
 from degenstein.kinetic import (KERNEL_SHAPES, JumpKernel, SinkTerm,
                                 _weight_rows, kernel_moments, master_step,
                                 power_family_kernel, run_master)
@@ -108,8 +107,7 @@ class TestKernelMoments:
         with pytest.raises(DomainError):
             power_family_kernel(beta=1.0, tau0=1e-4, a=-1.0)
         with pytest.raises(DomainError):
-            JumpKernel(tau=lambda u: u, var=lambda u: u, shape="boxcar",
-                       support_radius=lambda u: u)
+            JumpKernel(tau=lambda u: u, var=lambda u: u, shape="boxcar")
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +159,7 @@ class TestMasterStep:
         zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
         kern = JumpKernel(tau=lambda u: np.full_like(
             np.asarray(u, dtype=float), 0.01),
-            var=zero, shape="gaussian_truncated", support_radius=zero)
+            var=zero, shape="gaussian_truncated")
         fld = master_step(kin_density.copy(), kin_grid, kern, None, 5e-3)
         # every row collapses to stay-put, so emit returns to its own cell
         assert np.abs(fld - kin_density).max() <= \
@@ -458,17 +456,17 @@ class TestNonFiniteInputs:
             master_step(kin_density, kin_grid, kern, None, 1.5e-4)
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
-    def test_nan_weights_trip_the_density_check(self, kin_grid, kin_density,
-                                                shape):
-        # finite waiting times and reach, but a NaN variance on the hump's
-        # top: its weight rows are NaN, which only the result's density
-        # tripwire sees
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_variance_rejected_at_the_reach(self, kin_grid,
+                                                      kin_density, shape,
+                                                      bad):
+        # finite waiting times, but a NaN or infinite variance on the hump's
+        # top: the reach is a multiple of the widest width, so it is not
+        # finite either, and the step refuses it before building a row
         kern = JumpKernel(
             tau=lambda u: np.full_like(u, 1.5e-4),
-            var=lambda u: np.where(u > 0.03, math.nan, 1e-3),
-            shape=shape, support_radius=lambda u: np.full_like(u, 0.1))
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(RangeError, match="negative or NaN"):
+            var=lambda u: np.where(u > 0.03, bad, 1e-3), shape=shape)
+        with pytest.raises(DomainError, match="kernel widths must be finite"):
             master_step(kin_density, kin_grid, kern, None, 1.5e-4)
 
     def test_nan_sink_rate_rejected(self, kin_grid, kin_density):
@@ -481,23 +479,21 @@ class TestNonFiniteInputs:
 
 
 class TestReach:
-    """The built-in families' reach comes from the widths the step already
-    has; a hand-built kernel's own support_radius still sets its reach."""
+    """A step's reach comes from the widths it has already evaluated, and
+    it is the kernel's support_radius of its widest occupied cell."""
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("beta,a", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.5)])
-    def test_reach_from_widths_is_the_called_radius(self, kin_grid,
-                                                    kin_density, shape,
-                                                    beta, a):
+    def test_reach_is_the_widest_support_radius(self, kin_grid, kin_density,
+                                                shape, beta, a):
         kern = power_family_kernel(beta=beta, tau0=2e-4, a=a, shape=shape)
-        called = replace(kern, support_radius=lambda u: kern.support_radius(u))
-        got = ref = kin_density
+        u = kin_density
         for _ in range(3):
-            got = master_step(got, kin_grid, kern, None, 1e-4)
-            ref = master_step(ref, kin_grid, called, None, 1e-4)
-            assert np.array_equal(got, ref)
-        assert np.array_equal(_weight_rows(kern, kin_density, H)[1],
-                              _weight_rows(called, kin_density, H)[1])
+            occ = u[u > 0.0]
+            K = math.ceil(float(np.max(kern.support_radius(occ))) / H)
+            assert K > 0
+            assert kinetic_mod._sigma_and_reach(kern, occ, H)[1] == K
+            u = master_step(u, kin_grid, kern, None, 1e-4)
 
     def test_var_evaluated_once_per_step(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=2.0, tau0=2e-4, a=1.0)
@@ -507,29 +503,16 @@ class TestReach:
             calls.append(1)
             return kern.var(u)
 
-        counted = replace(kern, var=var, support_radius=kinetic_mod
-                          ._WidthMultiple(kern.support_radius.factor, var))
+        counted = replace(kern, var=var)
         out = master_step(kin_density, kin_grid, counted, None, 1e-4)
         assert len(calls) == 1
         assert np.array_equal(
             out, master_step(kin_density, kin_grid, kern, None, 1e-4))
 
-    def test_hand_built_radius_sets_the_reach(self, kin_grid):
-        u = np.zeros(401)
-        u[200] = 0.04
-        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        wide = replace(kern, support_radius=lambda v: 2.0 * kern.support_radius(v))
-        K = math.ceil(float(kern.support_radius(np.asarray([0.04]))[0]) / H)
-        K_wide = math.ceil(float(wide.support_radius(np.asarray([0.04]))[0]) / H)
-        assert K_wide > K
-        assert _weight_rows(kern, u, H)[0][-1] == K
-        assert _weight_rows(wide, u, H)[0][-1] == K_wide
-
     def test_constant_var_broadcasts(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         sigma2 = float(kern.var(np.asarray([0.5]))[0])     # a = beta: constant
-        const = replace(kern, var=lambda u: sigma2,
-                        support_radius=lambda u: 4.0 * math.sqrt(sigma2))
+        const = replace(kern, var=lambda u: sigma2)
         assert np.array_equal(
             master_step(kin_density, kin_grid, const, None, 1e-4),
             master_step(kin_density, kin_grid, kern, None, 1e-4))

@@ -102,7 +102,7 @@ class TestExponentPack:
     @given(lam=st.floats(min_value=0.05, max_value=1.95),
            j=st.floats(min_value=0.05, max_value=4.0))
     def test_algebraic_identities(self, lam, j):
-        pack = ExponentPack(N_dim=1, lam=lam, j=j, b=3.0, R=0.4)
+        pack = ExponentPack(lam=lam, j=j, b=3.0, R=0.4)
         assert 0.0 < pack.k < 1.0
         assert (1.0 + j) * pack.k < 1.0
         assert pack.beta_exp > 0.0
@@ -112,9 +112,9 @@ class TestExponentPack:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            ExponentPack(N_dim=1, lam=2.5, j=2.0, b=3.0, R=0.4)
+            ExponentPack(lam=2.5, j=2.0, b=3.0, R=0.4)
         with pytest.raises(DomainError):
-            ExponentPack(N_dim=1, lam=1.0, j=2.0, b=1.5, R=0.4)
+            ExponentPack(lam=1.0, j=2.0, b=1.5, R=0.4)
 
 
 class TestLadyBound:
@@ -260,8 +260,7 @@ class TestDeGiorgiTrace:
     def test_to_dict_is_json_ready(self, desk_trace_beta1, cutoffs, desk_pack,
                                    beta1_table):
         import json
-        dg = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack, beta1_table,
-                             estimate=False)
+        dg = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack, beta1_table)
         text = json.dumps(dg.to_dict(), sort_keys=True)
         assert "threshold" in text and "exponents" in text
 
@@ -398,15 +397,15 @@ class TestFronts:
         j = int(np.argmin(np.abs(x + 0.3)))
         vals[j] = 1e-3
         d = abs(x[j] - 0.5)
-        assert front_radius(vals, desk_grid, (0.5,), 1e-6, 1e-5) == \
+        assert front_radius(vals, desk_grid, (0.5,), 1.1e-5) == \
             pytest.approx(d)
-        assert empty_radius(vals, desk_grid, (0.5,), 1e-6, 1e-5) == \
+        assert empty_radius(vals, desk_grid, (0.5,), 1.1e-5) == \
             pytest.approx(d)
 
     def test_flat_state_has_no_front(self, desk_grid):
         vals = np.full(desk_grid.n, 1e-6)
-        assert front_radius(vals, desk_grid, (0.5,), 1e-6, 1e-5) == 0.0
-        assert empty_radius(vals, desk_grid, (0.5,), 1e-6, 1e-5) == math.inf
+        assert front_radius(vals, desk_grid, (0.5,), 1.1e-5) == 0.0
+        assert empty_radius(vals, desk_grid, (0.5,), 1.1e-5) == math.inf
 
     def test_desk_series_shapes_and_growth(self, desk_trace_beta1):
         t, r_front, r_empty = front_series(desk_trace_beta1,
@@ -422,6 +421,18 @@ class TestFronts:
         assert second <= first + h
         # the watched ball stays clean throughout
         assert np.all(r_empty >= RP)
+
+    def test_series_matches_per_snapshot_radii(self, desk_trace_beta1):
+        trace = desk_trace_beta1
+        thr = trace.prob.support_threshold
+        for x0_empty in (X0, None):
+            _, r_front, r_empty = front_series(trace, x0_front=(-0.6,),
+                                               x0_empty=x0_empty)
+            centre = (-0.6,) if x0_empty is None else x0_empty
+            assert r_front.tolist() == [
+                front_radius(f, trace.grid, (-0.6,), thr) for f in trace.fields]
+            assert r_empty.tolist() == [
+                empty_radius(f, trace.grid, centre, thr) for f in trace.fields]
 
     def test_arrival_censored_on_degenerate_run(self, desk_trace_beta1):
         assert time_to_threshold(desk_trace_beta1, X0, RP) == math.inf
