@@ -230,11 +230,10 @@ class CatalogEntry:
     def build_opts(self) -> dict:
         return self.build_opts_for(self.make_profile())
 
-    def run(self, profile: Optional[DegeneracyProfile] = None) -> AssumptionReport:
-        """Check profile (default: the default-beta one) at Lambda = 1 and
-        this entry's build floor."""
-        if profile is None:
-            profile = self.make_profile()
+    def run(self) -> AssumptionReport:
+        """Check the default-beta profile at Lambda = 1 and this entry's
+        build floor."""
+        profile = self.make_profile()
         return check_profile(profile, LambdaChoice(1.0),
                              **self.build_opts_for(profile))
 

@@ -1,10 +1,23 @@
 """Experiment runner: JSON config in, CSV/JSON artifacts out.
 
-Subcommands map onto the library pipeline: `check` (assumption report),
-`table` (coefficient CSV), `solve` (snapshots + run summary), `localize`
-(iteration diagnostics + front series), `kinetic-compare` (master equation
-vs solver), `sweep-eps` (floor-ladder Cauchy gaps).  Outputs are
-deterministic: same config, byte-identical files.
+Each subcommand is one row of `_SUBCOMMANDS`: its help text, its body,
+whether it marches, the config blocks it needs and the profile kinds it
+takes.  `main` runs every row through one pipeline of phases:
+
+    config        load --config and check the blocks the subcommand needs,
+                  or build the profile block of `check --example`
+    write         create the output directory and remove an earlier run's
+                  error.json from it
+    coefficients  build the coefficient table
+    solve         build the grid and the regularized problem (marching
+                  subcommands only)
+
+The body then runs its own phases and writes its artifacts: `check`
+(assumption report), `table` (coefficient CSV), `solve` (snapshots + run
+summary), `localize` (iteration diagnostics + front series),
+`kinetic-compare` (master equation vs solver), `sweep-eps` (floor-ladder
+Cauchy gaps).  Outputs are deterministic: same config, byte-identical
+files.
 
 Failures exit with a phase-specific code and drop error.json next to the
 other artifacts:
@@ -22,7 +35,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -149,11 +162,13 @@ def _check_block(raw: dict, key: str):
 
 @dataclass
 class ExperimentConfig:
-    """Validated run description; see README for the JSON schema."""
+    """Validated run description; see README for the JSON schema.  The
+    defaults are those of the optional config keys.  `check --example`
+    builds a config of one profile block, with no grid."""
 
     profile: dict
-    lam_choice: object            # float Lambda or "auto"
-    grid: dict
+    grid: Optional[dict]
+    lam_choice: object = 1.0      # float Lambda or "auto"
     eps: float = 1e-6
     eps_sweep: Optional[list] = None
     bump: Optional[dict] = None
@@ -187,7 +202,7 @@ class ExperimentConfig:
             if not entry.takes_tail and prof.get("tail") is not None:
                 raise ConfigError(f"profile kind '{prof['kind']}' takes no "
                                   f"tail, got {prof['tail']!r}")
-        lam = raw.get("lambda", 1.0)
+        lam = raw.get("lambda", cls.lam_choice)
         if not (lam == "auto" or (_is_number(lam) and lam > 0)):
             raise ConfigError("lambda must be a positive number or 'auto'")
         grid = _require(raw, "grid", "config")
@@ -204,10 +219,10 @@ class ExperimentConfig:
                 raise ConfigError(f"grid.extent entries must be [a, b] "
                                   f"pairs of numbers, got {ab!r}")
             _check_type(m, "integer", "grid.n entry")
-        eps = float(_check_type(raw.get("eps", 1e-6), "number", "eps"))
+        eps = float(_check_type(raw.get("eps", cls.eps), "number", "eps"))
         if eps <= 0:
             raise ConfigError("eps must be positive")
-        T = float(_check_type(raw.get("T", 0.05), "number", "T"))
+        T = float(_check_type(raw.get("T", cls.T), "number", "T"))
         if T <= 0:
             raise ConfigError("T must be positive")
         sweep = raw.get("eps_sweep")
@@ -232,10 +247,11 @@ class ExperimentConfig:
             if len(np.atleast_1d(loc["x0"])) != len(n):
                 raise ConfigError(f"localization.x0 must have {len(n)} "
                                   f"components, got {loc['x0']!r}")
-        psi = float(_check_type(raw.get("psi", 1.0), "number", "psi"))
-        snapshots = _check_type(raw.get("snapshots", 33), "snapshots",
-                                "snapshots")
-        out_dir = _check_type(raw.get("out_dir", "out"), "string", "out_dir")
+        psi = float(_check_type(raw.get("psi", cls.psi), "number", "psi"))
+        snapshots = _check_type(raw.get("snapshots", cls.snapshots),
+                                "snapshots", "snapshots")
+        out_dir = _check_type(raw.get("out_dir", cls.out_dir), "string",
+                              "out_dir")
         return cls(
             profile=prof, lam_choice=lam, grid=grid, eps=eps,
             eps_sweep=sweep, bump=bump, psi=psi,
@@ -251,44 +267,38 @@ class ExperimentConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as e:
-            raise _PhaseFailure(EXIT_IO, "config", e) from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         return cls.from_dict(raw)
 
 
-def _make_profile(block: dict):
-    if block["kind"] == "custom":
-        return checker_mod.custom_csv_profile(block["path"])
-    return checker_mod.PROFILES[block["kind"]].make_profile(
-        beta=float(block.get("beta", 1.0)), M=float(block.get("M", 1.0)),
-        tail=block.get("tail"))
+def _given(block: dict, **convert) -> dict:
+    """The fields of block named in convert that are present and not null,
+    each passed through its converter (None keeps the JSON value), so that
+    the library call they go to supplies its own defaults."""
+    return {k: block[k] if f is None else f(block[k])
+            for k, f in convert.items() if block.get(k) is not None}
 
 
 def _build_table(cfg: ExperimentConfig):
-    """Profile + table (+ auto Lambda resolution), or the nondegenerate
-    control table for kind 'constant'.  A null table.s_min takes the
-    registry's build floor for the kind (exp_inv's 1e-2), as
-    `check --example` does."""
-    block = cfg.profile
-    opts = dict(cfg.table_opts)
+    """The coefficient table of the config's profile (auto Lambda
+    resolved), or the nondegenerate control table for kind 'constant'.  A
+    null table.s_min takes the registry's build floor for the kind
+    (exp_inv's 1e-2); the library's defaults fill every other option the
+    config leaves out."""
+    block, opts = cfg.profile, cfg.table_opts
     if block["kind"] == "constant":
-        s_min = opts.get("s_min")   # null means the default, as for the others
-        tab = coeffs.constant_table(
-            F0=float(block.get("F0", 1.0)), h0=float(block.get("h0", 1.0)),
-            M=float(block.get("M", 1.0)),
-            s_min=1e-8 if s_min is None else float(s_min),
-            K=int(opts.get("K", 64)))
-        return None, tab
-    prof = _make_profile(block)
-    kwargs = {
-        "s_min": opts.get("s_min"),
-        "K": int(opts.get("K", 256)),
-        "quad_tol": float(opts.get("quad_tol", 1e-8)),
-    }
+        return coeffs.constant_table(
+            **_given(block, F0=float, h0=float, M=float),
+            **_given(opts, s_min=float, K=int))
     entry = checker_mod.PROFILES.get(block["kind"])
-    if kwargs["s_min"] is None and entry is not None:
+    if entry is None:
+        prof = checker_mod.custom_csv_profile(block["path"])
+    else:
+        prof = entry.make_profile(**_given(block, beta=float, M=float,
+                                           tail=None))
+    kwargs = _given(opts, s_min=None, K=int, quad_tol=float)
+    if "s_min" not in kwargs and entry is not None:
         kwargs.update(entry.build_opts_for(prof))
     if cfg.lam_choice == "auto":
         provisional = coeffs.build_table(prof, coeffs.LambdaChoice(1.0), **kwargs)
@@ -296,27 +306,24 @@ def _build_table(cfg: ExperimentConfig):
         lam = coeffs.LambdaChoice.from_auto(A_est)
     else:
         lam = coeffs.LambdaChoice(float(cfg.lam_choice))
-    return prof, coeffs.build_table(prof, lam, **kwargs)
-
-
-def _make_grid(cfg: ExperimentConfig) -> solver_mod.GridSpec:
-    return solver_mod.GridSpec(
-        extent=tuple(tuple(float(v) for v in ab) for ab in cfg.grid["extent"]),
-        n=tuple(int(m) for m in cfg.grid["n"]))
+    return coeffs.build_table(prof, lam, **kwargs)
 
 
 def _make_problem(cfg: ExperimentConfig, tab):
+    """The grid and the regularized problem of a config."""
+    grid = solver_mod.GridSpec(
+        extent=tuple(tuple(float(v) for v in ab) for ab in cfg.grid["extent"]),
+        n=tuple(int(m) for m in cfg.grid["n"]))
     g = 0.0
     if cfg.bump is not None:
-        g = solver_mod.bump(cfg.bump["center"], float(cfg.bump["radius"]),
-                            float(cfg.bump["height"]),
-                            shape=cfg.bump.get("shape", "tent"))
+        g = solver_mod.bump(**_given(cfg.bump, center=None, radius=float,
+                                     height=float, shape=None))
     omega = None
     if cfg.localization is not None:
         omega = (tuple(float(v) for v in np.atleast_1d(cfg.localization["x0"])),
                  float(cfg.localization["R"]))
-    return solver_mod.EpsProblem(table=tab, eps=cfg.eps, g=g, psi=cfg.psi,
-                                 omega_prime=omega)
+    return grid, solver_mod.EpsProblem(table=tab, eps=cfg.eps, g=g,
+                                       psi=cfg.psi, omega_prime=omega)
 
 
 # ----------------------------------------------------------------- writers
@@ -356,80 +363,34 @@ def write_snapshots_csv(path: str, trace: solver_mod.SolveTrace) -> None:
 
 
 # -------------------------------------------------------------- subcommands
+#
+# A body takes (cfg, tab, grid, prob, out), grid and prob None for the
+# subcommands that do not march, and returns (exit code, summary line).
 
-def _out_dir(args, cfg: Optional[ExperimentConfig]) -> str:
-    """The resolved output directory, created, with any error.json of an
-    earlier failed run in it removed."""
-    out = args.out or (cfg.out_dir if cfg is not None else ".")
-    os.makedirs(out, exist_ok=True)
-    args.resolved_out = out  # where main drops error.json if a phase fails
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out, "error.json"))
-    return out
-
-
-def _say(args, msg: str) -> None:
-    if not args.quiet:
-        print(msg)
-
-
-def _load_config(args) -> ExperimentConfig:
-    if not getattr(args, "config", None):
-        raise ConfigError("this subcommand needs --config")
-    return ExperimentConfig.from_file(args.config)
-
-
-def cmd_check(args) -> int:
-    with _phase(EXIT_CONFIG, "config"):
-        if args.example:
-            entry = checker_mod.PROFILES[args.example]
-            if args.beta is not None and not entry.takes_beta:
-                raise ConfigError(f"--example {args.example} takes no --beta")
-            prof = entry.make_profile(1.0 if args.beta is None else args.beta)
-            cfg = None
-        else:
-            cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_check(cfg, tab, grid, prob, out):
     with _phase(EXIT_COEFFS, "coefficients"):
-        if cfg is not None:
-            prof, tab = _build_table(cfg)
-            if prof is None:
-                raise ConfigError("the constant control table has no "
-                                  "assumptions to check")
-            lam = coeffs.LambdaChoice(tab.Lambda)
-            report = checker_mod.check_profile(prof, lam, table=tab)
-        else:
-            report = entry.run(prof)
+        if tab.profile is None:
+            raise ConfigError("the constant control table has no "
+                              "assumptions to check")
+        report = checker_mod.check_profile(
+            tab.profile, coeffs.LambdaChoice(tab.Lambda), table=tab)
     with _phase(EXIT_IO, "write"):
         report.to_json(os.path.join(out, "report.json"))
-    _say(args, f"check: {'PASS' if report.all_pass() else 'FAIL'}  "
-               f"A_est={report.A_est:.6g} B_est={report.B_est:.6g} "
-               f"C1={report.C1_est:.6g}")
-    return EXIT_OK if report.all_pass() else EXIT_COEFFS
+    return (EXIT_OK if report.all_pass() else EXIT_COEFFS,
+            f"check: {'PASS' if report.all_pass() else 'FAIL'}  "
+            f"A_est={report.A_est:.6g} B_est={report.B_est:.6g} "
+            f"C1={report.C1_est:.6g}")
 
 
-def cmd_table(args) -> int:
-    with _phase(EXIT_CONFIG, "config"):
-        cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    with _phase(EXIT_COEFFS, "coefficients"):
-        _, tab = _build_table(cfg)
+def cmd_table(cfg, tab, grid, prob, out):
     with _phase(EXIT_IO, "write"):
         tab.dump_csv(os.path.join(out, "table.csv"))
-    _say(args, f"table: {len(tab.s)} nodes on [{tab.s_min:g}, {tab.M:g}] "
-               f"-> {os.path.join(out, 'table.csv')}")
-    return EXIT_OK
+    return EXIT_OK, (f"table: {len(tab.s)} nodes on [{tab.s_min:g}, "
+                     f"{tab.M:g}] -> {os.path.join(out, 'table.csv')}")
 
 
-def cmd_solve(args) -> int:
-    with _phase(EXIT_CONFIG, "config"):
-        cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    with _phase(EXIT_COEFFS, "coefficients"):
-        _, tab = _build_table(cfg)
+def cmd_solve(cfg, tab, grid, prob, out):
     with _phase(EXIT_SOLVER, "solve"):
-        grid = _make_grid(cfg)
-        prob = _make_problem(cfg, tab)
         trace = solver_mod.solve(prob, grid, cfg.T, cfg.snapshots)
         residual = solver_mod.energy_identity_residual(trace)
     with _phase(EXIT_IO, "write"):
@@ -444,36 +405,21 @@ def cmd_solve(args) -> int:
             "energy_residual": residual,
             "eps": prob.eps,
         })
-    _say(args, f"solve: {trace.n_steps} steps to T={trace.T:g}, "
-               f"energy residual {residual:.3e}")
-    return EXIT_OK
+    return EXIT_OK, (f"solve: {trace.n_steps} steps to T={trace.T:g}, "
+                     f"energy residual {residual:.3e}")
 
 
-def cmd_localize(args) -> int:
-    with _phase(EXIT_CONFIG, "config"):
-        cfg = _load_config(args)
-        if cfg.localization is None:
-            raise ConfigError("localize needs a 'localization' block")
-        if cfg.bump is None:
-            raise ConfigError("localize needs a 'bump' block")
-    out = _out_dir(args, cfg)
-    with _phase(EXIT_COEFFS, "coefficients"):
-        _, tab = _build_table(cfg)
+def cmd_localize(cfg, tab, grid, prob, out):
     with _phase(EXIT_SOLVER, "solve"):
-        grid = _make_grid(cfg)
-        prob = _make_problem(cfg, tab)
         trace = solver_mod.solve(prob, grid, cfg.T, cfg.snapshots)
     with _phase(EXIT_LOCALIZATION, "localization"):
-        loc = cfg.localization
+        x0, R = prob.omega_prime
         cut = localization.CutoffFamily(
-            x0=tuple(float(v) for v in np.atleast_1d(loc["x0"])),
-            R=float(loc["R"]), Rp=float(loc["Rp"]))
+            x0=x0, R=R, Rp=float(cfg.localization["Rp"]))
         lam_val = None if tab.Lambda is not None else 1.0
         pack = localization.ExponentPack.build(
             cut, N_dim=grid.dim, table=tab, lam=lam_val,
-            C1=float(cfg.exponents.get("C1", 1.0)),
-            S=float(cfg.exponents.get("S", 1.0)),
-            j=cfg.exponents.get("j"))
+            **_given(cfg.exponents, C1=float, S=float, j=None))
         dg = localization.de_giorgi_trace(trace, cut, pack, tab)
         times, r_front, r_empty = localization.front_series(
             trace, x0_front=cfg.bump["center"], x0_empty=cut.x0)
@@ -482,34 +428,21 @@ def cmd_localize(args) -> int:
         _write_csv(os.path.join(out, "front.csv"), "t,r_front,r_empty",
                    [times, r_front, r_empty])
         write_snapshots_csv(os.path.join(out, "snapshots.csv"), trace)
-    _say(args, f"localize: T'={dg.T_prime:.6g} "
-               f"(iteration {'holds' if dg.verdict['all_hold'] else 'fails'})")
-    return EXIT_OK
+    return EXIT_OK, (f"localize: T'={dg.T_prime:.6g} (iteration "
+                     f"{'holds' if dg.verdict['all_hold'] else 'fails'})")
 
 
-def cmd_kinetic_compare(args) -> int:
-    with _phase(EXIT_CONFIG, "config"):
-        cfg = _load_config(args)
-        if cfg.bump is None:
-            raise ConfigError("kinetic-compare needs a 'bump' block")
-        kin = cfg.kinetic
-        beta = float(cfg.profile.get("beta", 1.0))
-        if cfg.profile["kind"] != "power":
-            raise ConfigError("kinetic-compare supports power profiles only")
-    out = _out_dir(args, cfg)
-    with _phase(EXIT_COEFFS, "coefficients"):
-        _, tab = _build_table(cfg)
+def cmd_kinetic_compare(cfg, tab, grid, prob, out):
     with _phase(EXIT_SOLVER, "solve"):
-        grid = _make_grid(cfg)
-        prob = _make_problem(cfg, tab)
         trace = solver_mod.solve(prob, grid, cfg.T, 2)
     with _phase(EXIT_KINETIC, "kinetic"):
+        kin = cfg.kinetic
+        tau0 = float(kin.get("tau0", 1.5e-4))
         kernel = kinetic.power_family_kernel(
-            beta=beta, tau0=float(kin.get("tau0", 1.5e-4)),
-            a=float(kin.get("a", 1.0)),
-            shape=kin.get("shape", "gaussian_truncated"))
+            beta=tab.profile.params["beta"], tau0=tau0,
+            **_given(kin, a=float, shape=None))
         d0 = grid.sample(prob.g)
-        dt = float(kin.get("dt", kin.get("tau0", 1.5e-4)))
+        dt = float(kin.get("dt", tau0))
         _, master = kinetic.run_master(d0, grid, kernel, None, cfg.T, dt)
         pde = trace.fields[-1] - prob.eps
         vol = grid.cell_volume
@@ -523,22 +456,12 @@ def cmd_kinetic_compare(args) -> int:
             "T": cfg.T, "dt": dt, "mass": mass, "l1_distance": l1,
             "l1_over_mass": l1 / mass if mass > 0 else 0.0,
         })
-    _say(args, f"kinetic-compare: L1/mass = {l1 / mass:.4%}" if mass > 0
-         else "kinetic-compare: empty density")
-    return EXIT_OK
+    return EXIT_OK, (f"kinetic-compare: L1/mass = {l1 / mass:.4%}"
+                     if mass > 0 else "kinetic-compare: empty density")
 
 
-def cmd_sweep_eps(args) -> int:
-    with _phase(EXIT_CONFIG, "config"):
-        cfg = _load_config(args)
-        if not cfg.eps_sweep:
-            raise ConfigError("sweep-eps needs an 'eps_sweep' list")
-    out = _out_dir(args, cfg)
-    with _phase(EXIT_COEFFS, "coefficients"):
-        _, tab = _build_table(cfg)
+def cmd_sweep_eps(cfg, tab, grid, prob, out):
     with _phase(EXIT_SOLVER, "solve"):
-        grid = _make_grid(cfg)
-        prob = _make_problem(cfg, tab)
         result = solver_mod.eps_sweep(prob, grid, cfg.T, cfg.eps_sweep)
     with _phase(EXIT_IO, "write"):
         write_json(os.path.join(out, "sweep.json"), {
@@ -547,17 +470,64 @@ def cmd_sweep_eps(args) -> int:
             "n_steps": result.n_steps,
             "cauchy_decreasing": result.is_cauchy(),
         })
-    _say(args, f"sweep-eps: gaps {['%.3e' % d for d in result.distances]} "
-               f"({'decreasing' if result.is_cauchy() else 'NOT decreasing'})")
-    return EXIT_OK
+    return EXIT_OK, (
+        f"sweep-eps: gaps {['%.3e' % d for d in result.distances]} "
+        f"({'decreasing' if result.is_cauchy() else 'NOT decreasing'})")
+
+
+class _Subcommand(NamedTuple):
+    help: str
+    body: Callable
+    marches: bool                 # the pipeline builds the grid and problem
+    needs: tuple = ()             # (config field, what its absence lacks)
+    kinds: tuple = PROFILE_KINDS  # the profile kinds the body takes
+
+
+_SUBCOMMANDS = {
+    "check": _Subcommand("profile assumption report", cmd_check, False),
+    "table": _Subcommand("write the coefficient table CSV", cmd_table, False),
+    "solve": _Subcommand("run the regularized evolution", cmd_solve, True),
+    "localize": _Subcommand(
+        "iteration diagnostics + front series", cmd_localize, True,
+        needs=(("localization", "a 'localization' block"),
+               ("bump", "a 'bump' block"))),
+    "kinetic-compare": _Subcommand(
+        "master equation vs solver", cmd_kinetic_compare, True,
+        needs=(("bump", "a 'bump' block"),), kinds=("power",)),
+    "sweep-eps": _Subcommand(
+        "floor-ladder Cauchy gaps", cmd_sweep_eps, True,
+        needs=(("eps_sweep", "an 'eps_sweep' list"),)),
+}
 
 
 # ------------------------------------------------------------------- main
 
-def _add_common(sub):
-    sub.add_argument("--config", help="path to the JSON experiment config")
-    sub.add_argument("--out", help="output directory (overrides config)")
-    sub.add_argument("--quiet", action="store_true", help="suppress chatter")
+def _load_config(args) -> ExperimentConfig:
+    """--example's profile block alone, or the --config file holding every
+    block the subcommand needs."""
+    name, command = args.command, _SUBCOMMANDS[args.command]
+    example, beta = getattr(args, "example", None), getattr(args, "beta", None)
+    if example is not None:
+        if args.config:
+            raise ConfigError("--example and --config exclude each other")
+        block = {"kind": example}
+        if beta is not None:
+            if not checker_mod.PROFILES[example].takes_beta:
+                raise ConfigError(f"--example {example} takes no --beta")
+            block["beta"] = beta
+        return ExperimentConfig(profile=block, grid=None, out_dir=".")
+    if beta is not None:
+        raise ConfigError("--beta needs --example")
+    if not args.config:
+        raise ConfigError("this subcommand needs --config")
+    cfg = ExperimentConfig.from_file(args.config)
+    for key, what in command.needs:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{name} needs {what}")
+    if cfg.profile["kind"] not in command.kinds:
+        raise ConfigError(f"{name} supports {'/'.join(command.kinds)} "
+                          f"profiles only")
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,46 +538,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "regularized runs, localization diagnostics, and the "
                     "jump-process cross-check.")
     sp = ap.add_subparsers(dest="command", required=True)
-
-    p = sp.add_parser("check", help="profile assumption report")
-    _add_common(p)
+    for name, command in _SUBCOMMANDS.items():
+        p = sp.add_parser(name, help=command.help)
+        p.add_argument("--config", help="path to the JSON experiment config")
+        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--quiet", action="store_true", help="suppress chatter")
+    p = sp.choices["check"]
     p.add_argument("--example", choices=tuple(checker_mod.PROFILES),
                    help="run a built-in catalog profile instead of a config")
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--beta", type=float,
                    help="exponent for the " + "/".join(
                        k for k, e in checker_mod.PROFILES.items()
                        if e.takes_beta) + " examples")
-    p.set_defaults(func=cmd_check)
-
-    p = sp.add_parser("table", help="write the coefficient table CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sp.add_parser("solve", help="run the regularized evolution")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sp.add_parser("localize", help="iteration diagnostics + front series")
-    _add_common(p)
-    p.set_defaults(func=cmd_localize)
-
-    p = sp.add_parser("kinetic-compare", help="master equation vs solver")
-    _add_common(p)
-    p.set_defaults(func=cmd_kinetic_compare)
-
-    p = sp.add_parser("sweep-eps", help="floor-ladder Cauchy gaps")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_eps)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _SUBCOMMANDS[args.command]
+    out = args.out or "."      # until the config names the directory
     try:
-        return args.func(args)
+        with _phase(EXIT_CONFIG, "config"):
+            cfg = _load_config(args)
+        out = args.out or cfg.out_dir
+        with _phase(EXIT_IO, "write"):
+            os.makedirs(out, exist_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, "error.json"))
+        with _phase(EXIT_COEFFS, "coefficients"):
+            tab = _build_table(cfg)
+        grid = prob = None
+        if command.marches:
+            with _phase(EXIT_SOLVER, "solve"):
+                grid, prob = _make_problem(cfg, tab)
+        code, summary = command.body(cfg, tab, grid, prob, out)
+        if not args.quiet:
+            print(summary)
+        return code
     except _PhaseFailure as pf:
-        out = getattr(args, "resolved_out", None) or args.out or "."
         payload = {
             "error": type(pf.err).__name__,
             "message": str(pf.err),
@@ -619,11 +587,11 @@ def main(argv=None) -> int:
             write_json(os.path.join(out, "error.json"), payload)
         except OSError:
             pass
-        if not getattr(args, "quiet", False):
+        if not args.quiet:
             print(f"error ({pf.phase}): {pf.err}", file=sys.stderr)
         return pf.code
     except Exception as e:  # pragma: no cover - tripwire
-        if not getattr(args, "quiet", False):
+        if not args.quiet:
             print(f"unexpected error: {e}", file=sys.stderr)
         return EXIT_UNEXPECTED
 

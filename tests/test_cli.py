@@ -190,6 +190,32 @@ class TestFailurePaths:
         code, out = run(tmp_path, "table")
         assert code == EXIT_CONFIG
 
+    def test_out_that_is_a_file_exits_io(self, tmp_path):
+        target = tmp_path / "out"
+        target.write_text("not a directory")
+        code, _ = run(tmp_path, "check", "--example", "power")
+        assert code == EXIT_IO
+        assert target.read_text() == "not a directory"
+
+    def test_error_json_that_is_a_directory_exits_io(self, tmp_path):
+        (tmp_path / "out" / "error.json").mkdir(parents=True)
+        code, out = run(tmp_path, "check", "--example", "power")
+        assert code == EXIT_IO
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "CONFIG", "--beta", "2"],
+        ["--example", "exp_inv", "--config", "CONFIG"],
+    ], ids=["beta-without-example", "example-and-config"])
+    def test_check_rejects_a_flag_it_would_ignore(self, tmp_path, flags):
+        cfg = write_config(tmp_path)
+        code, out = run(tmp_path, "check",
+                        *[cfg if f == "CONFIG" else f for f in flags])
+        assert code == EXIT_CONFIG
+        err = load_json(out, "error.json")
+        assert err["error"] == "ConfigError" and err["phase"] == "config"
+        assert not (out / "report.json").exists()
+
     def test_unparseable_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -426,17 +452,23 @@ class TestProfileRegistry:
         assert load_json(out, "report.json") == \
             json.loads(PROFILES[kind].run().to_json())
 
-    @pytest.mark.parametrize("kind", list(PROFILES))
-    def test_config_of_only_the_kind_is_the_example(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind, beta", [
+        *((kind, None) for kind in PROFILES), ("power", 2), ("exp_inv", 2)],
+        ids=[*PROFILES, "power-beta2", "exp_inv-beta2"])
+    def test_config_of_only_the_kind_is_the_example(self, tmp_path, kind,
+                                                    beta):
         # a null table.s_min takes the registry's build floor (exp_inv's
         # 1e-2) in a config as it does for --example
+        profile = {"kind": kind} if beta is None else {"kind": kind,
+                                                       "beta": beta}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"profile": {"kind": kind},
+        path.write_text(json.dumps({"profile": profile,
                                     "grid": BASE["grid"]}))
         code, from_config = run(tmp_path, "check", "--config", str(path),
                                 sub="config")
         assert code == EXIT_OK
-        code, example = run(tmp_path, "check", "--example", kind,
+        flags = [] if beta is None else ["--beta", str(beta)]
+        code, example = run(tmp_path, "check", "--example", kind, *flags,
                             sub="example")
         assert code == EXIT_OK
         assert (from_config / "report.json").read_bytes() == \
