@@ -1,6 +1,9 @@
 # Build coefficient tables for two degeneracy profiles and check them
 # against what we know in closed form.
 
+import os
+import tempfile
+
 import numpy as np
 
 from degenstein import (LambdaChoice, build_table, exp_inv_profile,
@@ -39,5 +42,6 @@ for q in (0.013, 0.2, 0.77):
     print(f"  F({q:5.3f}) = {tab2.eval('F', q):.6e}   "
           f"G({q:5.3f}) = {tab2.eval('G', q):.6e}")
 
-tab.dump_csv("table_power_beta2.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    tab.dump_csv(os.path.join(tmp, "table_power_beta2.csv"))
 print("\nwrote table_power_beta2.csv (header: s,I,H,h,F,Fprime,G)")

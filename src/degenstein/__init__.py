@@ -19,8 +19,8 @@ from .coeffs import (
     exp_zeta_profile, custom_profile, constant_table,
 )
 from .checker import (
-    AssumptionReport, CatalogEntry, check_A1, estimate_A_B,
-    check_almost_decreasing, check_profile, example_catalog,
+    AssumptionReport, CatalogEntry, PROFILES, check_A1, estimate_A_B,
+    check_almost_decreasing, check_profile,
 )
 from .solver import (
     GridSpec, EpsProblem, SolveTrace, SweepResult, bump, cfl_dt,

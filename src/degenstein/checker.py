@@ -28,7 +28,6 @@ __all__ = [
     "estimate_A_B",
     "check_almost_decreasing",
     "check_profile",
-    "example_catalog",
     "CatalogEntry",
     "PROFILES",
     "custom_csv_profile",
@@ -101,21 +100,36 @@ def check_A1(table: CoefficientTable):
     return C1, bounded, {"small_s_ratio": head.tolist()}
 
 
-def estimate_A_B(profile: DegeneracyProfile, table: CoefficientTable):
-    """Sup and small-s trend of P*I.
+def _profile_of(table: CoefficientTable) -> DegeneracyProfile:
+    """The profile a table was built from; the checks need it, and a table
+    without one (the constant control table, or one read back by load_csv)
+    raises DomainError."""
+    if table.profile is None:
+        raise DomainError("the constant control table has no assumptions "
+                          "to check")
+    return table.profile
+
+
+def _small_s_trend(table: CoefficientTable, weight) -> tuple:
+    """Linear fit of weight(s)*I(s) against log s on the trend points, read
+    off at s_min: (value there, slope)."""
+    pts = _trend_points(table)
+    t = np.log(pts)
+    slope, intercept = np.polyfit(t, weight(pts) * table.eval("I", pts), 1)
+    return float(slope * t[0] + intercept), float(slope)
+
+
+def estimate_A_B(table: CoefficientTable):
+    """Sup and small-s trend of P*I for the table's profile.
 
     A_est is the nodewise max.  B_est is a linear fit of P*I against log s on
     the doubling subsequence near s_min, read off at s_min; the slope is
     reported so callers can see whether the trend has settled.
     """
-    PI_nodes = profile(table.s) * table.I
-    A_est = float(np.max(PI_nodes))
-    pts = _trend_points(table)
-    PI_pts = profile(pts) * np.array([table.eval("I", p) for p in pts])
-    t = np.log(pts)
-    slope, intercept = np.polyfit(t, PI_pts, 1)
-    B_est = float(max(0.0, slope * t[0] + intercept))
-    return A_est, B_est, float(slope)
+    profile = _profile_of(table)
+    A_est = float(np.max(profile(table.s) * table.I))
+    B_at_s_min, slope = _small_s_trend(table, profile)
+    return A_est, max(0.0, B_at_s_min), slope
 
 
 def _dP(profile: DegeneracyProfile, s: np.ndarray) -> np.ndarray:
@@ -126,9 +140,9 @@ def _dP(profile: DegeneracyProfile, s: np.ndarray) -> np.ndarray:
     return (profile(s * (1 + d)) - profile(s * (1 - d))) / (2 * d * s)
 
 
-def check_almost_decreasing(profile: DegeneracyProfile, table: CoefficientTable,
+def check_almost_decreasing(table: CoefficientTable,
                             mu: Optional[float] = None):
-    """Almost-decreasing test for Q = P*I^mu.
+    """Almost-decreasing test for Q = P*I^mu, P the table's profile.
 
     Q is almost decreasing when Q(t) >= c*Q(s) for every node pair t < s with
     c >= C_FLOOR.  With mu = None the exponent is taken from the sufficient
@@ -136,6 +150,7 @@ def check_almost_decreasing(profile: DegeneracyProfile, table: CoefficientTable,
     that sup is attained uniformly.  Work happens in logs; I^mu overflows
     doubles otherwise.
     """
+    profile = _profile_of(table)
     sPpI = table.s * _dP(profile, table.s) * table.I
     sup_sPpI = float(np.max(sPpI))
     mu_used = sup_sPpI if mu is None else float(mu)
@@ -149,32 +164,24 @@ def check_almost_decreasing(profile: DegeneracyProfile, table: CoefficientTable,
     return c, bool(c >= C_FLOOR), mu_used, sup_sPpI
 
 
-def _sPprimeI_trend(profile: DegeneracyProfile, table: CoefficientTable) -> float:
-    pts = _trend_points(table)
-    I_pts = np.array([table.eval("I", p) for p in pts])
-    vals = pts * _dP(profile, pts) * I_pts
-    slope, intercept = np.polyfit(np.log(pts), vals, 1)
-    return float(slope * np.log(pts[0]) + intercept)
-
-
-def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
-                  table: Optional[CoefficientTable] = None,
-                  **build_opts) -> AssumptionReport:
-    """Run the full battery of structural checks and collect a report."""
-    if table is None:
-        table = build_table(profile, lam, **build_opts)
+def check_profile(table: CoefficientTable) -> AssumptionReport:
+    """Run the full battery of structural checks on a table and collect a
+    report.  The profile and Lambda are the table's own, as build_table
+    sets them; a table without a profile raises DomainError."""
+    profile = _profile_of(table)
     C1, a1_ok, a1_detail = check_A1(table)
-    A_est, B_est, B_slope = estimate_A_B(profile, table)
-    c, ad_ok, mu_used, sup_sPpI = check_almost_decreasing(profile, table)
+    A_est, B_est, B_slope = estimate_A_B(table)
+    c, ad_ok, mu_used, sup_sPpI = check_almost_decreasing(table)
+    sPprimeI_trend, _ = _small_s_trend(table, lambda s: s * _dP(profile, s))
     res = table.identity_residuals()
     C2_residual = res["sF_pow_vs_H"]
-    growth = (lam.Lambda + 1.0) / lam.Lambda
+    growth = (table.Lambda + 1.0) / table.Lambda
     p2_margin = growth - A_est
 
     report = AssumptionReport(
         profile_kind=profile.kind,
         profile_params=dict(profile.params),
-        Lambda=lam.Lambda,
+        Lambda=table.Lambda,
         A_est=A_est,
         B_est=B_est,
         B_slope=B_slope,
@@ -183,7 +190,7 @@ def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
         mu_used=mu_used,
         almost_dec_c=c,
         sPprimeI_sup=sup_sPpI,
-        sPprimeI_trend=_sPprimeI_trend(profile, table),
+        sPprimeI_trend=sPprimeI_trend,
         verdicts={
             "A1": {"pass": a1_ok, "C1": C1, **a1_detail},
             "A2": {"pass": bool(C2_residual <= 10.0 * table.quad_tol),
@@ -201,17 +208,15 @@ def check_profile(profile: DegeneracyProfile, lam: LambdaChoice,
 @dataclass(frozen=True)
 class CatalogEntry:
     """One named degeneracy: its profile kind, factory (beta, M, tail) ->
-    profile, build floor, and the limits its default-beta estimates must
-    reproduce.  takes_beta and takes_tail say whether the factory reads
-    beta and tail.  s_min_floor, when set, lifts the lowest table node to
-    max(s_min_hint, floor); otherwise build_table's default applies."""
+    profile, and the limits its default-beta estimates must reproduce.
+    takes_beta and takes_tail say whether the factory reads beta and tail.
+    The build floor is the profile's own s_min_hint."""
 
     kind: str
     factory: Callable[[float, float, Optional[float]], DegeneracyProfile]
     expected: dict  # keys: A_est/B_est/sPprimeI_trend -> (value, tol, mode)
     takes_beta: bool = True
     takes_tail: bool = False
-    s_min_floor: Optional[float] = None
 
     @property
     def name(self) -> str:
@@ -221,21 +226,10 @@ class CatalogEntry:
                      tail: Optional[float] = None) -> DegeneracyProfile:
         return self.factory(beta, M, tail)
 
-    def build_opts_for(self, profile: DegeneracyProfile) -> dict:
-        if self.s_min_floor is None:
-            return {}
-        return {"s_min": max(profile.s_min_hint, self.s_min_floor)}
-
-    @property
-    def build_opts(self) -> dict:
-        return self.build_opts_for(self.make_profile())
-
     def run(self) -> AssumptionReport:
-        """Check the default-beta profile at Lambda = 1 and this entry's
-        build floor."""
-        profile = self.make_profile()
-        return check_profile(profile, LambdaChoice(1.0),
-                             **self.build_opts_for(profile))
+        """Check the table of the default-beta profile at Lambda = 1."""
+        return check_profile(build_table(self.make_profile(),
+                                         LambdaChoice(1.0)))
 
     def matches(self, report: AssumptionReport):
         """Compare measured estimates against the expected limits.
@@ -277,7 +271,7 @@ def _zeta_slow_integral(s, M=1.0):
 
 # The four worked degeneracies keyed by profile kind, the one definition the
 # CLI, configs and the catalog read.  The rate kinds are
-# P = exp(-int_s^M zeta(r)/r dr); exp_inv's s_min floor keeps 1/(s*P) in
+# P = exp(-int_s^M zeta(r)/r dr); exp_inv's build floor keeps 1/(s*P) in
 # double range, so its limits are read as trends.
 #   power s^beta: P*I identically 1/beta, s*P'*I identically 1
 #   exp_inv exp(-1/s^beta): P*I tends to 0, s*P'*I to 1
@@ -294,8 +288,7 @@ PROFILES = {e.kind: e for e in (
         kind="exp_inv",
         factory=lambda beta, M, tail: exp_inv_profile(beta, M=M),
         expected={"B_est": (0.0, 0.05, "abs"),
-                  "sPprimeI_trend": (1.0, 0.10, "rel")},
-        s_min_floor=1e-2),
+                  "sPprimeI_trend": (1.0, 0.10, "rel")}),
     CatalogEntry(
         kind="exp_zeta_bounded",
         factory=lambda beta, M, tail: exp_zeta_profile(
@@ -306,15 +299,10 @@ PROFILES = {e.kind: e for e in (
         kind="exp_zeta_slow",
         factory=lambda beta, M, tail: exp_zeta_profile(
             _zeta_slow, lambda s: _zeta_slow_integral(s, M), M=M,
-            kind="exp_zeta_slow", s_min_hint=1e-8 * M),
+            kind="exp_zeta_slow"),
         expected={**_UNIT_LIMITS, "B_est": (0.0, 0.10, "abs")},
         takes_beta=False),
 )}
-
-
-def example_catalog() -> list:
-    """The registry entries, each checkable against its expected limits."""
-    return list(PROFILES.values())
 
 
 def custom_csv_profile(path) -> DegeneracyProfile:

@@ -282,10 +282,9 @@ def _given(block: dict, **convert) -> dict:
 
 def _build_table(cfg: ExperimentConfig):
     """The coefficient table of the config's profile (auto Lambda
-    resolved), or the nondegenerate control table for kind 'constant'.  A
-    null table.s_min takes the registry's build floor for the kind
-    (exp_inv's 1e-2); the library's defaults fill every other option the
-    config leaves out."""
+    resolved), or the nondegenerate control table for kind 'constant'.  The
+    library's defaults fill every option the config leaves out; a null
+    table.s_min is the profile's build floor."""
     block, opts = cfg.profile, cfg.table_opts
     if block["kind"] == "constant":
         return coeffs.constant_table(
@@ -298,11 +297,9 @@ def _build_table(cfg: ExperimentConfig):
         prof = entry.make_profile(**_given(block, beta=float, M=float,
                                            tail=None))
     kwargs = _given(opts, s_min=None, K=int, quad_tol=float)
-    if "s_min" not in kwargs and entry is not None:
-        kwargs.update(entry.build_opts_for(prof))
     if cfg.lam_choice == "auto":
         provisional = coeffs.build_table(prof, coeffs.LambdaChoice(1.0), **kwargs)
-        A_est, _, _ = checker_mod.estimate_A_B(prof, provisional)
+        A_est, _, _ = checker_mod.estimate_A_B(provisional)
         lam = coeffs.LambdaChoice.from_auto(A_est)
     else:
         lam = coeffs.LambdaChoice(float(cfg.lam_choice))
@@ -369,11 +366,7 @@ def write_snapshots_csv(path: str, trace: solver_mod.SolveTrace) -> None:
 
 def cmd_check(cfg, tab, grid, prob, out):
     with _phase(EXIT_COEFFS, "coefficients"):
-        if tab.profile is None:
-            raise ConfigError("the constant control table has no "
-                              "assumptions to check")
-        report = checker_mod.check_profile(
-            tab.profile, coeffs.LambdaChoice(tab.Lambda), table=tab)
+        report = checker_mod.check_profile(tab)
     with _phase(EXIT_IO, "write"):
         report.to_json(os.path.join(out, "report.json"))
     return (EXIT_OK if report.all_pass() else EXIT_COEFFS,

@@ -107,8 +107,10 @@ class DegeneracyProfile:
         Tail constant added to the inner integral.  None defers the choice
         to build time (default 1/Lambda).
     s_min_hint : float, optional
-        Smallest concentration at which P and 1/(s*P) are representable in
-        double precision; build_table uses it as the default lower node.
+        The default lowest table node: build_table starts there unless
+        given s_min.  None resolves to 1e-8*M; a profile that needs a
+        higher floor (exp_inv's double range, a custom profile's first
+        sample) sets its own.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -126,6 +128,8 @@ class DegeneracyProfile:
             raise DomainError("profile domain edge M must be positive")
         if not (self.c3 > 0):
             raise DomainError("profile bound c3 must be positive")
+        if self.s_min_hint is None:
+            self.s_min_hint = 1e-8 * self.M
 
     def __call__(self, s):
         return self.func(np.asarray(s, dtype=float))
@@ -133,7 +137,7 @@ class DegeneracyProfile:
     def validate(self) -> None:
         """Sample P on a geometric grid and enforce the profile invariants:
         strict positivity, the bound c3, and decay toward zero concentration."""
-        lo = self.s_min_hint if self.s_min_hint is not None else 1e-8 * self.M
+        lo = self.s_min_hint
         grid = np.geomspace(lo, self.M, 24)
         vals = np.asarray(self(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -532,7 +536,8 @@ def _fprime_closed_form(profile: DegeneracyProfile, s: np.ndarray,
 def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
                 s_min: Optional[float] = None, K: int = 256,
                 quad_tol: float = 1e-8) -> CoefficientTable:
-    """Tabulate the full coefficient family on K log-spaced nodes.
+    """Tabulate the full coefficient family on K log-spaced nodes from
+    s_min, by default the profile's s_min_hint, to M.
 
     The I column is always quadrature-built (one K21 pass over the node
     segments, refining only those that miss quad_tol, summed from the M
@@ -550,8 +555,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     if tail < 0.0:
         raise DomainError("tail constant must be nonnegative")
     if s_min is None:
-        s_min = profile.s_min_hint if profile.s_min_hint is not None \
-            else 1e-8 * profile.M
+        s_min = profile.s_min_hint
     if not (0.0 < s_min < profile.M):
         raise DomainError(f"s_min={s_min:g} outside (0, M)")
 
@@ -661,9 +665,10 @@ def exp_inv_profile(beta: float = 1.0, M: float = 1.0) -> DegeneracyProfile:
     """Essential-singularity degeneracy P(s) = exp(-1/s^beta).
 
     No integrable continuation beyond M exists, so the tail stays the
-    configured constant.  The representable range is limited: 1/s^beta must
-    stay well under the double-precision exponent budget, hence the s_min
-    hint.
+    configured constant.  The representable range is limited: 1/(s*P) grows
+    like exp(1/s^beta), so the profile's build floor (its s_min_hint) is
+    max((1/200)^(1/beta), 1e-2, 1e-8*M), which keeps 1/s^beta at most 200
+    on the table.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
@@ -677,7 +682,7 @@ def exp_inv_profile(beta: float = 1.0, M: float = 1.0) -> DegeneracyProfile:
         s = np.asarray(s, dtype=float)
         return np.exp(-s ** -beta) * beta * s ** (-beta - 1.0)
 
-    hint = max((1.0 / 200.0) ** (1.0 / beta), 1e-8 * M)
+    hint = max((1.0 / 200.0) ** (1.0 / beta), 1e-2, 1e-8 * M)
     return DegeneracyProfile(func=func, M=M, c3=float(np.exp(-M ** -beta)),
                              kind="exp_inv", params={"beta": beta},
                              analytic_dP=analytic_dP, s_min_hint=hint)
@@ -732,11 +737,17 @@ def exp_zeta_profile(zeta: Callable[[np.ndarray], np.ndarray],
 
 def custom_profile(s_nodes, P_nodes) -> DegeneracyProfile:
     """Profile interpolated from tabulated (s, P) samples, monotone cubic in
-    log-log space; used by the CLI's custom-table path."""
+    log-log space; used by the CLI's custom-table path.  Every sample must
+    be finite, and the first s is the build floor."""
     s_nodes = np.asarray(s_nodes, dtype=float)
     P_nodes = np.asarray(P_nodes, dtype=float)
     if s_nodes.ndim != 1 or s_nodes.shape != P_nodes.shape or s_nodes.size < 4:
         raise DomainError("need matching 1-d arrays with at least 4 samples")
+    bad = ~(np.isfinite(s_nodes) & np.isfinite(P_nodes))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"sample {i + 1} of {s_nodes.size} is not finite: "
+                          f"s={s_nodes[i]:g}, P={P_nodes[i]:g}")
     if np.any(np.diff(s_nodes) <= 0) or np.any(P_nodes <= 0) or np.any(s_nodes <= 0):
         raise DomainError("samples must be positive with increasing s")
     itp = _Pchip(np.log(s_nodes), np.log(P_nodes))

@@ -12,8 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from degenstein.checker import (PROFILES, check_profile, estimate_A_B,
-                                example_catalog)
+from degenstein.checker import PROFILES, check_profile, estimate_A_B
 from degenstein.coeffs import (LambdaChoice, build_table, constant_table,
                                power_profile)
 from degenstein.kinetic import kernel_moments, power_family_kernel, run_master
@@ -80,19 +79,17 @@ def test_criterion_1_closed_forms():
 
 def test_criterion_2_assumption_checker():
     with criterion(2, "assumption checker on the catalog"):
-        for entry in example_catalog():
+        for entry in PROFILES.values():
             report = entry.run()
             ok, drift = entry.matches(report)
             assert ok, (entry.name, drift)
             assert report.all_pass(), entry.name
         for beta in (1.0, 2.0):
-            prof = power_profile(beta)
             tab = beta_table(beta)
-            A, B, _ = estimate_A_B(prof, tab)
+            A, B, _ = estimate_A_B(tab)
             assert A == np.float64(A) and abs(A - 1.0 / beta) <= 0.1 / beta
             assert abs(B - 1.0 / beta) <= 0.1 / beta
-            assert check_profile(prof, LambdaChoice(1.0),
-                                 table=tab).all_pass()
+            assert check_profile(tab).all_pass()
 
 
 def test_criterion_3_energy_identity_refinement():

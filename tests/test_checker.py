@@ -10,9 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from degenstein.checker import (check_A1, check_almost_decreasing,
-                                check_profile, estimate_A_B, example_catalog)
-from degenstein.coeffs import (DegeneracyProfile, LambdaChoice, build_table,
+from degenstein.checker import (PROFILES, check_A1, check_almost_decreasing,
+                                check_profile, estimate_A_B)
+from degenstein.coeffs import (CoefficientTable, DegeneracyProfile,
+                               LambdaChoice, build_table, constant_table,
                                power_profile)
 from degenstein.errors import DomainError
 
@@ -30,18 +31,18 @@ def beta2_checked(beta2_profile):
 
 class TestCatalog:
     def test_all_entries_pass_and_match(self):
-        for entry in example_catalog():
+        for entry in PROFILES.values():
             report = entry.run()
             ok, failures = entry.matches(report)
             assert ok, f"{entry.name}: {failures}"
 
     def test_catalog_names(self):
-        names = [e.name for e in example_catalog()]
+        names = [e.name for e in PROFILES.values()]
         assert names == ["power_beta1", "exp_inv_beta1",
                          "exp_zeta_bounded", "exp_zeta_slow"]
 
     def test_power_limits_frozen(self):
-        entry = example_catalog()[0]
+        entry = PROFILES["power"]
         report = entry.run()
         assert report.A_est == pytest.approx(1.0, rel=1e-6)
         assert report.B_est == pytest.approx(1.0, rel=1e-2)
@@ -49,7 +50,7 @@ class TestCatalog:
         assert report.C1_est == pytest.approx(1.0, rel=1e-6)
 
     def test_exp_inv_measured_constants(self):
-        entry = example_catalog()[1]
+        entry = PROFILES["exp_inv"]
         report = entry.run()
         # essential singularity: B -> 0, and the head-ratio constant sits
         # well below the power-family value (frozen from the desk build)
@@ -74,7 +75,7 @@ class TestAlmostDecreasingOracle:
     def test_matches_pair_scan(self, mu):
         prof = power_profile(1.0)
         tab = build_table(prof, LambdaChoice(1.0), s_min=1e-6, K=96)
-        c, ok, mu_used, _ = check_almost_decreasing(prof, tab, mu=mu)
+        c, ok, mu_used, _ = check_almost_decreasing(tab, mu=mu)
         oracle = self._pair_scan(prof, tab, mu)
         assert c == pytest.approx(oracle, rel=1e-10)
         assert mu_used == mu
@@ -84,10 +85,10 @@ class TestAlmostDecreasingOracle:
         # decreasing at mu = 1.5 (best constant exceeds 1)
         prof = power_profile(1.0)
         tab = build_table(prof, LambdaChoice(1.0), s_min=1e-6, K=96)
-        c1, ok1, _, _ = check_almost_decreasing(prof, tab, mu=1.0)
+        c1, ok1, _, _ = check_almost_decreasing(tab, mu=1.0)
         assert ok1
         assert c1 == pytest.approx(1.0, rel=1e-9)
-        c15, ok15, _, _ = check_almost_decreasing(prof, tab, mu=1.5)
+        c15, ok15, _, _ = check_almost_decreasing(tab, mu=1.5)
         assert ok15
         assert c15 >= 1.0
 
@@ -95,14 +96,14 @@ class TestAlmostDecreasingOracle:
         prof = power_profile(1.0)
         tab = build_table(prof, LambdaChoice(1.0), s_min=1e-6, K=64)
         with pytest.raises(DomainError):
-            check_almost_decreasing(prof, tab, mu=0.0)
+            check_almost_decreasing(tab, mu=0.0)
         with pytest.raises(DomainError):
-            check_almost_decreasing(prof, tab, mu=-1.0)
+            check_almost_decreasing(tab, mu=-1.0)
 
     def test_auto_mu_is_sup_of_s_dP_I(self):
         prof = power_profile(2.0)
         tab = build_table(prof, LambdaChoice(1.0), s_min=1e-6, K=96)
-        _, _, mu_used, sup_spi = check_almost_decreasing(prof, tab, mu=None)
+        _, _, mu_used, sup_spi = check_almost_decreasing(tab, mu=None)
         assert mu_used == pytest.approx(sup_spi)
         # s P'(s) I(s) = s * 2s * s^(-2)/2 = 1 for the quadratic family
         assert sup_spi == pytest.approx(1.0, rel=1e-6)
@@ -133,8 +134,8 @@ class TestA1:
 
 class TestEstimates:
     def test_beta2_limits(self, beta2_checked):
-        prof, tab = beta2_checked
-        A, B, slope = estimate_A_B(prof, tab)
+        _, tab = beta2_checked
+        A, B, slope = estimate_A_B(tab)
         assert A == pytest.approx(0.5, rel=1e-6)
         assert B == pytest.approx(0.5, rel=1e-2)
         assert abs(slope) < 1e-2
@@ -142,8 +143,8 @@ class TestEstimates:
 
 class TestReport:
     def test_report_round_trip(self, tmp_path):
-        prof = power_profile(1.0)
-        report = check_profile(prof, LambdaChoice(1.0), s_min=1e-6, K=96)
+        report = check_profile(build_table(power_profile(1.0), LambdaChoice(1.0),
+                                           s_min=1e-6, K=96))
         assert report.all_pass()
         path = tmp_path / "report.json"
         report.to_json(path)
@@ -153,8 +154,26 @@ class TestReport:
             assert v["pass"] is True
         assert data["A_est"] == pytest.approx(1.0, rel=1e-6)
 
-    def test_p2_margin_positive_for_power(self):
-        report = check_profile(power_profile(1.0), LambdaChoice(1.0),
-                               s_min=1e-6, K=96)
-        # (Lambda+1)/Lambda = 2 vs A = 1: margin 1
-        assert report.verdicts["P2"]["margin"] == pytest.approx(1.0, rel=1e-6)
+    @pytest.mark.parametrize("Lambda, growth", [(1.0, 2.0), (2.0, 1.5)],
+                             ids=["Lambda1", "Lambda2"])
+    def test_p2_margin_positive_for_power(self, Lambda, growth):
+        report = check_profile(build_table(power_profile(1.0),
+                                           LambdaChoice(Lambda),
+                                           s_min=1e-6, K=96))
+        # (Lambda+1)/Lambda vs A = 1: margin 1 at Lambda = 1, 0.5 at 2
+        assert report.Lambda == Lambda
+        assert report.verdicts["P2"]["growth"] == growth
+        assert report.verdicts["P2"]["margin"] == pytest.approx(growth - 1.0,
+                                                                rel=1e-6)
+
+    def test_table_without_a_profile_is_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        build_table(power_profile(1.0), LambdaChoice(1.0), s_min=1e-6,
+                    K=32).dump_csv(path)
+        for tab in (constant_table(),
+                    CoefficientTable.load_csv(path, Lambda=1.0)):
+            for check in (check_profile, estimate_A_B,
+                          check_almost_decreasing):
+                with pytest.raises(DomainError,
+                                   match="no assumptions to check"):
+                    check(tab)

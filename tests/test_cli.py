@@ -8,14 +8,14 @@ a subprocess.
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstein.checker import (PROFILES, _zeta_bounded, _zeta_slow,
-                                example_catalog)
+from degenstein.checker import PROFILES, _zeta_bounded, _zeta_slow
 from degenstein.cli import (EXIT_COEFFS, EXIT_CONFIG, EXIT_IO,
                             EXIT_KINETIC, EXIT_LOCALIZATION, EXIT_OK,
                             EXIT_SOLVER, PROFILE_KINDS, ExperimentConfig,
@@ -358,10 +358,14 @@ class TestFailurePaths:
         assert run(tmp_path, "table", "--config", cfg)[0] == code
 
     def test_check_catches_broken_assumptions(self, tmp_path):
-        # constant control profile: nothing to check, flagged at config level
+        # constant control profile: nothing to check, flagged by the checker
         cfg = write_config(tmp_path, profile={"kind": "constant", "M": 1.0})
-        code, _ = run(tmp_path, "check", "--config", cfg)
+        code, out = run(tmp_path, "check", "--config", cfg)
         assert code == EXIT_COEFFS
+        err = load_json(out, "error.json")
+        assert err["error"] == "DomainError"
+        assert err["message"] == ("the constant control table has no "
+                                  "assumptions to check")
 
 
 class TestInputShapes:
@@ -379,6 +383,24 @@ class TestInputShapes:
         err = load_json(out, "error.json")
         assert err["error"] == "DomainError"
         assert err["phase"] == "coefficients"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1e-4,nan", "sample 2 of 4 is not finite: s=0.0001, P=nan"),
+        ("1e-4,inf", "sample 2 of 4 is not finite: s=0.0001, P=inf"),
+        ("nan,1e-4", "sample 2 of 4 is not finite: s=nan, P=0.0001"),
+    ], ids=["nan-P", "inf-P", "nan-s"])
+    def test_custom_csv_nonfinite_sample_named(self, tmp_path, row, message):
+        samples = tmp_path / "profile.csv"
+        samples.write_text(f"s,P\n1e-8,1e-8\n{row}\n1e-2,1e-2\n1,1\n")
+        cfg = write_config(tmp_path, profile={"kind": "custom",
+                                              "path": str(samples)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # nothing leaks to stderr
+            code, out = run(tmp_path, "check", "--config", cfg)
+        assert code == EXIT_COEFFS
+        err = load_json(out, "error.json")
+        assert err["error"] == "DomainError"
+        assert err["message"] == message
 
     def test_bump_center_of_wrong_dimension(self, tmp_path):
         cfg = write_config(tmp_path, bump={"center": [-0.6, 0.0]})
@@ -435,7 +457,6 @@ class TestProfileRegistry:
                     if a.dest == "example"]
         kinds = list(PROFILES)
         assert list(example.choices) == kinds
-        assert [e.kind for e in example_catalog()] == kinds
         assert list(PROFILE_KINDS) == kinds + ["custom", "constant"]
         for kind in kinds + ["constant"]:
             raw = json.loads(json.dumps(BASE))

@@ -25,7 +25,7 @@ import pytest
 
 import degenstein
 from degenstein import coeffs
-from degenstein.checker import _zeta_slow, example_catalog
+from degenstein.checker import PROFILES, _zeta_slow
 from degenstein.coeffs import (COLUMNS, LambdaChoice, _gauss_kronrod, _Pchip,
                                _quad_segment, _quad_segments, build_table,
                                exp_zeta_profile, power_profile)
@@ -309,11 +309,10 @@ def _max_rel(a, b):
 
 
 class TestQuadratureMatchesScipy:
-    @pytest.mark.parametrize("entry", example_catalog(), ids=lambda e: e.name)
+    @pytest.mark.parametrize("entry", PROFILES.values(), ids=lambda e: e.name)
     def test_catalog_integrands(self, scipy_integrate, entry):
         prof = entry.make_profile()
-        s_min = entry.build_opts.get("s_min", prof.s_min_hint or 1e-8)
-        edges = np.linspace(np.log(s_min), np.log(prof.M), 9)
+        edges = np.linspace(np.log(prof.s_min_hint), np.log(prof.M), 9)
 
         def inv_sP(t):
             return 1.0 / prof(np.exp(t))
@@ -326,12 +325,12 @@ class TestQuadratureMatchesScipy:
 
 
 class TestTablesMatchScipyPath:
-    @pytest.mark.parametrize("entry", example_catalog(), ids=lambda e: e.name)
+    @pytest.mark.parametrize("entry", PROFILES.values(), ids=lambda e: e.name)
     def test_catalog_tables(self, scipy_kernels, entry):
         lam = LambdaChoice(1.0)
-        ours = build_table(entry.make_profile(), lam, **entry.build_opts)
+        ours = build_table(entry.make_profile(), lam)
         g_calls, pchip_calls = scipy_kernels()
-        ref = build_table(entry.make_profile(), lam, **entry.build_opts)
+        ref = build_table(entry.make_profile(), lam)
         # sqrt(F') and F' over every segment, both through quad, with the
         # F' model read through PchipInterpolator
         assert g_calls == [ref.s.size - 1] * 2
@@ -389,8 +388,8 @@ def _zeta_slow_by_quadrature():
     return exp_zeta_profile(_zeta_slow, kind="exp_zeta_slow", s_min_hint=1e-8)
 
 
-_TABLE_CASES = [pytest.param(e.make_profile, 1.0, e.build_opts,
-                             id=e.name) for e in example_catalog()] + [
+_TABLE_CASES = [pytest.param(e.make_profile, 1.0, {},
+                             id=e.name) for e in PROFILES.values()] + [
     pytest.param(lambda: power_profile(2.0), 1.0, {}, id="power_beta2"),
     pytest.param(_zeta_slow_by_quadrature, 1.0, {},
                  id="exp_zeta_slow_quadrature"),
