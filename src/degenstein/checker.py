@@ -105,8 +105,8 @@ def _profile_of(table: CoefficientTable) -> DegeneracyProfile:
     without one (the constant control table, or one read back by load_csv)
     raises DomainError."""
     if table.profile is None:
-        raise DomainError("the constant control table has no assumptions "
-                          "to check")
+        raise DomainError("the table has no degeneracy profile, so there are "
+                          "no assumptions to check")
     return table.profile
 
 

@@ -456,16 +456,18 @@ def cmd_kinetic_compare(cfg, tab, grid, prob, out):
 def cmd_sweep_eps(cfg, tab, grid, prob, out):
     with _phase(EXIT_SOLVER, "solve"):
         result = solver_mod.eps_sweep(prob, grid, cfg.T, cfg.eps_sweep)
+    cauchy = result.is_cauchy()     # None for one gap: no trend
     with _phase(EXIT_IO, "write"):
         write_json(os.path.join(out, "sweep.json"), {
             "eps": [float(e) for e in result.eps_values],
             "l1_gaps": [float(d) for d in result.distances],
             "n_steps": result.n_steps,
-            "cauchy_decreasing": result.is_cauchy(),
+            "cauchy_decreasing": cauchy,
         })
+    trend = ("one gap: no trend" if cauchy is None
+             else "decreasing" if cauchy else "NOT decreasing")
     return EXIT_OK, (
-        f"sweep-eps: gaps {['%.3e' % d for d in result.distances]} "
-        f"({'decreasing' if result.is_cauchy() else 'NOT decreasing'})")
+        f"sweep-eps: gaps {['%.3e' % d for d in result.distances]} ({trend})")
 
 
 class _Subcommand(NamedTuple):

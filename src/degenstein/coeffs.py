@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -280,7 +279,9 @@ class _Pchip:
     one `take` of the block at that index shaped like x, and one Horner
     pass.  x[-1] indexes the copy; beyond the nodes the take clips to the
     end columns, so the end cubics extrapolate.  The columns come back on a
-    leading axis: x.shape for one, (ncol,) + x.shape for several.
+    leading axis: x.shape for one, (ncol,) + x.shape for several.  `at` is
+    that call for a float array x, with the block and nodes bound once;
+    calling the interpolant converts x and calls `at`.
     """
 
     def __init__(self, x, y):
@@ -311,8 +312,25 @@ class _Pchip:
             block.transpose(0, 2, 1) if y.ndim > 1 else block[..., 0])
         step = (x[-1] - x[0]) / (len(x) - 1)
         uniform = np.ptp(hk) <= 1e-9 * step
-        self._x0, self._right = x[0], x[1:]
-        self._inv_step = 1.0 / step if uniform else None
+        x0, right, block = x[0], x[1:], self._block
+        self._inv_step = inv_step = 1.0 / step if uniform else None
+
+        def at(x):
+            if inv_step is not None:
+                i = ((x - x0) * inv_step).astype(np.intp)
+            else:
+                i = right.searchsorted(x, side="right")
+            g = block.take(i, axis=-1, mode="clip")
+            dx = x - g[0]
+            out = g[1] * dx
+            out += g[2]
+            out *= dx
+            out += g[3]
+            out *= dx
+            out += g[4]
+            return out
+
+        self.at = at
 
     @staticmethod
     def _end_slope(h0, h1, m0, m1):
@@ -322,20 +340,7 @@ class _Pchip:
         return np.where(overshoot, 3.0 * m0, d)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._inv_step is not None:
-            i = ((x - self._x0) * self._inv_step).astype(np.intp)
-        else:
-            i = self._right.searchsorted(x, side="right")
-        g = self._block.take(i, axis=-1, mode="clip")
-        dx = x - g[0]
-        out = g[1] * dx
-        out += g[2]
-        out *= dx
-        out += g[3]
-        out *= dx
-        out += g[4]
-        return out
+        return self.at(np.asarray(x, dtype=float))
 
 
 def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
@@ -377,7 +382,7 @@ class CoefficientTable:
     tail: Optional[float] = None
     quad_tol: float = 1e-8
     profile: Optional[DegeneracyProfile] = None
-    _interp: dict = field(default_factory=dict, repr=False)
+    _interp: dict = field(default_factory=dict, repr=False)  # evaluators
 
     @property
     def s_min(self) -> float:
@@ -386,12 +391,6 @@ class CoefficientTable:
     @property
     def M(self) -> float:
         return float(self.s[-1])
-
-    @cached_property
-    def _domain(self) -> tuple:
-        """The node range and its roundoff slack, fixed with the nodes."""
-        lo, hi = self.s_min, self.M
-        return lo, hi, lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)
 
     @property
     def lam(self) -> float:
@@ -409,57 +408,72 @@ class CoefficientTable:
         # which keeps them positive and monotone under PCHIP.  A tuple of
         # names gets one interpolant over the stacked columns: PCHIP slopes
         # are per column, so it matches the single-column ones to roundoff
-        # while paying the per-call overhead once.
-        if name not in self._interp:
-            t = np.log(self.s)
-            y = np.column_stack([self.column(c) for c in name]) \
-                if isinstance(name, tuple) else self.column(name)
-            if np.all(y > 0.0):
-                self._interp[name] = ("log", _Pchip(t, np.log(y)))
-            elif isinstance(name, tuple):
-                raise DomainError(
-                    f"joint evaluation needs positive columns, got {name}")
-            else:
-                self._interp[name] = ("lin", _Pchip(t, y))
-        return self._interp[name]
+        # while paying the per-call overhead once.  Returns (log, _Pchip).
+        t = np.log(self.s)
+        y = np.column_stack([self.column(c) for c in name]) \
+            if isinstance(name, tuple) else self.column(name)
+        if np.all(y > 0.0):
+            return True, _Pchip(t, np.log(y))
+        if isinstance(name, tuple):
+            raise DomainError(
+                f"joint evaluation needs positive columns, got {name}")
+        return False, _Pchip(t, y)
+
+    def evaluator(self, column):
+        """The one evaluation of a column (or a tuple of positive columns),
+        as a function f(s, bounds=None) of an array s, built once per
+        column and table; `eval` and `EpsProblem.diffusivity` call it.
+
+        f checks the domain: arguments outside [s_min, M] beyond roundoff
+        slack raise DomainError.  bounds, when given, is an interval (lo,
+        hi) that holds every value of s, such as the extrema of a field s
+        is cut from; it stands in for the scan of s, and s itself is
+        scanned only if the interval leaves the domain.  Past the check, f
+        is one log, one gather of the interpolant's padded block at an
+        index shaped like s (see `_Pchip`), one Horner pass and, for
+        positive columns, one exp.
+        """
+        if column in self._interp:
+            return self._interp[column]
+        log, itp = self._interpolator(column)
+        # the node range and its roundoff slack
+        lo, hi = self.s_min, self.M
+        lo_ok, hi_ok = lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)
+
+        def f(s, bounds=None):
+            if s.size:
+                amin, amax = (s.min(), s.max()) if bounds is None else bounds
+                # negated comparisons, so NaN is rejected too
+                if not (amin >= lo_ok and amax <= hi_ok):
+                    bad = s[~((s >= lo_ok) & (s <= hi_ok))]
+                    if bad.size:
+                        raise DomainError(
+                            f"evaluation outside [{lo:g}, {hi:g}]: first "
+                            f"offender {bad.flat[0]:g}")
+                # clamping values inside [lo, hi] leaves them as they are
+                if amin < lo or amax > hi:
+                    s = np.minimum(np.maximum(s, lo), hi)
+            out = itp.at(np.log(s))
+            if log:
+                np.exp(out, out=out)
+            return out
+
+        self._interp[column] = f
+        return f
 
     def eval(self, column, s, bounds=None):
-        """Evaluate a column at concentrations s in [s_min, M].
-
-        Exact at the nodes; monotone-preserving cubic in between.  Arguments
-        outside the tabulated range (beyond roundoff slack) raise DomainError.
-        A tuple of positive column names is evaluated through one joint
-        interpolant and returns the columns along a leading axis, so
-        ``F, h = table.eval(("F", "h"), s)`` unpacks them.  bounds, when
-        given, is an interval (lo, hi) that holds every value of s, such as
-        the extrema of a field s is cut from; it stands in for the scan of s
-        in the domain check, and s itself is scanned only if the interval
-        leaves the domain.  Past the check, an evaluation is one log, one
-        gather of the interpolant's padded block at an index shaped like s
-        (see `_Pchip`), one Horner pass and, for positive columns, one exp.
+        """Evaluate a column at concentrations s in [s_min, M] through its
+        `evaluator`: exact at the nodes, a monotone-preserving cubic in
+        between.  A tuple of positive column names is evaluated through one
+        joint interpolant and returns the columns along a leading axis, so
+        ``F, h = table.eval(("F", "h"), s)`` unpacks them.  A scalar s of
+        one column gives a float.
         """
         arr = np.asarray(s, dtype=float)
-        lo, hi, lo_ok, hi_ok = self._domain
-        if arr.size:
-            amin, amax = (arr.min(), arr.max()) if bounds is None else bounds
-            # negated comparisons, so NaN is rejected too
-            if not (amin >= lo_ok and amax <= hi_ok):
-                bad = arr[~((arr >= lo_ok) & (arr <= hi_ok))]
-                if bad.size:
-                    raise DomainError(
-                        f"evaluation outside [{lo:g}, {hi:g}]: first offender "
-                        f"{bad.flat[0]:g}"
-                    )
-            # clamping values inside [lo, hi] leaves them as they are
-            if amin < lo or amax > hi:
-                arr = np.minimum(np.maximum(arr, lo), hi)
-        mode, itp = self._interp.get(column) or self._interpolator(column)
-        out = itp(np.log(arr))
-        if out.ndim == 0:    # a scalar s gives a numpy scalar
-            return float(np.exp(out) if mode == "log" else out)
-        if mode == "log":
-            np.exp(out, out=out)
-        return out
+        if arr.ndim:
+            return self.evaluator(column)(arr, bounds)
+        out = self.evaluator(column)(arr.reshape(1), bounds)[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     def identity_residuals(self) -> dict:
         """Max relative residuals of the construction identities, nodewise."""
@@ -624,7 +638,6 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
         raise AssumptionError("diffusion weight increment not positive near "
                               f"s={s[np.argmin(alpha > 0.0)]:g}")
     table.G = np.cumsum(np.concatenate([[G0], np.sqrt(alpha) * raw_g]))
-    table._interp.pop("G", None)
 
     table.validate()
     return table

@@ -19,7 +19,7 @@ reduction (`_pcr`), an M-matrix solve for any dt, with steps 32 times the
 forward-Euler limit at D(max u).  Both check the range and
 maximum-principle tripwires on every step, so a march raises RangeError at
 the step that breaks them.  D comes from one joint evaluation of the F and
-h columns per step (`CoefficientTable.eval` with a tuple): one log, one
+h columns per step (`CoefficientTable.evaluator` of a tuple): one log, one
 padded gather of both columns' cubics, one Horner pass and one exp.
 
 Every march steps one field of one problem, and the floor ladder is a loop
@@ -225,9 +225,10 @@ class EpsProblem:
 
     def diffusivity(self, values: np.ndarray,
                     bounds: Optional[tuple] = None) -> np.ndarray:
-        """D = (F + eps)/h at values.  bounds, when given, hold every value
-        (see `CoefficientTable.eval`)."""
-        F, h = self.table.eval(("F", "h"), values, bounds)
+        """D = (F + eps)/h at the array values, through the table's joint
+        F/h evaluator.  bounds, when given, hold every value (see
+        `CoefficientTable.evaluator`)."""
+        F, h = self.table.evaluator(("F", "h"))(values, bounds)
         F += self.eps
         F /= h
         return F
@@ -259,9 +260,10 @@ class _Kernel:
     A kernel steps one field of one problem.  It holds the CFL constant,
     the boundary pins eps*psi and the admissible ranges, so a step is D
     from one joint F/h evaluation, the CFL bound, the forward-Euler update
-    and the tripwires, which are min/max reductions on the new values.
-    Under the bound each update is a convex combination of its stencil, at
-    a time error of 5e-5 of the mass (see SAFETY).
+    w = dt*D*lap_h(u), the tripwires, which are min/max reductions on the
+    new values, and one dot for the dissipation.  Under the bound each
+    update is a convex combination of its stencil, at a time error of 5e-5
+    of the mass (see SAFETY).
 
     Only the active window is stepped: the per-axis bounding box of the
     cells whose value differs from eps, grown by one cell on each side and
@@ -298,18 +300,14 @@ class _Kernel:
         self.hi = prob.u_max
         self.slack = 1e-12 * max(self.hi, 1.0)
         self.bounds = None           # window [a, b) per axis, from the first call
-        # the update, then du^2/D, over the interior; 0.0 outside the
-        # window, so the dissipation sum runs in the full-grid order
-        self.work = np.zeros(tuple(m - 2 for m in grid.n))
-        self.w = None                # the window's view of work
         self.cell_updates = 0        # cells stepped
 
     def _set_window(self, bounds):
         self.bounds = bounds
         self.win = win = tuple(slice(a, b) for a, b in bounds)
         self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
-        self.w = self.work[tuple(slice(a - 1, b - 1) for a, b in bounds)]
-        self.size = int(np.prod([b - a for a, b in bounds]))
+        # the update over the window, contiguous in 1-D and 2-D alike
+        self.w = np.empty(tuple(b - a for a, b in bounds))
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
         # edge rows that can still grow: (axis, side, index of the row), and
@@ -357,13 +355,13 @@ class _Kernel:
         if self.bounds is None:
             D = self.prob.diffusivity(values)
             self._open(values)
-            top, D = D.max(), D[self.slab]
+            top, D = np.maximum.reduce(D, None), D[self.slab]
         else:
             if self.edges and \
                     values.take(self.edge_take).tolist() != self.edge_floor:
                 self._grow(values)
             D = self.prob.diffusivity(values[self.slab], (lo, hi))
-            top = D.max()
+            top = np.maximum.reduce(D, None)
         return D, self.cfl / float(top)
 
     def step(self, values: np.ndarray, D: np.ndarray, dt: float, lo: float,
@@ -373,24 +371,29 @@ class _Kernel:
         values elsewhere; D is the diffusivity call's, dt the step and lo,
         hi the extrema of values.
 
-        Returns the extrema of out and its sum of du^2/D over the interior
-        (the dissipation integrand of the step), after raising RangeError
-        if out leaves the admissible range or its interior update breaks
-        the discrete maximum principle (neither can happen under the CFL
-        bound; the checks are tripwires).
+        Returns the extrema of out and the step's sum of du^2/D over the
+        interior divided by dt (the dissipation integrand), after raising
+        RangeError if out leaves the admissible range or its interior
+        update breaks the discrete maximum principle (neither can happen
+        under the CFL bound; the checks are tripwires).  With du the update
+        w = dt*D*lap_h(u), du^2/(D*dt) is w*lap_h(u), so the sum is one dot
+        of the two window arrays; it differs from the rounded
+        (new - old)^2/D at roundoff.
         """
         old, new, Dw, w = values[self.win], out[self.win], D[self.inner], self.w
         np.multiply(Dw, dt, out=w)
-        w *= _laplacian(values[self.slab], self.grid)
+        lap = _laplacian(values[self.slab], self.grid)
+        w *= lap
         np.add(old, w, out=new)
-        self.cell_updates += self.size
-        return self._finish(old, new, Dw, lo, hi)
+        self.cell_updates += w.size
+        return (*self._finish(new, lo, hi), float(np.vdot(w, lap)))
 
-    def _finish(self, old, new, Dw, lo, hi):
-        """The tripwires on the window's new values, then the extrema and
-        the sum of du^2/D; see `step`."""
+    def _finish(self, new, lo, hi):
+        """The tripwires on the window's new values, then the extrema of
+        the field; see `step`.  Each kernel sums its own dissipation."""
         eps, top, slack = self.eps, self.hi, self.slack
-        n_lo, n_hi = float(new.min()), float(new.max())
+        n_lo = float(np.minimum.reduce(new, None))
+        n_hi = float(np.maximum.reduce(new, None))
         if self.partial:  # the interior cells outside the window hold eps
             n_lo, n_hi = min(n_lo, eps), max(n_hi, eps)
         o_lo, o_hi = min(n_lo, self.ring_lo), max(n_hi, self.ring_hi)
@@ -402,12 +405,7 @@ class _Kernel:
         if not (n_hi <= hi + slack and n_lo >= lo - slack):
             raise RangeError(f"eps={eps:g}: discrete maximum principle "
                              f"violated")
-        # du^2/D with du the rounded update, in the full-grid order
-        w = self.w
-        np.subtract(new, old, out=w)
-        w *= w
-        w /= Dw
-        return o_lo, o_hi, float(np.add.reduce(self.work, None))
+        return o_lo, o_hi
 
 
 def _pcr(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
@@ -528,8 +526,10 @@ class _ImplicitKernel(_Kernel):
                              pin[..., 0], pin[..., -1])
             u = x.swapaxes(0, k)
         new[...] = u
-        self.cell_updates += self.size
-        return self._finish(old, new, Dw, lo, hi)
+        self.cell_updates += new.size
+        # (new - old)^2/D: this update is not dt*D*lap_h of the old field
+        return (*self._finish(new, lo, hi),
+                float(np.add.reduce((new - old) ** 2 / Dw, None)) / dt)
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -682,12 +682,12 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
         dt = min(bound, T - t)
         new = spare
         # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
-        # sum of du^2/D, divided by dt below
+        # sum of du^2/D over dt
         u_lo, u_hi, s = kern.step(u, D, dt, u_lo, u_hi, out=new)
         if not k:
             _check_budget(kern, D, bound, T)
         diss_old = diss
-        diss = diss_old + s / dt * vol
+        diss = diss_old + s * vol
         t_new = t + dt
         while due <= t_new + tol:
             w = (due - t) / dt
@@ -782,8 +782,11 @@ class SweepResult:
     distances: np.ndarray  # L1 gaps between consecutive final fields
     n_steps: list          # implicit steps each floor took to T
 
-    def is_cauchy(self) -> bool:
-        return bool(np.all(np.diff(self.distances) < 0.0))
+    def is_cauchy(self) -> Optional[bool]:
+        """Whether every gap is below the one before it; None with fewer
+        than two gaps, which show no trend (all() of nothing is True)."""
+        d = self.distances
+        return bool(np.all(np.diff(d) < 0.0)) if d.size > 1 else None
 
 
 def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,

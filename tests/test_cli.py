@@ -157,6 +157,19 @@ class TestHappyPaths:
         assert len(info["n_steps"]) == 3
         assert all(isinstance(k, int) and 0 < k < 100 for k in info["n_steps"])
 
+    def test_sweep_with_one_gap_reports_no_trend(self, tmp_path, capsys):
+        # two floors give one gap, and one gap neither falls nor rises
+        cfg = write_config(tmp_path, eps_sweep=[1e-3, 5e-4])
+        out = tmp_path / "out"
+        assert main(["sweep-eps", "--config", cfg, "--out", str(out)]) \
+            == EXIT_OK
+        info = load_json(out, "sweep.json")
+        assert len(info["l1_gaps"]) == 1
+        assert info["cauchy_decreasing"] is None
+        summary = capsys.readouterr().out
+        assert "(one gap: no trend)" in summary
+        assert "decreasing" not in summary
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -364,8 +377,8 @@ class TestFailurePaths:
         assert code == EXIT_COEFFS
         err = load_json(out, "error.json")
         assert err["error"] == "DomainError"
-        assert err["message"] == ("the constant control table has no "
-                                  "assumptions to check")
+        assert err["message"] == ("the table has no degeneracy profile, so "
+                                  "there are no assumptions to check")
 
 
 class TestInputShapes:
