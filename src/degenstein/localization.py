@@ -206,21 +206,24 @@ def table_state_eval(table: CoefficientTable, column: str,
 
     Nonpositive state maps to 0 (the continuum value of H and G at the
     origin); positive state below the first node clamps to it, state above M
-    clamps to M.
+    clamps to M.  A NaN state raises DomainError naming the first one.
     """
     values = np.asarray(values, dtype=float)
-    out = np.zeros(values.shape)
-    pos = values > 0.0
-    if np.any(pos):
-        clamped = np.clip(values[pos], table.s_min, table.M)
-        out[pos] = table.eval(column, clamped)
+    least = values.min(initial=math.inf)
+    if least != least:
+        at = np.unravel_index(int(np.argmax(np.isnan(values))), values.shape)
+        raise DomainError(f"state is NaN at index {tuple(map(int, at))}")
+    lo, top = table.s_min, table.M
+    out = table.eval(column, np.clip(values, lo, top).ravel(),
+                     (lo, top)).reshape(values.shape)
+    if least <= 0.0:
+        out[values <= 0.0] = 0.0
     return out
 
 
 def _snapshot_schedule(trace: SolveTrace, T_prime: float):
-    """Stored instants up to T_prime, closed with the interpolated endpoint:
-    (times, number of stored fields leading them, the field at T_prime or
-    None when a stored one closes the schedule)."""
+    """Stored instants up to T_prime, closed with T_prime itself when no
+    stored one is there: (times, number of stored fields leading them)."""
     if not (0.0 <= T_prime <= trace.T * (1 + 1e-12)):
         raise DomainError(f"T_prime={T_prime:g} outside [0, {trace.T:g}]")
     T_prime = min(T_prime, trace.T)
@@ -229,21 +232,43 @@ def _snapshot_schedule(trace: SolveTrace, T_prime: float):
     n_stored = len(times)
     if times[-1] < T_prime * (1 - 1e-12):
         times.append(T_prime)
-        return np.asarray(times), n_stored, trace.field_at(T_prime)
-    return np.asarray(times), n_stored, None
+    return np.asarray(times), n_stored
 
 
-def _stored_H_G(trace: SolveTrace, table: CoefficientTable):
-    """H(u) and G(u) of the stored snapshots, stacked along a leading axis.
-    They are evaluated once per (trace, table) and kept on the trace, since
-    energy_Y reads them again for every n and every T' probe."""
-    slot = trace._table_states.get(id(table))
-    if slot is None or slot[0] is not table:
+def _energy_rows(theta: np.ndarray, H: np.ndarray, G: np.ndarray,
+                 grid: GridSpec):
+    """Per field of the H and G stacks, int theta^2 H and the gradient
+    energy of theta*G.  Each row sums its cells as one field does, so a
+    row is bit for bit the same in a stack of any height."""
+    mass = np.add.reduce((theta * theta * H).reshape(len(H), -1), axis=1)
+    return mass * grid.cell_volume, _grad_energies(theta * G, grid)
+
+
+def _stored_rows(trace: SolveTrace, cutoffs: CutoffFamily,
+                 table: CoefficientTable, n: int, theta: np.ndarray):
+    """`_energy_rows` of the stored snapshots per (table, cutoffs, n), and
+    the H(u) and G(u) stacks they come from per table, kept on the trace;
+    each entry holds its table, so the table's id in its key stays valid."""
+    states = trace._table_states
+    if id(table) not in states:
         # field by field, so an evaluation's temporaries stay field-sized
-        H = np.stack([table_state_eval(table, "H", u) for u in trace.fields])
-        G = np.stack([table_state_eval(table, "G", u) for u in trace.fields])
-        slot = trace._table_states[id(table)] = (table, H, G)
-    return slot[1], slot[2]
+        states[id(table)] = (table, *(
+            np.stack([table_state_eval(table, c, u) for u in trace.fields])
+            for c in ("H", "G")))
+    key = (id(table), cutoffs, n)
+    if key not in states:
+        states[key] = (table, *_energy_rows(theta, *states[id(table)][1:],
+                                            trace.grid))
+    return states[key][1:]
+
+
+def _weighted_energy(T_prime: float, pack: ExponentPack, times: np.ndarray,
+                     mass: np.ndarray, grad: np.ndarray) -> float:
+    """(T')^beta * (max of the mass rows, at least 0, plus the trapezoid of
+    the gradient rows over times)."""
+    sup_mass = max([0.0] + mass.tolist())
+    time_term = float(_trapezoid(grad, times)) if len(times) > 1 else 0.0
+    return T_prime ** pack.beta_exp * (sup_mass + time_term)
 
 
 def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
@@ -253,28 +278,27 @@ def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
 
     The sup runs over stored snapshots (a lower bound of the true sup); the
     space-time term is a trapezoid in time of the centered-difference
-    gradient energy of the product theta_n * G(u).  Both are one row-wise
-    pass over the cached H and G stacks of the stored snapshots, joined by
-    the interpolated endpoint's row when T' falls between two.  theta, if
-    given, must be cutoffs.theta(trace.grid, n); a caller that probes one n
-    many times builds it once.
+    gradient energy of the product theta_n * G(u).  The stored snapshots'
+    mass and gradient-energy rows are kept on the trace per (table,
+    cutoffs, n), so a probe evaluates only the row of its interpolated
+    endpoint, if T' falls between two stored instants.  The stored rows up
+    to T' alone are a lower bound of Y_n[T'], from which `estimate_T_prime`
+    settles failing probes.  theta, if given, must be
+    cutoffs.theta(trace.grid, n), built once by a caller that probes one n
+    many times.
     """
     grid = trace.grid
     if theta is None:
         theta = cutoffs.theta(grid, n)
-    times, n_stored, tail = _snapshot_schedule(trace, T_prime)
-    H, G = _stored_H_G(trace, table)
-    H, G = H[:n_stored], G[:n_stored]
-    if tail is not None:
-        u = tail[None]
-        H = np.concatenate([H, table_state_eval(table, "H", u)])
-        G = np.concatenate([G, table_state_eval(table, "G", u)])
-    # a row sums its cells as one field does
-    mass = np.add.reduce((theta * theta * H).reshape(len(H), -1), axis=1)
-    sup_mass = max([0.0] + (mass * grid.cell_volume).tolist())
-    grad = _grad_energies(theta * G, grid)
-    time_term = float(_trapezoid(grad, times)) if len(times) > 1 else 0.0
-    return T_prime ** pack.beta_exp * (sup_mass + time_term)
+    times, n_stored = _snapshot_schedule(trace, T_prime)
+    mass, grad = _stored_rows(trace, cutoffs, table, n, theta)
+    mass, grad = mass[:n_stored], grad[:n_stored]
+    if len(times) > n_stored:
+        u = trace.field_at(times[-1])[None]
+        m, g = _energy_rows(theta, table_state_eval(table, "H", u),
+                            table_state_eval(table, "G", u), grid)
+        mass, grad = np.concatenate([mass, m]), np.concatenate([grad, g])
+    return _weighted_energy(T_prime, pack, times, mass, grad)
 
 
 @dataclass
@@ -343,54 +367,59 @@ def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
     """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection to a
     bracket of _BISECT_RTOL relative; 0 if even arbitrarily small horizons
     fail.  theta0, if given, must be cutoffs.theta(trace.grid, 0);
-    otherwise it is built here, once.
+    otherwise it is built here, once.  Y_0[T'] is nondecreasing in T' and
+    vanishes as T' -> 0 (the prefactor (T')^beta does), so the certified
+    horizon is positive whenever the state has finite energy, though it
+    can be far below T.
 
-    Y_0[T'] is nondecreasing in T' and vanishes as T' -> 0 (the prefactor
-    (T')^beta does), so the certified horizon is positive whenever the state
-    has finite energy, though it can be far below T.
+    A probe fails without energy_Y when the stored rows up to T' alone,
+    (T')^beta * (max mass + trapezoid of the gradient rows), exceed theta_L
+    by a relative 1e-12.  That is a lower bound of Y_0[T'], whose endpoint
+    row only adds a mass to the max and a nonnegative trapezoid segment,
+    and its rounding is far inside the margin, so every probe settles as
+    energy_Y would and T' is the same to the bit.  With T' far below T most
+    probes fail this way, at no table evaluation.
     """
     theta_L = pack.threshold
     if theta0 is None:
         theta0 = cutoffs.theta(trace.grid, 0)
+    mass, grad = _stored_rows(trace, cutoffs, table, 0, theta0)
 
-    def y0(tp: float) -> float:
-        return energy_Y(trace, cutoffs, pack, table, 0, tp, theta=theta0)
+    def holds(tp: float) -> bool:
+        times, n = _snapshot_schedule(trace, tp)
+        lower = _weighted_energy(tp, pack, times[:n], mass[:n], grad[:n])
+        if lower > theta_L * (1.0 + 1e-12):
+            return False
+        return energy_Y(trace, cutoffs, pack, table, 0, tp,
+                        theta=theta0) <= theta_L
 
     T = trace.T
-    if y0(T) <= theta_L:
+    if holds(T):
         return T
     lo, hi = 0.0, T  # y0(lo) <= theta_L always (prefactor 0), y0(hi) > theta_L
     for _ in range(200):
         if hi - lo <= _BISECT_RTOL * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        if y0(mid) <= theta_L:
+        if holds(mid):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _farthest(d: np.ndarray) -> float:
-    return float(d.max()) if d.size else 0.0
-
-
-def _nearest(d: np.ndarray) -> float:
-    return float(d.min()) if d.size else math.inf
-
-
 def front_radius(values: np.ndarray, grid: GridSpec, x0,
                  threshold: float) -> float:
     """Sup of |x - x0| over cells above threshold; 0 when nothing is
     supported."""
-    return _farthest(grid.distance_to(x0)[values > threshold])
+    return float(grid.distance_to(x0)[values > threshold].max(initial=0.0))
 
 
 def empty_radius(values: np.ndarray, grid: GridSpec, x0,
                  threshold: float) -> float:
     """Radius of the largest supported-cell-free ball around x0 (inf of
     distances to cells above threshold); +inf when nothing is supported."""
-    return _nearest(grid.distance_to(x0)[values > threshold])
+    return float(grid.distance_to(x0)[values > threshold].min(initial=math.inf))
 
 
 def front_series(trace: SolveTrace, x0_front, x0_empty=None):
@@ -401,8 +430,9 @@ def front_series(trace: SolveTrace, x0_front, x0_empty=None):
     thr = trace.prob.support_threshold
     d_front = trace.grid.distance_to(x0_front)
     d_empty = d_front if x0_empty is None else trace.grid.distance_to(x0_empty)
-    r_front = np.array([_farthest(d_front[f > thr]) for f in trace.fields])
-    r_empty = np.array([_nearest(d_empty[f > thr]) for f in trace.fields])
+    r_front = np.array([d_front[f > thr].max(initial=0.0) for f in trace.fields])
+    r_empty = np.array([d_empty[f > thr].min(initial=math.inf)
+                        for f in trace.fields])
     return trace.times.copy(), r_front, r_empty
 
 

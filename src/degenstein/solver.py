@@ -7,25 +7,19 @@ with a Dirichlet pin eps*psi on the boundary ring of cells.  Every step
 keeps the discrete maximum principle; a clamp event is an error, never a
 silent fix.
 
-There are two step kernels behind one interface and one time loop,
-`_march`; which one runs is fixed by the caller, not by an option.
-`_Kernel` is forward Euler, and `solve`, `step_explicit` and `cfl_dt` go
-through it: one CFL formula, one update, under whose bound every update is
-a convex combination of its stencil, at a first-order time error of 5.0e-5
-of the mass on the desk run (see SAFETY).  `_ImplicitKernel` is lagged
-backward Euler, and `eps_sweep` marches the floor ladder with it: each step
-solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n by batched parallel cyclic
-reduction (`_pcr`), an M-matrix solve for any dt, with steps 32 times the
-forward-Euler limit at D(max u).  Both check the range and
-maximum-principle tripwires on every step, so a march raises RangeError at
-the step that breaks them.  D comes from one joint evaluation of the F and
-h columns per step (`CoefficientTable.evaluator` of a tuple): one log, one
-padded gather of both columns' cubics, one Horner pass and one exp.
-
-Every march steps one field of one problem, and the floor ladder is a loop
-of them, one per eps.  The explicit kernel steps only the active window of
-the cells that differ from eps, which changes no bit of the result (see
-`_Kernel`); the implicit kernel solves the whole interior.
+One time loop, `_march`, advances one field of one problem by one call of
+its kernel's `step` per iteration; the caller fixes the kernel, not an
+option.  A step is the whole of it: D through `EpsProblem.diffusivity`
+(one joint evaluation of the table's F and h columns), the step bound, the
+update, the range and maximum-principle tripwires, which raise RangeError
+at the step that breaks them, and the step's dissipation sum.  `_Kernel`
+is forward Euler over the active window of the cells that differ from eps,
+which changes no bit of the result; `solve`, `step_explicit` and `cfl_dt`
+go through it: one CFL formula and one update (see SAFETY).
+`_ImplicitKernel` is lagged backward Euler over the whole interior, an
+M-matrix solve by batched parallel cyclic reduction (`_pcr`) at 32 times
+the forward-Euler limit at D(max u); `eps_sweep` marches the floor ladder,
+one march per eps, with it.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -106,10 +100,8 @@ class GridSpec:
         return a + (np.arange(m) + 0.5) * (b - a) / m
 
     def meshgrid(self):
-        axes = [self.axis_centers(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*(self.axis_centers(k) for k in range(self.dim)),
+                           indexing="ij")
 
     def distance_to(self, x0) -> np.ndarray:
         """Euclidean distance of every cell center to the point x0."""
@@ -121,10 +113,7 @@ class GridSpec:
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        if self.dim == 1:
-            mask[1:-1] = True
-        else:
-            mask[1:-1, 1:-1] = True
+        mask[(slice(1, -1),) * self.dim] = True
         return mask
 
     def sample(self, f: Union[Callable, np.ndarray, float]) -> np.ndarray:
@@ -240,43 +229,27 @@ def _on_grid(what: str, values: np.ndarray, grid: GridSpec) -> None:
                           f"grid's {tuple(grid.n)}")
 
 
-def _laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Five-point (1-D: three-point) Laplacian on the interior cells only."""
-    h = grid.h
-    if grid.dim == 1:
-        return (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h[0] ** 2
-    return (
-        (values[:-2, 1:-1] - 2.0 * values[1:-1, 1:-1] + values[2:, 1:-1])
-        / h[0] ** 2
-        + (values[1:-1, :-2] - 2.0 * values[1:-1, 1:-1] + values[1:-1, 2:])
-        / h[1] ** 2
-    )
-
-
 class _Kernel:
     """The explicit step, shared by `solve`, step_explicit and cfl_dt, and
     the base of `_ImplicitKernel`.
 
-    A kernel steps one field of one problem.  It holds the CFL constant,
-    the boundary pins eps*psi and the admissible ranges, so a step is D
-    from one joint F/h evaluation, the CFL bound, the forward-Euler update
-    w = dt*D*lap_h(u), the tripwires, which are min/max reductions on the
-    new values, and one dot for the dissipation.  Under the bound each
-    update is a convex combination of its stencil, at a time error of 5e-5
-    of the mass (see SAFETY).
+    A kernel steps one field of one problem and holds the CFL constant,
+    the boundary pins eps*psi and the admissible ranges.  Under the CFL
+    bound each update is a convex combination of its stencil, at a time
+    error of 5e-5 of the mass (see SAFETY).
 
     Only the active window is stepped: the per-axis bounding box of the
     cells whose value differs from eps, grown by one cell on each side and
     clipped to the interior.  Skipping the cells outside it is exact: such
     a cell and its neighbors all hold eps, the difference eps - 2*eps + eps
     is 0.0 in IEEE arithmetic (2*eps and eps - 2*eps are exact), so forward
-    Euler leaves the cell at eps bit for bit.  The first diffusivity call
-    evaluates the whole grid (which is also the domain check of the ring)
-    and fixes the window; later calls grow the box by one cell on each side
-    whose edge row (1-D: edge cell) has left the floor, then evaluate D on
-    the window plus its one-cell halo only.  The box never shrinks.  A hump
-    that fills the box, or a ring pin eps*psi that differs from eps, makes
-    the window the whole interior and the step the full-grid one.
+    Euler leaves the cell at eps bit for bit.  The first step evaluates the
+    whole grid (which is also the domain check of the ring) and fixes the
+    window; later steps grow the box by one cell on each side whose edge
+    row has left the floor, then evaluate D on the window plus its one-cell
+    halo only.  The box never shrinks.  A hump that fills the box, or a
+    ring pin eps*psi that differs from eps, makes the window the whole
+    interior and the step the full-grid one.
 
     The CFL maximum of D over the slab is the full-grid one without any
     constant for the cells outside: every cell that differs from eps lies
@@ -306,24 +279,27 @@ class _Kernel:
         self.bounds = bounds
         self.win = win = tuple(slice(a, b) for a, b in bounds)
         self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
-        # the update over the window, contiguous in 1-D and 2-D alike
-        self.w = np.empty(tuple(b - a for a, b in bounds))
+        # the update and lap_h(u) over the window, contiguous in 1-D and
+        # 2-D alike, and per axis the buffer of its second difference, the
+        # window shifted one cell down and up that axis, and h^2
+        shape = tuple(b - a for a, b in bounds)
+        self.w, self.lap = np.empty(shape), np.empty(shape)
+        self.stencil = [
+            (self.lap if not k else np.empty(shape),
+             *(win[:k] + (slice(a + d, b + d),) + win[k + 1:] for d in (-1, 1)),
+             h ** 2)
+            for k, ((a, b), h) in enumerate(zip(bounds, self.grid.h))]
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
-        # edge rows that can still grow: (axis, side, index of the row), and
-        # the flat indices of all their cells for the one per-step test,
-        # which compares their values, as a list of floats, with the
-        # floor's (NaN differs)
-        self.edges = []
-        edge_cells = np.zeros(n, dtype=bool)
-        for k, ((a, b), m) in enumerate(zip(bounds, n)):
-            for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1)):
-                if room:
-                    row = win[:k] + (at,) + win[k + 1:]
-                    self.edges.append((k, side, row))
-                    edge_cells[row] = True
-        self.edge_take = np.flatnonzero(edge_cells)
-        self.edge_floor = [self.eps] * self.edge_take.size
+        # edge rows that can still grow: (axis, side, index of the row); in
+        # 1-D the cells, the one with room twice if only one has, for the
+        # per-step test of two scalar compares with eps (NaN differs)
+        self.edges = [(k, side, win[:k] + (at,) + win[k + 1:])
+                      for k, ((a, b), m) in enumerate(zip(bounds, n))
+                      for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1))
+                      if room]
+        cells = [row[0] for _, _, row in self.edges]
+        self.ends = (cells[0], cells[-1]) if len(n) == 1 and cells else None
 
     def _open(self, values: np.ndarray) -> None:
         """Fix the window from the cells that differ from eps."""
@@ -346,47 +322,50 @@ class _Kernel:
                 bounds[k][side] += 1 if side else -1
             self._set_window([tuple(ab) for ab in bounds])
 
-    def diffusivity(self, values: np.ndarray, lo: Optional[float] = None,
-                    hi: Optional[float] = None):
-        """D on the window plus its halo, and the largest stable step.
-        After the first call, values must be this kernel's last step
-        output, and lo, hi its extrema (the ones the tripwires return),
-        which spare the table's domain check a scan of the slab."""
+    def step(self, values: np.ndarray, out: np.ndarray, lo: float, hi: float,
+             room: float):
+        """One step of values into out at dt = min(CFL bound, room): D on
+        the window plus its halo, the update w = dt*D*lap_h(u), with
+        lap_h(u) written into a window-sized buffer in the order of
+        (u[i-1] - 2*u[i] + u[i+1])/h^2 per axis, so every bit is that
+        expression's, and the tripwires.  out's other cells must hold the
+        pins on the ring and the values elsewhere; lo, hi are the extrema
+        of values, after the first call the ones this step returned, which
+        spare the table's domain check a scan of the slab.
+
+        Returns dt, the extrema of out and the step's sum of du^2/D over
+        dt, the dissipation integrand: one dot of w and lap_h(u), off the
+        rounded (new - old)^2/D at roundoff.  RangeError if out leaves the
+        admissible range or the update breaks the discrete maximum
+        principle (tripwires: neither can happen under the CFL bound)."""
         if self.bounds is None:
             D = self.prob.diffusivity(values)
             self._open(values)
             top, D = np.maximum.reduce(D, None), D[self.slab]
         else:
-            if self.edges and \
-                    values.take(self.edge_take).tolist() != self.edge_floor:
+            ends, eps = self.ends, self.eps
+            # 2-D: every edge row is scanned
+            if self.edges and (ends is None or values[ends[0]] != eps
+                               or values[ends[1]] != eps):
                 self._grow(values)
             D = self.prob.diffusivity(values[self.slab], (lo, hi))
             top = np.maximum.reduce(D, None)
-        return D, self.cfl / float(top)
-
-    def step(self, values: np.ndarray, D: np.ndarray, dt: float, lo: float,
-             hi: float, out: np.ndarray):
-        """Write the forward-Euler update of the window into out, whose
-        other cells must already hold the pins on the boundary ring and the
-        values elsewhere; D is the diffusivity call's, dt the step and lo,
-        hi the extrema of values.
-
-        Returns the extrema of out and the step's sum of du^2/D over the
-        interior divided by dt (the dissipation integrand), after raising
-        RangeError if out leaves the admissible range or its interior
-        update breaks the discrete maximum principle (neither can happen
-        under the CFL bound; the checks are tripwires).  With du the update
-        w = dt*D*lap_h(u), du^2/(D*dt) is w*lap_h(u), so the sum is one dot
-        of the two window arrays; it differs from the rounded
-        (new - old)^2/D at roundoff.
-        """
-        old, new, Dw, w = values[self.win], out[self.win], D[self.inner], self.w
-        np.multiply(Dw, dt, out=w)
-        lap = _laplacian(values[self.slab], self.grid)
+        dt = min(self.cfl / float(top), room)
+        win, lap, w = self.win, self.lap, self.w
+        old = values[win]
+        for buf, down, up, h2 in self.stencil:
+            np.multiply(old, 2.0, out=buf)
+            np.subtract(values[down], buf, out=buf)
+            buf += values[up]
+            buf /= h2
+        for buf, *_ in self.stencil[1:]:
+            lap += buf
+        np.multiply(D[self.inner], dt, out=w)
         w *= lap
+        new = out[win]
         np.add(old, w, out=new)
         self.cell_updates += w.size
-        return (*self._finish(new, lo, hi), float(np.vdot(w, lap)))
+        return (dt, *self._finish(new, lo, hi), float(np.vdot(w, lap)))
 
     def _finish(self, new, lo, hi):
         """The tripwires on the window's new values, then the extrema of
@@ -479,23 +458,21 @@ _IMPLICIT_C = 32.0
 
 class _ImplicitKernel(_Kernel):
     """Lagged backward Euler over the whole interior of one field, behind
-    the explicit kernel's calls: `eps_sweep` marches each floor of its
+    the explicit kernel's `step`: `eps_sweep` marches each floor of its
     ladder with it.
 
     A step solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n with the ring
-    held at eps*psi.  In 1-D that is one tridiagonal system; in 2-D, Lie
-    splitting solves along x on every row and then along y on every
-    column, both with D lagged at u^n.  The systems along one axis are solved
-    in one batch by `_pcr`.  Each matrix is an M-matrix, so the discrete
-    maximum principle holds for any dt, and the explicit kernel's range
-    and maximum-principle tripwires, with their slack of 1e-12 of
-    max(u_max, 1), stand for roundoff below the floor: nothing is clamped.
+    held at eps*psi: in 1-D one tridiagonal system, in 2-D Lie splitting
+    along x on every row, then along y on every column, D lagged at u^n and
+    the lines of one axis in one batch of `_pcr`.  Each matrix is an
+    M-matrix, so the discrete maximum principle holds for any dt, and the
+    tripwires' slack of 1e-12 of max(u_max, 1) stands for roundoff below
+    the floor: nothing is clamped.
 
-    The step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)), capped at
-    T - t by the march: a multiple of the forward-Euler limit at the bulk
-    diffusivity, not at max D, which for the kinds whose h collapses
-    faster than eps sits at the floor.  The error is first order in that
-    step."""
+    The step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)): a multiple
+    of the forward-Euler limit at the bulk diffusivity, not at max D, which
+    for the kinds whose h collapses faster than eps sits at the floor.  The
+    error is first order in that step."""
 
     def __init__(self, prob: EpsProblem, grid: GridSpec,
                  psi_vals: Optional[np.ndarray] = None):
@@ -505,19 +482,15 @@ class _ImplicitKernel(_Kernel):
         # a line's pins, once its axis is swapped last
         self.lines = (slice(1, -1),) * (grid.dim - 1)
 
-    def diffusivity(self, values: np.ndarray, lo: float, hi: float):
-        """D over the whole grid, and the step from D at max u; lo and hi
-        are the extrema of values.  The evaluation at the maximum scans it,
-        so a NaN in the field, which makes its extrema NaN, raises
-        DomainError there."""
+    def step(self, values: np.ndarray, out: np.ndarray, lo: float, hi: float,
+             room: float):
+        """The backward-Euler step of the interior into out, whose ring must
+        hold the pins, at dt = min(the step from D at max u, room), as
+        `_Kernel.step`.  The evaluation at the maximum scans it, so a NaN
+        in the field, whose extrema are then NaN, raises DomainError."""
         D = self.prob.diffusivity(values, (lo, hi))
         top = self.prob.diffusivity(np.array([hi]))
-        return D, self.cfl / float(top[0])
-
-    def step(self, values: np.ndarray, D: np.ndarray, dt: float, lo: float,
-             hi: float, out: np.ndarray):
-        """Write the backward-Euler step of the interior into out, whose
-        ring must hold the pins; otherwise as `_Kernel.step`."""
+        dt = min(self.cfl / float(top[0]), room)
         old, new, Dw = values[self.win], out[self.win], D[self.inner]
         u = old
         for k, h in enumerate(self.grid.h):
@@ -528,16 +501,18 @@ class _ImplicitKernel(_Kernel):
         new[...] = u
         self.cell_updates += new.size
         # (new - old)^2/D: this update is not dt*D*lap_h of the old field
-        return (*self._finish(new, lo, hi),
+        return (dt, *self._finish(new, lo, hi),
                 float(np.add.reduce((new - old) ** 2 / Dw, None)) / dt)
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, SAFETY * min(h)^2 / (2 * dim * max D), which keeps each
-    updated cell within its stencil's min and max (see SAFETY)."""
+    updated cell within its stencil's min and max (see SAFETY): the dt of
+    one kernel step of values, whose tripwires values must pass."""
     _on_grid("values", values, grid)
-    return _Kernel(prob, grid).diffusivity(values)[1]
+    return _Kernel(prob, grid).step(values, values.copy(), float(values.min()),
+                                    float(values.max()), math.inf)[0]
 
 
 def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
@@ -546,21 +521,20 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
     same kernel that solve marches with.
 
     Raises DomainError when values or psi_vals do not have the grid's
-    shape, CflError when dt exceeds the stability bound and RangeError if
-    the update leaves the admissible range or breaks the discrete max
-    principle (neither can happen under the CFL bound; the checks are
-    tripwires).
+    shape, CflError when dt exceeds the stability bound by more than 1e-12
+    of it (a dt within that slack is stepped at the bound) and RangeError
+    as the kernel's tripwires do (see `_Kernel.step`).
     """
     _on_grid("values", values, grid)
     if psi_vals is not None:
         _on_grid("psi_vals", psi_vals, grid)
     kern = _Kernel(prob, grid, psi_vals)
-    D, bound = kern.diffusivity(values)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
     new = kern.pin.copy()
     new[kern.inner] = values[kern.inner]
-    kern.step(values, D, dt, float(values.min()), float(values.max()), new)
+    bound = kern.step(values, new, float(values.min()), float(values.max()),
+                      dt)[0]
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
     return new
 
 
@@ -622,15 +596,16 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
 MAX_STEPS = 50_000_000
 
 
-def _check_budget(kern: _Kernel, D: np.ndarray, bound: float, T: float) -> None:
-    """CflError when the CFL step projects more than MAX_STEPS steps to T,
-    naming max D and the cell where it occurs.
-
-    The projection is T over the first step's CFL bound alone.  Where max
-    D falls as the solution evolves (D peaking at the peak of u, which
-    decays), later steps are longer, so a run rejected here might have
-    finished within MAX_STEPS steps."""
-    if T > MAX_STEPS * bound:            # False for a NaN step
+def _check_budget(kern: _Kernel, values: np.ndarray, dt: float,
+                  T: float) -> None:
+    """CflError when the first step, dt from values, projects more than
+    MAX_STEPS steps to T, naming max D (evaluated again, on this path only)
+    and the cell where it occurs.  dt is the first CFL bound unless T is
+    shorter; where max D falls as the solution evolves (D peaking at the
+    peak of u, which decays), later steps are longer, so a run rejected
+    here might have finished within MAX_STEPS steps."""
+    if T > MAX_STEPS * dt:               # False for a NaN step
+        D = kern.prob.diffusivity(values[kern.slab])
         at = np.unravel_index(int(np.argmax(D)), D.shape)
         # the slab starts one cell before the window on each axis
         cell = tuple(int(i) + a - 1 for i, (a, _) in zip(at, kern.bounds))
@@ -638,8 +613,8 @@ def _check_budget(kern: _Kernel, D: np.ndarray, bound: float, T: float) -> None:
                       for k, c in enumerate(cell))
         raise CflError(
             f"eps={kern.eps:g}: max D = {float(D[at]):.3g} at cell "
-            f"{cell}, x = ({x}): CFL steps of {bound:.3g} project "
-            f"{T / bound if bound > 0 else math.inf:.3g} steps to T={T:g}, "
+            f"{cell}, x = ({x}): CFL steps of {dt:.3g} project "
+            f"{T / dt if dt > 0 else math.inf:.3g} steps to T={T:g}, "
             f"over the budget of {MAX_STEPS}")
 
 
@@ -648,9 +623,8 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
            kernel: type = _Kernel) -> SolveTrace:
     """March the one field of prob to time T with the step kernel `kernel`
     (`_Kernel`, forward Euler, or `_ImplicitKernel`, lagged backward
-    Euler).  After the first step, a step that projects more than
-    MAX_STEPS steps to T raises CflError.
-    """
+    Euler), one `step` call per step; see `_check_budget` for the CflError
+    after the first."""
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
     snap_times = _resolve_snapshots(snapshot_times, T)
@@ -678,14 +652,12 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
     u_lo, u_hi = float(u.min()), float(u.max())
     t_end = T - tol
     for k in range(MAX_STEPS):
-        D, bound = kern.diffusivity(u, u_lo, u_hi)
-        dt = min(bound, T - t)
         new = spare
         # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
         # sum of du^2/D over dt
-        u_lo, u_hi, s = kern.step(u, D, dt, u_lo, u_hi, out=new)
+        dt, u_lo, u_hi, s = kern.step(u, new, u_lo, u_hi, T - t)
         if not k:
-            _check_budget(kern, D, bound, T)
+            _check_budget(kern, u, dt, T)
         diss_old = diss
         diss = diss_old + s * vol
         t_new = t + dt
@@ -720,13 +692,11 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     """March the explicit scheme to time T with adaptive CFL-bounded steps.
 
     Snapshots are linearly interpolated in time onto the requested instants,
-    so step placement never depends on the output schedule.  Every step goes
-    through the shared kernel (one joint F/h evaluation for D, the CFL
-    bound, the update and the per-step tripwires), so a range or
-    maximum-principle violation raises RangeError at the step where it
-    happens.  The cumulative dissipation integral uses the same diffusivity
-    evaluation as the step itself, which is what makes the energy identity
-    check tight.  T must be positive and finite.
+    so step placement never depends on the output schedule.  Every step is
+    one call of the shared kernel's `step`, so a range or maximum-principle
+    violation raises RangeError at the step where it happens, and the
+    dissipation integral uses the step's own D, which is what makes the
+    energy identity check tight.  T must be positive and finite.
     """
     return _march(prob, grid, T, snapshot_times)
 

@@ -7,6 +7,8 @@ b = 3, R = 0.4, unit constants, and the exponent pack at lam = 1, j = 2.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +191,27 @@ class TestStateEval:
         out = table_state_eval(beta1_table, "H", np.array([2.0]))
         assert out[0] == pytest.approx(beta1_table.eval("H", beta1_table.M))
 
+    @pytest.mark.parametrize("u,at", [
+        ([0.5, np.nan], "(1,)"),
+        ([[0.5, 0.0], [-1.0, np.nan], [np.nan, 1.0]], "(1, 1)"),
+        ([np.nan, 0.5, 0.5], "(0,)"),
+    ])
+    def test_nan_state_is_rejected(self, beta1_table, u, at):
+        # a NaN is no vacuum: energy_Y would read a 0 there as one
+        with pytest.raises(DomainError, match="NaN at index " + re.escape(at)):
+            table_state_eval(beta1_table, "H", np.array(u))
+
+    def test_each_cell_evaluates_on_its_own(self, beta1_table):
+        # all-positive states and states with vacuum cells give every
+        # positive cell the value of its own clamped evaluation
+        u = np.array([1e-12, 3e-4, 0.5, 2.0])
+        alone = [beta1_table.eval("G", np.array([min(max(x, 1e-8), 1.0)]))[0]
+                 for x in u]
+        whole = table_state_eval(beta1_table, "G", u)
+        mixed = table_state_eval(beta1_table, "G", np.append(u, [0.0, -1.0]))
+        assert whole.tolist() == alone
+        assert mixed.tolist() == alone + [0.0, 0.0]
+
 
 class TestEnergyY:
     def _hand_quadrature(self, grid, theta, table, value, T_prime, beta_exp,
@@ -358,6 +381,113 @@ class TestStackedEnergies:
         builds.clear()
         estimate_T_prime(desk_trace_beta1, family, desk_pack, beta1_table)
         assert len(builds) == 1
+
+
+def _every_probe_T_prime(trace, cutoffs, pack, table):
+    """estimate_T_prime's bisection with every probe sent through energy_Y,
+    none settled from the stored rows: the bit-for-bit reference."""
+    theta_L = pack.threshold
+    theta0 = cutoffs.theta(trace.grid, 0)
+
+    def y0(tp):
+        return energy_Y(trace, cutoffs, pack, table, 0, tp, theta=theta0)
+
+    T = trace.T
+    if y0(T) <= theta_L:
+        return T
+    lo, hi = 0.0, T
+    for _ in range(200):
+        if hi - lo <= localization._BISECT_RTOL * max(hi, 1e-300):
+            break
+        mid = 0.5 * (lo + hi)
+        if y0(mid) <= theta_L:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestBisectionSettle:
+    """estimate_T_prime settles a probe as failing from the stored rows
+    alone when they already exceed theta_L; every probe, and so T', is the
+    one of the loop that evaluates each through energy_Y."""
+
+    @pytest.fixture(params=["desk-beta1", "desk-beta2", "control",
+                            "clean-state"])
+    def case(self, request, cutoffs, desk_pack, desk_grid, beta1_table,
+             beta2_table, control_tab):
+        if request.param == "desk-beta1":
+            trace = request.getfixturevalue("desk_trace_beta1")
+            return trace, desk_pack, beta1_table
+        if request.param == "desk-beta2":
+            trace = request.getfixturevalue("desk_trace_beta2")
+            return trace, ExponentPack.build(cutoffs, N_dim=1,
+                                             table=beta2_table), beta2_table
+        if request.param == "control":
+            trace = request.getfixturevalue("control_trace")
+            return trace, ExponentPack.build(cutoffs, N_dim=1,
+                                             lam=1.0), control_tab
+        # Y_0[T] is 0, so T' = T
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=1.0)
+        return make_constant_trace(desk_grid, prob, 0.0), desk_pack, beta1_table
+
+    def test_matches_the_every_probe_loop(self, case, cutoffs):
+        trace, pack, table = case
+        want = _every_probe_T_prime(replace(trace), cutoffs, pack, table)
+        got = estimate_T_prime(replace(trace), cutoffs, pack, table)
+        assert got == want
+        assert (got == trace.T) == (trace.fields[0].max() == 0.0)
+
+    def test_desk_body_probes_few_energies(self, desk_trace_beta1, cutoffs,
+                                           desk_pack, beta1_table,
+                                           monkeypatch):
+        # 7 energies Y_0..Y_6 and the 33 probes of T' were 40 calls
+        calls = []
+        probe = localization.energy_Y
+
+        def counted(*args, **kwargs):
+            calls.append(args[5])
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(localization, "energy_Y", counted)
+        dg = de_giorgi_trace(replace(desk_trace_beta1), cutoffs, desk_pack,
+                             beta1_table)
+        assert len(calls) <= 12, calls
+        assert dg.T_prime < 1e-6 * desk_trace_beta1.T
+
+
+class TestRowCache:
+    """The stored rows are kept per (trace, table, cutoffs, n)."""
+
+    def test_interleaved_keys_match_fresh_traces(self, desk_trace_beta1,
+                                                 desk_pack, beta1_table,
+                                                 beta2_table):
+        trace, T = replace(desk_trace_beta1), desk_trace_beta1.T
+        families = [CutoffFamily(x0=X0, R=R, Rp=RP),
+                    CutoffFamily(x0=(0.45,), R=R, Rp=RP),
+                    CutoffFamily(x0=X0, R=0.45, Rp=RP)]
+        for T_prime in (T, 0.37 * T, 1e-8, T / 32):
+            for n in (0, 2):
+                for family in families:
+                    for table in (beta1_table, beta2_table):
+                        got = energy_Y(trace, family, desk_pack, table, n,
+                                       T_prime)
+                        want = energy_Y(replace(desk_trace_beta1), family,
+                                        desk_pack, table, n, T_prime)
+                        assert got == want, (T_prime, n, family, table.G[0])
+
+    def test_repeated_probes_do_not_grow_the_cache(self, desk_trace_beta1,
+                                                   desk_pack, beta1_table):
+        trace = replace(desk_trace_beta1)
+        energy_Y(trace, CutoffFamily(x0=X0, R=R, Rp=RP), desk_pack,
+                 beta1_table, 0, trace.T)
+        size = len(trace._table_states)
+        for T_prime in np.linspace(0.0, trace.T, 7):
+            for _ in range(3):
+                # an equal family, theta built afresh each call
+                energy_Y(trace, CutoffFamily(x0=X0, R=R, Rp=RP), desk_pack,
+                         beta1_table, 0, float(T_prime))
+        assert len(trace._table_states) == size
 
 
 class TestTPrime:

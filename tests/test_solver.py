@@ -381,13 +381,15 @@ class TestSharedKernel:
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
         n_full = solve(prob, desk_grid, 0.01, snapshot_times=2).n_steps
         calls = []
-        honest = solver_mod._laplacian
+        honest = solver_mod._Kernel.step
 
-        def overshooting(values, grid):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return 10.0 * honest(values, grid)
+            return honest(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod, "_laplacian", overshooting)
+        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        # steps ten times the stable one, so every update overshoots
+        monkeypatch.setattr(solver_mod, "SAFETY", 10.0 * solver_mod.SAFETY)
         with pytest.raises(RangeError):
             solve(prob, desk_grid, 0.01, snapshot_times=2)
         # caught by the per-step tripwire, long before the field reaches T
