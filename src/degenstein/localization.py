@@ -367,10 +367,11 @@ def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
     """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection to a
     bracket of _BISECT_RTOL relative; 0 if even arbitrarily small horizons
     fail.  theta0, if given, must be cutoffs.theta(trace.grid, 0);
-    otherwise it is built here, once.  Y_0[T'] is nondecreasing in T' and
-    vanishes as T' -> 0 (the prefactor (T')^beta does), so the certified
-    horizon is positive whenever the state has finite energy, though it
-    can be far below T.
+    otherwise it is built here, once.
+
+    Y_0[T'] is nondecreasing in T' and vanishes as T' -> 0 (the prefactor
+    (T')^beta does), so the certified horizon is positive whenever the state
+    has finite energy, though it can be far below T.
 
     A probe fails without energy_Y when the stored rows up to T' alone,
     (T')^beta * (max mass + trapezoid of the gradient rows), exceed theta_L
@@ -408,18 +409,26 @@ def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
     return lo
 
 
+def _farthest(d: np.ndarray) -> float:
+    return float(d.max()) if d.size else 0.0
+
+
+def _nearest(d: np.ndarray) -> float:
+    return float(d.min()) if d.size else math.inf
+
+
 def front_radius(values: np.ndarray, grid: GridSpec, x0,
                  threshold: float) -> float:
     """Sup of |x - x0| over cells above threshold; 0 when nothing is
     supported."""
-    return float(grid.distance_to(x0)[values > threshold].max(initial=0.0))
+    return _farthest(grid.distance_to(x0)[values > threshold])
 
 
 def empty_radius(values: np.ndarray, grid: GridSpec, x0,
                  threshold: float) -> float:
     """Radius of the largest supported-cell-free ball around x0 (inf of
     distances to cells above threshold); +inf when nothing is supported."""
-    return float(grid.distance_to(x0)[values > threshold].min(initial=math.inf))
+    return _nearest(grid.distance_to(x0)[values > threshold])
 
 
 def front_series(trace: SolveTrace, x0_front, x0_empty=None):
@@ -430,9 +439,8 @@ def front_series(trace: SolveTrace, x0_front, x0_empty=None):
     thr = trace.prob.support_threshold
     d_front = trace.grid.distance_to(x0_front)
     d_empty = d_front if x0_empty is None else trace.grid.distance_to(x0_empty)
-    r_front = np.array([d_front[f > thr].max(initial=0.0) for f in trace.fields])
-    r_empty = np.array([d_empty[f > thr].min(initial=math.inf)
-                        for f in trace.fields])
+    r_front = np.array([_farthest(d_front[f > thr]) for f in trace.fields])
+    r_empty = np.array([_nearest(d_empty[f > thr]) for f in trace.fields])
     return trace.times.copy(), r_front, r_empty
 
 

@@ -100,8 +100,10 @@ class GridSpec:
         return a + (np.arange(m) + 0.5) * (b - a) / m
 
     def meshgrid(self):
-        return np.meshgrid(*(self.axis_centers(k) for k in range(self.dim)),
-                           indexing="ij")
+        axes = [self.axis_centers(k) for k in range(self.dim)]
+        if self.dim == 1:
+            return (axes[0],)
+        return np.meshgrid(*axes, indexing="ij")
 
     def distance_to(self, x0) -> np.ndarray:
         """Euclidean distance of every cell center to the point x0."""
@@ -113,7 +115,10 @@ class GridSpec:
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        mask[(slice(1, -1),) * self.dim] = True
+        if self.dim == 1:
+            mask[1:-1] = True
+        else:
+            mask[1:-1, 1:-1] = True
         return mask
 
     def sample(self, f: Union[Callable, np.ndarray, float]) -> np.ndarray:
@@ -291,15 +296,24 @@ class _Kernel:
             for k, ((a, b), h) in enumerate(zip(bounds, self.grid.h))]
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
-        # edge rows that can still grow: (axis, side, index of the row); in
-        # 1-D the cells, the one with room twice if only one has, for the
-        # per-step test of two scalar compares with eps (NaN differs)
-        self.edges = [(k, side, win[:k] + (at,) + win[k + 1:])
-                      for k, ((a, b), m) in enumerate(zip(bounds, n))
-                      for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1))
-                      if room]
-        cells = [row[0] for _, _, row in self.edges]
-        self.ends = (cells[0], cells[-1]) if len(n) == 1 and cells else None
+        # edge rows that can still grow: (axis, side, index of the row), and
+        # the flat indices of all their cells for the one per-step test,
+        # which compares their values, as a list of floats, with the
+        # floor's (NaN differs); in 1-D, where a row is one cell, the test
+        # is two scalar compares of the edge cells (one twice if only it
+        # has room), which are faster
+        self.edges = []
+        edge_cells = np.zeros(n, dtype=bool)
+        for k, ((a, b), m) in enumerate(zip(bounds, n)):
+            for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1)):
+                if room:
+                    row = win[:k] + (at,) + win[k + 1:]
+                    self.edges.append((k, side, row))
+                    edge_cells[row] = True
+        self.edge_take = np.flatnonzero(edge_cells)
+        self.edge_floor = [self.eps] * self.edge_take.size
+        rows = [row for _, _, row in self.edges]
+        self.ends = (rows[0], rows[-1]) if len(n) == 1 and rows else None
 
     def _open(self, values: np.ndarray) -> None:
         """Fix the window from the cells that differ from eps."""
@@ -344,9 +358,12 @@ class _Kernel:
             top, D = np.maximum.reduce(D, None), D[self.slab]
         else:
             ends, eps = self.ends, self.eps
-            # 2-D: every edge row is scanned
-            if self.edges and (ends is None or values[ends[0]] != eps
-                               or values[ends[1]] != eps):
+            if ends:
+                moved = values[ends[0]] != eps or values[ends[1]] != eps
+            else:
+                moved = self.edges and \
+                    values.take(self.edge_take).tolist() != self.edge_floor
+            if moved:
                 self._grow(values)
             D = self.prob.diffusivity(values[self.slab], (lo, hi))
             top = np.maximum.reduce(D, None)
@@ -462,17 +479,19 @@ class _ImplicitKernel(_Kernel):
     ladder with it.
 
     A step solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n with the ring
-    held at eps*psi: in 1-D one tridiagonal system, in 2-D Lie splitting
-    along x on every row, then along y on every column, D lagged at u^n and
-    the lines of one axis in one batch of `_pcr`.  Each matrix is an
-    M-matrix, so the discrete maximum principle holds for any dt, and the
-    tripwires' slack of 1e-12 of max(u_max, 1) stands for roundoff below
-    the floor: nothing is clamped.
+    held at eps*psi.  In 1-D that is one tridiagonal system; in 2-D, Lie
+    splitting solves along x on every row and then along y on every
+    column, both with D lagged at u^n.  The systems along one axis are solved
+    in one batch by `_pcr`.  Each matrix is an M-matrix, so the discrete
+    maximum principle holds for any dt, and the explicit kernel's range
+    and maximum-principle tripwires, with their slack of 1e-12 of
+    max(u_max, 1), stand for roundoff below the floor: nothing is clamped.
 
-    The step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)): a multiple
-    of the forward-Euler limit at the bulk diffusivity, not at max D, which
-    for the kinds whose h collapses faster than eps sits at the floor.  The
-    error is first order in that step."""
+    The step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)), capped at
+    T - t by the march: a multiple of the forward-Euler limit at the bulk
+    diffusivity, not at max D, which for the kinds whose h collapses
+    faster than eps sits at the floor.  The error is first order in that
+    step."""
 
     def __init__(self, prob: EpsProblem, grid: GridSpec,
                  psi_vals: Optional[np.ndarray] = None):
@@ -508,11 +527,10 @@ class _ImplicitKernel(_Kernel):
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, SAFETY * min(h)^2 / (2 * dim * max D), which keeps each
-    updated cell within its stencil's min and max (see SAFETY): the dt of
-    one kernel step of values, whose tripwires values must pass."""
+    updated cell within its stencil's min and max (see SAFETY)."""
     _on_grid("values", values, grid)
-    return _Kernel(prob, grid).step(values, values.copy(), float(values.min()),
-                                    float(values.max()), math.inf)[0]
+    top = np.maximum.reduce(prob.diffusivity(values), None)
+    return _Kernel(prob, grid).cfl / float(top)
 
 
 def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
@@ -521,10 +539,13 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
     same kernel that solve marches with.
 
     Raises DomainError when values or psi_vals do not have the grid's
-    shape, CflError when dt exceeds the stability bound by more than 1e-12
-    of it (a dt within that slack is stepped at the bound) and RangeError
-    as the kernel's tripwires do (see `_Kernel.step`).
+    shape or dt is not positive (NaN included), CflError when dt exceeds
+    the stability bound by more than 1e-12 of it (a dt within that slack
+    is stepped at the bound) and RangeError as the kernel's tripwires do
+    (see `_Kernel.step`).
     """
+    if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
+        raise DomainError(f"time step must be positive, got {dt!r}")
     _on_grid("values", values, grid)
     if psi_vals is not None:
         _on_grid("psi_vals", psi_vals, grid)

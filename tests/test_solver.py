@@ -5,6 +5,7 @@ measured once on the desk configuration and frozen here with generous
 margins; they are deterministic, so drift means a real behavior change.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,14 @@ class TestFixedPointAndGuards:
         dt = 10.0 * cfl_dt(prob, desk_grid, u0)
         with pytest.raises(CflError):
             step_explicit(u0, prob, desk_grid, dt, psi_vals)
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -1e-9])
+    def test_step_that_is_not_positive_rejected(self, beta1_table, desk_grid,
+                                                desk_bump, dt):
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        u0 = prob.eps + desk_grid.sample(desk_bump)
+        with pytest.raises(DomainError, match="time step"):
+            step_explicit(u0, prob, desk_grid, dt)
 
     @pytest.mark.parametrize("shape", [(102,), (50,), (1, 101)])
     def test_field_of_the_wrong_shape_rejected(self, beta1_table, shape):
@@ -388,12 +397,14 @@ class TestSharedKernel:
             return honest(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod._Kernel, "step", counted)
-        # steps ten times the stable one, so every update overshoots
+        # steps ten times the stable one: the first update from the smooth
+        # bump stays in range, the second overshoots
         monkeypatch.setattr(solver_mod, "SAFETY", 10.0 * solver_mod.SAFETY)
         with pytest.raises(RangeError):
             solve(prob, desk_grid, 0.01, snapshot_times=2)
-        # caught by the per-step tripwire, long before the field reaches T
-        assert 0 < len(calls) < n_full // 10, (len(calls), n_full)
+        # caught by the per-step tripwire at that step, long before the
+        # field reaches T (n_full // 10 steps of this size)
+        assert 0 < len(calls) <= 2 < n_full // 10, (len(calls), n_full)
 
 
 class TestMaxPrincipleAtTheBound:
