@@ -126,18 +126,20 @@ def _check_type(value, kind: str, what: str):
 
 
 # JSON types of the optional fields of each config block, or for an
-# enumerated string the tuple of the values it admits
+# enumerated string a function giving the tuple of the values it admits,
+# called only when a block has the field, so that importing this module
+# runs neither the solver nor the kinetic module
 _BLOCK_TYPES = {
     "profile": {"kind": "string", "M": "number", "beta": "number",
                 "tail": "number?", "path": "string", "F0": "number",
                 "h0": "number"},
     "bump": {"center": "numbers", "radius": "number", "height": "number",
-             "shape": solver_mod.BUMP_SHAPES},
+             "shape": lambda: solver_mod.BUMP_SHAPES},
     "localization": {"x0": "numbers", "R": "number", "Rp": "number"},
     "exponents": {"C1": "number", "S": "number", "j": "number?"},
     "table": {"s_min": "number?", "K": "integer", "quad_tol": "number"},
     "kinetic": {"tau0": "number", "a": "number", "dt": "number",
-                "shape": kinetic.KERNEL_SHAPES},
+                "shape": lambda: kinetic.KERNEL_SHAPES},
 }
 
 
@@ -152,11 +154,11 @@ def _check_block(raw: dict, key: str):
     for name, kind in _BLOCK_TYPES[key].items():
         if name not in block:
             continue
-        if not isinstance(kind, tuple):
+        if isinstance(kind, str):
             _check_type(block[name], kind, f"{key}.{name}")
-        elif block[name] not in kind:
+        elif block[name] not in kind():
             raise ConfigError(f"unknown {key}.{name} {block[name]!r}; "
-                              f"expected one of {kind}")
+                              f"expected one of {kind()}")
     return block
 
 

@@ -51,6 +51,7 @@ __all__ = [
 # of that bound is 1
 C2 = 1.0
 _BISECT_RTOL = 1e-3    # estimate_T_prime stops at this relative bracket
+_EVAL_CHUNK = 8        # snapshots per table_state_eval call in _stored_rows
 
 
 @dataclass(frozen=True)
@@ -251,9 +252,14 @@ def _stored_rows(trace: SolveTrace, cutoffs: CutoffFamily,
     each entry holds its table, so the table's id in its key stays valid."""
     states = trace._table_states
     if id(table) not in states:
-        # field by field, so an evaluation's temporaries stay field-sized
+        # a few fields per call, so an evaluation's temporaries stay a few
+        # fields large; it is per cell, so the chunking changes no value
+        fields = trace.fields
+        starts = range(0, len(fields), _EVAL_CHUNK)
         states[id(table)] = (table, *(
-            np.stack([table_state_eval(table, c, u) for u in trace.fields])
+            np.concatenate([
+                table_state_eval(table, c, np.stack(fields[i:i + _EVAL_CHUNK]))
+                for i in starts])
             for c in ("H", "G")))
     key = (id(table), cutoffs, n)
     if key not in states:

@@ -327,8 +327,8 @@ def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime,
 
 class TestStackedEnergies:
     """energy_Y reads the stored snapshots' H and G as one stack per (trace,
-    table) and reduces it row by row; every value is that of the loop over
-    snapshots, bit for bit."""
+    table), evaluated a few snapshots per call, and reduces it row by row;
+    every value is that of the loop over snapshots, bit for bit."""
 
     def test_probes_match_the_snapshot_loop(self, desk_trace_beta1, cutoffs,
                                             desk_pack, beta1_table):
