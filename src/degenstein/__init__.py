@@ -33,11 +33,12 @@ from .coeffs import (
     exp_zeta_profile, custom_profile, constant_table,
 )
 
-# the names re-exported from each lazily loaded module
+# the names re-exported from each lazily loaded module: its __all__
 _LAZY = {
     "checker": (
         "AssumptionReport", "CatalogEntry", "PROFILES", "check_A1",
         "estimate_A_B", "check_almost_decreasing", "check_profile",
+        "custom_csv_profile",
     ),
     "solver": (
         "GridSpec", "EpsProblem", "SolveTrace", "SweepResult", "bump",

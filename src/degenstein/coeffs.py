@@ -382,7 +382,10 @@ class CoefficientTable:
     tail: Optional[float] = None
     quad_tol: float = 1e-8
     profile: Optional[DegeneracyProfile] = None
-    _interp: dict = field(default_factory=dict, repr=False)  # evaluators
+    # evaluators, built from the columns above: `dataclasses.replace`
+    # gives the new table its own
+    _interp: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @property
     def s_min(self) -> float:

@@ -6,6 +6,19 @@ hot loops still use plain asserts; these exceptions are for contract
 violations at module boundaries.
 """
 
+__all__ = [
+    "DegensteinError",
+    "DomainError",
+    "QuadratureError",
+    "AssumptionError",
+    "CflError",
+    "RangeError",
+    "GeometryError",
+    "ResolutionError",
+    "StepError",
+    "ConfigError",
+]
+
 
 class DegensteinError(Exception):
     """Base class for all package errors."""

@@ -51,7 +51,7 @@ __all__ = [
 # of that bound is 1
 C2 = 1.0
 _BISECT_RTOL = 1e-3    # estimate_T_prime stops at this relative bracket
-_EVAL_CHUNK = 8        # snapshots per table_state_eval call in _stored_rows
+_EVAL_CHUNK = 8        # fields per table_state_eval call in _state_stacks
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,11 @@ class CutoffFamily:
     def __post_init__(self):
         if not (0.0 < self.Rp < self.R):
             raise GeometryError("need 0 < Rp < R")
-        object.__setattr__(self, "x0", tuple(np.atleast_1d(np.asarray(self.x0, dtype=float))))
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        # negated, so NaN is rejected too
+        if not np.all(np.abs(x0) < math.inf):
+            raise GeometryError(f"center {tuple(x0.tolist())} is not finite")
+        object.__setattr__(self, "x0", tuple(x0))
 
     @property
     def b(self) -> float:
@@ -163,7 +167,7 @@ class ExponentPack:
         if lam is None:
             if table is None or table.Lambda is None:
                 raise DomainError("need lam directly or a table with Lambda")
-            lam = 2.0 / (table.Lambda + 1.0)
+            lam = table.lam
         return cls(lam=lam, j=default_j(N_dim) if j is None else j,
                    b=cutoffs.b, R=cutoffs.R, S=S, C1=C1)
 
@@ -236,6 +240,16 @@ def _snapshot_schedule(trace: SolveTrace, T_prime: float):
     return np.asarray(times), n_stored
 
 
+def _state_stacks(table: CoefficientTable, fields) -> tuple:
+    """H(u) and G(u) of a list of fields, each stacked along a leading
+    axis.  A few fields go to each evaluation, so its temporaries stay a
+    few fields large; it is per cell, so the chunking changes no value."""
+    starts = range(0, len(fields), _EVAL_CHUNK)
+    return tuple(np.concatenate([
+        table_state_eval(table, c, np.stack(fields[i:i + _EVAL_CHUNK]))
+        for i in starts]) for c in ("H", "G"))
+
+
 def _energy_rows(theta: np.ndarray, H: np.ndarray, G: np.ndarray,
                  grid: GridSpec):
     """Per field of the H and G stacks, int theta^2 H and the gradient
@@ -243,29 +257,6 @@ def _energy_rows(theta: np.ndarray, H: np.ndarray, G: np.ndarray,
     row is bit for bit the same in a stack of any height."""
     mass = np.add.reduce((theta * theta * H).reshape(len(H), -1), axis=1)
     return mass * grid.cell_volume, _grad_energies(theta * G, grid)
-
-
-def _stored_rows(trace: SolveTrace, cutoffs: CutoffFamily,
-                 table: CoefficientTable, n: int, theta: np.ndarray):
-    """`_energy_rows` of the stored snapshots per (table, cutoffs, n), and
-    the H(u) and G(u) stacks they come from per table, kept on the trace;
-    each entry holds its table, so the table's id in its key stays valid."""
-    states = trace._table_states
-    if id(table) not in states:
-        # a few fields per call, so an evaluation's temporaries stay a few
-        # fields large; it is per cell, so the chunking changes no value
-        fields = trace.fields
-        starts = range(0, len(fields), _EVAL_CHUNK)
-        states[id(table)] = (table, *(
-            np.concatenate([
-                table_state_eval(table, c, np.stack(fields[i:i + _EVAL_CHUNK]))
-                for i in starts])
-            for c in ("H", "G")))
-    key = (id(table), cutoffs, n)
-    if key not in states:
-        states[key] = (table, *_energy_rows(theta, *states[id(table)][1:],
-                                            trace.grid))
-    return states[key][1:]
 
 
 def _weighted_energy(T_prime: float, pack: ExponentPack, times: np.ndarray,
@@ -278,33 +269,22 @@ def _weighted_energy(T_prime: float, pack: ExponentPack, times: np.ndarray,
 
 
 def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
-             table: CoefficientTable, n: int, T_prime: float, *,
-             theta: Optional[np.ndarray] = None) -> float:
+             table: CoefficientTable, n: int, T_prime: float) -> float:
     """Quadrature value of Y_n[T'] on a solver trace.
 
     The sup runs over stored snapshots (a lower bound of the true sup); the
     space-time term is a trapezoid in time of the centered-difference
-    gradient energy of the product theta_n * G(u).  The stored snapshots'
-    mass and gradient-energy rows are kept on the trace per (table,
-    cutoffs, n), so a probe evaluates only the row of its interpolated
-    endpoint, if T' falls between two stored instants.  The stored rows up
-    to T' alone are a lower bound of Y_n[T'], from which `estimate_T_prime`
-    settles failing probes.  theta, if given, must be
-    cutoffs.theta(trace.grid, n), built once by a caller that probes one n
-    many times.
+    gradient energy of the product theta_n * G(u).  Each call evaluates H
+    and G on the stored snapshots up to T', and on the field interpolated
+    at T' if T' falls between two stored instants.
     """
-    grid = trace.grid
-    if theta is None:
-        theta = cutoffs.theta(grid, n)
     times, n_stored = _snapshot_schedule(trace, T_prime)
-    mass, grad = _stored_rows(trace, cutoffs, table, n, theta)
-    mass, grad = mass[:n_stored], grad[:n_stored]
+    fields = trace.fields[:n_stored]
     if len(times) > n_stored:
-        u = trace.field_at(times[-1])[None]
-        m, g = _energy_rows(theta, table_state_eval(table, "H", u),
-                            table_state_eval(table, "G", u), grid)
-        mass, grad = np.concatenate([mass, m]), np.concatenate([grad, g])
-    return _weighted_energy(T_prime, pack, times, mass, grad)
+        fields = fields + [trace.field_at(times[-1])]
+    rows = _energy_rows(cutoffs.theta(trace.grid, n),
+                        *_state_stacks(table, fields), trace.grid)
+    return _weighted_energy(T_prime, pack, times, *rows)
 
 
 @dataclass
@@ -345,12 +325,16 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
     The verdict checks Y_n <= 2 D b^(2(n-1)) Y_{n-1}^(1+kj); the factor 2 is
     quadrature slack on top of the stored bound column.  T_prime in the
     result is the certified horizon from bisection (estimate_T_prime).
-    Each theta_n is built once, the bisection reusing theta_0.
+    H(u) and G(u) are evaluated on the stored snapshots once; each theta_n
+    is built once and reduces them to its mass and gradient rows, and the
+    bisection starts from theta_0's rows.
     """
-    thetas = [cutoffs.theta(trace.grid, n) for n in range(n_max + 1)]
-    Y = np.array([energy_Y(trace, cutoffs, pack, table, n, trace.T,
-                           theta=thetas[n])
-                  for n in range(n_max + 1)])
+    grid, T = trace.grid, trace.T
+    times, _ = _snapshot_schedule(trace, T)
+    H, G = _state_stacks(table, trace.fields)
+    thetas = [cutoffs.theta(grid, n) for n in range(n_max + 1)]
+    rows = [_energy_rows(theta, H, G, grid) for theta in thetas]
+    Y = np.array([_weighted_energy(T, pack, times, *r) for r in rows])
     bound = np.full(n_max + 1, np.nan)
     d = pack.delta
     for n in range(1, n_max + 1):
@@ -362,43 +346,55 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
         "nonincreasing_after_1": bool(np.all(np.diff(Y[1:]) <= 1e-12 * max(Y.max(), 1e-300))),
         "y0_below_threshold": bool(Y[0] <= pack.threshold),
     }
-    Tp = estimate_T_prime(trace, cutoffs, pack, table, theta0=thetas[0])
-    return DeGiorgiTrace(T_prime=Tp, Y_horizon=trace.T, Y=Y, bound=bound,
+    Tp = _bisect_T_prime(trace, pack, table, thetas[0], *rows[0])
+    return DeGiorgiTrace(T_prime=Tp, Y_horizon=T, Y=Y, bound=bound,
                          threshold=pack.threshold, verdict=verdict, pack=pack)
 
 
 def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
-                     pack: ExponentPack, table: CoefficientTable, *,
-                     theta0: Optional[np.ndarray] = None) -> float:
+                     pack: ExponentPack, table: CoefficientTable) -> float:
     """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection to a
     bracket of _BISECT_RTOL relative; 0 if even arbitrarily small horizons
-    fail.  theta0, if given, must be cutoffs.theta(trace.grid, 0);
-    otherwise it is built here, once.
+    fail.
 
     Y_0[T'] is nondecreasing in T' and vanishes as T' -> 0 (the prefactor
     (T')^beta does), so the certified horizon is positive whenever the state
     has finite energy, though it can be far below T.
+    """
+    theta0 = cutoffs.theta(trace.grid, 0)
+    rows = _energy_rows(theta0, *_state_stacks(table, trace.fields),
+                        trace.grid)
+    return _bisect_T_prime(trace, pack, table, theta0, *rows)
 
-    A probe fails without energy_Y when the stored rows up to T' alone,
-    (T')^beta * (max mass + trapezoid of the gradient rows), exceed theta_L
-    by a relative 1e-12.  That is a lower bound of Y_0[T'], whose endpoint
-    row only adds a mass to the max and a nonnegative trapezoid segment,
-    and its rounding is far inside the margin, so every probe settles as
-    energy_Y would and T' is the same to the bit.  With T' far below T most
-    probes fail this way, at no table evaluation.
+
+def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
+                    table: CoefficientTable, theta0: np.ndarray,
+                    mass: np.ndarray, grad: np.ndarray) -> float:
+    """estimate_T_prime's bisection on theta_0 and its mass and gradient
+    rows of every stored snapshot.
+
+    A probe fails at no table evaluation when the stored rows up to T'
+    alone, (T')^beta * (max mass + trapezoid of the gradient rows), exceed
+    theta_L by a relative 1e-12.  That is a lower bound of Y_0[T'], whose
+    endpoint row only adds a mass to the max and a nonnegative trapezoid
+    segment, and its rounding is far inside the margin, so every probe
+    settles as energy_Y would and T' is the same to the bit.  With T' far
+    below T most probes fail this way.  Otherwise the probe evaluates the
+    endpoint row, if T' falls between two stored instants.
     """
     theta_L = pack.threshold
-    if theta0 is None:
-        theta0 = cutoffs.theta(trace.grid, 0)
-    mass, grad = _stored_rows(trace, cutoffs, table, 0, theta0)
 
     def holds(tp: float) -> bool:
         times, n = _snapshot_schedule(trace, tp)
-        lower = _weighted_energy(tp, pack, times[:n], mass[:n], grad[:n])
+        m, g = mass[:n], grad[:n]
+        lower = _weighted_energy(tp, pack, times[:n], m, g)
         if lower > theta_L * (1.0 + 1e-12):
             return False
-        return energy_Y(trace, cutoffs, pack, table, 0, tp,
-                        theta=theta0) <= theta_L
+        if len(times) > n:
+            u = trace.field_at(times[-1])
+            end = _energy_rows(theta0, *_state_stacks(table, [u]), trace.grid)
+            m, g = np.concatenate([m, end[0]]), np.concatenate([g, end[1]])
+        return _weighted_energy(tp, pack, times, m, g) <= theta_L
 
     T = trace.T
     if holds(T):

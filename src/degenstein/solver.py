@@ -34,7 +34,7 @@ fraction, which would not vanish under refinement).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
@@ -48,6 +48,7 @@ __all__ = [
     "EpsProblem",
     "SolveTrace",
     "SweepResult",
+    "cfl_dt",
     "step_explicit",
     "solve",
     "grad_energy",
@@ -573,10 +574,6 @@ class SolveTrace:
     boundary_transient: float
     n_steps: int
     cell_updates: int = 0        # interior cell updates computed (active window)
-    # table columns evaluated on the stored snapshots, kept by the
-    # localization layer (the snapshots are read-only once solved)
-    _table_states: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
 
     @property
     def T(self) -> float:

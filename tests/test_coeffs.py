@@ -6,6 +6,8 @@ the essential-singularity integrand was frozen after cross-checking three
 ways at high precision.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,14 @@ class TestEval:
         bad = np.array([0.5, tab.M * 1.5])
         with pytest.raises(DomainError, match="first offender 1.5"):
             tab.eval("F", bad, (0.0, 2.0))
+
+    def test_replaced_columns_get_their_own_evaluators(self, beta1_table):
+        tab = beta1_table
+        tab.eval("F", 0.5)  # builds tab's evaluator of F first
+        doubled = replace(tab, F=2.0 * tab.F)
+        assert doubled.eval("F", 0.5) == pytest.approx(
+            2.0 * tab.eval("F", 0.5), rel=1e-12)
+        assert doubled.evaluator("F") is not tab.evaluator("F")
 
 
 class TestCsv:

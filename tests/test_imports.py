@@ -33,6 +33,7 @@ REEXPORTS = {
     "checker": (
         "AssumptionReport", "CatalogEntry", "PROFILES", "check_A1",
         "estimate_A_B", "check_almost_decreasing", "check_profile",
+        "custom_csv_profile",
     ),
     "solver": (
         "GridSpec", "EpsProblem", "SolveTrace", "SweepResult", "bump",
@@ -98,6 +99,11 @@ class TestPackage:
 
     def test_all_lists_the_reexports(self):
         assert sorted(degenstein.__all__) == sorted(n for _, n in NAMES)
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_reexports_are_the_module_all(self, module):
+        defined = sys.modules[f"degenstein.{module}"].__all__
+        assert sorted(REEXPORTS[module]) == sorted(defined)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

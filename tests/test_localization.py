@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstein import localization
+from degenstein.coeffs import COLUMNS, CoefficientTable
 from degenstein.errors import DomainError, GeometryError
 from degenstein.localization import (CutoffFamily, ExponentPack,
                                      de_giorgi_trace, default_j, empty_radius,
@@ -83,6 +84,13 @@ class TestCutoffFamily:
         with pytest.raises(GeometryError):
             CutoffFamily(x0=(0.0,), R=0.2, Rp=0.4)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_center_rejected(self, c):
+        with pytest.raises(GeometryError, match="not finite"):
+            CutoffFamily(x0=(c,), R=R, Rp=RP)
+        with pytest.raises(GeometryError, match="not finite"):
+            CutoffFamily(x0=(0.5, c), R=R, Rp=RP)
+
 
 class TestExponentPack:
     def test_desk_constants_frozen(self, desk_pack):
@@ -111,6 +119,15 @@ class TestExponentPack:
         lhs = pack.beta_exp + 1.0 - (1.0 + j) * pack.k
         rhs = pack.beta_exp * (1.0 + pack.k * j)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_build_reads_the_table_lam(self, cutoffs, beta1_table):
+        pack = ExponentPack.build(cutoffs, N_dim=1, table=beta1_table)
+        assert pack.lam == beta1_table.lam
+        no_Lambda = CoefficientTable(**{c: getattr(beta1_table, c)
+                                        for c in COLUMNS})
+        for table in (None, no_Lambda):
+            with pytest.raises(DomainError, match="need lam directly"):
+                ExponentPack.build(cutoffs, N_dim=1, table=table)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -298,12 +315,10 @@ def _field_grad_energy(w, grid):
     return float(np.sum(gx * gx)) * grid.cell_volume
 
 
-def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime,
-                           theta=None):
+def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime):
     """energy_Y as one Python pass per snapshot of the schedule, each
     field's H and G evaluated on its own: the bit-for-bit reference of the
-    stacked pass (1-D traces).  It builds its own theta_n and ignores a
-    passed one."""
+    stacked pass (1-D traces)."""
     grid = trace.grid
     theta = cutoffs.theta(grid, n)
     times, fields = [], []
@@ -326,9 +341,9 @@ def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime,
 
 
 class TestStackedEnergies:
-    """energy_Y reads the stored snapshots' H and G as one stack per (trace,
-    table), evaluated a few snapshots per call, and reduces it row by row;
-    every value is that of the loop over snapshots, bit for bit."""
+    """The certificate evaluates the snapshots' H and G as one stack, a few
+    snapshots per call, and reduces it row by row; every value is that of
+    the loop over snapshots, bit for bit."""
 
     def test_probes_match_the_snapshot_loop(self, desk_trace_beta1, cutoffs,
                                             desk_pack, beta1_table):
@@ -344,15 +359,14 @@ class TestStackedEnergies:
                 assert got == want, (T_prime, n)
 
     def test_de_giorgi_trace_matches_the_snapshot_loop(
-            self, desk_trace_beta1, cutoffs, desk_pack, beta1_table,
-            monkeypatch):
-        got = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
-                              beta1_table)
-        monkeypatch.setattr(localization, "energy_Y", _per_snapshot_energy_Y)
-        want = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
-                               beta1_table)
-        assert np.array_equal(got.Y, want.Y)
-        assert got.T_prime == want.T_prime > 0.0
+            self, desk_trace_beta1, cutoffs, desk_pack, beta1_table):
+        trace = desk_trace_beta1
+        dg = de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
+        want = [_per_snapshot_energy_Y(trace, cutoffs, desk_pack, beta1_table,
+                                       n, trace.T) for n in range(7)]
+        assert np.array_equal(dg.Y, want)
+        assert dg.T_prime == _every_probe_T_prime(
+            trace, cutoffs, desk_pack, beta1_table) > 0.0
 
     def test_theta_built_once_per_n(self, desk_trace_beta1, desk_pack,
                                     beta1_table, monkeypatch):
@@ -361,21 +375,16 @@ class TestStackedEnergies:
         Y_fresh = [energy_Y(desk_trace_beta1, CutoffFamily(x0=X0, R=R, Rp=RP),
                             desk_pack, beta1_table, n, desk_trace_beta1.T)
                    for n in range(7)]
-        builds, probes = [], []
-        distance_to, probe = GridSpec.distance_to, localization.energy_Y
+        builds = []
+        distance_to = GridSpec.distance_to
 
         def counted_build(grid, x0):
             builds.append(1)
             return distance_to(grid, x0)
 
-        def counted_probe(*args, **kwargs):
-            probes.append(1)
-            return probe(*args, **kwargs)
-
         monkeypatch.setattr(GridSpec, "distance_to", counted_build)
-        monkeypatch.setattr(localization, "energy_Y", counted_probe)
         dg = de_giorgi_trace(desk_trace_beta1, family, desk_pack, beta1_table)
-        assert len(builds) == 7 < len(probes)
+        assert len(builds) == 7
         assert np.array_equal(dg.Y, Y_fresh)
         # the bisection alone builds theta_0 once, however many probes
         builds.clear()
@@ -387,10 +396,9 @@ def _every_probe_T_prime(trace, cutoffs, pack, table):
     """estimate_T_prime's bisection with every probe sent through energy_Y,
     none settled from the stored rows: the bit-for-bit reference."""
     theta_L = pack.threshold
-    theta0 = cutoffs.theta(trace.grid, 0)
 
     def y0(tp):
-        return energy_Y(trace, cutoffs, pack, table, 0, tp, theta=theta0)
+        return energy_Y(trace, cutoffs, pack, table, 0, tp)
 
     T = trace.T
     if y0(T) <= theta_L:
@@ -433,61 +441,55 @@ class TestBisectionSettle:
 
     def test_matches_the_every_probe_loop(self, case, cutoffs):
         trace, pack, table = case
-        want = _every_probe_T_prime(replace(trace), cutoffs, pack, table)
-        got = estimate_T_prime(replace(trace), cutoffs, pack, table)
+        want = _every_probe_T_prime(trace, cutoffs, pack, table)
+        got = estimate_T_prime(trace, cutoffs, pack, table)
         assert got == want
         assert (got == trace.T) == (trace.fields[0].max() == 0.0)
 
     def test_desk_body_probes_few_energies(self, desk_trace_beta1, cutoffs,
                                            desk_pack, beta1_table,
                                            monkeypatch):
-        # 7 energies Y_0..Y_6 and the 33 probes of T' were 40 calls
+        # H and G of the 33 snapshots, 8 to a call, are 10 calls; of the
+        # 33 probes of T', 29 settle from the stored rows and 4 evaluate
+        # their endpoint's H and G
         calls = []
-        probe = localization.energy_Y
+        evaluate = localization.table_state_eval
 
-        def counted(*args, **kwargs):
-            calls.append(args[5])
-            return probe(*args, **kwargs)
+        def counted(table, column, values):
+            calls.append(len(values))
+            return evaluate(table, column, values)
 
-        monkeypatch.setattr(localization, "energy_Y", counted)
-        dg = de_giorgi_trace(replace(desk_trace_beta1), cutoffs, desk_pack,
+        monkeypatch.setattr(localization, "table_state_eval", counted)
+        dg = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
                              beta1_table)
-        assert len(calls) <= 12, calls
+        assert len(calls) <= 18, calls
         assert dg.T_prime < 1e-6 * desk_trace_beta1.T
 
 
-class TestRowCache:
-    """The stored rows are kept per (trace, table, cutoffs, n)."""
+class TestStateless:
+    """Every call reads the snapshots as they are now."""
 
-    def test_interleaved_keys_match_fresh_traces(self, desk_trace_beta1,
-                                                 desk_pack, beta1_table,
-                                                 beta2_table):
-        trace, T = replace(desk_trace_beta1), desk_trace_beta1.T
-        families = [CutoffFamily(x0=X0, R=R, Rp=RP),
-                    CutoffFamily(x0=(0.45,), R=R, Rp=RP),
-                    CutoffFamily(x0=X0, R=0.45, Rp=RP)]
-        for T_prime in (T, 0.37 * T, 1e-8, T / 32):
-            for n in (0, 2):
-                for family in families:
-                    for table in (beta1_table, beta2_table):
-                        got = energy_Y(trace, family, desk_pack, table, n,
-                                       T_prime)
-                        want = energy_Y(replace(desk_trace_beta1), family,
-                                        desk_pack, table, n, T_prime)
-                        assert got == want, (T_prime, n, family, table.G[0])
+    def test_a_snapshot_written_in_place_changes_energy_Y(
+            self, desk_trace_beta1, cutoffs, desk_pack, beta1_table):
+        trace = replace(desk_trace_beta1,
+                        fields=[f.copy() for f in desk_trace_beta1.fields])
+        before = energy_Y(trace, cutoffs, desk_pack, beta1_table, 0, trace.T)
+        trace.fields[2] += 0.1
+        after = energy_Y(trace, cutoffs, desk_pack, beta1_table, 0, trace.T)
+        fresh = energy_Y(replace(trace), cutoffs, desk_pack, beta1_table, 0,
+                         trace.T)
+        assert after == fresh > before
 
-    def test_repeated_probes_do_not_grow_the_cache(self, desk_trace_beta1,
-                                                   desk_pack, beta1_table):
-        trace = replace(desk_trace_beta1)
-        energy_Y(trace, CutoffFamily(x0=X0, R=R, Rp=RP), desk_pack,
-                 beta1_table, 0, trace.T)
-        size = len(trace._table_states)
-        for T_prime in np.linspace(0.0, trace.T, 7):
-            for _ in range(3):
-                # an equal family, theta built afresh each call
-                energy_Y(trace, CutoffFamily(x0=X0, R=R, Rp=RP), desk_pack,
-                         beta1_table, 0, float(T_prime))
-        assert len(trace._table_states) == size
+    def test_a_snapshot_written_in_place_changes_the_certificate(
+            self, desk_trace_beta1, cutoffs, desk_pack, beta1_table):
+        trace = replace(desk_trace_beta1,
+                        fields=[f.copy() for f in desk_trace_beta1.fields])
+        before = de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
+        trace.fields[2] += 0.1
+        after = de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
+        assert after.Y[0] > before.Y[0]
+        assert after.T_prime == estimate_T_prime(trace, cutoffs, desk_pack,
+                                                 beta1_table)
 
 
 class TestTPrime:
