@@ -4,8 +4,10 @@ Each subcommand is one row of `_SUBCOMMANDS`: its help text, its body,
 whether it marches, the config blocks it needs and the profile kinds it
 takes.  `main` runs every row through one pipeline of phases:
 
-    config        load --config and check the blocks the subcommand needs,
-                  or build the profile block of `check --example`
+    config        load --config, check every key against one schema (an
+                  unknown key exits 2 like a missing or mistyped one) and
+                  check that it holds the blocks the subcommand needs, or
+                  build the profile block of `check --example`
     write         create the output directory and remove an earlier run's
                   error.json from it
     coefficients  build the coefficient table
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -70,102 +71,114 @@ class _PhaseFailure(Exception):
 @contextlib.contextmanager
 def _phase(code: int, phase: str):
     """Run the block as one pipeline phase: an OSError becomes a
-    _PhaseFailure with exit 7, a package, value or runtime error one with
-    code; an inner _PhaseFailure and anything else propagate unchanged."""
+    _PhaseFailure with exit 7, a package, value, runtime or arithmetic
+    error one with code; an inner _PhaseFailure and anything else propagate
+    unchanged."""
     try:
         yield
     except OSError as e:
         raise _PhaseFailure(EXIT_IO, phase, e) from e
-    except (DegensteinError, ValueError, RuntimeError) as e:
+    except (DegensteinError, ValueError, RuntimeError, ArithmeticError) as e:
         raise _PhaseFailure(code, phase, e) from e
 
 
 # ----------------------------------------------------------------- config
-
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"missing '{key}' in {ctx}")
-    return d[key]
-
 
 def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    """An integer or a finite float: JSON's NaN and Infinity are not numbers
+    """An integer or a float within the finite float range: JSON's NaN and
+    Infinity, and an integer literal too long for a float, are not numbers
     a run can use."""
-    return _is_integer(value) or (isinstance(value, float)
-                                  and math.isfinite(value))
+    return (_is_integer(value) or isinstance(value, float)) \
+        and abs(value) <= sys.float_info.max
 
 
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and len(value) > 0 \
-        and all(_is_number(v) for v in value)
-
-
-_TYPE_CHECKS = {
-    "number": _is_number,
-    "integer": _is_integer,
-    "string": lambda v: isinstance(v, str),
-    "numbers": lambda v: _is_number(v) or _is_number_list(v),
-    "snapshots": lambda v: _is_integer(v) or _is_number_list(v),
-}
-
-
-def _check_type(value, kind: str, what: str):
-    """Raise ConfigError unless value has the JSON type kind, one of
-    _TYPE_CHECKS (a 'number' is finite, 'numbers' is a number or a list of
-    numbers, 'snapshots' an integer count or a list of times); a trailing
-    '?' also admits null."""
-    nullable = kind.endswith("?")
-    if not ((nullable and value is None) or _TYPE_CHECKS[kind.rstrip("?")](value)):
-        raise ConfigError(f"{what} must be of type {kind.rstrip('?')}, "
-                          f"got {value!r}")
-    return value
-
-
-# JSON types of the optional fields of each config block, or for an
-# enumerated string a function giving the tuple of the values it admits,
-# called only when a block has the field, so that importing this module
-# runs neither the solver nor the kinetic module
-_BLOCK_TYPES = {
-    "profile": {"kind": "string", "M": "number", "beta": "number",
-                "tail": "number?", "path": "string", "F0": "number",
-                "h0": "number"},
-    "bump": {"center": "numbers", "radius": "number", "height": "number",
+# Every key a config may hold.  A dict is an object of those keys, a list
+# of one schema a nonempty array of it, and a tuple admits a value that any
+# of its schemas admits.  A function gives the values an enumerated key
+# admits; it is called only when a config holds the key, so that importing
+# this module runs neither the solver nor the kinetic module.  A string
+# names a scalar type, "number" (finite), "integer" or "string", and a
+# trailing "?" also admits null.  A null object or array is an absent one.
+_POINT = ("number", ["number"])     # one number, or one per grid axis
+_SCHEMA = {
+    "profile": {"kind": lambda: PROFILE_KINDS, "M": "number",
+                "beta": "number", "tail": "number?", "path": "string",
+                "F0": "number", "h0": "number"},
+    "grid": {"extent": [["number"]], "n": ["integer"]},
+    "lambda": ("number", lambda: ("auto",)),
+    "eps": "number", "T": "number", "psi": "number",
+    "eps_sweep": ["number"],
+    "snapshots": ("integer", ["number"]),
+    "out_dir": "string",
+    "bump": {"center": _POINT, "radius": "number", "height": "number",
              "shape": lambda: solver_mod.BUMP_SHAPES},
-    "localization": {"x0": "numbers", "R": "number", "Rp": "number"},
+    "localization": {"x0": _POINT, "R": "number", "Rp": "number"},
     "exponents": {"C1": "number", "S": "number", "j": "number?"},
     "table": {"s_min": "number?", "K": "integer", "quad_tol": "number"},
     "kinetic": {"tau0": "number", "a": "number", "dt": "number",
                 "shape": lambda: kinetic.KERNEL_SHAPES},
 }
+# the keys a config must hold, by path; a block's only when it is present
+_REQUIRED = ("profile", "grid", "profile.kind", "grid.extent", "grid.n",
+             "bump.center", "bump.radius", "bump.height", "localization.x0",
+             "localization.R", "localization.Rp")
 
 
-def _check_block(raw: dict, key: str):
-    """raw[key] as a dict (None when absent or null), every present field
-    type-checked and every enumerated string checked against its values."""
-    block = raw.get(key)
-    if block is None:
+def _checked(value, schema, path: str = ""):
+    """A copy of value, checked against schema, in which every number is a
+    float unless its schema asks for an integer.  Raises ConfigError naming
+    the key of an unknown key, a missing required one or a value the
+    schema does not admit."""
+    what = path or "config"
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{what} must be an object, got {value!r}")
+        unknown = [key for key in value if key not in schema]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {what}")
+        given = {key: v for key, v in value.items() if not (
+            v is None and isinstance(schema[key], (dict, list)))}
+        prefix = path and path + "."
+        for key in schema:
+            if key not in given and prefix + key in _REQUIRED:
+                raise ConfigError(f"missing '{key}' in {what}")
+        return {key: _checked(v, schema[key], prefix + key)
+                for key, v in given.items()}
+    if isinstance(schema, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{what} must be a nonempty list, got {value!r}")
+        return [_checked(v, schema[0], f"{what}[{i}]")
+                for i, v in enumerate(value)]
+    if isinstance(schema, tuple):
+        for alternative in schema:
+            with contextlib.suppress(ConfigError):
+                return _checked(value, alternative, path)
+        raise ConfigError(f"{what} cannot be {value!r}")
+    if callable(schema):
+        if value not in schema():
+            raise ConfigError(f"unknown {what} {value!r}; expected one of "
+                              f"{schema()}")
+        return value
+    kind = schema.rstrip("?")
+    if value is None and kind != schema:
         return None
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    for name, kind in _BLOCK_TYPES[key].items():
-        if name not in block:
-            continue
-        if isinstance(kind, str):
-            _check_type(block[name], kind, f"{key}.{name}")
-        elif block[name] not in kind():
-            raise ConfigError(f"unknown {key}.{name} {block[name]!r}; "
-                              f"expected one of {kind()}")
-    return block
+    if kind == "number" and _is_number(value):
+        return float(value)
+    if (kind == "integer" and _is_integer(value)
+            or kind == "string" and isinstance(value, str)):
+        return value
+    raise ConfigError(f"{what} must be of type {kind}, got {value!r}")
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated run description; see README for the JSON schema.  The
-    defaults are those of the optional config keys.  `check --example`
+    """Validated run description: a config checked against `_SCHEMA`,
+    which the README documents.  The defaults are those of the optional
+    config keys.  `check --example`
     builds a config of one profile block, with no grid."""
 
     profile: dict
@@ -185,16 +198,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _require(raw, "profile", "config")
-        prof = _check_block(raw, "profile")
-        if prof is None or "kind" not in prof:
-            raise ConfigError("profile must be an object with a 'kind'")
-        if prof["kind"] not in PROFILE_KINDS:
-            raise ConfigError(f"unknown profile kind '{prof['kind']}'")
-        if prof["kind"] == "custom":
-            _require(prof, "path", "profile")
+        """raw checked against _SCHEMA, then against the rules that tie one
+        key to another or bound a value."""
+        c = _checked(raw, _SCHEMA)
+        cfg = cls(lam_choice=c.pop("lambda", cls.lam_choice),
+                  table_opts=c.pop("table", {}), **c)
+        prof, extent, n = cfg.profile, cfg.grid["extent"], cfg.grid["n"]
+        if prof["kind"] == "custom" and "path" not in prof:
+            raise ConfigError("missing 'path' in profile")
         entry = checker_mod.PROFILES.get(prof["kind"])
         if entry is not None:
             # a beta other than the default 1 or a tail would be ignored
@@ -204,65 +215,24 @@ class ExperimentConfig:
             if not entry.takes_tail and prof.get("tail") is not None:
                 raise ConfigError(f"profile kind '{prof['kind']}' takes no "
                                   f"tail, got {prof['tail']!r}")
-        lam = raw.get("lambda", cls.lam_choice)
-        if not (lam == "auto" or (_is_number(lam) and lam > 0)):
+        if len(extent) != len(n) or len(n) > 2 \
+                or any(len(ab) != 2 for ab in extent):
+            raise ConfigError("grid extent and n must be lists of length 1 "
+                              "or 2 alike, extent of [a, b] pairs")
+        for block, key in (("bump", "center"), ("localization", "x0")):
+            point = (getattr(cfg, block) or {}).get(key)
+            if point is not None and len(np.atleast_1d(point)) != len(n):
+                raise ConfigError(f"{block}.{key} must have {len(n)} "
+                                  f"components, got {point!r}")
+        if not (cfg.lam_choice == "auto" or cfg.lam_choice > 0):
             raise ConfigError("lambda must be a positive number or 'auto'")
-        grid = _require(raw, "grid", "config")
-        if not isinstance(grid, dict):
-            raise ConfigError("'grid' must be an object")
-        extent = _require(grid, "extent", "grid")
-        n = _require(grid, "n", "grid")
-        if not (isinstance(extent, list) and isinstance(n, list)) \
-                or len(extent) != len(n) or len(n) not in (1, 2):
-            raise ConfigError("grid extent and n must both be lists of "
-                              "length 1 or 2")
-        for ab, m in zip(extent, n):
-            if not (_is_number_list(ab) and len(ab) == 2):
-                raise ConfigError(f"grid.extent entries must be [a, b] "
-                                  f"pairs of numbers, got {ab!r}")
-            _check_type(m, "integer", "grid.n entry")
-        eps = float(_check_type(raw.get("eps", cls.eps), "number", "eps"))
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
-        T = float(_check_type(raw.get("T", cls.T), "number", "T"))
-        if T <= 0:
-            raise ConfigError("T must be positive")
-        sweep = raw.get("eps_sweep")
-        if sweep is not None:
-            if not isinstance(sweep, list):
-                raise ConfigError("eps_sweep must be a list of numbers")
-            sweep = [float(_check_type(e, "number", "eps_sweep entry"))
-                     for e in sweep]
-            if len(sweep) < 2 or any(e <= 0 for e in sweep):
-                raise ConfigError("eps_sweep needs >= 2 positive values")
-        bump = _check_block(raw, "bump")
-        if bump is not None:
-            for key in ("center", "radius", "height"):
-                _require(bump, key, "bump")
-            if len(np.atleast_1d(bump["center"])) != len(n):
-                raise ConfigError(f"bump.center must have {len(n)} "
-                                  f"components, got {bump['center']!r}")
-        loc = _check_block(raw, "localization")
-        if loc is not None:
-            for key in ("x0", "R", "Rp"):
-                _require(loc, key, "localization")
-            if len(np.atleast_1d(loc["x0"])) != len(n):
-                raise ConfigError(f"localization.x0 must have {len(n)} "
-                                  f"components, got {loc['x0']!r}")
-        psi = float(_check_type(raw.get("psi", cls.psi), "number", "psi"))
-        snapshots = _check_type(raw.get("snapshots", cls.snapshots),
-                                "snapshots", "snapshots")
-        out_dir = _check_type(raw.get("out_dir", cls.out_dir), "string",
-                              "out_dir")
-        return cls(
-            profile=prof, lam_choice=lam, grid=grid, eps=eps,
-            eps_sweep=sweep, bump=bump, psi=psi,
-            localization=loc, exponents=_check_block(raw, "exponents") or {},
-            T=T, snapshots=snapshots,
-            table_opts=_check_block(raw, "table") or {},
-            kinetic=_check_block(raw, "kinetic") or {},
-            out_dir=out_dir,
-        )
+        for key in ("eps", "T"):
+            if getattr(cfg, key) <= 0:
+                raise ConfigError(f"{key} must be positive")
+        if cfg.eps_sweep is not None and (len(cfg.eps_sweep) < 2
+                                          or min(cfg.eps_sweep) <= 0):
+            raise ConfigError("eps_sweep needs >= 2 positive values")
+        return cfg
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -274,12 +244,10 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-def _given(block: dict, **convert) -> dict:
-    """The fields of block named in convert that are present and not null,
-    each passed through its converter (None keeps the JSON value), so that
-    the library call they go to supplies its own defaults."""
-    return {k: block[k] if f is None else f(block[k])
-            for k, f in convert.items() if block.get(k) is not None}
+def _given(block: dict, *names: str) -> dict:
+    """The fields of block among names that are present and not null, so
+    that the library call they go to supplies its own defaults."""
+    return {k: block[k] for k in names if block.get(k) is not None}
 
 
 def _build_table(cfg: ExperimentConfig):
@@ -289,38 +257,32 @@ def _build_table(cfg: ExperimentConfig):
     table.s_min is the profile's build floor."""
     block, opts = cfg.profile, cfg.table_opts
     if block["kind"] == "constant":
-        return coeffs.constant_table(
-            **_given(block, F0=float, h0=float, M=float),
-            **_given(opts, s_min=float, K=int))
+        return coeffs.constant_table(**_given(block, "F0", "h0", "M"),
+                                     **_given(opts, "s_min", "K"))
     entry = checker_mod.PROFILES.get(block["kind"])
     if entry is None:
         prof = checker_mod.custom_csv_profile(block["path"])
     else:
-        prof = entry.make_profile(**_given(block, beta=float, M=float,
-                                           tail=None))
-    kwargs = _given(opts, s_min=None, K=int, quad_tol=float)
+        prof = entry.make_profile(**_given(block, "beta", "M", "tail"))
+    kwargs = _given(opts, "s_min", "K", "quad_tol")
     if cfg.lam_choice == "auto":
         provisional = coeffs.build_table(prof, coeffs.LambdaChoice(1.0), **kwargs)
         A_est, _, _ = checker_mod.estimate_A_B(provisional)
         lam = coeffs.LambdaChoice.from_auto(A_est)
     else:
-        lam = coeffs.LambdaChoice(float(cfg.lam_choice))
+        lam = coeffs.LambdaChoice(cfg.lam_choice)
     return coeffs.build_table(prof, lam, **kwargs)
 
 
 def _make_problem(cfg: ExperimentConfig, tab):
     """The grid and the regularized problem of a config."""
-    grid = solver_mod.GridSpec(
-        extent=tuple(tuple(float(v) for v in ab) for ab in cfg.grid["extent"]),
-        n=tuple(int(m) for m in cfg.grid["n"]))
-    g = 0.0
-    if cfg.bump is not None:
-        g = solver_mod.bump(**_given(cfg.bump, center=None, radius=float,
-                                     height=float, shape=None))
+    grid = solver_mod.GridSpec(extent=tuple(map(tuple, cfg.grid["extent"])),
+                               n=tuple(cfg.grid["n"]))
+    g = 0.0 if cfg.bump is None else solver_mod.bump(**cfg.bump)
     omega = None
     if cfg.localization is not None:
-        omega = (tuple(float(v) for v in np.atleast_1d(cfg.localization["x0"])),
-                 float(cfg.localization["R"]))
+        omega = (tuple(np.atleast_1d(cfg.localization["x0"]).tolist()),
+                 cfg.localization["R"])
     return grid, solver_mod.EpsProblem(table=tab, eps=cfg.eps, g=g,
                                        psi=cfg.psi, omega_prime=omega)
 
@@ -409,12 +371,11 @@ def cmd_localize(cfg, tab, grid, prob, out):
         trace = solver_mod.solve(prob, grid, cfg.T, cfg.snapshots)
     with _phase(EXIT_LOCALIZATION, "localization"):
         x0, R = prob.omega_prime
-        cut = localization.CutoffFamily(
-            x0=x0, R=R, Rp=float(cfg.localization["Rp"]))
+        cut = localization.CutoffFamily(x0=x0, R=R,
+                                        Rp=cfg.localization["Rp"])
         lam_val = None if tab.Lambda is not None else 1.0
         pack = localization.ExponentPack.build(
-            cut, N_dim=grid.dim, table=tab, lam=lam_val,
-            **_given(cfg.exponents, C1=float, S=float, j=None))
+            cut, N_dim=grid.dim, table=tab, lam=lam_val, **cfg.exponents)
         dg = localization.de_giorgi_trace(trace, cut, pack, tab)
         times, r_front, r_empty = localization.front_series(
             trace, x0_front=cfg.bump["center"], x0_empty=cut.x0)
@@ -432,12 +393,12 @@ def cmd_kinetic_compare(cfg, tab, grid, prob, out):
         trace = solver_mod.solve(prob, grid, cfg.T, 2)
     with _phase(EXIT_KINETIC, "kinetic"):
         kin = cfg.kinetic
-        tau0 = float(kin.get("tau0", 1.5e-4))
+        tau0 = kin.get("tau0", 1.5e-4)
         kernel = kinetic.power_family_kernel(
             beta=tab.profile.params["beta"], tau0=tau0,
-            **_given(kin, a=float, shape=None))
+            **_given(kin, "a", "shape"))
         d0 = grid.sample(prob.g)
-        dt = float(kin.get("dt", tau0))
+        dt = kin.get("dt", tau0)
         _, master = kinetic.run_master(d0, grid, kernel, None, cfg.T, dt)
         pde = trace.fields[-1] - prob.eps
         vol = grid.cell_volume

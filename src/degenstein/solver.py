@@ -81,8 +81,10 @@ class GridSpec:
         if len(self.extent) not in (1, 2) or len(self.extent) != len(self.n):
             raise DomainError("extent and n must both have length 1 or 2")
         for (a, b), m in zip(self.extent, self.n):
-            if not (b > a and m >= 8):
-                raise DomainError("need b > a and at least 8 cells per axis")
+            # b - a of two finite ends can still overflow to inf
+            if not (b > a and m >= 8 and (b - a) / m < math.inf):
+                raise DomainError("need b > a, a finite cell width (b - a)/m "
+                                  "and at least 8 cells per axis")
 
     @property
     def dim(self) -> int:

@@ -290,6 +290,21 @@ class TestFailurePaths:
         err = load_json(out, "error.json")
         assert err["error"] == "ConfigError" and err["phase"] == "config"
 
+    @pytest.mark.parametrize("override,key", [
+        ({"Eps": 1e-8}, "'Eps' in config"),
+        ({"bump": {"center": [-0.6], "radius": 0.2, "height": 0.2,
+                   "shpae": "cos2"}}, "'shpae' in bump"),
+    ], ids=["top-level", "in-bump"])
+    def test_misspelled_key_exits_config(self, tmp_path, override, key):
+        # a misspelled key would otherwise leave its default in force
+        cfg = write_config(tmp_path, **override)
+        code, out = run(tmp_path, "localize", "--config", cfg)
+        assert code == EXIT_CONFIG
+        err = load_json(out, "error.json")
+        assert err["error"] == "ConfigError" and err["phase"] == "config"
+        assert err["message"] == f"unknown key {key}"
+        assert not (out / "degiorgi.json").exists()
+
     def test_bump_inside_watched_ball(self, tmp_path):
         cfg = write_config(tmp_path,
                            bump={"center": [0.5], "radius": 0.2,
@@ -547,7 +562,7 @@ README_CONFIG = {
 # is left out for the optional blocks (null means absent) and for s_min
 # (null is valid there)
 _WRONG = {
-    "number": ["1e-3", True, None, {}, [1.0]],
+    "number": ["1e-3", True, None, {}, [1.0], 10 ** 400],
     "integer": ["256", True, None, {}, [256], 256.5],
     "number?": ["1e-8", True, {}, [1e-8]],
     "numbers": ["0.5", True, None, {}, [], ["0.5"]],
@@ -582,7 +597,13 @@ _LEAVES = {
     ("localization", "Rp"): "number", ("eps_sweep",): "sweep",
     ("eps_sweep", 1): "number", ("kinetic",): "block",
     ("kinetic", "tau0"): "number", ("kinetic", "a"): "number",
-    ("kinetic", "dt"): "number", ("out_dir",): "string",
+    ("kinetic", "dt"): "number", ("kinetic", "shape"): "enum",
+    ("out_dir",): "string",
+    ("profile", "tail"): "number?", ("profile", "path"): "string",
+    ("profile", "F0"): "number", ("profile", "h0"): "number",
+    ("table", "quad_tol"): "number", ("exponents",): "block",
+    ("exponents", "C1"): "number", ("exponents", "S"): "number",
+    ("exponents", "j"): "number?",
 }
 _NUMERIC = ("number", "number?", "integer", "lambda", "snapshots")
 _REQUIRED = [("profile",), ("profile", "kind"), ("grid",), ("grid", "extent"),
@@ -592,8 +613,17 @@ _REQUIRED = [("profile",), ("profile", "kind"), ("grid",), ("grid", "extent"),
 _UNKNOWN_ENUMS = [(("profile", "kind"), "fancy"), (("profile", "kind"), "Power"),
                   (("bump", "shape"), "box"), (("kinetic", "shape"), "boxcar"),
                   (("lambda",), "automatic")]
+# a misspelled or unknown key, at the top level and in every block
+_UNKNOWN_KEYS = [("Eps",), ("snapshot",), ("lamda",), ("profile", "Beta"),
+                 ("table", "k"), ("grid", "N"), ("bump", "centre"),
+                 ("localization", "r"), ("exponents", "c1"),
+                 ("kinetic", "tau"), ("kinetic", "Shape")]
 _COMMANDS = ["check", "table", "solve", "localize", "kinetic-compare",
              "sweep-eps"]
+# the README config with the optional exponents block it leaves out, at the
+# defaults, so that the fuzz reaches that block's fields too
+_FUZZ_BASE = {**README_CONFIG,
+              "exponents": {"C1": 1.0, "S": 1.0, "j": None}}
 
 _WRONG_TYPE = st.sampled_from(sorted(_LEAVES)).flatmap(
     lambda path: st.sampled_from(_WRONG[_LEAVES[path]]).map(
@@ -605,7 +635,8 @@ _NON_FINITE = st.sampled_from(sorted(
 _MUTATION = st.one_of(
     _WRONG_TYPE, _NON_FINITE,
     st.sampled_from(_REQUIRED).map(lambda p: ("del", p, None)),
-    st.sampled_from(_UNKNOWN_ENUMS).map(lambda pv: ("set", pv[0], pv[1])))
+    st.sampled_from(_UNKNOWN_ENUMS).map(lambda pv: ("set", pv[0], pv[1])),
+    st.sampled_from(_UNKNOWN_KEYS).map(lambda p: ("set", p, 1.0)))
 
 
 def _apply(cfg, mutation):
@@ -643,6 +674,8 @@ _OUT_OF_RANGE = [
         ("grid", "n", 0), ("bump", "radius"), ("bump", "height"))
       for value in (0, -1)),
     (("grid", "extent", 0), [1.0, -1.0], 4, _SOLVING),
+    # b - a overflows: every cell width is inf
+    (("grid", "extent", 0), [-1e308, 1e308], 4, _SOLVING),
     *((path, value, 6, ("kinetic-compare",)) for path in (
         ("kinetic", "tau0"), ("kinetic", "dt")) for value in (0, -1)),
 ]
@@ -650,9 +683,9 @@ _OUT_OF_RANGE = [
 
 class TestConfigFuzz:
     """One to three mutations of the README config, each a wrong type, a
-    missing required key, an unknown enumerated value or a non-finite
-    number: every subcommand exits 2 at config load, never 1 (the
-    catch-all) and never later.  An out-of-range value of the right type
+    missing required key, an unknown key, an unknown enumerated value or a
+    non-finite number: every subcommand exits 2 at config load, never 1
+    (the catch-all) and never later.  An out-of-range value of the right type
     exits with the code of the phase that reads it."""
 
     @pytest.mark.parametrize(
@@ -674,6 +707,25 @@ class TestConfigFuzz:
         assert codes == {command: code if command in readers else EXIT_OK
                          for command in _COMMANDS}
 
+    @pytest.mark.parametrize("command,override,code", [
+        ("table", {"profile": {"kind": "power", "beta": 2.0, "M": 1e308}},
+         EXIT_COEFFS),
+        ("table", {"profile": {"kind": "exp_inv", "M": 1e-310}}, EXIT_COEFFS),
+        ("localize", {"exponents": {"S": 1e308, "C1": 1e308}},
+         EXIT_LOCALIZATION),
+        ("localize", {"exponents": {"j": 1e308}}, EXIT_LOCALIZATION),
+    ], ids=["power-M**beta", "exp_inv-M**-beta", "C1**2", "j"])
+    def test_overflow_exits_its_phase_code(self, tmp_path, command, override,
+                                           code):
+        # finite numbers whose arithmetic overflows or divides by zero
+        cfg = dict(json.loads(json.dumps(README_CONFIG)), **override)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(tmp_path, command, "--config", str(path))[0] == code
+        err = load_json(tmp_path / "out", "error.json")
+        assert err["exit_code"] == code
+        assert err["error"] in ("OverflowError", "ZeroDivisionError")
+
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)
     @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3),
@@ -682,7 +734,7 @@ class TestConfigFuzz:
                                                 mutations, command):
         root = tmp_path_factory.getbasetemp() / "config-fuzz"
         root.mkdir(exist_ok=True)
-        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg = json.loads(json.dumps(_FUZZ_BASE))
         for mutation in mutations:
             _apply(cfg, mutation)
         path = root / "config.json"

@@ -44,6 +44,11 @@ class TestGridSpec:
             GridSpec(extent=((1.0, -1.0),), n=(64,))
         with pytest.raises(DomainError):
             GridSpec(extent=((-1.0, 1.0),), n=(4,))
+        # b - a overflows to inf, or an end is infinite: no finite cell width
+        for extent in (((-1e308, 1e308),), ((-1.0, 1.0), (-1e308, 1e308)),
+                       ((-math.inf, 1.0),)):
+            with pytest.raises(DomainError, match="cell width"):
+                GridSpec(extent=extent, n=(64,) * len(extent))
 
     def test_distance_field(self):
         grid = GridSpec(extent=((-1.0, 1.0),), n=(101,))
