@@ -118,7 +118,7 @@ _SCHEMA = {
              "shape": lambda: solver_mod.BUMP_SHAPES},
     "localization": {"x0": _POINT, "R": "number", "Rp": "number"},
     "exponents": {"C1": "number", "S": "number", "j": "number?"},
-    "table": {"s_min": "number?", "K": "integer", "quad_tol": "number"},
+    "table": {"s_min": "number?", "K": "integer"},
     "kinetic": {"tau0": "number", "a": "number", "dt": "number",
                 "shape": lambda: kinetic.KERNEL_SHAPES},
 }
@@ -126,6 +126,14 @@ _SCHEMA = {
 _REQUIRED = ("profile", "grid", "profile.kind", "grid.extent", "grid.n",
              "bump.center", "bump.radius", "bump.height", "localization.x0",
              "localization.R", "localization.Rp")
+
+
+def _profile_reads(kind: str) -> tuple:
+    """The profile keys besides kind that the table of kind is built from."""
+    entry = checker_mod.PROFILES.get(kind)
+    if entry is None:
+        return {"custom": ("path",), "constant": ("F0", "h0", "M")}[kind]
+    return ("M", *("beta",) * entry.takes_beta, *("tail",) * entry.takes_tail)
 
 
 def _checked(value, schema, path: str = ""):
@@ -204,17 +212,15 @@ class ExperimentConfig:
         cfg = cls(lam_choice=c.pop("lambda", cls.lam_choice),
                   table_opts=c.pop("table", {}), **c)
         prof, extent, n = cfg.profile, cfg.grid["extent"], cfg.grid["n"]
-        if prof["kind"] == "custom" and "path" not in prof:
+        kind = prof["kind"]
+        if kind == "custom" and "path" not in prof:
             raise ConfigError("missing 'path' in profile")
-        entry = checker_mod.PROFILES.get(prof["kind"])
-        if entry is not None:
-            # a beta other than the default 1 or a tail would be ignored
-            if not entry.takes_beta and prof.get("beta", 1.0) != 1.0:
-                raise ConfigError(f"profile kind '{prof['kind']}' takes no "
-                                  f"beta, got {prof['beta']!r}")
-            if not entry.takes_tail and prof.get("tail") is not None:
-                raise ConfigError(f"profile kind '{prof['kind']}' takes no "
-                                  f"tail, got {prof['tail']!r}")
+        # any other key would be ignored, unless null or the default beta 1
+        for key, value in prof.items():
+            if key not in (*_profile_reads(kind), "kind") \
+                    and value is not None and (key, value) != ("beta", 1.0):
+                raise ConfigError(f"profile kind '{kind}' takes no {key}, "
+                                  f"got {value!r}")
         if len(extent) != len(n) or len(n) > 2 \
                 or any(len(ab) != 2 for ab in extent):
             raise ConfigError("grid extent and n must be lists of length 1 "
@@ -255,16 +261,14 @@ def _build_table(cfg: ExperimentConfig):
     resolved), or the nondegenerate control table for kind 'constant'.  The
     library's defaults fill every option the config leaves out; a null
     table.s_min is the profile's build floor."""
-    block, opts = cfg.profile, cfg.table_opts
-    if block["kind"] == "constant":
-        return coeffs.constant_table(**_given(block, "F0", "h0", "M"),
-                                     **_given(opts, "s_min", "K"))
-    entry = checker_mod.PROFILES.get(block["kind"])
-    if entry is None:
-        prof = checker_mod.custom_csv_profile(block["path"])
-    else:
-        prof = entry.make_profile(**_given(block, "beta", "M", "tail"))
-    kwargs = _given(opts, "s_min", "K", "quad_tol")
+    kind, opts = cfg.profile["kind"], cfg.table_opts
+    given = _given(cfg.profile, *_profile_reads(kind))
+    if kind == "constant":
+        return coeffs.constant_table(**given, **_given(opts, "s_min", "K"))
+    entry = checker_mod.PROFILES.get(kind)
+    prof = (checker_mod.custom_csv_profile(**given) if entry is None
+            else entry.make_profile(**given))
+    kwargs = _given(opts, "s_min", "K")
     if cfg.lam_choice == "auto":
         provisional = coeffs.build_table(prof, coeffs.LambdaChoice(1.0), **kwargs)
         A_est, _, _ = checker_mod.estimate_A_B(provisional)
@@ -309,18 +313,10 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 
 def write_snapshots_csv(path: str, trace: solver_mod.SolveTrace) -> None:
-    grid = trace.grid
-    mesh = grid.meshgrid()
-    rows_t, rows_x, rows_u = [], [], []
-    for t, f in zip(trace.times, trace.fields):
-        rows_t.append(np.full(f.size, t))
-        rows_x.append(np.stack([m.ravel() for m in mesh], axis=1))
-        rows_u.append(f.ravel())
-    t_col = np.concatenate(rows_t)
-    xy = np.concatenate(rows_x, axis=0)
-    u_col = np.concatenate(rows_u)
-    header = "t,x,u" if grid.dim == 1 else "t,x,y,u"
-    _write_csv(path, header, [t_col] + [xy[:, k] for k in range(grid.dim)] + [u_col])
+    n_snap, cells = len(trace.fields), trace.fields[0].size
+    mesh = [np.tile(m.ravel(), n_snap) for m in trace.grid.meshgrid()]
+    _write_csv(path, "t,x,u" if trace.grid.dim == 1 else "t,x,y,u",
+               [np.repeat(trace.times, cells), *mesh, trace.fields.ravel()])
 
 
 # -------------------------------------------------------------- subcommands
@@ -377,12 +373,10 @@ def cmd_localize(cfg, tab, grid, prob, out):
         pack = localization.ExponentPack.build(
             cut, N_dim=grid.dim, table=tab, lam=lam_val, **cfg.exponents)
         dg = localization.de_giorgi_trace(trace, cut, pack, tab)
-        times, r_front, r_empty = localization.front_series(
-            trace, x0_front=cfg.bump["center"], x0_empty=cut.x0)
+        front = localization.front_series(trace, cfg.bump["center"], cut.x0)
     with _phase(EXIT_IO, "write"):
         write_json(os.path.join(out, "degiorgi.json"), dg.to_dict())
-        _write_csv(os.path.join(out, "front.csv"), "t,r_front,r_empty",
-                   [times, r_front, r_empty])
+        _write_csv(os.path.join(out, "front.csv"), "t,r_front,r_empty", front)
         write_snapshots_csv(os.path.join(out, "snapshots.csv"), trace)
     return EXIT_OK, (f"localize: T'={dg.T_prime:.6g} (iteration "
                      f"{'holds' if dg.verdict['all_hold'] else 'fails'})")

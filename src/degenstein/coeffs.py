@@ -78,6 +78,7 @@ _GK_W[:, 0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GK_W[1:10:2, 1] = _WG
 _GK_W[11:20:2, 1] = _WG[::-1]
 _QUAD_LIMIT = 200    # most subintervals one adaptive quadrature may use
+_QUAD_TOL = 1e-8     # relative tolerance of the tables' quadrature
 
 
 @dataclass
@@ -344,7 +345,7 @@ class _Pchip:
 
 
 def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
-               quad_tol: float = 1e-8) -> float:
+               quad_tol: float = _QUAD_TOL) -> float:
     """Inner integral of 1/(sigma*P(sigma)) from s to M, plus the tail constant.
 
     Computed under the substitution sigma = e^t, in chunks of at most one
@@ -380,7 +381,7 @@ class CoefficientTable:
     G: np.ndarray
     Lambda: Optional[float] = None
     tail: Optional[float] = None
-    quad_tol: float = 1e-8
+    quad_tol: float = _QUAD_TOL
     profile: Optional[DegeneracyProfile] = None
     # evaluators, built from the columns above: `dataclasses.replace`
     # gives the new table its own
@@ -545,19 +546,18 @@ def _fprime_closed_form(profile: DegeneracyProfile, s: np.ndarray,
             * ((1+Lambda)/Lambda - P*I).
     """
     P = profile(s)
-    B1 = Lambda ** (-1.0 / Lambda - 1.0)
+    B1 = np.float64(Lambda) ** (-1.0 / Lambda - 1.0)  # inf on overflow, not an error
     return B1 * s ** -2.0 * I_vals ** (-1.0 / Lambda - 2.0) / P \
         * ((1.0 + Lambda) / Lambda - P * I_vals)
 
 
 def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
-                s_min: Optional[float] = None, K: int = 256,
-                quad_tol: float = 1e-8) -> CoefficientTable:
+                s_min: Optional[float] = None, K: int = 256) -> CoefficientTable:
     """Tabulate the full coefficient family on K log-spaced nodes from
     s_min, by default the profile's s_min_hint, to M.
 
     The I column is always quadrature-built (one K21 pass over the node
-    segments, refining only those that miss quad_tol, summed from the M
+    segments, refining only those that miss _QUAD_TOL, summed from the M
     side); closed forms, when the profile carries them, only feed the
     derivative column and test comparisons.  The tail constant is the
     profile's, or 1/Lambda when it has none.  F' <= 0 at any node aborts
@@ -579,28 +579,35 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     s = np.geomspace(s_min, profile.M, K)
     s[-1] = profile.M
     t = np.log(s)
-    I_vals = tail + _integrals_to_edge(lambda r: 1.0 / profile(r), t, quad_tol)
+    I_vals = tail + _integrals_to_edge(lambda r: 1.0 / profile(r), t, _QUAD_TOL)
 
     P_vals = profile(s)
-    H = (Lambda * I_vals) ** (-1.0 / Lambda)
-    Hp1 = H ** (Lambda + 1.0)
-    h = Hp1 / (s * P_vals)
-    F = Hp1 / s
-
-    if profile.analytic_I is not None:
-        Fp = _fprime_closed_form(profile, s, Lambda, np.asarray(profile.analytic_I(s)))
-    else:
-        # second-order central differences on the uniform log grid, one-sided
-        # at the ends; differencing log F keeps the stencil conditioned even
-        # when F itself grows by orders of magnitude per node
-        dt = t[1] - t[0]
-        lnF = np.log(F)
-        dlnF = np.empty(K)
-        dlnF[1:-1] = (lnF[2:] - lnF[:-2]) / (2.0 * dt)
-        dlnF[0] = (-3.0 * lnF[0] + 4.0 * lnF[1] - lnF[2]) / (2.0 * dt)
-        dlnF[-1] = (3.0 * lnF[-1] - 4.0 * lnF[-2] + lnF[-3]) / (2.0 * dt)
-        Fp = F / s * dlnF
-    if np.any(Fp <= 0.0) or not np.all(np.isfinite(Fp)):
+    # checked below: a Lambda far off the profile's scale takes H or F' out of range
+    with np.errstate(all="ignore"):
+        H = (Lambda * I_vals) ** (-1.0 / Lambda)
+        Hp1 = H ** (Lambda + 1.0)
+        h = Hp1 / (s * P_vals)
+        F = Hp1 / s
+        if profile.analytic_I is not None:
+            Fp = _fprime_closed_form(profile, s, Lambda, np.asarray(profile.analytic_I(s)))
+        else:
+            # second-order central differences on the uniform log grid,
+            # one-sided at the ends; differencing log F keeps the stencil
+            # conditioned even when F grows by orders of magnitude per node
+            dt = t[1] - t[0]
+            lnF = np.log(F)
+            dlnF = np.empty(K)
+            dlnF[1:-1] = (lnF[2:] - lnF[:-2]) / (2.0 * dt)
+            dlnF[0] = (-3.0 * lnF[0] + 4.0 * lnF[1] - lnF[2]) / (2.0 * dt)
+            dlnF[-1] = (3.0 * lnF[-1] - 4.0 * lnF[-2] + lnF[-3]) / (2.0 * dt)
+            Fp = F / s * dlnF
+    for name, column in (("H", H), ("F'", Fp)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise AssumptionError(
+                f"{name}({s[bad[0]]:g}) = {column[bad[0]]:g} at Lambda = "
+                f"{Lambda:g}: the table leaves the double range")
+    if np.any(Fp <= 0.0):
         bad = int(np.argmin(Fp))
         PI = P_vals[bad] * I_vals[bad]
         raise AssumptionError(
@@ -611,7 +618,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
 
     table = CoefficientTable(s=s, I=I_vals, H=H, h=h, F=F, Fprime=Fp,
                              G=np.zeros(K), Lambda=Lambda, tail=tail,
-                             quad_tol=quad_tol, profile=profile)
+                             profile=profile)
 
     # gradient transform: integrate sqrt of the published F' interpolant,
     # rescaled per segment so the model's integral reproduces the exact F

@@ -232,21 +232,20 @@ def _snapshot_schedule(trace: SolveTrace, T_prime: float):
     if not (0.0 <= T_prime <= trace.T * (1 + 1e-12)):
         raise DomainError(f"T_prime={T_prime:g} outside [0, {trace.T:g}]")
     T_prime = min(T_prime, trace.T)
-    times = [min(float(t), T_prime) for t in trace.times
-             if t <= T_prime * (1 + 1e-12)]
+    times = np.minimum(trace.times[trace.times <= T_prime * (1 + 1e-12)], T_prime)
     n_stored = len(times)
     if times[-1] < T_prime * (1 - 1e-12):
-        times.append(T_prime)
-    return np.asarray(times), n_stored
+        times = np.append(times, T_prime)
+    return times, n_stored
 
 
-def _state_stacks(table: CoefficientTable, fields) -> tuple:
-    """H(u) and G(u) of a list of fields, each stacked along a leading
-    axis.  A few fields go to each evaluation, so its temporaries stay a
-    few fields large; it is per cell, so the chunking changes no value."""
+def _state_stacks(table: CoefficientTable, fields: np.ndarray) -> tuple:
+    """H(u) and G(u) of a stack of fields along a leading axis.  A few
+    fields go to each evaluation, so its temporaries stay a few fields
+    large; it is per cell, so the chunking changes no value."""
     starts = range(0, len(fields), _EVAL_CHUNK)
     return tuple(np.concatenate([
-        table_state_eval(table, c, np.stack(fields[i:i + _EVAL_CHUNK]))
+        table_state_eval(table, c, fields[i:i + _EVAL_CHUNK])
         for i in starts]) for c in ("H", "G"))
 
 
@@ -281,7 +280,7 @@ def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
     times, n_stored = _snapshot_schedule(trace, T_prime)
     fields = trace.fields[:n_stored]
     if len(times) > n_stored:
-        fields = fields + [trace.field_at(times[-1])]
+        fields = np.concatenate([fields, trace.field_at(times[-1])[None]])
     rows = _energy_rows(cutoffs.theta(trace.grid, n),
                         *_state_stacks(table, fields), trace.grid)
     return _weighted_energy(T_prime, pack, times, *rows)
@@ -392,7 +391,7 @@ def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
             return False
         if len(times) > n:
             u = trace.field_at(times[-1])
-            end = _energy_rows(theta0, *_state_stacks(table, [u]), trace.grid)
+            end = _energy_rows(theta0, *_state_stacks(table, u[None]), trace.grid)
             m, g = np.concatenate([m, end[0]]), np.concatenate([g, end[1]])
         return _weighted_energy(tp, pack, times, m, g) <= theta_L
 
@@ -411,39 +410,37 @@ def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
     return lo
 
 
-def _farthest(d: np.ndarray) -> float:
-    return float(d.max()) if d.size else 0.0
+def _radius(reduce, fill: float, values, grid: GridSpec, x0, threshold):
+    """reduce over the grid axes of the distances to x0 of the cells above
+    threshold, fill elsewhere: a float for one field, an array for a stack."""
+    d = grid.distance_to(x0)
+    out = reduce(np.where(values > threshold, d, fill), axis=tuple(range(-d.ndim, 0)))
+    return float(out) if out.ndim == 0 else out
 
 
-def _nearest(d: np.ndarray) -> float:
-    return float(d.min()) if d.size else math.inf
-
-
-def front_radius(values: np.ndarray, grid: GridSpec, x0,
-                 threshold: float) -> float:
+def front_radius(values: np.ndarray, grid: GridSpec, x0, threshold: float):
     """Sup of |x - x0| over cells above threshold; 0 when nothing is
-    supported."""
-    return _farthest(grid.distance_to(x0)[values > threshold])
+    supported.  values is one field, giving a float, or a stack of fields
+    along a leading axis, giving an array."""
+    return _radius(np.max, 0.0, values, grid, x0, threshold)
 
 
-def empty_radius(values: np.ndarray, grid: GridSpec, x0,
-                 threshold: float) -> float:
+def empty_radius(values: np.ndarray, grid: GridSpec, x0, threshold: float):
     """Radius of the largest supported-cell-free ball around x0 (inf of
-    distances to cells above threshold); +inf when nothing is supported."""
-    return _nearest(grid.distance_to(x0)[values > threshold])
+    distances to cells above threshold); +inf when nothing is supported.
+    Takes one field or a stack, as front_radius."""
+    return _radius(np.min, math.inf, values, grid, x0, threshold)
 
 
 def front_series(trace: SolveTrace, x0_front, x0_empty=None):
     """Per-snapshot front radius around x0_front and empty radius around
     x0_empty (defaults to x0_front), at the problem's support threshold:
-    arrays (t, r_front, r_empty).  Each centre's distances are computed
-    once for all snapshots."""
+    arrays (t, r_front, r_empty)."""
     thr = trace.prob.support_threshold
-    d_front = trace.grid.distance_to(x0_front)
-    d_empty = d_front if x0_empty is None else trace.grid.distance_to(x0_empty)
-    r_front = np.array([_farthest(d_front[f > thr]) for f in trace.fields])
-    r_empty = np.array([_nearest(d_empty[f > thr]) for f in trace.fields])
-    return trace.times.copy(), r_front, r_empty
+    x0_empty = x0_front if x0_empty is None else x0_empty
+    return (trace.times.copy(),
+            front_radius(trace.fields, trace.grid, x0_front, thr),
+            empty_radius(trace.fields, trace.grid, x0_empty, thr))
 
 
 def time_to_threshold(trace: SolveTrace, x0, radius: float) -> float:
@@ -458,13 +455,12 @@ def time_to_threshold(trace: SolveTrace, x0, radius: float) -> float:
     ball = d <= radius + 1e-12 if radius > 0 else d <= d.min() + 1e-12
     if not np.any(ball):
         raise GeometryError("no cells within the probe radius")
-    prev_t, prev_m = None, None
-    for t, f in zip(trace.times, trace.fields):
-        m = float(f[ball].max())
-        if m > thr:
-            if prev_t is None or prev_m is None or m == prev_m:
-                return float(t)
-            w = (thr - prev_m) / (m - prev_m)
-            return float(prev_t + w * (t - prev_t))
-        prev_t, prev_m = float(t), m
-    return math.inf
+    maxima = trace.fields[:, ball].max(axis=1)
+    above = np.flatnonzero(maxima > thr)
+    if not above.size:
+        return math.inf
+    i = int(above[0])
+    if i == 0 or maxima[i] == maxima[i - 1]:
+        return float(trace.times[i])
+    (t0, t1), (m0, m1) = trace.times[i - 1:i + 1], maxima[i - 1:i + 1]
+    return float(t0 + (thr - m0) / (m1 - m0) * (t1 - t0))

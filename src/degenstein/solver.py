@@ -564,12 +564,12 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
 
 @dataclass
 class SolveTrace:
-    """Snapshots plus per-step bookkeeping from one solve."""
+    """Snapshots, one field per row of one array, plus per-step bookkeeping."""
 
     grid: GridSpec
     prob: EpsProblem
     times: np.ndarray            # snapshot times, first 0, last T
-    fields: list                 # arrays, one per snapshot
+    fields: np.ndarray           # (len(times), *grid.n), row i at times[i]
     dissipation: np.ndarray      # cumulative transformed-derivative integral
     dt_history: np.ndarray
     max_u_history: np.ndarray
@@ -661,7 +661,8 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
     spare = u.copy()
 
     vol = grid.cell_volume
-    fields = [u.copy()]
+    fields = np.empty((n_snap, *u.shape))
+    fields[0] = u
     snap_diss = np.zeros(n_snap)
     dt_hist, max_hist = [], []
     # the time, the dissipation sum, the next snapshot and its time (inf
@@ -683,7 +684,7 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
         t_new = t + dt
         while due <= t_new + tol:
             w = (due - t) / dt
-            fields.append(u + w * (new - u))
+            fields[nxt] = u + w * (new - u)
             snap_diss[nxt] = diss_old + w * (diss - diss_old)
             nxt += 1
             due = snaps[nxt]
@@ -695,7 +696,7 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
     else:
         raise CflError("step budget exhausted before reaching T")
     if nxt < n_snap:
-        fields.append(u.copy())
+        fields[nxt] = u
         snap_diss[nxt] = diss
         nxt += 1
     assert nxt == n_snap, "snapshot schedule not exhausted"
@@ -798,7 +799,7 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
         raise DomainError("need at least two floor values")
     probs = [replace(prob, eps=float(e)) for e in eps_values]
     traces = [_march(p, grid, T, 2, _ImplicitKernel) for p in probs]
-    finals = [tr.fields[-1] for tr in traces]
+    finals = [tr.fields[-1].copy() for tr in traces]
     vol = grid.cell_volume
     distances = np.array([
         float(np.sum(np.abs(a - b))) * vol for a, b in zip(finals, finals[1:])

@@ -45,7 +45,10 @@ def write_config(tmp_path, name="config.json", **overrides):
     for key, val in overrides.items():
         if val is None:
             cfg.pop(key, None)
-        elif isinstance(val, dict) and isinstance(cfg.get(key), dict):
+        # a profile that names its kind replaces the base one, whose power
+        # keys another kind does not read
+        elif isinstance(val, dict) and isinstance(cfg.get(key), dict) \
+                and not (key == "profile" and "kind" in val):
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -294,7 +297,8 @@ class TestFailurePaths:
         ({"Eps": 1e-8}, "'Eps' in config"),
         ({"bump": {"center": [-0.6], "radius": 0.2, "height": 0.2,
                    "shpae": "cos2"}}, "'shpae' in bump"),
-    ], ids=["top-level", "in-bump"])
+        ({"table": {"quad_tol": 1e-8}}, "'quad_tol' in table"),
+    ], ids=["top-level", "in-bump", "table-quad_tol"])
     def test_misspelled_key_exits_config(self, tmp_path, override, key):
         # a misspelled key would otherwise leave its default in force
         cfg = write_config(tmp_path, **override)
@@ -448,8 +452,12 @@ class TestInputShapes:
         {"kind": "exp_zeta_slow", "tail": 5.0},
         {"kind": "exp_zeta_bounded", "beta": 2.0},
         {"kind": "exp_zeta_slow", "beta": 0.5},
+        {"kind": "power", "F0": 2, "h0": 3, "path": "nope.csv"},
+        {"kind": "constant", "beta": 3, "tail": 2},
+        {"kind": "custom", "M": 1.0, "path": "nope.csv"},
     ], ids=["exp_inv-tail", "bounded-tail", "slow-tail", "bounded-beta",
-            "slow-beta"])
+            "slow-beta", "power-constant-and-custom-keys",
+            "constant-beta-tail", "custom-M"])
     def test_profile_field_rejected_where_unused(self, tmp_path, profile):
         cfg = write_config(tmp_path, profile=profile)
         code, out = run(tmp_path, "table", "--config", cfg)
@@ -457,6 +465,9 @@ class TestInputShapes:
         err = load_json(out, "error.json")
         assert err["error"] == "ConfigError"
         assert err["phase"] == "config"
+        # the first key the kind does not read is named
+        unread = [key for key in profile if key != "kind"][0]
+        assert f"'{profile['kind']}' takes no {unread}," in err["message"]
 
     def test_power_reads_tail(self, tmp_path):
         tables = []
@@ -601,7 +612,7 @@ _LEAVES = {
     ("out_dir",): "string",
     ("profile", "tail"): "number?", ("profile", "path"): "string",
     ("profile", "F0"): "number", ("profile", "h0"): "number",
-    ("table", "quad_tol"): "number", ("exponents",): "block",
+    ("exponents",): "block",
     ("exponents", "C1"): "number", ("exponents", "S"): "number",
     ("exponents", "j"): "number?",
 }
@@ -725,6 +736,19 @@ class TestConfigFuzz:
         err = load_json(tmp_path / "out", "error.json")
         assert err["exit_code"] == code
         assert err["error"] in ("OverflowError", "ZeroDivisionError")
+
+    def test_tiny_lambda_names_lambda(self, tmp_path):
+        # H = (Lambda*I)^(-1/Lambda) overflows: exit 3 naming Lambda, with
+        # no numpy warning on the way
+        cfg = write_config(tmp_path, **{"lambda": 1e-300})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "table", "--config", cfg)
+        assert code == EXIT_COEFFS
+        err = load_json(out, "error.json")
+        assert err["error"] == "AssumptionError"
+        assert err["message"].endswith(" at Lambda = 1e-300: the table "
+                                       "leaves the double range")
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               database=None)

@@ -6,6 +6,7 @@ the essential-singularity integrand was frozen after cross-checking three
 ways at high precision.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from degenstein.coeffs import (COLUMNS, CoefficientTable, DegeneracyProfile,
                                LambdaChoice, build_table, constant_table,
                                custom_profile, exp_inv_profile,
                                exp_zeta_profile, integral_I, power_profile)
-from degenstein.checker import _zeta_slow, _zeta_slow_integral
+from degenstein.checker import PROFILES, _zeta_slow, _zeta_slow_integral
 from degenstein.errors import AssumptionError, DomainError
 
 # int_{0.5}^{1} exp(1/t)/t dt, frozen from three independent
@@ -246,6 +247,22 @@ class TestValidationAndErrors:
     def test_small_K_rejected(self, beta1_profile):
         with pytest.raises(DomainError):
             build_table(beta1_profile, LambdaChoice(1.0), s_min=1e-4, K=8)
+
+    @pytest.mark.parametrize("kind,Lambda,column", [
+        ("power", 1e-300, "H"), ("power", 1e-3, "H"),
+        ("exp_zeta_bounded", 1e-3, "F'"), ("exp_zeta_slow", 1e300, "F'")])
+    def test_lambda_out_of_double_range_named(self, kind, Lambda, column):
+        # H = (Lambda*I)^(-1/Lambda) overflows, or F underflows and the log
+        # differences of F' are NaN; numpy warns of neither
+        prof = PROFILES[kind].make_profile()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssumptionError) as err:
+                build_table(prof, LambdaChoice(Lambda))
+        message = str(err.value)
+        assert message.startswith(f"{column}(")
+        assert message.endswith(f" at Lambda = {Lambda:g}: the table leaves "
+                                "the double range")
 
     def test_lambda_choice_validation(self):
         with pytest.raises(DomainError):

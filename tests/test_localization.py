@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstein import localization
+from degenstein.cli import write_snapshots_csv
 from degenstein.coeffs import COLUMNS, CoefficientTable
 from degenstein.errors import DomainError, GeometryError
 from degenstein.localization import (CutoffFamily, ExponentPack,
@@ -23,7 +24,7 @@ from degenstein.localization import (CutoffFamily, ExponentPack,
                                      energy_Y, estimate_T_prime, front_radius,
                                      front_series, lady_bound, lady_threshold,
                                      table_state_eval, time_to_threshold)
-from degenstein.solver import EpsProblem, GridSpec, SolveTrace, solve
+from degenstein.solver import EpsProblem, GridSpec, SolveTrace, bump, solve
 
 X0 = (0.5,)
 R, RP = 0.4, 0.2
@@ -44,7 +45,7 @@ def make_constant_trace(grid, prob, value, T=0.05, m=5):
     """Synthetic trace holding a constant field; enough structure for the
     energy quadrature."""
     times = np.linspace(0.0, T, m)
-    fields = [np.full(grid.n, value) for _ in range(m)]
+    fields = np.full((m, *grid.n), value)
     return SolveTrace(grid=grid, prob=prob, times=times, fields=fields,
                       dissipation=np.zeros(m), dt_history=np.array([T / m]),
                       max_u_history=np.array([value]), boundary_transient=0.0,
@@ -472,7 +473,7 @@ class TestStateless:
     def test_a_snapshot_written_in_place_changes_energy_Y(
             self, desk_trace_beta1, cutoffs, desk_pack, beta1_table):
         trace = replace(desk_trace_beta1,
-                        fields=[f.copy() for f in desk_trace_beta1.fields])
+                        fields=desk_trace_beta1.fields.copy())
         before = energy_Y(trace, cutoffs, desk_pack, beta1_table, 0, trace.T)
         trace.fields[2] += 0.1
         after = energy_Y(trace, cutoffs, desk_pack, beta1_table, 0, trace.T)
@@ -483,7 +484,7 @@ class TestStateless:
     def test_a_snapshot_written_in_place_changes_the_certificate(
             self, desk_trace_beta1, cutoffs, desk_pack, beta1_table):
         trace = replace(desk_trace_beta1,
-                        fields=[f.copy() for f in desk_trace_beta1.fields])
+                        fields=desk_trace_beta1.fields.copy())
         before = de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
         trace.fields[2] += 0.1
         after = de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
@@ -576,3 +577,124 @@ class TestFronts:
     def test_probe_without_cells_rejected(self, desk_trace_beta1):
         with pytest.raises(GeometryError):
             time_to_threshold(desk_trace_beta1, (25.0,), 0.0)
+
+
+# The per-snapshot readers as they were written for a list of fields: the
+# bit-for-bit references of the readers of the snapshot stack.
+
+def _list_front_series(trace, x0_front, x0_empty=None):
+    def farthest(d):
+        return float(d.max()) if d.size else 0.0
+
+    def nearest(d):
+        return float(d.min()) if d.size else math.inf
+
+    thr = trace.prob.support_threshold
+    d_front = trace.grid.distance_to(x0_front)
+    d_empty = d_front if x0_empty is None else trace.grid.distance_to(x0_empty)
+    r_front = np.array([farthest(d_front[f > thr]) for f in trace.fields])
+    r_empty = np.array([nearest(d_empty[f > thr]) for f in trace.fields])
+    return trace.times.copy(), r_front, r_empty
+
+
+def _list_time_to_threshold(trace, x0, radius):
+    thr = trace.prob.support_threshold
+    d = trace.grid.distance_to(x0)
+    ball = d <= radius + 1e-12 if radius > 0 else d <= d.min() + 1e-12
+    prev_t, prev_m = None, None
+    for t, f in zip(trace.times, trace.fields):
+        m = float(f[ball].max())
+        if m > thr:
+            if prev_t is None or prev_m is None or m == prev_m:
+                return float(t)
+            w = (thr - prev_m) / (m - prev_m)
+            return float(prev_t + w * (t - prev_t))
+        prev_t, prev_m = float(t), m
+    return math.inf
+
+
+def _list_write_snapshots_csv(path, trace):
+    grid = trace.grid
+    mesh = grid.meshgrid()
+    rows_t, rows_x, rows_u = [], [], []
+    for t, f in zip(trace.times, trace.fields):
+        rows_t.append(np.full(f.size, t))
+        rows_x.append(np.stack([m.ravel() for m in mesh], axis=1))
+        rows_u.append(f.ravel())
+    t_col = np.concatenate(rows_t)
+    xy = np.concatenate(rows_x, axis=0)
+    u_col = np.concatenate(rows_u)
+    header = "t,x,u" if grid.dim == 1 else "t,x,y,u"
+    data = np.column_stack([t_col] + [xy[:, k] for k in range(grid.dim)]
+                           + [u_col])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+
+
+class TestSnapshotStack:
+    """A trace's snapshots are one array, and each reader is one pass over
+    it: every value is that of the loop over snapshots, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["desk", "control", "2-D",
+                                           "flat"])
+    def case(self, request, beta1_table, control_tab, desk_grid):
+        """(trace, bump centre, watched centre, watched radius)."""
+        if request.param == "desk":
+            return (request.getfixturevalue("desk_trace_beta1"), (-0.6,),
+                    X0, RP)
+        if request.param == "control":
+            # the arrival interpolates between two snapshots
+            return request.getfixturevalue("control_trace"), (-0.6,), X0, RP
+        if request.param == "2-D":
+            grid = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(48, 48))
+            prob = EpsProblem(table=control_tab, eps=1e-8,
+                              g=bump((-0.4, 0.0), 0.3, 0.2), psi=1.0)
+            return solve(prob, grid, 0.01, 9), (-0.4, 0.0), (0.3, 0.0), 0.2
+        # nothing above the support threshold
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=1.0)
+        return (make_constant_trace(desk_grid, prob, 1e-6), (-0.6,), X0,
+                RP)
+
+    def test_fields_are_one_array(self, case):
+        trace = case[0]
+        assert type(trace.fields) is np.ndarray
+        assert trace.fields.dtype == np.float64
+        assert trace.fields.flags.c_contiguous
+        assert trace.fields.shape == (len(trace.times), *trace.grid.n)
+
+    def test_front_series_matches_the_snapshot_loop(self, case):
+        trace, centre, x0, _ = case
+        for x0_empty in (x0, None):
+            got = front_series(trace, centre, x0_empty)
+            want = _list_front_series(trace, centre, x0_empty)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_arrival_matches_the_snapshot_loop(self, case):
+        trace, centre, x0, radius = case
+        # the watched ball, and the cell at the bump's centre, supported at 0
+        for where, r in ((x0, radius), (centre, 0.0)):
+            got = time_to_threshold(trace, where, r)
+            assert type(got) is float
+            assert got == _list_time_to_threshold(trace, where, r)
+
+    def test_snapshot_csv_matches_the_snapshot_loop(self, case, tmp_path):
+        trace = case[0]
+        write_snapshots_csv(tmp_path / "stack.csv", trace)
+        _list_write_snapshots_csv(tmp_path / "list.csv", trace)
+        assert (tmp_path / "stack.csv").read_bytes() == \
+            (tmp_path / "list.csv").read_bytes()
+
+    def test_the_readers_see_each_case(self, case):
+        # the cases reach the branches of the readers they are meant to
+        trace, centre, x0, radius = case
+        arrival = time_to_threshold(trace, x0, radius)
+        _, r_front, r_empty = front_series(trace, centre, x0)
+        if trace.fields.max() <= trace.prob.support_threshold:
+            assert np.all(r_front == 0.0) and np.all(r_empty == math.inf)
+            assert arrival == math.inf
+        elif trace.prob.table.Lambda is None:
+            # a control run: the arrival falls between two stored instants
+            assert 0.0 < arrival < trace.T
+            assert arrival not in trace.times.tolist()
+        else:
+            assert arrival == math.inf
