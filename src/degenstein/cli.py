@@ -235,9 +235,11 @@ class ExperimentConfig:
         for key in ("eps", "T"):
             if getattr(cfg, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if cfg.eps_sweep is not None and (len(cfg.eps_sweep) < 2
-                                          or min(cfg.eps_sweep) <= 0):
-            raise ConfigError("eps_sweep needs >= 2 positive values")
+        ladder = cfg.eps_sweep
+        if ladder is not None and (len(ladder) < 2 or min(ladder) <= 0 or any(
+                b >= a for a, b in zip(ladder, ladder[1:]))):
+            raise ConfigError("eps_sweep needs >= 2 positive values, "
+                              f"strictly decreasing; got {ladder!r}")
         return cfg
 
     @classmethod
@@ -357,6 +359,7 @@ def cmd_solve(cfg, tab, grid, prob, out):
             "boundary_transient": trace.boundary_transient,
             "energy_residual": residual,
             "eps": prob.eps,
+            "D_floor": float(prob.diffusivity(np.array([prob.eps]))[0]),
         })
     return EXIT_OK, (f"solve: {trace.n_steps} steps to T={trace.T:g}, "
                      f"energy residual {residual:.3e}")

@@ -265,32 +265,28 @@ def _integrals_to_edge(g, t: np.ndarray, tol: float) -> np.ndarray:
 
 
 class _Pchip:
-    """Monotone piecewise-cubic Hermite interpolant of one or more columns.
-
-    y holds one column per trailing index over strictly increasing nodes x.
-    Node slopes are PCHIP's (Fritsch & Carlson): the weighted harmonic mean
-    of the adjacent secants where they share a sign and zero otherwise, and
-    the shape-preserving one-sided three-point formula at both ends.
+    """Monotone piecewise-cubic Hermite interpolant of values y over
+    strictly increasing nodes x.  Node slopes are PCHIP's (Fritsch &
+    Carlson): the weighted harmonic mean of the adjacent secants where they
+    share a sign and zero otherwise, and the shape-preserving one-sided
+    three-point formula at both ends.
 
     Everything a call needs is one contiguous gather block with a column
     per segment and a copy of the last: row 0 the segment's left node, rows
-    1-4 its cubic's coefficients from the highest power down (per column of
-    y along a second axis when there are several).  A call is one segment
-    index (arithmetic on uniform nodes, a binary search in x[1:] otherwise),
-    one `take` of the block at that index shaped like x, and one Horner
-    pass.  x[-1] indexes the copy; beyond the nodes the take clips to the
-    end columns, so the end cubics extrapolate.  The columns come back on a
-    leading axis: x.shape for one, (ncol,) + x.shape for several.  `at` is
-    that call for a float array x, with the block and nodes bound once;
-    calling the interpolant converts x and calls `at`.
+    1-4 its cubic's coefficients from the highest power down.  A call is one
+    segment index (arithmetic on uniform nodes, a binary search in x[1:]
+    otherwise), one `take` of the block at that index shaped like x, and one
+    Horner pass.  x[-1] indexes the copy; beyond the nodes the take clips to
+    the end columns, so the end cubics extrapolate.  `at` is that call for a
+    float array x, with the block and nodes bound once; calling the
+    interpolant converts x and calls `at`.
     """
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        cols = y.reshape(len(x), -1)
-        hk = np.diff(x)[:, None]
-        mk = np.diff(cols, axis=0) / hk
+        hk = np.diff(x)
+        mk = np.diff(y) / hk
         # interior: weighted harmonic mean of same-sign secants
         w1 = 2.0 * hk[1:] + hk[:-1]
         w2 = hk[1:] + 2.0 * hk[:-1]
@@ -299,21 +295,17 @@ class _Pchip:
         with np.errstate(divide="ignore", invalid="ignore"):
             whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
             inner = np.where(flat, 0.0, 1.0 / whmean)
-        d = np.concatenate([self._end_slope(hk[0], hk[1], mk[0], mk[1])[None],
-                            inner,
-                            self._end_slope(hk[-1], hk[-2], mk[-1], mk[-2])[None]])
-        self.slopes = d.reshape(y.shape)
+        self.slopes = d = np.hstack([
+            self._end_slope(hk[0], hk[1], mk[0], mk[1]), inner,
+            self._end_slope(hk[-1], hk[-2], mk[-1], mk[-2])])
         t = (d[:-1] + d[1:] - 2.0 * mk) / hk
-        left = np.broadcast_to(x[:-1, None], mk.shape)
-        block = np.stack([left, t / hk, (mk - d[:-1]) / hk - t, d[:-1],
-                          cols[:-1]])
-        block = np.concatenate([block, block[:, -1:]], axis=1)
-        # (5, nseg + 1), or (5, ncol, nseg + 1) for several columns
-        self._block = np.ascontiguousarray(
-            block.transpose(0, 2, 1) if y.ndim > 1 else block[..., 0])
+        block = np.stack([x[:-1], t / hk, (mk - d[:-1]) / hk - t, d[:-1],
+                          y[:-1]])
+        # (5, nseg + 1)
+        self._block = block = np.concatenate([block, block[:, -1:]], axis=1)
         step = (x[-1] - x[0]) / (len(x) - 1)
         uniform = np.ptp(hk) <= 1e-9 * step
-        x0, right, block = x[0], x[1:], self._block
+        x0, right = x[0], x[1:]
         self._inv_step = inv_step = 1.0 / step if uniform else None
 
         def at(x):
@@ -403,30 +395,29 @@ class CoefficientTable:
         return 2.0 / (self.Lambda + 1.0)
 
     def column(self, name: str) -> np.ndarray:
+        """A stored column, or the derived "P" = F/h: the profile's P at the
+        nodes (F = h*P), kept out of COLUMNS and so out of the CSV."""
+        if name == "P":
+            return self.F / self.h
         if name not in COLUMNS:
-            raise DomainError(f"unknown column '{name}'; have {COLUMNS}")
+            raise DomainError(f"unknown column '{name}'; have {COLUMNS} "
+                              f"and 'P'")
         return getattr(self, name)
 
     def _interpolator(self, name):
         # interpolate in log s; positive columns additionally in log value,
-        # which keeps them positive and monotone under PCHIP.  A tuple of
-        # names gets one interpolant over the stacked columns: PCHIP slopes
-        # are per column, so it matches the single-column ones to roundoff
-        # while paying the per-call overhead once.  Returns (log, _Pchip).
+        # which keeps them positive and monotone under PCHIP.  Returns
+        # (log, _Pchip).
         t = np.log(self.s)
-        y = np.column_stack([self.column(c) for c in name]) \
-            if isinstance(name, tuple) else self.column(name)
+        y = self.column(name)
         if np.all(y > 0.0):
             return True, _Pchip(t, np.log(y))
-        if isinstance(name, tuple):
-            raise DomainError(
-                f"joint evaluation needs positive columns, got {name}")
         return False, _Pchip(t, y)
 
     def evaluator(self, column):
-        """The one evaluation of a column (or a tuple of positive columns),
-        as a function f(s, bounds=None) of an array s, built once per
-        column and table; `eval` and `EpsProblem.diffusivity` call it.
+        """The one evaluation of a column, as a function f(s, bounds=None)
+        of an array s, built once per column and table; `eval` and
+        `EpsProblem.diffusivity` call it.
 
         f checks the domain: arguments outside [s_min, M] beyond roundoff
         slack raise DomainError.  bounds, when given, is an interval (lo,
@@ -468,16 +459,12 @@ class CoefficientTable:
     def eval(self, column, s, bounds=None):
         """Evaluate a column at concentrations s in [s_min, M] through its
         `evaluator`: exact at the nodes, a monotone-preserving cubic in
-        between.  A tuple of positive column names is evaluated through one
-        joint interpolant and returns the columns along a leading axis, so
-        ``F, h = table.eval(("F", "h"), s)`` unpacks them.  A scalar s of
-        one column gives a float.
+        between.  A scalar s gives a float.
         """
         arr = np.asarray(s, dtype=float)
         if arr.ndim:
             return self.evaluator(column)(arr, bounds)
-        out = self.evaluator(column)(arr.reshape(1), bounds)[..., 0]
-        return float(out) if out.ndim == 0 else out
+        return float(self.evaluator(column)(arr.reshape(1), bounds)[0])
 
     def identity_residuals(self) -> dict:
         """Max relative residuals of the construction identities, nodewise."""

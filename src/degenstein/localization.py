@@ -66,11 +66,12 @@ class CutoffFamily:
     def __post_init__(self):
         if not (0.0 < self.Rp < self.R):
             raise GeometryError("need 0 < Rp < R")
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        # plain floats, so messages print (0.9,), not np.float64(0.9)
+        x0 = tuple(np.atleast_1d(np.asarray(self.x0, dtype=float)).tolist())
         # negated, so NaN is rejected too
-        if not np.all(np.abs(x0) < math.inf):
-            raise GeometryError(f"center {tuple(x0.tolist())} is not finite")
-        object.__setattr__(self, "x0", tuple(x0))
+        if not all(abs(c) < math.inf for c in x0):
+            raise GeometryError(f"center {x0} is not finite")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def b(self) -> float:

@@ -1,18 +1,17 @@
 """Solver for the regularized degenerate diffusion problem.
 
-The evolution is quasilinear and nondivergent: the time weight h and the
-diffusion weight F from a coefficient table combine into the pointwise
-diffusivity D(u) = (F(u) + eps)/h(u), and u_t = D(u) * lap(u) is marched
-with a Dirichlet pin eps*psi on the boundary ring of cells.  Every step
-keeps the discrete maximum principle; a clamp event is an error, never a
-silent fix.
+The evolution is quasilinear and nondivergent: the degeneracy P = F/h of a
+coefficient table, raised by the floor, is the pointwise diffusivity
+D(u) = P(u) + eps, and u_t = D(u) * lap(u) is marched with a Dirichlet pin
+eps*psi on the boundary ring of cells.  Every step keeps the discrete
+maximum principle; a clamp event is an error, never a silent fix.
 
 One time loop, `_march`, advances one field of one problem by one call of
 its kernel's `step` per iteration; the caller fixes the kernel, not an
 option.  A step is the whole of it: D through `EpsProblem.diffusivity`
-(one joint evaluation of the table's F and h columns), the step bound, the
-update, the range and maximum-principle tripwires, which raise RangeError
-at the step that breaks them, and the step's dissipation sum.  `_Kernel`
+(one evaluation of the table's P column), the step bound, the update, the
+range and maximum-principle tripwires, which raise RangeError at the step
+that breaks them, and the step's dissipation sum.  `_Kernel`
 is forward Euler over the active window of the cells that differ from eps,
 which changes no bit of the result; `solve`, `step_explicit` and `cfl_dt`
 go through it: one CFL formula and one update (see SAFETY).
@@ -222,13 +221,20 @@ class EpsProblem:
 
     def diffusivity(self, values: np.ndarray,
                     bounds: Optional[tuple] = None) -> np.ndarray:
-        """D = (F + eps)/h at the array values, through the table's joint
-        F/h evaluator.  bounds, when given, hold every value (see
-        `CoefficientTable.evaluator`)."""
-        F, h = self.table.evaluator(("F", "h"))(values, bounds)
-        F += self.eps
-        F /= h
-        return F
+        """D_eps = P(u) + eps at the array values, through the table's
+        evaluator of its P = F/h column.  bounds, when given, hold every
+        value (see `CoefficientTable.evaluator`).
+
+        Why P + eps: it is uniformly parabolic (D >= eps) and tends to P
+        as eps -> 0 for every profile, so the regularized problem keeps
+        the degeneracy that localizes.  Adding eps to F instead, (F +
+        eps)/h = P + eps/h, does not tend to P where h collapses faster
+        than eps (`exp_zeta_slow`, `exp_inv`): there D(eps) grows as eps
+        falls, and the floor diffuses at once.
+        """
+        D = self.table.evaluator("P")(values, bounds)
+        D += self.eps
+        return D
 
 
 def _on_grid(what: str, values: np.ndarray, grid: GridSpec) -> None:
@@ -674,8 +680,8 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
     t_end = T - tol
     for k in range(MAX_STEPS):
         new = spare
-        # integrand [sqrt(h/(F+eps)) * du/dt]^2 = (du/dt)^2 / D: the step's
-        # sum of du^2/D over dt
+        # integrand (du/dt)^2 / D, which balances the gradient energy for
+        # any positive D: the step's sum of du^2/D over dt
         dt, u_lo, u_hi, s = kern.step(u, new, u_lo, u_hi, T - t)
         if not k:
             _check_budget(kern, u, dt, T)
@@ -790,9 +796,8 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
     snapshots at 0 and T only.  The step is 32 times the forward-Euler
     limit at D(max u), so a floor takes tens of steps where `solve` takes
     thousands, at a first-order error in dt (about 3e-3 of the mass
-    against explicit finals on a 401-cell halving ladder from 1e-3), and
-    the kinds whose D(eps) is near 1e33 finish too.  A RangeError names
-    the floor's eps.
+    against explicit finals on a 401-cell halving ladder from 1e-3).  A
+    RangeError names the floor's eps.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:

@@ -309,6 +309,18 @@ class TestFailurePaths:
         assert err["message"] == f"unknown key {key}"
         assert not (out / "degiorgi.json").exists()
 
+    @pytest.mark.parametrize("ladder", [[1e-4, 1e-3], [1e-3, 1e-3]],
+                             ids=["rising", "repeated"])
+    def test_sweep_ladder_must_fall(self, tmp_path, ladder):
+        # the gaps approach eps -> 0 only down a strictly falling ladder
+        cfg = write_config(tmp_path, eps_sweep=ladder)
+        code, out = run(tmp_path, "sweep-eps", "--config", cfg)
+        assert code == EXIT_CONFIG
+        err = load_json(out, "error.json")
+        assert err["error"] == "ConfigError" and err["phase"] == "config"
+        assert "eps_sweep" in err["message"]
+        assert not (out / "sweep.json").exists()
+
     def test_bump_inside_watched_ball(self, tmp_path):
         cfg = write_config(tmp_path,
                            bump={"center": [0.5], "radius": 0.2,
@@ -348,7 +360,9 @@ class TestFailurePaths:
                            localization={"x0": [0.95], "R": 0.4, "Rp": 0.2})
         code, out = run(tmp_path, "localize", "--config", cfg)
         assert code == EXIT_LOCALIZATION
-        assert load_json(out, "error.json")["phase"] == "localization"
+        err = load_json(out, "error.json")
+        assert err["phase"] == "localization"
+        assert err["message"] == "ball of radius 0.4 at (0.95,) leaves the box"
 
     def test_kinetic_step_too_large(self, tmp_path):
         cfg = write_config(tmp_path, T=0.01, localization=None,
@@ -770,15 +784,29 @@ class TestConfigFuzz:
 
 class TestStiffKinds:
     """On the README config, exp_zeta_slow and exp_inv (at its s_min floor
-    1e-2) put D(eps) = (F(eps) + eps)/h(eps) near 1e33: a CFL step near
-    1e-39, whose march would spin for about 40 minutes before its step
-    budget.  The first step's projection exits 4 instead.  sweep-eps
+    1e-2) have D(eps) = P(eps) + eps close to eps, so their explicit solve
+    finishes.  A diffusivity of 1e6 (a constant profile with F0 = 1e6)
+    puts the CFL step near 1e-11, whose march would spin through 5e9
+    steps; the first step's projection exits 4 instead.  sweep-eps
     marches implicitly and finishes."""
 
-    @pytest.mark.parametrize("kind,floor", [("exp_zeta_slow", None),
-                                            ("exp_inv", 1e-2)])
-    def test_solve_exits_4_after_one_step(self, tmp_path, monkeypatch, kind,
-                                          floor):
+    @pytest.mark.parametrize("kind,floor,n_steps", [
+        ("exp_zeta_slow", None, 174), ("exp_inv", 1e-2, 76)])
+    def test_solve_finishes(self, tmp_path, kind, floor, n_steps):
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["profile"] = {"kind": kind, "M": 1.0}
+        if floor is not None:
+            cfg["table"]["s_min"] = cfg["eps"] = floor
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(tmp_path, "solve", "--config", str(path))
+        assert code == EXIT_OK
+        info = load_json(out, "run.json")
+        assert info["n_steps"] == n_steps
+        assert info["energy_residual"] < 0.03
+        assert info["eps"] <= info["D_floor"] <= 1.0001 * info["eps"]
+
+    def test_solve_exits_4_after_one_step(self, tmp_path, monkeypatch):
         steps = []
         step = solver_mod._Kernel.step
 
@@ -788,9 +816,7 @@ class TestStiffKinds:
 
         monkeypatch.setattr(solver_mod._Kernel, "step", counted)
         cfg = json.loads(json.dumps(README_CONFIG))
-        cfg["profile"] = {"kind": kind, "M": 1.0}
-        if floor is not None:
-            cfg["table"]["s_min"] = cfg["eps"] = floor
+        cfg["profile"] = {"kind": "constant", "F0": 1e6, "h0": 1.0}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         code, out = run(tmp_path, "solve", "--config", str(path))
@@ -801,7 +827,7 @@ class TestStiffKinds:
         assert len(steps) == 1
 
     def test_sweep_eps_finishes_exp_zeta_slow(self, tmp_path):
-        # the implicit ladder's step follows D at max u, not D(eps)
+        # the implicit ladder finishes in a few steps a rung
         cfg = json.loads(json.dumps(README_CONFIG))
         cfg["profile"] = {"kind": "exp_zeta_slow", "M": 1.0}
         path = tmp_path / "config.json"

@@ -171,7 +171,7 @@ class TestEval:
         with pytest.raises(DomainError, match="nan"):
             beta1_table.eval("F", np.array([0.5, np.nan]))
         with pytest.raises(DomainError):
-            beta1_table.eval(("F", "h"), np.nan)
+            beta1_table.eval("P", np.nan)
 
     def test_boundary_slack(self, beta1_table):
         tab = beta1_table
@@ -196,9 +196,9 @@ class TestEval:
         # reaches past the domain (the clamp leaves inner values alone)
         tab = beta1_table
         s = np.geomspace(1e-6, 0.9, 301).reshape(1, -1)
-        ref = tab.eval(("F", "h"), s)
+        ref = tab.eval("P", s)
         for bounds in ((1e-6, 0.9), (tab.s_min, tab.M), (1e-9, 1.5)):
-            assert np.array_equal(tab.eval(("F", "h"), s, bounds), ref)
+            assert np.array_equal(tab.eval("P", s, bounds), ref)
         # an interval past the domain sends the check to the values
         bad = np.array([0.5, tab.M * 1.5])
         with pytest.raises(DomainError, match="first offender 1.5"):

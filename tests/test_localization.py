@@ -77,8 +77,8 @@ class TestCutoffFamily:
             assert slope.max() <= limit
 
     def test_geometry_error_outside_box(self, desk_grid):
-        bad = CutoffFamily(x0=(0.9,), R=0.4, Rp=0.2)
-        with pytest.raises(GeometryError):
+        bad = CutoffFamily(x0=np.array([0.9]), R=0.4, Rp=0.2)
+        with pytest.raises(GeometryError, match=r"at \(0\.9,\) leaves"):
             bad.theta(desk_grid, 0)
 
     def test_bad_radii(self):

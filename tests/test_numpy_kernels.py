@@ -149,40 +149,29 @@ def _queries(x):
 class TestPchipMatchesScipy:
     @pytest.mark.parametrize("nodes", ["uniform", "non_uniform"])
     @pytest.mark.parametrize("data", ["monotone", "non_monotone", "flat"])
-    @pytest.mark.parametrize("ncol", [1, 2])
-    def test_values_and_node_slopes(self, scipy_interpolate, nodes, data,
-                                    ncol):
+    def test_values_and_node_slopes(self, scipy_interpolate, nodes, data):
         x = _nodes(nodes)
         y = _data(data, x)
-        if ncol == 2:
-            y = np.column_stack([y, _data("monotone", x)])
         ref = scipy_interpolate.PchipInterpolator(x, y)
         ours = _Pchip(x, y)
         assert (ours._inv_step is not None) == (nodes == "uniform")
         q = _queries(x)
         got = ours(q)
         want = ref(q)
-        if ncol == 2:
-            want = np.moveaxis(want, -1, 0)
         scale = np.max(np.abs(y))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
         # nodes are reproduced and the end slopes are PCHIP's
-        at_nodes = got[..., :x.size] if ncol == 2 else got[:x.size]
-        assert np.max(np.abs(at_nodes - (y.T if ncol == 2 else y))) \
-            <= 1e-13 * scale
+        assert np.max(np.abs(got[:x.size] - y)) <= 1e-13 * scale
         slopes = ref.derivative()(x)
         assert np.max(np.abs(ours.slopes - slopes)) \
             <= 1e-13 * max(np.max(np.abs(slopes)), 1.0)
 
     def test_shape_contract(self):
         x = _nodes("uniform")
-        y = np.column_stack([_data("monotone", x)] * 3)
-        q = np.full((4, 5), 0.25)
-        assert _Pchip(x, y)(q).shape == (3, 4, 5)
-        assert _Pchip(x, y[:, 0])(q).shape == (4, 5)
-        assert _Pchip(x, y)(0.25).shape == (3,)
-        assert _Pchip(x, y[:, 0])(0.25).shape == ()
+        itp = _Pchip(x, _data("monotone", x))
+        assert itp(np.full((4, 5), 0.25)).shape == (4, 5)
+        assert itp(0.25).shape == ()
 
 
 def _clamp_path(itp, x, q):
@@ -191,8 +180,7 @@ def _clamp_path(itp, x, q):
     the left nodes and the coefficient rows gathered apart, on a raveled
     query."""
     nseg = x.size - 1
-    ncol = itp._block.shape[1] if itp._block.ndim == 3 else 1
-    c = itp._block[1:, ..., :nseg].reshape(4 * ncol, nseg)
+    c = itp._block[1:, :nseg]
     q = np.asarray(q, dtype=float)
     qf = q.ravel()
     if itp._inv_step is not None:
@@ -201,22 +189,18 @@ def _clamp_path(itp, x, q):
         i = x.searchsorted(qf, side="right") - 1
     i = np.clip(i, 0, nseg - 1)
     dx = qf - x.take(i)
-    c = c.take(i, axis=1).reshape(4, ncol, qf.size)
+    c = c.take(i, axis=1)
     out = ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
-    return out.reshape((ncol,) + q.shape) if ncol > 1 else out.reshape(q.shape)
+    return out.reshape(q.shape)
 
 
 class TestPchipGather:
     """One padded gather per call against the clamp path, bit for bit."""
 
     @pytest.mark.parametrize("nodes", ["uniform", "non_uniform"])
-    @pytest.mark.parametrize("ncol", [1, 2])
-    def test_matches_the_clamp_path(self, nodes, ncol):
+    def test_matches_the_clamp_path(self, nodes):
         x = _nodes(nodes)
-        y = _data("non_monotone", x)
-        if ncol == 2:
-            y = np.column_stack([y, _data("monotone", x)])
-        itp = _Pchip(x, y)
+        itp = _Pchip(x, _data("non_monotone", x))
         below, above = np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)
         q = np.concatenate([
             x, 0.5 * (x[1:] + x[:-1]),                   # every node, midpoints
@@ -236,12 +220,11 @@ class TestPchipGather:
         lo, hi = tab.s_min, tab.M
         s = np.concatenate([tab.s, np.geomspace(lo, hi, 777),
                             [lo * (1.0 - 5e-13), hi * (1.0 + 5e-13)]])
-        _, itp = tab._interpolator(("F", "h"))
+        _, itp = tab._interpolator("P")
         want = np.exp(_clamp_path(itp, np.log(tab.s),
                                   np.log(np.clip(s, lo, hi))))
-        assert np.array_equal(tab.eval(("F", "h"), s), want)
-        assert np.array_equal(tab.eval(("F", "h"), s, (s.min(), s.max())),
-                              want)
+        assert np.array_equal(tab.eval("P", s), want)
+        assert np.array_equal(tab.eval("P", s, (s.min(), s.max())), want)
 
 
 class _ScipyPchip:
@@ -250,12 +233,10 @@ class _ScipyPchip:
     def __init__(self, x, y):
         from scipy.interpolate import PchipInterpolator
         self._itp = PchipInterpolator(x, y)
-        self._multi = np.ndim(y) > 1
         self.slopes = self._itp.derivative()(x)
 
     def __call__(self, x):
-        out = self._itp(x)
-        return np.moveaxis(out, -1, 0) if self._multi else out
+        return self._itp(x)
 
 
 def _scipy_quad_segment(fn, a, b, tol):
