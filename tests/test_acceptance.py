@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from degenstein.checker import PROFILES, check_profile, estimate_A_B
 from degenstein.coeffs import (LambdaChoice, build_table, constant_table,
@@ -259,12 +260,12 @@ def test_criterion_7_every_registry_kind():
             assert max(ratios) <= 1.0 + SUPPORT_TOL_FACTOR, (kind, ratios)
 
 
-def test_floor_diffusivity_falls_down_every_ladder():
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_floor_diffusivity_falls_down_every_ladder(kind):
     # D_eps(eps) = P(eps) + eps must vanish with eps for the regularization
     # to tend to the degenerate problem; (F + eps)/h = P + eps/h grew
     # instead for exp_zeta_slow and exp_inv, whose h collapses faster
-    for kind in PROFILES:
-        tab, ladder = _kind_ladder(kind)
-        floor = [float(EpsProblem(table=tab, eps=e).diffusivity(
-            np.array([e]))[0]) for e in ladder]
-        assert all(b < a for a, b in zip(floor, floor[1:])), (kind, floor)
+    tab, ladder = _kind_ladder(kind)
+    floor = [float(EpsProblem(table=tab, eps=e).diffusivity(
+        np.array([e]))[0]) for e in ladder]
+    assert all(b < a for a, b in zip(floor, floor[1:])), (kind, floor)

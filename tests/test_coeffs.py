@@ -212,6 +212,27 @@ class TestEval:
             2.0 * tab.eval("F", 0.5), rel=1e-12)
         assert doubled.evaluator("F") is not tab.evaluator("F")
 
+    def test_p_follows_replaced_columns(self, beta1_table):
+        # P is derived from F and h, so a table with either replaced
+        # evaluates its own P
+        tab = beta1_table
+        p = tab.eval("P", 0.5)
+        assert replace(tab, F=2.0 * tab.F).eval("P", 0.5) == pytest.approx(
+            2.0 * p, rel=1e-12)
+        assert replace(tab, h=4.0 * tab.h).eval("P", 0.5) == pytest.approx(
+            0.25 * p, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_p_column_is_the_profile_at_the_nodes(self, kind):
+        # h = H^(Lambda+1)/(s P) and F = H^(Lambda+1)/s, so F/h is P up to
+        # the rounding of the two quotients
+        prof = PROFILES[kind].make_profile()
+        tab = build_table(prof, LambdaChoice(1.0))
+        P = prof(tab.s)
+        assert np.max(np.abs(tab.column("P") / P - 1.0)) <= 1e-14
+        assert np.max(np.abs(tab.eval("P", tab.s) / P - 1.0)) <= 1e-13
+        assert "P" not in COLUMNS
+
 
 class TestCsv:
     def test_round_trip_is_exact(self, beta1_table, tmp_path):

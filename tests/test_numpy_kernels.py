@@ -215,16 +215,19 @@ class TestPchipGather:
         for point in (x[0], x[-1], below, 0.37):
             assert np.array_equal(itp(point), _clamp_path(itp, x, point))
 
-    def test_table_evaluation_at_the_domain_edges(self, beta1_table):
+    # the derived P the diffusivity reads, and the stored F and h it is
+    # derived from
+    @pytest.mark.parametrize("column", ["P", "F", "h"])
+    def test_table_evaluation_at_the_domain_edges(self, beta1_table, column):
         tab = beta1_table
         lo, hi = tab.s_min, tab.M
         s = np.concatenate([tab.s, np.geomspace(lo, hi, 777),
                             [lo * (1.0 - 5e-13), hi * (1.0 + 5e-13)]])
-        _, itp = tab._interpolator("P")
+        _, itp = tab._interpolator(column)
         want = np.exp(_clamp_path(itp, np.log(tab.s),
                                   np.log(np.clip(s, lo, hi))))
-        assert np.array_equal(tab.eval("P", s), want)
-        assert np.array_equal(tab.eval("P", s, (s.min(), s.max())), want)
+        assert np.array_equal(tab.eval(column, s), want)
+        assert np.array_equal(tab.eval(column, s, (s.min(), s.max())), want)
 
 
 class _ScipyPchip:
