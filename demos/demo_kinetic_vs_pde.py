@@ -39,5 +39,10 @@ for n, dt in ((401, 1.5e-4), (801, 7.5e-5)):
     print(f"n={n:4d}, dt={dt:.1e}: {len(times) - 1} jumps, "
           f"mass drift {drift:.1e}, L1 gap to PDE = {gap:.4%}")
 
-print("the residual gap is the divergence-form flux term the solver "
-      "does not carry; it shrinks with h^2 toward the operator gap")
+print("the gap plateaus near 1.33% instead of shrinking with h.  It is the "
+      "model mismatch: the master equation scatters mass through each "
+      "source's own kernel, whose limit is a divergence form, while the "
+      "solver's equation is nondivergent, P(u) lap u, which a gather step "
+      "would match.  The small fall from 401 to 801 cells is the solver's "
+      "forward-Euler time error; against a time-converged PDE the gap grows "
+      "instead.")

@@ -101,10 +101,11 @@ def check_A1(table: CoefficientTable):
 
 
 def _profile_of(table: CoefficientTable) -> DegeneracyProfile:
-    """The profile a table was built from; the checks need it, and a table
-    without one (the constant control table, or one read back by load_csv)
-    raises DomainError."""
-    if table.profile is None:
+    """The profile a table was built from; the checks need it with its
+    Lambda, and a table without both (the constant control table, whose
+    profile drives only the solver, or one read back by load_csv) raises
+    DomainError."""
+    if table.Lambda is None or table.profile is None:
         raise DomainError("the table has no degeneracy profile, so there are "
                           "no assumptions to check")
     return table.profile

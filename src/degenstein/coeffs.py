@@ -375,8 +375,8 @@ class CoefficientTable:
     tail: Optional[float] = None
     quad_tol: float = _QUAD_TOL
     profile: Optional[DegeneracyProfile] = None
-    # evaluators, built from the columns above: `dataclasses.replace`
-    # gives the new table its own
+    # (log, _Pchip) interpolants, built from the columns above:
+    # `dataclasses.replace` gives the new table its own
     _interp: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -395,13 +395,8 @@ class CoefficientTable:
         return 2.0 / (self.Lambda + 1.0)
 
     def column(self, name: str) -> np.ndarray:
-        """A stored column, or the derived "P" = F/h: the profile's P at the
-        nodes (F = h*P), kept out of COLUMNS and so out of the CSV."""
-        if name == "P":
-            return self.F / self.h
         if name not in COLUMNS:
-            raise DomainError(f"unknown column '{name}'; have {COLUMNS} "
-                              f"and 'P'")
+            raise DomainError(f"unknown column '{name}'; have {COLUMNS}")
         return getattr(self, name)
 
     def _interpolator(self, name):
@@ -414,57 +409,34 @@ class CoefficientTable:
             return True, _Pchip(t, np.log(y))
         return False, _Pchip(t, y)
 
-    def evaluator(self, column):
-        """The one evaluation of a column, as a function f(s, bounds=None)
-        of an array s, built once per column and table; `eval` and
-        `EpsProblem.diffusivity` call it.
+    def check_domain(self, s: np.ndarray) -> None:
+        """DomainError unless every value of the array s lies in [s_min, M]
+        up to a roundoff slack of 1e-12 relative; NaN fails."""
+        lo, hi = self.s_min * (1.0 - 1e-12), self.M * (1.0 + 1e-12)
+        # negated comparisons, so NaN is rejected too
+        if not (s.min(initial=np.inf) >= lo and s.max(initial=-np.inf) <= hi):
+            bad = s[~((s >= lo) & (s <= hi))]
+            raise DomainError(f"value outside [{self.s_min:g}, {self.M:g}]: "
+                              f"first offender {bad.flat[0]:g}")
 
-        f checks the domain: arguments outside [s_min, M] beyond roundoff
-        slack raise DomainError.  bounds, when given, is an interval (lo,
-        hi) that holds every value of s, such as the extrema of a field s
-        is cut from; it stands in for the scan of s, and s itself is
-        scanned only if the interval leaves the domain.  Past the check, f
-        is one log, one gather of the interpolant's padded block at an
-        index shaped like s (see `_Pchip`), one Horner pass and, for
-        positive columns, one exp.
-        """
-        if column in self._interp:
-            return self._interp[column]
-        log, itp = self._interpolator(column)
-        # the node range and its roundoff slack
-        lo, hi = self.s_min, self.M
-        lo_ok, hi_ok = lo * (1.0 - 1e-12), hi * (1.0 + 1e-12)
-
-        def f(s, bounds=None):
-            if s.size:
-                amin, amax = (s.min(), s.max()) if bounds is None else bounds
-                # negated comparisons, so NaN is rejected too
-                if not (amin >= lo_ok and amax <= hi_ok):
-                    bad = s[~((s >= lo_ok) & (s <= hi_ok))]
-                    if bad.size:
-                        raise DomainError(
-                            f"evaluation outside [{lo:g}, {hi:g}]: first "
-                            f"offender {bad.flat[0]:g}")
-                # clamping values inside [lo, hi] leaves them as they are
-                if amin < lo or amax > hi:
-                    s = np.minimum(np.maximum(s, lo), hi)
-            out = itp.at(np.log(s))
-            if log:
-                np.exp(out, out=out)
-            return out
-
-        self._interp[column] = f
-        return f
-
-    def eval(self, column, s, bounds=None):
-        """Evaluate a column at concentrations s in [s_min, M] through its
-        `evaluator`: exact at the nodes, a monotone-preserving cubic in
-        between.  A scalar s gives a float.
+    def eval(self, column, s):
+        """Evaluate a column at concentrations s in [s_min, M] (see
+        `check_domain`; values within its slack clamp to the end nodes):
+        exact at the nodes, a monotone-preserving cubic in between.  The
+        column's interpolant is built once per table; a call is one log, one
+        gather of its padded block at an index shaped like s (see `_Pchip`),
+        one Horner pass and, for positive columns, one exp.  A scalar s
+        gives a float.
         """
         arr = np.asarray(s, dtype=float)
-        if arr.ndim:
-            return self.evaluator(column)(arr, bounds)
-        return float(self.evaluator(column)(arr.reshape(1), bounds)[0])
+        if not arr.ndim:
+            return float(self.eval(column, arr.reshape(1))[0])
+        self.check_domain(arr)
+        if column not in self._interp:
+            self._interp[column] = self._interpolator(column)
+        log, itp = self._interp[column]
+        out = itp.at(np.log(np.clip(arr, self.s_min, self.M)))
+        return np.exp(out, out=out) if log else out
 
     def identity_residuals(self) -> dict:
         """Max relative residuals of the construction identities, nodewise."""
@@ -772,10 +744,12 @@ def custom_profile(s_nodes, P_nodes) -> DegeneracyProfile:
 
 def constant_table(F0: float = 1.0, h0: float = 1.0, M: float = 1.0,
                    s_min: float = 1e-8, K: int = 64) -> CoefficientTable:
-    """Nondegenerate control coefficients: F and h constant, H linear, G = 0.
+    """Nondegenerate control coefficients: F and h constant, H linear, G = 0,
+    with the constant profile P = F0/h0 that drives the solver.
 
     Bypasses the calculus on purpose (the construction identities do not
-    apply); used as the infinite-speed contrast in localization experiments.
+    apply, so Lambda stays None and the checker rejects the table); used as
+    the infinite-speed contrast in localization experiments.
     """
     if not (0 < s_min < M and F0 > 0 and h0 > 0):
         raise DomainError(f"constant table needs 0 < s_min < M and positive "
@@ -785,6 +759,10 @@ def constant_table(F0: float = 1.0, h0: float = 1.0, M: float = 1.0,
     P0 = F0 / h0
     # inner integral consistent with the constant profile, for reporting only
     I_vals = np.log(M / s) / P0 + 1.0
+    profile = DegeneracyProfile(func=lambda v: np.full(np.shape(v), P0), M=M,
+                                c3=P0, kind="constant",
+                                params={"F0": F0, "h0": h0})
     return CoefficientTable(s=s, I=I_vals, H=h0 * s, h=np.full(K, h0),
                             F=np.full(K, F0), Fprime=np.zeros(K),
-                            G=np.zeros(K), Lambda=None, tail=1.0)
+                            G=np.zeros(K), Lambda=None, tail=1.0,
+                            profile=profile)

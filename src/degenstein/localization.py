@@ -220,8 +220,8 @@ def table_state_eval(table: CoefficientTable, column: str,
         at = np.unravel_index(int(np.argmax(np.isnan(values))), values.shape)
         raise DomainError(f"state is NaN at index {tuple(map(int, at))}")
     lo, top = table.s_min, table.M
-    out = table.eval(column, np.clip(values, lo, top).ravel(),
-                     (lo, top)).reshape(values.shape)
+    out = table.eval(column, np.clip(values, lo, top).ravel())
+    out = out.reshape(values.shape)
     if least <= 0.0:
         out[values <= 0.0] = 0.0
     return out

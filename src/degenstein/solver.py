@@ -1,20 +1,25 @@
 """Solver for the regularized degenerate diffusion problem.
 
-The evolution is quasilinear and nondivergent: the degeneracy P = F/h of a
-coefficient table, raised by the floor, is the pointwise diffusivity
-D(u) = P(u) + eps, and u_t = D(u) * lap(u) is marched with a Dirichlet pin
-eps*psi on the boundary ring of cells.  Every step keeps the discrete
-maximum principle; a clamp event is an error, never a silent fix.
+The evolution is quasilinear and nondivergent: the degeneracy profile P
+that the coefficient table carries, raised by the floor, is the pointwise
+diffusivity D(u) = P(u) + eps, and u_t = D(u) * lap(u) is marched with a
+Dirichlet pin eps*psi on the boundary ring of cells.  The profile drives
+the solver; the table's columns drive the checker and the localization
+certificate.  Every step keeps the discrete maximum principle; a clamp
+event is an error, never a silent fix.
 
 One time loop, `_march`, advances one field of one problem by one call of
 its kernel's `step` per iteration; the caller fixes the kernel, not an
 option.  A step is the whole of it: D through `EpsProblem.diffusivity`
-(one evaluation of the table's P column), the step bound, the update, the
-range and maximum-principle tripwires, which raise RangeError at the step
-that breaks them, and the step's dissipation sum.  `_Kernel`
-is forward Euler over the active window of the cells that differ from eps,
-which changes no bit of the result; `solve`, `step_explicit` and `cfl_dt`
-go through it: one CFL formula and one update (see SAFETY).
+(one call of the profile), the step bound, the update, the range and
+maximum-principle tripwires, which raise RangeError at the step that
+breaks them, and the step's dissipation sum.  The tripwires keep a march
+within [eps*min(1, psi), M] up to roundoff, so only a field from outside
+has the table's domain [s_min, M] checked, once, where it enters:
+`_march`, `step_explicit` and `cfl_dt`.  `_Kernel` is forward Euler over
+the active window of the cells that differ from eps, which changes no bit
+of the result; `solve`, `step_explicit` and `cfl_dt` go through it: one
+CFL formula and one update (see SAFETY).
 `_ImplicitKernel` is lagged backward Euler over the whole interior, an
 M-matrix solve by batched parallel cyclic reduction (`_pcr`) at 32 times
 the forward-Euler limit at D(max u); `eps_sweep` marches the floor ladder,
@@ -172,7 +177,7 @@ class EpsProblem:
     The initial state is eps + g; the boundary ring is pinned to eps*psi for
     all time.  omega_prime, when given as (center, radius), declares the ball
     that g must vacate (checked, since every localization statement is about
-    that ball).
+    that ball).  The table must carry its profile, which D reads.
     """
 
     table: CoefficientTable
@@ -182,6 +187,9 @@ class EpsProblem:
     omega_prime: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.table.profile is None:
+            raise DomainError("the table has no degeneracy profile, so there "
+                              "is no diffusivity to march with")
         if not (0.0 < self.eps < self.u_max):
             raise DomainError("need 0 < eps < u_max")
         if self.eps < self.table.s_min:
@@ -219,11 +227,9 @@ class EpsProblem:
                 raise DomainError("g does not vanish on the declared empty ball")
         return g_vals, psi_vals
 
-    def diffusivity(self, values: np.ndarray,
-                    bounds: Optional[tuple] = None) -> np.ndarray:
-        """D_eps = P(u) + eps at the array values, through the table's
-        evaluator of its P = F/h column.  bounds, when given, hold every
-        value (see `CoefficientTable.evaluator`).
+    def diffusivity(self, values: np.ndarray) -> np.ndarray:
+        """D_eps = P(u) + eps at the array values, P the table's profile,
+        for values in the table's domain.
 
         Why P + eps: it is uniformly parabolic (D >= eps) and tends to P
         as eps -> 0 for every profile, so the regularized problem keeps
@@ -232,9 +238,7 @@ class EpsProblem:
         than eps (`exp_zeta_slow`, `exp_inv`): there D(eps) grows as eps
         falls, and the floor diffuses at once.
         """
-        D = self.table.evaluator("P")(values, bounds)
-        D += self.eps
-        return D
+        return self.table.profile(values) + self.eps
 
 
 def _on_grid(what: str, values: np.ndarray, grid: GridSpec) -> None:
@@ -257,13 +261,12 @@ class _Kernel:
     clipped to the interior.  Skipping the cells outside it is exact: such
     a cell and its neighbors all hold eps, the difference eps - 2*eps + eps
     is 0.0 in IEEE arithmetic (2*eps and eps - 2*eps are exact), so forward
-    Euler leaves the cell at eps bit for bit.  The first step evaluates the
-    whole grid (which is also the domain check of the ring) and fixes the
+    Euler leaves the cell at eps bit for bit.  The first step fixes the
     window; later steps grow the box by one cell on each side whose edge
-    row has left the floor, then evaluate D on the window plus its one-cell
-    halo only.  The box never shrinks.  A hump that fills the box, or a
-    ring pin eps*psi that differs from eps, makes the window the whole
-    interior and the step the full-grid one.
+    row has left the floor.  Every step evaluates D on the window plus its
+    one-cell halo, the slab, only.  The box never shrinks.  A hump that
+    fills the box, or a ring pin eps*psi that differs from eps, makes the
+    window the whole interior and the step the full-grid one.
 
     The CFL maximum of D over the slab is the full-grid one without any
     constant for the cells outside: every cell that differs from eps lies
@@ -354,7 +357,7 @@ class _Kernel:
         expression's, and the tripwires.  out's other cells must hold the
         pins on the ring and the values elsewhere; lo, hi are the extrema
         of values, after the first call the ones this step returned, which
-        spare the table's domain check a scan of the slab.
+        the maximum-principle tripwire compares out with.
 
         Returns dt, the extrema of out and the step's sum of du^2/D over
         dt, the dissipation integrand: one dot of w and lap_h(u), off the
@@ -362,9 +365,7 @@ class _Kernel:
         admissible range or the update breaks the discrete maximum
         principle (tripwires: neither can happen under the CFL bound)."""
         if self.bounds is None:
-            D = self.prob.diffusivity(values)
             self._open(values)
-            top, D = np.maximum.reduce(D, None), D[self.slab]
         else:
             ends, eps = self.ends, self.eps
             if ends:
@@ -374,9 +375,8 @@ class _Kernel:
                     values.take(self.edge_take).tolist() != self.edge_floor
             if moved:
                 self._grow(values)
-            D = self.prob.diffusivity(values[self.slab], (lo, hi))
-            top = np.maximum.reduce(D, None)
-        dt = min(self.cfl / float(top), room)
+        D = self.prob.diffusivity(values[self.slab])
+        dt = min(self.cfl / float(np.maximum.reduce(D, None)), room)
         win, lap, w = self.win, self.lap, self.w
         old = values[win]
         for buf, down, up, h2 in self.stencil:
@@ -514,9 +514,9 @@ class _ImplicitKernel(_Kernel):
              room: float):
         """The backward-Euler step of the interior into out, whose ring must
         hold the pins, at dt = min(the step from D at max u, room), as
-        `_Kernel.step`.  The evaluation at the maximum scans it, so a NaN
-        in the field, whose extrema are then NaN, raises DomainError."""
-        D = self.prob.diffusivity(values, (lo, hi))
+        `_Kernel.step`.  No NaN reaches it: `sample_on` rejects one in the
+        initial data, and the tripwires one from a step."""
+        D = self.prob.diffusivity(values)
         top = self.prob.diffusivity(np.array([hi]))
         dt = min(self.cfl / float(top[0]), room)
         old, new, Dw = values[self.win], out[self.win], D[self.inner]
@@ -536,8 +536,10 @@ class _ImplicitKernel(_Kernel):
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, SAFETY * min(h)^2 / (2 * dim * max D), which keeps each
-    updated cell within its stencil's min and max (see SAFETY)."""
+    updated cell within its stencil's min and max (see SAFETY).  Raises
+    DomainError for values outside the table's domain."""
     _on_grid("values", values, grid)
+    prob.table.check_domain(values)
     top = np.maximum.reduce(prob.diffusivity(values), None)
     return _Kernel(prob, grid).cfl / float(top)
 
@@ -548,16 +550,17 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
     same kernel that solve marches with.
 
     Raises DomainError when values or psi_vals do not have the grid's
-    shape or dt is not positive (NaN included), CflError when dt exceeds
-    the stability bound by more than 1e-12 of it (a dt within that slack
-    is stepped at the bound) and RangeError as the kernel's tripwires do
-    (see `_Kernel.step`).
+    shape, values leave the table's domain or dt is not positive (NaN
+    included in both), CflError when dt exceeds the stability bound by
+    more than 1e-12 of it (a dt within that slack is stepped at the bound)
+    and RangeError as the kernel's tripwires do (see `_Kernel.step`).
     """
     if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
         raise DomainError(f"time step must be positive, got {dt!r}")
     _on_grid("values", values, grid)
     if psi_vals is not None:
         _on_grid("psi_vals", psi_vals, grid)
+    prob.table.check_domain(values)
     kern = _Kernel(prob, grid, psi_vals)
     new = kern.pin.copy()
     new[kern.inner] = values[kern.inner]
@@ -661,6 +664,7 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
     u0 = prob.eps + g_vals
     u = kern.pin.copy()
     u[kern.inner] = u0[kern.inner]
+    prob.table.check_domain(u)   # the ring's pins eps*psi may lie below it
     boundary_transient = float(np.abs(u0 - u).max())
     # two fields whose boundary rings hold the pins; each step writes the
     # interior of one from the other

@@ -329,6 +329,18 @@ class TestFailurePaths:
         assert code == EXIT_SOLVER
         assert load_json(out, "error.json")["exit_code"] == EXIT_SOLVER
 
+    @pytest.mark.parametrize("command,pin", [("solve", "1e-12"),
+                                             ("sweep-eps", "1e-09")])
+    def test_pin_below_the_table_floor(self, tmp_path, command, pin):
+        # eps*psi on the ring, with eps the run's or the ladder's first,
+        # is below the table's s_min = 1e-8
+        cfg = write_config(tmp_path, psi=1e-6)
+        code, out = run(tmp_path, command, "--config", cfg)
+        assert code == EXIT_SOLVER
+        err = load_json(out, "error.json")
+        assert err["error"] == "DomainError" and err["phase"] == "solve"
+        assert f"first offender {pin}" in err["message"]
+
     def test_error_json_goes_to_config_out_dir(self, tmp_path, monkeypatch):
         # no --out: a solver-phase failure leaves error.json where the
         # config's artifacts would go, not in the working directory

@@ -166,12 +166,14 @@ class TestEval:
             tab.eval("F", tab.s_min * 0.5)
         with pytest.raises(DomainError):
             tab.eval("F", tab.M * 1.01)
+        with pytest.raises(DomainError, match="first offender 1.5"):
+            tab.eval("F", np.array([0.5, tab.M * 1.5]))
 
     def test_nan_raises(self, beta1_table):
         with pytest.raises(DomainError, match="nan"):
             beta1_table.eval("F", np.array([0.5, np.nan]))
         with pytest.raises(DomainError):
-            beta1_table.eval("P", np.nan)
+            beta1_table.eval("F", np.nan)
 
     def test_boundary_slack(self, beta1_table):
         tab = beta1_table
@@ -191,47 +193,21 @@ class TestEval:
         with pytest.raises(DomainError):
             beta1_table.eval("Q", 0.5)
 
-    def test_bounds_stand_in_for_the_scan(self, beta1_table):
-        # an interval that holds every value changes no bit, also when it
-        # reaches past the domain (the clamp leaves inner values alone)
+    def test_replaced_columns_get_their_own_interpolants(self, beta1_table):
         tab = beta1_table
-        s = np.geomspace(1e-6, 0.9, 301).reshape(1, -1)
-        ref = tab.eval("P", s)
-        for bounds in ((1e-6, 0.9), (tab.s_min, tab.M), (1e-9, 1.5)):
-            assert np.array_equal(tab.eval("P", s, bounds), ref)
-        # an interval past the domain sends the check to the values
-        bad = np.array([0.5, tab.M * 1.5])
-        with pytest.raises(DomainError, match="first offender 1.5"):
-            tab.eval("F", bad, (0.0, 2.0))
-
-    def test_replaced_columns_get_their_own_evaluators(self, beta1_table):
-        tab = beta1_table
-        tab.eval("F", 0.5)  # builds tab's evaluator of F first
+        tab.eval("F", 0.5)  # builds tab's interpolant of F first
         doubled = replace(tab, F=2.0 * tab.F)
         assert doubled.eval("F", 0.5) == pytest.approx(
             2.0 * tab.eval("F", 0.5), rel=1e-12)
-        assert doubled.evaluator("F") is not tab.evaluator("F")
-
-    def test_p_follows_replaced_columns(self, beta1_table):
-        # P is derived from F and h, so a table with either replaced
-        # evaluates its own P
-        tab = beta1_table
-        p = tab.eval("P", 0.5)
-        assert replace(tab, F=2.0 * tab.F).eval("P", 0.5) == pytest.approx(
-            2.0 * p, rel=1e-12)
-        assert replace(tab, h=4.0 * tab.h).eval("P", 0.5) == pytest.approx(
-            0.25 * p, rel=1e-12)
 
     @pytest.mark.parametrize("kind", sorted(PROFILES))
-    def test_p_column_is_the_profile_at_the_nodes(self, kind):
+    def test_f_over_h_is_the_profile_at_the_nodes(self, kind):
         # h = H^(Lambda+1)/(s P) and F = H^(Lambda+1)/s, so F/h is P up to
         # the rounding of the two quotients
         prof = PROFILES[kind].make_profile()
         tab = build_table(prof, LambdaChoice(1.0))
-        P = prof(tab.s)
-        assert np.max(np.abs(tab.column("P") / P - 1.0)) <= 1e-14
-        assert np.max(np.abs(tab.eval("P", tab.s) / P - 1.0)) <= 1e-13
-        assert "P" not in COLUMNS
+        assert tab.profile is prof
+        assert np.max(np.abs(tab.F / tab.h / prof(tab.s) - 1.0)) <= 1e-14
 
 
 class TestCsv:
