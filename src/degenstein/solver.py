@@ -8,22 +8,18 @@ the solver; the table's columns drive the checker and the localization
 certificate.  Every step keeps the discrete maximum principle; a clamp
 event is an error, never a silent fix.
 
-One time loop, `_march`, advances one field of one problem by one call of
-its kernel's `step` per iteration; the caller fixes the kernel, not an
-option.  A step is the whole of it: D through `EpsProblem.diffusivity`
-(one call of the profile), the step bound, the update, the range and
-maximum-principle tripwires, which raise RangeError at the step that
-breaks them, and the step's dissipation sum.  The tripwires keep a march
-within [eps*min(1, psi), M] up to roundoff, so only a field from outside
-has the table's domain [s_min, M] checked, once, where it enters:
-`_march`, `step_explicit` and `cfl_dt`.  `_Kernel` is forward Euler over
-the active window of the cells that differ from eps, which changes no bit
-of the result; `solve`, `step_explicit` and `cfl_dt` go through it: one
-CFL formula and one update (see SAFETY).
-`_ImplicitKernel` is lagged backward Euler over the whole interior, an
-M-matrix solve by batched parallel cyclic reduction (`_pcr`) at 32 times
-the forward-Euler limit at D(max u); `eps_sweep` marches the floor ladder,
-one march per eps, with it.
+One time loop, `solve`, advances one field of one problem by one call of
+the kernel's `step` per iteration.  A step is the whole of it: D through
+`EpsProblem.diffusivity` (one call of the profile), the step bound, the
+update, the range and maximum-principle tripwires, which raise RangeError
+at the step that breaks them, and the step's dissipation sum.  The
+tripwires keep a march within [eps*min(1, psi), M] up to roundoff, so only
+a field from outside has the table's domain [s_min, M] checked, once,
+where it enters: `solve`, `step_explicit` and `cfl_dt`.  `_Kernel` is
+forward Euler over the active window of the cells that differ from eps,
+which changes no bit of the result; `solve`, `step_explicit` and `cfl_dt`
+go through it: one CFL formula and one update (see SAFETY).  `eps_sweep`
+marches the floor ladder as one `solve` per eps.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -248,8 +244,7 @@ def _on_grid(what: str, values: np.ndarray, grid: GridSpec) -> None:
 
 
 class _Kernel:
-    """The explicit step, shared by `solve`, step_explicit and cfl_dt, and
-    the base of `_ImplicitKernel`.
+    """The explicit step, shared by `solve`, step_explicit and cfl_dt.
 
     A kernel steps one field of one problem and holds the CFL constant,
     the boundary pins eps*psi and the admissible ranges.  Under the CFL
@@ -391,11 +386,6 @@ class _Kernel:
         new = out[win]
         np.add(old, w, out=new)
         self.cell_updates += w.size
-        return (dt, *self._finish(new, lo, hi), float(np.vdot(w, lap)))
-
-    def _finish(self, new, lo, hi):
-        """The tripwires on the window's new values, then the extrema of
-        the field; see `step`.  Each kernel sums its own dissipation."""
         eps, top, slack = self.eps, self.hi, self.slack
         n_lo = float(np.minimum.reduce(new, None))
         n_hi = float(np.maximum.reduce(new, None))
@@ -410,127 +400,7 @@ class _Kernel:
         if not (n_hi <= hi + slack and n_lo >= lo - slack):
             raise RangeError(f"eps={eps:g}: discrete maximum principle "
                              f"violated")
-        return o_lo, o_hi
-
-
-def _pcr(lo: np.ndarray, diag: np.ndarray, up: np.ndarray,
-         rhs: np.ndarray) -> np.ndarray:
-    """Solve diag[i] x[i] - lo[i] x[i-1] - up[i] x[i+1] = rhs[i] along the
-    first axis, batched over the others, by parallel cyclic reduction;
-    lo[0] and up[-1] must be 0.
-
-    A pass with stride s adds lo[i]/diag[i-s] times row i-s and
-    up[i]/diag[i+s] times row i+s to row i, which removes x[i-s] and
-    x[i+s] and couples row i to rows i-2s and i+2s; after ceil(log2 n)
-    passes every row is diagonal.  For an M-matrix (lo, up >= 0 and
-    diag >= lo + up) every coefficient stays nonnegative.  The rows sit
-    in buffers padded on both sides by the largest stride (lo, up and rhs
-    with 0, diag with 1), so a row beyond the ends contributes nothing and
-    each pass is twelve elementwise numpy calls into the other set of
-    buffers.  Nothing mixes batch members, so each one's solution does not
-    depend on the others."""
-    n = rhs.shape[0]
-    pad = 1 << max(n - 1, 1).bit_length() >> 1     # the largest stride
-    core = slice(pad, pad + n)
-    # two sets of padded lo, diag, up and rhs rows
-    bufs = np.zeros((2, 4, n + 2 * pad) + rhs.shape[1:])
-    bufs[:, 1] = 1.0
-    bufs[0, :, core] = lo, diag, up, rhs
-    k_lo, k_up, tmp = (np.empty(rhs.shape) for _ in range(3))
-    s = 1
-    while s < n:
-        (lo, diag, up, rhs), (lo_n, diag_n, up_n, rhs_n) = bufs
-        prev, next_ = slice(pad - s, pad - s + n), slice(pad + s, pad + s + n)
-        np.divide(lo[core], diag[prev], out=k_lo)
-        np.divide(up[core], diag[next_], out=k_up)
-        d = rhs_n[core]
-        np.multiply(rhs[prev], k_lo, out=d)
-        d += rhs[core]
-        d += np.multiply(rhs[next_], k_up, out=tmp)
-        g = diag_n[core]
-        np.multiply(up[prev], k_lo, out=g)
-        np.subtract(diag[core], g, out=g)
-        g -= np.multiply(lo[next_], k_up, out=tmp)
-        np.multiply(lo[prev], k_lo, out=lo_n[core])
-        np.multiply(up[next_], k_up, out=up_n[core])
-        bufs = bufs[::-1]
-        s *= 2
-    _, diag, _, rhs = bufs[0]
-    return rhs[core] / diag[core]
-
-
-def _solve_lines(u: np.ndarray, r: np.ndarray, left: np.ndarray,
-                 right: np.ndarray) -> np.ndarray:
-    """x with (1 + 2 r[i]) x[i] - r[i] (x[i-1] + x[i+1]) = u[i] along the
-    first axis, where x beyond the ends is held at left and right: one
-    backward-Euler sub-step of lines whose cells have r = dt*D/h^2.  Each
-    row is divided by 1 + 2r first, so no coefficient exceeds 1 even where
-    r is near 1e35."""
-    q = 1.0 + 2.0 * r
-    off = r / q
-    d = u / q
-    d[0] += off[0] * left
-    d[-1] += off[-1] * right
-    lo, up = off.copy(), off
-    lo[0] = 0.0
-    up[-1] = 0.0
-    return _pcr(lo, np.ones_like(d), up, d)
-
-
-# the implicit step is this many times the forward-Euler limit at the bulk
-# diffusivity
-_IMPLICIT_C = 32.0
-
-
-class _ImplicitKernel(_Kernel):
-    """Lagged backward Euler over the whole interior of one field, behind
-    the explicit kernel's `step`: `eps_sweep` marches each floor of its
-    ladder with it.
-
-    A step solves (I - dt*diag(D(u^n))*lap_h) u^{n+1} = u^n with the ring
-    held at eps*psi.  In 1-D that is one tridiagonal system; in 2-D, Lie
-    splitting solves along x on every row and then along y on every
-    column, both with D lagged at u^n.  The systems along one axis are solved
-    in one batch by `_pcr`.  Each matrix is an M-matrix, so the discrete
-    maximum principle holds for any dt, and the explicit kernel's range
-    and maximum-principle tripwires, with their slack of 1e-12 of
-    max(u_max, 1), stand for roundoff below the floor: nothing is clamped.
-
-    The step is _IMPLICIT_C * min(h)^2 / (2 * dim * D(max u)), capped at
-    T - t by the march: a multiple of the forward-Euler limit at the bulk
-    diffusivity, not at max D, which for the kinds whose h collapses
-    faster than eps sits at the floor.  The error is first order in that
-    step."""
-
-    def __init__(self, prob: EpsProblem, grid: GridSpec,
-                 psi_vals: Optional[np.ndarray] = None):
-        super().__init__(prob, grid, psi_vals)
-        self.cfl = _IMPLICIT_C * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
-        self._set_window([(1, m - 1) for m in grid.n])
-        # a line's pins, once its axis is swapped last
-        self.lines = (slice(1, -1),) * (grid.dim - 1)
-
-    def step(self, values: np.ndarray, out: np.ndarray, lo: float, hi: float,
-             room: float):
-        """The backward-Euler step of the interior into out, whose ring must
-        hold the pins, at dt = min(the step from D at max u, room), as
-        `_Kernel.step`.  No NaN reaches it: `sample_on` rejects one in the
-        initial data, and the tripwires one from a step."""
-        D = self.prob.diffusivity(values)
-        top = self.prob.diffusivity(np.array([hi]))
-        dt = min(self.cfl / float(top[0]), room)
-        old, new, Dw = values[self.win], out[self.win], D[self.inner]
-        u = old
-        for k, h in enumerate(self.grid.h):
-            pin = self.pin.swapaxes(k, -1)[self.lines]
-            x = _solve_lines(u.swapaxes(k, 0), (Dw * (dt / h ** 2)).swapaxes(k, 0),
-                             pin[..., 0], pin[..., -1])
-            u = x.swapaxes(0, k)
-        new[...] = u
-        self.cell_updates += new.size
-        # (new - old)^2/D: this update is not dt*D*lap_h of the old field
-        return (dt, *self._finish(new, lo, hi),
-                float(np.add.reduce((new - old) ** 2 / Dw, None)) / dt)
+        return dt, o_lo, o_hi, float(np.vdot(w, lap))
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -647,20 +517,25 @@ def _check_budget(kern: _Kernel, values: np.ndarray, dt: float,
             f"over the budget of {MAX_STEPS}")
 
 
-def _march(prob: EpsProblem, grid: GridSpec, T: float,
-           snapshot_times: Union[None, int, Sequence[float]],
-           kernel: type = _Kernel) -> SolveTrace:
-    """March the one field of prob to time T with the step kernel `kernel`
-    (`_Kernel`, forward Euler, or `_ImplicitKernel`, lagged backward
-    Euler), one `step` call per step; see `_check_budget` for the CflError
-    after the first."""
+def solve(prob: EpsProblem, grid: GridSpec, T: float,
+          snapshot_times: Union[None, int, Sequence[float]] = None) -> SolveTrace:
+    """March the explicit scheme to time T with adaptive CFL-bounded steps.
+
+    Snapshots are linearly interpolated in time onto the requested instants,
+    so step placement never depends on the output schedule.  Every step is
+    one call of the shared kernel's `step`, so a range or maximum-principle
+    violation raises RangeError at the step where it happens, and the
+    dissipation integral uses the step's own D, which is what makes the
+    energy identity check tight.  T must be positive and finite; see
+    `_check_budget` for the CflError after the first step.
+    """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
     snap_times = _resolve_snapshots(snapshot_times, T)
     snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
 
     g_vals, psi_vals = prob.sample_on(grid)
-    kern = kernel(prob, grid, psi_vals)
+    kern = _Kernel(prob, grid, psi_vals)
     u0 = prob.eps + g_vals
     u = kern.pin.copy()
     u[kern.inner] = u0[kern.inner]
@@ -718,20 +593,6 @@ def _march(prob: EpsProblem, grid: GridSpec, T: float,
         cell_updates=kern.cell_updates)
 
 
-def solve(prob: EpsProblem, grid: GridSpec, T: float,
-          snapshot_times: Union[None, int, Sequence[float]] = None) -> SolveTrace:
-    """March the explicit scheme to time T with adaptive CFL-bounded steps.
-
-    Snapshots are linearly interpolated in time onto the requested instants,
-    so step placement never depends on the output schedule.  Every step is
-    one call of the shared kernel's `step`, so a range or maximum-principle
-    violation raises RangeError at the step where it happens, and the
-    dissipation integral uses the step's own D, which is what makes the
-    energy identity check tight.  T must be positive and finite.
-    """
-    return _march(prob, grid, T, snapshot_times)
-
-
 def grad_energy(values: np.ndarray, grid: GridSpec) -> float:
     """Integral of |grad u|^2, centered differences inside, one-sided at the
     edges."""
@@ -781,7 +642,7 @@ class SweepResult:
     eps_values: np.ndarray
     finals: list
     distances: np.ndarray  # L1 gaps between consecutive final fields
-    n_steps: list          # implicit steps each floor took to T
+    n_steps: list          # steps each floor's solve took to T
 
     def is_cauchy(self) -> Optional[bool]:
         """Whether every gap is below the one before it; None with fewer
@@ -795,19 +656,16 @@ def eps_sweep(prob: EpsProblem, grid: GridSpec, T: float,
     """Re-solve the same problem over a decreasing ladder of floors and
     report L1 gaps between consecutive final-time fields.
 
-    Each floor is its own march of `_ImplicitKernel`, lagged backward
-    Euler over the whole interior, of `prob` with only eps replaced, with
-    snapshots at 0 and T only.  The step is 32 times the forward-Euler
-    limit at D(max u), so a floor takes tens of steps where `solve` takes
-    thousands, at a first-order error in dt (about 3e-3 of the mass
-    against explicit finals on a 401-cell halving ladder from 1e-3).  A
-    RangeError names the floor's eps.
+    Each floor is one `solve` of `prob` with only eps replaced, with
+    snapshots at 0 and T only, so each final and step count is that
+    solve's own, bit for bit.  Every floor is checked before the first is
+    marched, and a RangeError names the floor's eps.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     if eps_values.ndim != 1 or len(eps_values) < 2:
         raise DomainError("need at least two floor values")
     probs = [replace(prob, eps=float(e)) for e in eps_values]
-    traces = [_march(p, grid, T, 2, _ImplicitKernel) for p in probs]
+    traces = [solve(p, grid, T, 2) for p in probs]
     finals = [tr.fields[-1].copy() for tr in traces]
     vol = grid.cell_volume
     distances = np.array([

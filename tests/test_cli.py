@@ -800,7 +800,7 @@ class TestStiffKinds:
     finishes.  A diffusivity of 1e6 (a constant profile with F0 = 1e6)
     puts the CFL step near 1e-11, whose march would spin through 5e9
     steps; the first step's projection exits 4 instead.  sweep-eps
-    marches implicitly and finishes."""
+    marches each floor with solve and finishes."""
 
     @pytest.mark.parametrize("kind,floor,n_steps", [
         ("exp_zeta_slow", None, 174), ("exp_inv", 1e-2, 76)])
@@ -839,7 +839,7 @@ class TestStiffKinds:
         assert len(steps) == 1
 
     def test_sweep_eps_finishes_exp_zeta_slow(self, tmp_path):
-        # the implicit ladder finishes in a few steps a rung
+        # each rung takes the steps of solve at its eps
         cfg = json.loads(json.dumps(README_CONFIG))
         cfg["profile"] = {"kind": "exp_zeta_slow", "M": 1.0}
         path = tmp_path / "config.json"
@@ -848,7 +848,12 @@ class TestStiffKinds:
         assert code == EXIT_OK
         info = load_json(out, "sweep.json")
         assert info["cauchy_decreasing"]
-        assert all(0 < k < 100 for k in info["n_steps"])
+        assert info["n_steps"] == [180, 177, 175]
+        for eps, n_steps in zip(cfg["eps_sweep"], info["n_steps"]):
+            path.write_text(json.dumps(dict(cfg, eps=eps)))
+            code, out = run(tmp_path, "solve", "--config", str(path))
+            assert code == EXIT_OK
+            assert load_json(out, "run.json")["n_steps"] == n_steps
 
 
 class TestRecordedOutputs:

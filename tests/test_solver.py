@@ -654,13 +654,12 @@ def _assert_same_trace(got, ref):
 
 
 def _check_ladder(prob, grid, T, ladder, snapshot_times=2):
-    """Each floor's implicit march, against eps_sweep's finals bit for bit
-    (the finals do not depend on the snapshot schedule) and its step
-    counts; every final lies within [eps*min(psi, 1), max of its initial
-    field], to 1e-12.  Returns the sweep and the traces."""
-    implicit = solver_mod._ImplicitKernel
-    traces = [solver_mod._march(replace(prob, eps=e), grid, T,
-                                snapshot_times, implicit) for e in ladder]
+    """Each floor's `solve`, against eps_sweep's finals bit for bit (the
+    finals do not depend on the snapshot schedule) and its step counts;
+    every final lies within [eps*min(psi, 1), max of its initial field],
+    to 1e-12.  Returns the sweep and the traces."""
+    traces = [solve(replace(prob, eps=e), grid, T, snapshot_times)
+              for e in ladder]
     sweep = eps_sweep(prob, grid, T, ladder)
     assert all(np.array_equal(a, tr.fields[-1])
                for a, tr in zip(sweep.finals, traces))
@@ -672,10 +671,9 @@ def _check_ladder(prob, grid, T, ladder, snapshot_times=2):
     return sweep, traces
 
 
-class TestImplicitMarch:
-    """The floor ladder, one implicit march per eps: the step counts and
-    L1 gaps it gave when its floors were stepped as one stack, and the
-    range each final must keep."""
+class TestFloorLadder:
+    """The floor ladder, one `solve` per eps: the step counts and L1 gaps
+    it gives, and the range each final must keep."""
 
     LAB_LADDER = [1e-3 * 2.0 ** (-k) for k in range(5)]
     LAB_GRID = GridSpec(extent=((-1.0, 1.0),), n=(401,))
@@ -692,15 +690,16 @@ class TestImplicitMarch:
     def test_lab_ladder(self, beta1_table):
         sweep, _ = _check_ladder(self.lab_problem(beta1_table), self.LAB_GRID,
                                  0.05, self.LAB_LADDER)
-        self.assert_recorded(sweep, [18] * 5, [
-            0.0011743011117536066, 0.0006258543263885081,
-            0.0003433153262506336, 0.00019607008850257583])
+        self.assert_recorded(sweep, [695, 691, 689, 688, 687], [
+            0.0011745948210748103, 0.0006255284219003448,
+            0.00034280110373936036, 0.0001956261686941019])
+        assert sweep.is_cauchy()
 
     def test_floors_take_different_step_counts(self, beta1_table):
         sweep, _ = _check_ladder(self.lab_problem(beta1_table),
                                  self.LAB_GRID, 0.05, [1e-3, 0.1, 1e-4, 0.3])
-        self.assert_recorded(sweep, [18, 40, 18, 87], [
-            0.20272015683936445, 0.20493855677548234, 0.6030350597647197])
+        self.assert_recorded(sweep, [695, 1562, 688, 3450], [
+            0.20274685169027168, 0.2049644972157024, 0.602998191659939])
 
     def test_2d_with_repeated_floor(self, beta1_table):
         grid = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(48, 48))
@@ -708,9 +707,9 @@ class TestImplicitMarch:
                           g=bump((0.1, -0.2), 0.4, 0.2, shape="cos2"), psi=1.0)
         sweep, traces = _check_ladder(prob, grid, 0.01,
                                       [5e-4, 1e-3, 5e-4, 1e-4])
-        self.assert_recorded(sweep, [1, 1, 1, 1], [
-            0.0020010185213985387, 0.0020010185213985387,
-            0.0016008172191260275])
+        self.assert_recorded(sweep, [6, 6, 6, 6], [
+            0.0020010804675340177, 0.0020010804675340177,
+            0.0016008693746390826])
         _assert_same_trace(traces[2], traces[0])
 
     def test_hump_fills_the_box(self, beta1_table, desk_grid):
@@ -718,8 +717,8 @@ class TestImplicitMarch:
                           g=lambda x: 0.1 + 0.05 * np.cos(3 * x), psi=1.0)
         sweep, traces = _check_ladder(prob, desk_grid, 0.005,
                                       [1e-3, 1e-4, 1e-5])
-        self.assert_recorded(sweep, [2, 2, 2], [
-            0.0017668348764503165, 0.0001766416036053774])
+        self.assert_recorded(sweep, [77, 76, 76], [
+            0.0017607371605143937, 0.00017601270758587061])
         interior = int(desk_grid.interior_mask().sum())
         assert all(tr.cell_updates == tr.n_steps * interior for tr in traces)
 
@@ -728,17 +727,34 @@ class TestImplicitMarch:
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=bump((-0.6,), 0.2, 0.2),
                           psi=lambda x: 1.0 + 0.5 * np.cos(x))
         sweep, _ = _check_ladder(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
-        self.assert_recorded(sweep, [5, 5, 5], [
-            0.0018374736735095611, 0.00018629185806294976])
+        self.assert_recorded(sweep, [172, 170, 170], [
+            0.0018394668865209319, 0.00018728253812173872])
 
     def test_explicit_snapshot_list(self, beta1_table, desk_grid, desk_bump):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
         times = [0.0, 0.0011, 0.004, 0.0095, 0.01]
         sweep, traces = _check_ladder(prob, desk_grid, 0.01,
                                       [4e-5, 2e-4, 1e-3], snapshot_times=times)
-        self.assert_recorded(sweep, [5, 5, 5], [
-            0.0003293445271922215, 0.0016280000506624123])
+        self.assert_recorded(sweep, [170, 171, 172], [
+            0.00033055193459345715, 0.0016293199552325733])
         assert all(np.array_equal(tr.times, times) for tr in traces)
+
+    @pytest.mark.parametrize("kind", sorted(PROFILES) + ["constant"])
+    def test_every_kind_is_solve(self, kind):
+        # exp_inv's table, and so its ladder, starts at s_min = 1e-2
+        if kind == "constant":
+            tab, ladder = constant_table(), [1e-3, 5e-4, 2.5e-4]
+        else:
+            s_min = 1e-2 if kind == "exp_inv" else 1e-8
+            tab = build_table(PROFILES[kind].make_profile(), LambdaChoice(1.0),
+                              s_min=s_min, K=256)
+            ladder = ([4e-2, 2e-2, 1e-2] if kind == "exp_inv"
+                      else [1e-3, 5e-4, 2.5e-4])
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(101,))
+        prob = EpsProblem(table=tab, eps=ladder[0],
+                          g=bump((-0.3,), 0.3, 0.5), psi=1.0)
+        sweep, traces = _check_ladder(prob, grid, 0.01, ladder)
+        assert all(tr.n_steps > 1 for tr in traces)
 
     @settings(max_examples=12, deadline=None)
     @given(ladder=st.lists(st.floats(min_value=1e-6, max_value=1e-2),
@@ -752,122 +768,24 @@ class TestImplicitMarch:
                           g=bump((center,), 0.3, height), psi=1.0)
         _check_ladder(prob, grid, T, ladder)
 
-    def test_implicit_overshoot_raises_at_the_first_step(
+    def test_overshoot_raises_in_the_first_rung(
             self, beta1_table, desk_grid, desk_bump, monkeypatch):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        calls = []
-        honest = solver_mod._pcr
+        floors = []
+        honest = solver_mod._Kernel.step
 
-        def overshooting(*args):
-            calls.append(1)
-            return 10.0 * honest(*args)
+        def counted(kern, *args):
+            floors.append(kern.eps)
+            return honest(kern, *args)
 
-        monkeypatch.setattr(solver_mod, "_pcr", overshooting)
+        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        # steps ten times the stable one overshoot within two steps
+        monkeypatch.setattr(solver_mod, "SAFETY", 10.0 * solver_mod.SAFETY)
         with pytest.raises(RangeError) as info:
             eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
         assert "eps=0.001:" in str(info.value)
-        assert len(calls) == 1
-
-
-def _thomas(u, r, left, right):
-    """The backward-Euler line solve as a scalar Thomas loop over Python
-    floats, on the rows as written: (1 + 2 r) x[i] - r x[i-1] - r x[i+1]."""
-    n = len(u)
-    rhs, r = [float(v) for v in u], [float(v) for v in r]
-    rhs[0] += r[0] * left
-    rhs[-1] += r[-1] * right
-    c, d = [0.0] * n, [0.0] * n
-    for i in range(n):
-        lo = -r[i] if i else 0.0
-        diag = 1.0 + 2.0 * r[i] - (lo * c[i - 1] if i else 0.0)
-        c[i] = -r[i] / diag
-        d[i] = (rhs[i] - (lo * d[i - 1] if i else 0.0)) / diag
-    x = [0.0] * n
-    for i in reversed(range(n)):
-        x[i] = d[i] - (c[i] * x[i + 1] if i < n - 1 else 0.0)
-    return np.array(x)
-
-
-def _dense(u, r, left, right):
-    n = len(u)
-    A = np.diag(1.0 + 2.0 * r)
-    A[np.arange(1, n), np.arange(n - 1)] = -r[1:]
-    A[np.arange(n - 1), np.arange(1, n)] = -r[:-1]
-    rhs = u.copy()
-    rhs[0] += r[0] * left
-    rhs[-1] += r[-1] * right
-    return np.linalg.solve(A, rhs)
-
-
-class TestParallelCyclicReduction:
-    """`_solve_lines` (rows scaled by 1 + 2r, then `_pcr`) against a dense
-    solve and a scalar Thomas loop of the rows as written, to 1e-13 of the
-    largest value, on batches of lines whose r spans 1e-8 to 1e35."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 37, 64, 101, 399])
-    def test_matches_dense_and_thomas(self, rng, n):
-        batch = 4
-        u = rng.random((n, batch))
-        r = 10.0 ** rng.uniform(-8.0, 35.0, (n, batch))
-        r[:, 1] = 1e35                     # a line of very stiff cells
-        r[:, 2] = 16.0                     # a line in the bulk
-        left, right = rng.random(batch), rng.random(batch)
-        x = solver_mod._solve_lines(u, r, left, right)
-        for j in range(batch):
-            args = (u[:, j], r[:, j], left[j], right[j])
-            scale = np.abs(x[:, j]).max()
-            for ref in (_dense(*args), _thomas(*args)):
-                assert np.abs(x[:, j] - ref).max() <= 1e-13 * scale, (n, j)
-
-
-class TestImplicitLadder:
-    """The implicit lab ladder against the explicit one: first order in
-    dt, with the gaps, and so the Cauchy verdict, kept."""
-
-    LADDER = TestImplicitMarch.LAB_LADDER
-    T = 0.05
-
-    @pytest.fixture(scope="class")
-    def lab(self, beta1_table):
-        grid = GridSpec(extent=((-1.0, 1.0),), n=(401,))
-        prob = EpsProblem(table=beta1_table, eps=1e-3,
-                          g=bump((-0.6,), 0.2, 0.2), psi=1.0,
-                          omega_prime=((0.5,), 0.4))
-        explicit = [solve(replace(prob, eps=e), grid, self.T, 2).fields[-1]
-                    for e in self.LADDER]
-        return grid, prob, explicit
-
-    @staticmethod
-    def _errors(sweep, explicit):
-        """Each rung's L1 distance to its explicit final, over its mass."""
-        return [float(np.abs(a - b).sum() / (b - e).sum())
-                for a, b, e in zip(sweep.finals, explicit, sweep.eps_values)]
-
-    def test_agrees_with_the_explicit_ladder(self, lab):
-        grid, prob, explicit = lab
-        sweep = eps_sweep(prob, grid, self.T, self.LADDER)
-        assert max(sweep.n_steps) <= 20     # the explicit ladder takes 695
-        assert max(self._errors(sweep, explicit)) <= 5e-3
-        vol = grid.cell_volume
-        gaps = [float(np.abs(a - b).sum()) * vol
-                for a, b in zip(explicit, explicit[1:])]
-        assert np.allclose(sweep.distances, gaps, rtol=1e-2, atol=0.0)
-        assert sweep.is_cauchy()
-        slack = 1e-12      # the tripwires' own
-        for f, e in zip(sweep.finals, self.LADDER):
-            # between the floor and the initial maximum e + 0.2
-            assert f.min() >= e - slack and f.max() <= e + 0.2 + slack
-
-    def test_error_is_first_order_in_dt(self, lab, monkeypatch):
-        grid, prob, explicit = lab
-        full = self._errors(eps_sweep(prob, grid, self.T, self.LADDER),
-                            explicit)
-        monkeypatch.setattr(solver_mod, "_IMPLICIT_C",
-                            solver_mod._IMPLICIT_C / 2.0)
-        half = self._errors(eps_sweep(prob, grid, self.T, self.LADDER),
-                            explicit)
-        assert all(1.6 <= a / b <= 2.4 for a, b in zip(full, half)), \
-            (full, half)
+        # no later floor is marched
+        assert 0 < len(floors) <= 2 and set(floors) == {1e-3}, floors
 
 
 class TestExactSolution:
