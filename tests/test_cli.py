@@ -855,6 +855,49 @@ class TestStiffKinds:
             assert code == EXIT_OK
             assert load_json(out, "run.json")["n_steps"] == n_steps
 
+    @pytest.mark.parametrize("kind,n_steps", [
+        ("power", [695, 691, 689]), ("exp_zeta_bounded", [490, 487, 485]),
+        ("exp_inv", [239, 130, 76]), ("constant", [5031, 5028, 5027])])
+    def test_sweep_eps_finishes(self, tmp_path, kind, n_steps):
+        # the README config as the CI loop writes it; exp_inv's ladder
+        # falls to its table floor s_min = 1e-2
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["profile"] = {"kind": kind, "M": 1.0}
+        if kind == "exp_inv":
+            cfg["table"]["s_min"] = cfg["eps"] = 1e-2
+            cfg["eps_sweep"] = [4e-2, 2e-2, 1e-2]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(tmp_path, "sweep-eps", "--config", str(path))
+        assert code == EXIT_OK
+        info = load_json(out, "sweep.json")
+        assert info["cauchy_decreasing"]
+        assert info["n_steps"] == n_steps
+
+    def test_sweep_eps_below_the_table_floor_marches_nothing(
+            self, tmp_path, monkeypatch):
+        steps = []
+        step = solver_mod._Kernel.step
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        # exp_inv's table starts at 1e-2; the README ladder lies below it
+        cfg = json.loads(json.dumps(README_CONFIG))
+        cfg["profile"] = {"kind": "exp_inv", "M": 1.0}
+        cfg["table"]["s_min"] = cfg["eps"] = 1e-2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run(tmp_path, "sweep-eps", "--config", str(path))
+        assert code == EXIT_SOLVER
+        err = load_json(out, "error.json")
+        assert err["error"] == "DomainError" and err["phase"] == "solve"
+        assert err["message"].startswith("eps=0.001 below the table's")
+        assert not os.path.exists(os.path.join(str(out), "sweep.json"))
+        assert steps == []
+
 
 class TestRecordedOutputs:
     """Headline figures of the CLI, recorded from the code before the

@@ -787,6 +787,49 @@ class TestFloorLadder:
         # no later floor is marched
         assert 0 < len(floors) <= 2 and set(floors) == {1e-3}, floors
 
+    def test_overshoot_in_a_later_rung_names_its_floor(
+            self, beta1_table, desk_grid, desk_bump, monkeypatch):
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        n_first = solve(replace(prob, eps=1e-3), desk_grid, 0.01, 2).n_steps
+        floors = []
+        honest_init, honest_step = solver_mod._Kernel.__init__, \
+            solver_mod._Kernel.step
+
+        def stiff_second_rung(kern, *args):
+            honest_init(kern, *args)
+            if kern.eps == 1e-4:
+                kern.cfl *= 10.0     # overshoots within two steps
+
+        def counted(kern, *args):
+            floors.append(kern.eps)
+            return honest_step(kern, *args)
+
+        monkeypatch.setattr(solver_mod._Kernel, "__init__", stiff_second_rung)
+        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        with pytest.raises(RangeError) as info:
+            eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
+        assert "eps=0.0001:" in str(info.value)
+        # the first floor is marched to T, the third never
+        assert floors[:n_first] == [1e-3] * n_first
+        assert 0 < len(floors) - n_first <= 2
+        assert set(floors[n_first:]) == {1e-4}, floors
+
+    def test_every_floor_is_checked_before_the_first_is_marched(
+            self, beta1_table, desk_grid, desk_bump, monkeypatch):
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        steps = []
+        honest = solver_mod._Kernel.step
+
+        def counted(kern, *args):
+            steps.append(kern.eps)
+            return honest(kern, *args)
+
+        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        # the last floor lies below the table's s_min = 1e-8
+        with pytest.raises(DomainError, match="eps=1e-09 below"):
+            eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-9])
+        assert steps == []
+
 
 class TestExactSolution:
     """Power profile beta = 1 with Lambda = 1: the eps -> 0 limit is
