@@ -215,16 +215,22 @@ def table_state_eval(table: CoefficientTable, column: str,
     clamps to M.  A NaN state raises DomainError naming the first one.
     """
     values = np.asarray(values, dtype=float)
-    least = values.min(initial=math.inf)
-    if least != least:
-        at = np.unravel_index(int(np.argmax(np.isnan(values))), values.shape)
-        raise DomainError(f"state is NaN at index {tuple(map(int, at))}")
+    least = _least_state(values)
     lo, top = table.s_min, table.M
     out = table.eval(column, np.clip(values, lo, top).ravel())
     out = out.reshape(values.shape)
     if least <= 0.0:
         out[values <= 0.0] = 0.0
     return out
+
+
+def _least_state(values: np.ndarray) -> float:
+    """The least value of values; DomainError naming the first NaN."""
+    least = values.min(initial=math.inf)
+    if least != least:
+        at = np.unravel_index(int(np.argmax(np.isnan(values))), values.shape)
+        raise DomainError(f"state is NaN at index {tuple(map(int, at))}")
+    return least
 
 
 def _snapshot_schedule(trace: SolveTrace, T_prime: float):
@@ -240,14 +246,25 @@ def _snapshot_schedule(trace: SolveTrace, T_prime: float):
     return times, n_stored
 
 
-def _state_stacks(table: CoefficientTable, fields: np.ndarray) -> tuple:
-    """H(u) and G(u) of a stack of fields along a leading axis.  A few
-    fields go to each evaluation, so its temporaries stay a few fields
-    large; it is per cell, so the chunking changes no value."""
-    starts = range(0, len(fields), _EVAL_CHUNK)
-    return tuple(np.concatenate([
-        table_state_eval(table, c, fields[i:i + _EVAL_CHUNK])
-        for i in starts]) for c in ("H", "G"))
+def _state_stacks(table: CoefficientTable, fields: np.ndarray,
+                  theta: np.ndarray) -> tuple:
+    """H(u) and G(u) of a stack of fields along a leading axis, evaluated
+    on the bounding box of the support of the cutoff theta, and 0
+    elsewhere.  theta and every cutoff inside it vanish outside the box, so
+    their products with H and G are the same floats as with H and G
+    evaluated everywhere (0 * finite = 0).  Every cell is still checked
+    for NaN.  A few fields go to each evaluation, so its temporaries stay a
+    few fields large; it is per cell, so the chunking changes no value."""
+    _least_state(fields)
+    box = (slice(None), *(slice(c.min(), c.max() + 1) if c.size else
+                          slice(0, 0) for c in np.nonzero(theta > 0.0)))
+    stacks = np.zeros((2, *fields.shape))
+    inner = fields[box]
+    for i in range(0, len(fields), _EVAL_CHUNK):
+        for out, c in zip(stacks, ("H", "G")):
+            out[i:i + _EVAL_CHUNK][box] = table_state_eval(
+                table, c, inner[i:i + _EVAL_CHUNK])
+    return tuple(stacks)
 
 
 def _energy_rows(theta: np.ndarray, H: np.ndarray, G: np.ndarray,
@@ -282,8 +299,9 @@ def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
     fields = trace.fields[:n_stored]
     if len(times) > n_stored:
         fields = np.concatenate([fields, trace.field_at(times[-1])[None]])
-    rows = _energy_rows(cutoffs.theta(trace.grid, n),
-                        *_state_stacks(table, fields), trace.grid)
+    theta = cutoffs.theta(trace.grid, n)
+    rows = _energy_rows(theta, *_state_stacks(table, fields, theta),
+                        trace.grid)
     return _weighted_energy(T_prime, pack, times, *rows)
 
 
@@ -325,14 +343,15 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
     The verdict checks Y_n <= 2 D b^(2(n-1)) Y_{n-1}^(1+kj); the factor 2 is
     quadrature slack on top of the stored bound column.  T_prime in the
     result is the certified horizon from bisection (estimate_T_prime).
-    H(u) and G(u) are evaluated on the stored snapshots once; each theta_n
-    is built once and reduces them to its mass and gradient rows, and the
-    bisection starts from theta_0's rows.
+    H(u) and G(u) are evaluated on the stored snapshots once, on the
+    support box of theta_0 only; each theta_n is built once and reduces
+    them to its mass and gradient rows, and the bisection starts from
+    theta_0's rows.
     """
     grid, T = trace.grid, trace.T
     times, _ = _snapshot_schedule(trace, T)
-    H, G = _state_stacks(table, trace.fields)
     thetas = [cutoffs.theta(grid, n) for n in range(n_max + 1)]
+    H, G = _state_stacks(table, trace.fields, thetas[0])
     rows = [_energy_rows(theta, H, G, grid) for theta in thetas]
     Y = np.array([_weighted_energy(T, pack, times, *r) for r in rows])
     bound = np.full(n_max + 1, np.nan)
@@ -362,7 +381,7 @@ def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
     has finite energy, though it can be far below T.
     """
     theta0 = cutoffs.theta(trace.grid, 0)
-    rows = _energy_rows(theta0, *_state_stacks(table, trace.fields),
+    rows = _energy_rows(theta0, *_state_stacks(table, trace.fields, theta0),
                         trace.grid)
     return _bisect_T_prime(trace, pack, table, theta0, *rows)
 
@@ -380,7 +399,8 @@ def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
     segment, and its rounding is far inside the margin, so every probe
     settles as energy_Y would and T' is the same to the bit.  With T' far
     below T most probes fail this way.  Otherwise the probe evaluates the
-    endpoint row, if T' falls between two stored instants.
+    endpoint row, if T' falls between two stored instants, on theta_0's
+    support box.
     """
     theta_L = pack.threshold
 
@@ -392,7 +412,8 @@ def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
             return False
         if len(times) > n:
             u = trace.field_at(times[-1])
-            end = _energy_rows(theta0, *_state_stacks(table, u[None]), trace.grid)
+            end = _energy_rows(theta0, *_state_stacks(table, u[None], theta0),
+                               trace.grid)
             m, g = np.concatenate([m, end[0]]), np.concatenate([g, end[1]])
         return _weighted_energy(tp, pack, times, m, g) <= theta_L
 

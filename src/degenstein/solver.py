@@ -268,6 +268,10 @@ class _Kernel:
     in the slab, the cells outside it hold eps, and while the box leaves
     interior cells out, its edge on that side holds eps too, so D(eps) is
     in the slab (D need not be monotone, so it has to be).
+
+    A step's operands are bound once per window: h^2 per axis as a
+    window-shaped array, and for each field stepped the views of its slab,
+    its window and its window shifted down and up each axis (`_bind`).
     """
 
     def __init__(self, prob: EpsProblem, grid: GridSpec,
@@ -292,15 +296,15 @@ class _Kernel:
         self.win = win = tuple(slice(a, b) for a, b in bounds)
         self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
         # the update and lap_h(u) over the window, contiguous in 1-D and
-        # 2-D alike, and per axis the buffer of its second difference, the
-        # window shifted one cell down and up that axis, and h^2
+        # 2-D alike, and per axis the buffer of its second difference, h^2
+        # and the window shifted one cell down and up that axis
         shape = tuple(b - a for a, b in bounds)
         self.w, self.lap = np.empty(shape), np.empty(shape)
         self.stencil = [
-            (self.lap if not k else np.empty(shape),
-             *(win[:k] + (slice(a + d, b + d),) + win[k + 1:] for d in (-1, 1)),
-             h ** 2)
+            (self.lap if not k else np.empty(shape), np.full(shape, h ** 2),
+             *(win[:k] + (slice(a + d, b + d),) + win[k + 1:] for d in (-1, 1)))
             for k, ((a, b), h) in enumerate(zip(bounds, self.grid.h))]
+        self.views = []
         n = self.grid.n
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
         # edge rows that can still grow: (axis, side, index of the row), and
@@ -343,13 +347,30 @@ class _Kernel:
                 bounds[k][side] += 1 if side else -1
             self._set_window([tuple(ab) for ab in bounds])
 
+    def _bind(self, field: np.ndarray) -> tuple:
+        """(field, slab, window, per axis (buffer, h^2, window shifted
+        down, up)) of field for the current window.  The two fields used
+        last keep theirs, which covers `solve`'s alternating pair; each
+        binding holds its field, so no view outlives the array it views."""
+        for bound in self.views:
+            if bound[0] is field:
+                return bound
+        bound = (field, field[self.slab], field[self.win],
+                 [(buf, h2, field[down], field[up])
+                  for buf, h2, down, up in self.stencil])
+        self.views = [bound] + self.views[:1]
+        return bound
+
     def step(self, values: np.ndarray, out: np.ndarray, lo: float, hi: float,
              room: float):
         """One step of values into out at dt = min(CFL bound, room): D on
         the window plus its halo, the update w = dt*D*lap_h(u), with
         lap_h(u) written into a window-sized buffer in the order of
-        (u[i-1] - 2*u[i] + u[i+1])/h^2 per axis, so every bit is that
-        expression's, and the tripwires.  out's other cells must hold the
+        (u[i-1] - 2*u[i] + u[i+1])/h^2 per axis, and the tripwires.  Every
+        bit is that expression's: 2*u[i] is formed as u[i] + u[i], which
+        is exact, and dividing by the window's array of h^2 is the scalar
+        division cell by cell; values and out are read and written through
+        the views bound for the window.  out's other cells must hold the
         pins on the ring and the values elsewhere; lo, hi are the extrema
         of values, after the first call the ones this step returned, which
         the maximum-principle tripwire compares out with.
@@ -370,21 +391,21 @@ class _Kernel:
                     values.take(self.edge_take).tolist() != self.edge_floor
             if moved:
                 self._grow(values)
-        D = self.prob.diffusivity(values[self.slab])
+        _, slab, old, shifts = self._bind(values)
+        D = self.prob.diffusivity(slab)
         dt = min(self.cfl / float(np.maximum.reduce(D, None)), room)
-        win, lap, w = self.win, self.lap, self.w
-        old = values[win]
-        for buf, down, up, h2 in self.stencil:
-            np.multiply(old, 2.0, out=buf)
-            np.subtract(values[down], buf, out=buf)
-            buf += values[up]
+        lap, w = self.lap, self.w
+        for buf, h2, down, up in shifts:
+            np.add(old, old, buf)
+            np.subtract(down, buf, buf)
+            buf += up
             buf /= h2
         for buf, *_ in self.stencil[1:]:
             lap += buf
-        np.multiply(D[self.inner], dt, out=w)
+        np.multiply(D[self.inner], dt, w)
         w *= lap
-        new = out[win]
-        np.add(old, w, out=new)
+        new = self._bind(out)[2]
+        np.add(old, w, new)
         self.cell_updates += w.size
         eps, top, slack = self.eps, self.hi, self.slack
         n_lo = float(np.minimum.reduce(new, None))

@@ -307,19 +307,23 @@ class TestDeGiorgiTrace:
 
 
 def _field_grad_energy(w, grid):
-    """1-D gradient energy of one field, written out."""
-    h = grid.h[0]
-    gx = np.empty_like(w)
-    gx[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    gx[0] = (w[1] - w[0]) / h
-    gx[-1] = (w[-1] - w[-2]) / h
-    return float(np.sum(gx * gx)) * grid.cell_volume
+    """Gradient energy of one field, written out per axis: centered
+    differences inside, one-sided at the edges."""
+    total = 0.0
+    for k, h in enumerate(grid.h):
+        g = np.empty_like(w)
+        v, gv = np.moveaxis(w, k, -1), np.moveaxis(g, k, -1)
+        gv[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+        gv[..., 0] = (v[..., 1] - v[..., 0]) / h
+        gv[..., -1] = (v[..., -1] - v[..., -2]) / h
+        total += float(np.sum(g * g))
+    return total * grid.cell_volume
 
 
 def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime):
     """energy_Y as one Python pass per snapshot of the schedule, each
-    field's H and G evaluated on its own: the bit-for-bit reference of the
-    stacked pass (1-D traces)."""
+    field's H and G evaluated on its own and on every cell: the bit-for-bit
+    reference of the stacked pass."""
     grid = trace.grid
     theta = cutoffs.theta(grid, n)
     times, fields = [], []
@@ -343,8 +347,67 @@ def _per_snapshot_energy_Y(trace, cutoffs, pack, table, n, T_prime):
 
 class TestStackedEnergies:
     """The certificate evaluates the snapshots' H and G as one stack, a few
-    snapshots per call, and reduces it row by row; every value is that of
-    the loop over snapshots, bit for bit."""
+    snapshots per call and on theta_0's support box only, and reduces it
+    row by row; every value is that of the loop over snapshots, which
+    evaluates every cell, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["edge", "2-D", "2-D-edge"])
+    def ball(self, request, beta1_table):
+        """(trace, cutoffs, pack) of a ball that touches the domain edge,
+        so theta_0's box is clipped there, with the hump inside it; of a
+        2-D ball inside the domain; and of a 2-D ball at the edge."""
+        if request.param == "edge":
+            trace = request.getfixturevalue("desk_trace_beta1")
+            cut = CutoffFamily(x0=(-0.6,), R=0.4, Rp=0.2)
+        else:
+            grid = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(40, 32))
+            prob = EpsProblem(table=beta1_table, eps=1e-6,
+                              g=bump((-0.4, 0.1), 0.3, 0.2), psi=1.0)
+            trace = solve(prob, grid, 0.01, 9)
+            x0 = (0.1, 0.0) if request.param == "2-D" else (-0.4, 0.1)
+            cut = CutoffFamily(x0=x0, R=0.6, Rp=0.3)
+        pack = ExponentPack.build(cut, N_dim=trace.grid.dim,
+                                  table=beta1_table)
+        return trace, cut, pack
+
+    def test_balls_match_the_snapshot_loop(self, ball, beta1_table):
+        trace, cut, pack = ball
+        theta0 = cut.theta(trace.grid, 0)
+        box = tuple(slice(c.min(), c.max() + 1)
+                    for c in np.nonzero(theta0 > 0.0))
+        # the support box leaves cells out, and for a ball at the domain
+        # edge it reaches the first row of cells
+        assert 0 < theta0[box].size < theta0.size
+        assert (theta0[0] > 0.0).any() == (cut.x0[0] - cut.R <= -1.0)
+        T = trace.T
+        for T_prime in (1e-9, 0.3 * T / 8, 0.51 * T, T):
+            for n in (0, 3, 6):
+                got = energy_Y(trace, cut, pack, beta1_table, n, T_prime)
+                assert got == _per_snapshot_energy_Y(
+                    trace, cut, pack, beta1_table, n, T_prime), (T_prime, n)
+        dg = de_giorgi_trace(trace, cut, pack, beta1_table)
+        want = [_per_snapshot_energy_Y(trace, cut, pack, beta1_table, n, T)
+                for n in range(7)]
+        assert np.array_equal(dg.Y, want) and dg.Y[0] > 0.0
+        T_prime = _every_probe_T_prime(trace, cut, pack, beta1_table)
+        assert dg.T_prime == T_prime
+        assert estimate_T_prime(trace, cut, pack, beta1_table) == T_prime
+
+    @pytest.mark.parametrize("snap", [3, 10])
+    def test_a_nan_outside_the_ball_is_named(self, desk_trace_beta1,
+                                             cutoffs, desk_pack, beta1_table,
+                                             snap):
+        # H and G are evaluated on theta_0's box, yet every cell is checked,
+        # and the first NaN is named by its index in the snapshot stack
+        trace = replace(desk_trace_beta1,
+                        fields=desk_trace_beta1.fields.copy())
+        cell = 20
+        assert cutoffs.theta(trace.grid, 0)[cell] == 0.0
+        trace.fields[snap, cell] = trace.fields[20, 5] = np.nan
+        at = re.escape(f"NaN at index ({snap}, {cell})")
+        for certify in (de_giorgi_trace, estimate_T_prime):
+            with pytest.raises(DomainError, match=at):
+                certify(trace, cutoffs, desk_pack, beta1_table)
 
     def test_probes_match_the_snapshot_loop(self, desk_trace_beta1, cutoffs,
                                             desk_pack, beta1_table):

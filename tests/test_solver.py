@@ -618,6 +618,31 @@ class TestActiveWindow:
         else:
             assert trace.cell_updates == full
 
+    @pytest.mark.parametrize("case", ["tent", "rect-2d"])
+    def test_a_rotation_of_three_buffers_matches_solve(self, beta1_table,
+                                                       case):
+        # solve alternates two fields, and the kernel binds the views of
+        # each once per window; stepped through three, each step reads and
+        # writes fields that another step bound, as the window grows
+        grid, data, T = self.CASES[case]
+        prob = EpsProblem(table=beta1_table, eps=1e-6, **data)
+        trace = solve(prob, grid, T, snapshot_times=2)
+        kern = solver_mod._Kernel(prob, grid)
+        u = kern.pin.copy()
+        u[kern.inner] = (prob.eps + grid.sample(prob.g))[kern.inner]
+        fields = [u, u.copy(), u.copy()]
+        lo, hi = float(u.min()), float(u.max())
+        t, dts = 0.0, []
+        while t < T - 1e-15 * T:
+            k = len(dts)
+            dt, lo, hi, _ = kern.step(fields[k % 3], fields[(k + 1) % 3],
+                                      lo, hi, T - t)
+            t += dt
+            dts.append(dt)
+        assert np.array_equal(dts, trace.dt_history)
+        assert np.array_equal(fields[len(dts) % 3], trace.fields[-1])
+        assert kern.cell_updates == trace.cell_updates
+
     def test_desk_work_count(self, desk_trace_beta1, desk_grid):
         interior = int(desk_grid.interior_mask().sum())
         assert 0 < desk_trace_beta1.cell_updates \
