@@ -17,9 +17,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import (CoefficientTable, DegeneracyProfile, LambdaChoice,
-                     build_table, custom_profile, exp_inv_profile,
-                     exp_zeta_profile, power_profile)
+from .coeffs import (QUAD_TOL, CoefficientTable, DegeneracyProfile,
+                     LambdaChoice, build_table, custom_profile,
+                     exp_inv_profile, exp_zeta_profile, power_profile)
 from .errors import DomainError
 
 __all__ = [
@@ -194,7 +194,7 @@ def check_profile(table: CoefficientTable) -> AssumptionReport:
         sPprimeI_trend=sPprimeI_trend,
         verdicts={
             "A1": {"pass": a1_ok, "C1": C1, **a1_detail},
-            "A2": {"pass": bool(C2_residual <= 10.0 * table.quad_tol),
+            "A2": {"pass": bool(C2_residual <= 10.0 * QUAD_TOL),
                    "residual": C2_residual},
             "P2": {"pass": bool(p2_margin > 0.0), "margin": p2_margin,
                    "growth": growth},

@@ -78,7 +78,7 @@ _GK_W[:, 0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GK_W[1:10:2, 1] = _WG
 _GK_W[11:20:2, 1] = _WG[::-1]
 _QUAD_LIMIT = 200    # most subintervals one adaptive quadrature may use
-_QUAD_TOL = 1e-8     # relative tolerance of the tables' quadrature
+QUAD_TOL = 1e-8      # relative tolerance of the tables' quadrature
 
 
 @dataclass
@@ -272,14 +272,12 @@ class _Pchip:
     three-point formula at both ends.
 
     Everything a call needs is one contiguous gather block with a column
-    per segment and a copy of the last: row 0 the segment's left node, rows
-    1-4 its cubic's coefficients from the highest power down.  A call is one
-    segment index (arithmetic on uniform nodes, a binary search in x[1:]
-    otherwise), one `take` of the block at that index shaped like x, and one
-    Horner pass.  x[-1] indexes the copy; beyond the nodes the take clips to
-    the end columns, so the end cubics extrapolate.  `at` is that call for a
-    float array x, with the block and nodes bound once; calling the
-    interpolant converts x and calls `at`.
+    per segment: row 0 the segment's left node, rows 1-4 its cubic's
+    coefficients from the highest power down.  A call is one binary search
+    of x in the interior nodes x[1:-1], one `take` of the block at that
+    index shaped like x, and one Horner pass.  The search puts x[-1] in the
+    last segment and anything beyond the nodes in an end segment, so the
+    end cubics extrapolate.
     """
 
     def __init__(self, x, y):
@@ -299,31 +297,10 @@ class _Pchip:
             self._end_slope(hk[0], hk[1], mk[0], mk[1]), inner,
             self._end_slope(hk[-1], hk[-2], mk[-1], mk[-2])])
         t = (d[:-1] + d[1:] - 2.0 * mk) / hk
-        block = np.stack([x[:-1], t / hk, (mk - d[:-1]) / hk - t, d[:-1],
-                          y[:-1]])
-        # (5, nseg + 1)
-        self._block = block = np.concatenate([block, block[:, -1:]], axis=1)
-        step = (x[-1] - x[0]) / (len(x) - 1)
-        uniform = np.ptp(hk) <= 1e-9 * step
-        x0, right = x[0], x[1:]
-        self._inv_step = inv_step = 1.0 / step if uniform else None
-
-        def at(x):
-            if inv_step is not None:
-                i = ((x - x0) * inv_step).astype(np.intp)
-            else:
-                i = right.searchsorted(x, side="right")
-            g = block.take(i, axis=-1, mode="clip")
-            dx = x - g[0]
-            out = g[1] * dx
-            out += g[2]
-            out *= dx
-            out += g[3]
-            out *= dx
-            out += g[4]
-            return out
-
-        self.at = at
+        # (5, nseg)
+        self._block = np.stack([x[:-1], t / hk, (mk - d[:-1]) / hk - t,
+                                d[:-1], y[:-1]])
+        self._inner = x[1:-1]
 
     @staticmethod
     def _end_slope(h0, h1, m0, m1):
@@ -333,11 +310,21 @@ class _Pchip:
         return np.where(overshoot, 3.0 * m0, d)
 
     def __call__(self, x):
-        return self.at(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        g = self._block.take(self._inner.searchsorted(x, side="right"),
+                             axis=-1)
+        dx = x - g[0]
+        out = g[1] * dx
+        out += g[2]
+        out *= dx
+        out += g[3]
+        out *= dx
+        out += g[4]
+        return out
 
 
 def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
-               quad_tol: float = _QUAD_TOL) -> float:
+               quad_tol: float = QUAD_TOL) -> float:
     """Inner integral of 1/(sigma*P(sigma)) from s to M, plus the tail constant.
 
     Computed under the substitution sigma = e^t, in chunks of at most one
@@ -372,8 +359,6 @@ class CoefficientTable:
     Fprime: np.ndarray
     G: np.ndarray
     Lambda: Optional[float] = None
-    tail: Optional[float] = None
-    quad_tol: float = _QUAD_TOL
     profile: Optional[DegeneracyProfile] = None
     # (log, _Pchip) interpolants, built from the columns above:
     # `dataclasses.replace` gives the new table its own
@@ -422,11 +407,9 @@ class CoefficientTable:
     def eval(self, column, s):
         """Evaluate a column at concentrations s in [s_min, M] (see
         `check_domain`; values within its slack clamp to the end nodes):
-        exact at the nodes, a monotone-preserving cubic in between.  The
-        column's interpolant is built once per table; a call is one log, one
-        gather of its padded block at an index shaped like s (see `_Pchip`),
-        one Horner pass and, for positive columns, one exp.  A scalar s
-        gives a float.
+        the stored values at the nodes to roundoff, a monotone-preserving
+        cubic in between.  The column's interpolant is built once per
+        table.  A scalar s gives a float.
         """
         arr = np.asarray(s, dtype=float)
         if not arr.ndim:
@@ -435,7 +418,7 @@ class CoefficientTable:
         if column not in self._interp:
             self._interp[column] = self._interpolator(column)
         log, itp = self._interp[column]
-        out = itp.at(np.log(np.clip(arr, self.s_min, self.M)))
+        out = itp(np.log(np.clip(arr, self.s_min, self.M)))
         return np.exp(out, out=out) if log else out
 
     def identity_residuals(self) -> dict:
@@ -454,7 +437,7 @@ class CoefficientTable:
         return res
 
     def validate(self) -> None:
-        tol = 10.0 * self.quad_tol
+        tol = 10.0 * QUAD_TOL
         if np.any(np.diff(self.s) <= 0):
             raise AssumptionError("s nodes must be strictly increasing")
         if np.any(np.diff(self.I) > tol * np.abs(self.I[:-1])):
@@ -516,7 +499,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     s_min, by default the profile's s_min_hint, to M.
 
     The I column is always quadrature-built (one K21 pass over the node
-    segments, refining only those that miss _QUAD_TOL, summed from the M
+    segments, refining only those that miss QUAD_TOL, summed from the M
     side); closed forms, when the profile carries them, only feed the
     derivative column and test comparisons.  The tail constant is the
     profile's, or 1/Lambda when it has none.  F' <= 0 at any node aborts
@@ -538,7 +521,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
     s = np.geomspace(s_min, profile.M, K)
     s[-1] = profile.M
     t = np.log(s)
-    I_vals = tail + _integrals_to_edge(lambda r: 1.0 / profile(r), t, _QUAD_TOL)
+    I_vals = tail + _integrals_to_edge(lambda r: 1.0 / profile(r), t, QUAD_TOL)
 
     P_vals = profile(s)
     # checked below: a Lambda far off the profile's scale takes H or F' out of range
@@ -576,7 +559,7 @@ def build_table(profile: DegeneracyProfile, lam: LambdaChoice,
         )
 
     table = CoefficientTable(s=s, I=I_vals, H=H, h=h, F=F, Fprime=Fp,
-                             G=np.zeros(K), Lambda=Lambda, tail=tail,
+                             G=np.zeros(K), Lambda=Lambda,
                              profile=profile)
 
     # gradient transform: integrate sqrt of the published F' interpolant,
@@ -764,5 +747,5 @@ def constant_table(F0: float = 1.0, h0: float = 1.0, M: float = 1.0,
                                 params={"F0": F0, "h0": h0})
     return CoefficientTable(s=s, I=I_vals, H=h0 * s, h=np.full(K, h0),
                             F=np.full(K, F0), Fprime=np.zeros(K),
-                            G=np.zeros(K), Lambda=None, tail=1.0,
+                            G=np.zeros(K), Lambda=None,
                             profile=profile)

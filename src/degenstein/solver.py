@@ -436,23 +436,21 @@ def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
 
 
 def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
-                  dt: float, psi_vals: Optional[np.ndarray] = None) -> np.ndarray:
-    """One forward-Euler update with the boundary ring re-pinned, through the
-    same kernel that solve marches with.
+                  dt: float) -> np.ndarray:
+    """One forward-Euler update with the boundary ring re-pinned to
+    eps*psi, through the same kernel that solve marches with.
 
-    Raises DomainError when values or psi_vals do not have the grid's
-    shape, values leave the table's domain or dt is not positive (NaN
-    included in both), CflError when dt exceeds the stability bound by
-    more than 1e-12 of it (a dt within that slack is stepped at the bound)
-    and RangeError as the kernel's tripwires do (see `_Kernel.step`).
+    Raises DomainError when values do not have the grid's shape, leave the
+    table's domain or dt is not positive (NaN included in both), CflError
+    when dt exceeds the stability bound by more than 1e-12 of it (a dt
+    within that slack is stepped at the bound) and RangeError as the
+    kernel's tripwires do (see `_Kernel.step`).
     """
     if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
         raise DomainError(f"time step must be positive, got {dt!r}")
     _on_grid("values", values, grid)
-    if psi_vals is not None:
-        _on_grid("psi_vals", psi_vals, grid)
     prob.table.check_domain(values)
-    kern = _Kernel(prob, grid, psi_vals)
+    kern = _Kernel(prob, grid)
     new = kern.pin.copy()
     new[kern.inner] = values[kern.inner]
     bound = kern.step(values, new, float(values.min()), float(values.max()),
@@ -516,19 +514,19 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
 MAX_STEPS = 50_000_000
 
 
-def _check_budget(kern: _Kernel, values: np.ndarray, dt: float,
-                  T: float) -> None:
-    """CflError when the first step, dt from values, projects more than
-    MAX_STEPS steps to T, naming max D (evaluated again, on this path only)
-    and the cell where it occurs.  dt is the first CFL bound unless T is
-    shorter; where max D falls as the solution evolves (D peaking at the
-    peak of u, which decays), later steps are longer, so a run rejected
-    here might have finished within MAX_STEPS steps."""
-    if T > MAX_STEPS * dt:               # False for a NaN step
-        D = kern.prob.diffusivity(values[kern.slab])
-        at = np.unravel_index(int(np.argmax(D)), D.shape)
-        # the slab starts one cell before the window on each axis
-        cell = tuple(int(i) + a - 1 for i, (a, _) in zip(at, kern.bounds))
+def _check_budget(kern: _Kernel, values: np.ndarray, T: float) -> None:
+    """CflError when CFL steps from the initial field values project more
+    than MAX_STEPS steps to T, naming max D and the first cell where it
+    occurs.  Max D over the whole field is the first step's (see
+    `_Kernel`), so the projected dt is the first step's CFL bound.  Where
+    max D falls as the solution evolves (D peaking at the peak of u, which
+    decays), later steps are longer, so a run rejected here might have
+    finished within MAX_STEPS steps."""
+    D = kern.prob.diffusivity(values)
+    at = np.unravel_index(int(np.argmax(D)), D.shape)
+    dt = kern.cfl / float(D[at])
+    if T > MAX_STEPS * dt:               # False for a NaN bound
+        cell = tuple(int(i) for i in at)
         x = ", ".join(f"{kern.grid.axis_centers(k)[c]:.4g}"
                       for k, c in enumerate(cell))
         raise CflError(
@@ -548,7 +546,7 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     violation raises RangeError at the step where it happens, and the
     dissipation integral uses the step's own D, which is what makes the
     energy identity check tight.  T must be positive and finite; see
-    `_check_budget` for the CflError after the first step.
+    `_check_budget` for the CflError before the first step.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
@@ -561,6 +559,7 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     u = kern.pin.copy()
     u[kern.inner] = u0[kern.inner]
     prob.table.check_domain(u)   # the ring's pins eps*psi may lie below it
+    _check_budget(kern, u, T)
     boundary_transient = float(np.abs(u0 - u).max())
     # two fields whose boundary rings hold the pins; each step writes the
     # interior of one from the other
@@ -578,13 +577,11 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     due = snaps[1]
     u_lo, u_hi = float(u.min()), float(u.max())
     t_end = T - tol
-    for k in range(MAX_STEPS):
+    for _ in range(MAX_STEPS):
         new = spare
         # integrand (du/dt)^2 / D, which balances the gradient energy for
         # any positive D: the step's sum of du^2/D over dt
         dt, u_lo, u_hi, s = kern.step(u, new, u_lo, u_hi, T - t)
-        if not k:
-            _check_budget(kern, u, dt, T)
         diss_old = diss
         diss = diss_old + s * vol
         t_new = t + dt

@@ -799,8 +799,8 @@ class TestStiffKinds:
     1e-2) have D(eps) = P(eps) + eps close to eps, so their explicit solve
     finishes.  A diffusivity of 1e6 (a constant profile with F0 = 1e6)
     puts the CFL step near 1e-11, whose march would spin through 5e9
-    steps; the first step's projection exits 4 instead.  sweep-eps
-    marches each floor with solve and finishes."""
+    steps; the projection made before the first step exits 4 instead.
+    sweep-eps marches each floor with solve and finishes."""
 
     @pytest.mark.parametrize("kind,floor,n_steps", [
         ("exp_zeta_slow", None, 174), ("exp_inv", 1e-2, 76)])
@@ -818,7 +818,7 @@ class TestStiffKinds:
         assert info["energy_residual"] < 0.03
         assert info["eps"] <= info["D_floor"] <= 1.0001 * info["eps"]
 
-    def test_solve_exits_4_after_one_step(self, tmp_path, monkeypatch):
+    def test_solve_exits_4_before_any_step(self, tmp_path, monkeypatch):
         steps = []
         step = solver_mod._Kernel.step
 
@@ -836,7 +836,7 @@ class TestStiffKinds:
         err = load_json(out, "error.json")
         assert err["error"] == "CflError" and err["phase"] == "solve"
         assert "max D" in err["message"] and "budget" in err["message"]
-        assert len(steps) == 1
+        assert not steps
 
     def test_sweep_eps_finishes_exp_zeta_slow(self, tmp_path):
         # each rung takes the steps of solve at its eps

@@ -10,7 +10,7 @@ quadrature must match quad on the catalog integrands, and whole tables built
 through the numpy kernels must match tables built with PchipInterpolator and
 with every segment integrated by quad, the G pass's two K21 columns
 included (1e-13 relative on the catalog, 1e-8 on the quadrature-built
-exp_zeta rate, inside its 10*quad_tol build tolerance).  The one-pass integrator is also checked against the
+exp_zeta rate, inside its 10*QUAD_TOL build tolerance).  The one-pass integrator is also checked against the
 per-segment loop it replaced, and whole tables against that loop plus the
 15-point Gauss-Legendre G pass it replaced (1e-13 relative).  The import
 guard and the QuadratureError paths need no scipy.
@@ -154,7 +154,6 @@ class TestPchipMatchesScipy:
         y = _data(data, x)
         ref = scipy_interpolate.PchipInterpolator(x, y)
         ours = _Pchip(x, y)
-        assert (ours._inv_step is not None) == (nodes == "uniform")
         q = _queries(x)
         got = ours(q)
         want = ref(q)
@@ -175,19 +174,15 @@ class TestPchipMatchesScipy:
 
 
 def _clamp_path(itp, x, q):
-    """_Pchip's call before the padded gather, kept as the bit-for-bit
-    reference: the segment index clamped to [0, nseg - 1] on both sides,
-    the left nodes and the coefficient rows gathered apart, on a raveled
-    query."""
+    """_Pchip's earlier call, kept as the bit-for-bit reference: the
+    segment index of a search in all nodes clamped to [0, nseg - 1] on both
+    sides, the left nodes and the coefficient rows gathered apart, on a
+    raveled query."""
     nseg = x.size - 1
-    c = itp._block[1:, :nseg]
+    c = itp._block[1:]
     q = np.asarray(q, dtype=float)
     qf = q.ravel()
-    if itp._inv_step is not None:
-        i = ((qf - x[0]) * itp._inv_step).astype(np.intp)
-    else:
-        i = x.searchsorted(qf, side="right") - 1
-    i = np.clip(i, 0, nseg - 1)
+    i = np.clip(x.searchsorted(qf, side="right") - 1, 0, nseg - 1)
     dx = qf - x.take(i)
     c = c.take(i, axis=1)
     out = ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
@@ -195,7 +190,7 @@ def _clamp_path(itp, x, q):
 
 
 class TestPchipGather:
-    """One padded gather per call against the clamp path, bit for bit."""
+    """One gather per call against the clamp path, bit for bit."""
 
     @pytest.mark.parametrize("nodes", ["uniform", "non_uniform"])
     def test_matches_the_clamp_path(self, nodes):
@@ -226,6 +221,29 @@ class TestPchipGather:
         want = np.exp(_clamp_path(itp, np.log(tab.s),
                                   np.log(np.clip(s, lo, hi))))
         assert np.array_equal(tab.eval(column, s), want)
+
+
+class TestPchipNodes:
+    """A query at node x[i], i < nseg, lands in segment i at dx = 0 and
+    returns y[i] exactly, on uniform nodes as on others; x[-1] is the right
+    end of the last cubic, which returns y[-1] to roundoff."""
+
+    @pytest.mark.parametrize("nodes", ["uniform", "non_uniform"])
+    @pytest.mark.parametrize("data", ["monotone", "non_monotone", "flat"])
+    def test_exact_at_every_node_but_the_last(self, nodes, data):
+        x = _nodes(nodes)
+        y = _data(data, x)
+        itp = _Pchip(x, y)
+        assert np.array_equal(itp(x[:-1]), y[:-1])
+        assert itp(x[-1]) == pytest.approx(y[-1], rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("column", COLUMNS[1:])
+    def test_table_interpolants_on_their_log_nodes(self, beta1_table, column):
+        # the table's uniform log grid; positive columns in log value
+        log, itp = beta1_table._interpolator(column)
+        y = beta1_table.column(column)
+        y = np.log(y) if log else y
+        assert np.array_equal(itp(np.log(beta1_table.s[:-1])), y[:-1])
 
 
 class _ScipyPchip:

@@ -106,11 +106,10 @@ class TestFixedPointAndGuards:
 
     def test_cfl_violation_raises(self, beta1_table, desk_grid, desk_bump):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        g_vals, psi_vals = prob.sample_on(desk_grid)
-        u0 = 1e-6 + g_vals
+        u0 = 1e-6 + prob.sample_on(desk_grid)[0]
         dt = 10.0 * cfl_dt(prob, desk_grid, u0)
         with pytest.raises(CflError):
-            step_explicit(u0, prob, desk_grid, dt, psi_vals)
+            step_explicit(u0, prob, desk_grid, dt)
 
     @pytest.mark.parametrize("dt", [math.nan, 0.0, -1e-9])
     def test_step_that_is_not_positive_rejected(self, beta1_table, desk_grid,
@@ -129,13 +128,6 @@ class TestFixedPointAndGuards:
             cfl_dt(prob, grid, values)
         with pytest.raises(DomainError, match=r"\(101,\)"):
             step_explicit(values, prob, grid, 1e-9)
-
-    def test_psi_vals_of_the_wrong_shape_rejected(self, beta1_table):
-        grid = GridSpec(extent=((-1.0, 1.0),), n=(101,))
-        prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=1.0)
-        with pytest.raises(DomainError, match="psi_vals"):
-            step_explicit(np.full(101, 1e-3), prob, grid, 1e-9,
-                          psi_vals=np.ones(102))
 
     def test_max_principle_monotone(self, desk_trace_beta1):
         peaks = desk_trace_beta1.max_u_history
@@ -452,6 +444,52 @@ class TestSharedKernel:
         # caught by the per-step tripwire at that step, long before the
         # field reaches T (n_full // 10 steps of this size)
         assert 0 < len(calls) <= 2 < n_full // 10, (len(calls), n_full)
+
+
+class TestStepBudget:
+    """The step budget is checked once, before the first step, from max D
+    over the whole initial field: its projected dt is the first step's CFL
+    bound dt0, bit for bit, so with a budget of one step a run to T = dt0
+    passes and one to the next float above fails.  The window is partial
+    (psi = 1) or the whole interior (the ring pinned off the floor,
+    psi = 2)."""
+
+    @pytest.mark.parametrize("psi", [1.0, 2.0])
+    @pytest.mark.parametrize("kind", sorted(PROFILES) + ["constant"])
+    def test_projected_dt_is_the_first_step(self, kind, psi, monkeypatch):
+        if kind == "constant":
+            tab, eps = constant_table(), 1e-3
+        else:
+            # exp_inv's table starts at its floor s_min = 1e-2
+            eps = 1e-2 if kind == "exp_inv" else 1e-3
+            tab = build_table(PROFILES[kind].make_profile(), LambdaChoice(1.0))
+        for grid, center in [
+                (GridSpec(extent=((-1.0, 1.0),), n=(101,)), (-0.3,)),
+                (GridSpec(extent=((-1.0, 1.0),) * 2, n=(24, 20)),
+                 (-0.3, 0.2))]:
+            prob = EpsProblem(table=tab, eps=eps, g=bump(center, 0.3, 0.5),
+                              psi=psi)
+            dt0 = solve(prob, grid, 0.05, snapshot_times=2).dt_history[0]
+            assert dt0 < 0.05
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "MAX_STEPS", 1)
+                assert solve(prob, grid, dt0, snapshot_times=2).n_steps == 1
+                with pytest.raises(CflError, match="budget of 1$"):
+                    solve(prob, grid, np.nextafter(dt0, np.inf),
+                          snapshot_times=2)
+
+    def test_rejected_before_the_first_step(self, beta1_table, desk_grid,
+                                            desk_bump, monkeypatch):
+        steps = []
+        honest = solver_mod._Kernel.step
+        monkeypatch.setattr(solver_mod._Kernel, "step",
+                            lambda *args: steps.append(1) or honest(*args))
+        monkeypatch.setattr(solver_mod, "MAX_STEPS", 10)
+        prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
+        peak = int(np.argmax(desk_grid.sample(desk_bump)))
+        with pytest.raises(CflError, match=rf"at cell \({peak},\)"):
+            solve(prob, desk_grid, 1.0)
+        assert not steps
 
 
 class TestMaxPrincipleAtTheBound:
