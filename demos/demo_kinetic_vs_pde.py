@@ -31,7 +31,7 @@ for n, dt in ((401, 1.5e-4), (801, 7.5e-5)):
     pde = trace.fields[-1] - prob.eps
 
     d0 = grid.sample(shape)
-    times, master = run_master(d0, grid, kern, None, T, dt)
+    times, master = run_master(d0, grid, kern, T, dt)
     vol = grid.cell_volume
     mass0 = d0.sum() * vol
     drift = abs(master.sum() * vol - mass0) / mass0

@@ -8,7 +8,7 @@ import numpy as np
 
 from degenstein import (CutoffFamily, EpsProblem, ExponentPack, GridSpec,
                         LambdaChoice, build_table, bump, constant_table,
-                        de_giorgi_trace, estimate_T_prime, front_series,
+                        de_giorgi_trace, front_series,
                         power_profile, solve, time_to_threshold)
 
 grid = GridSpec(extent=((-1.0, 1.0),), n=(401,))
@@ -58,7 +58,7 @@ ctab = constant_table(M=1.0)
 control = EpsProblem(table=ctab, eps=1e-8, g=hump, psi=1.0)
 ctrace = solve(control, grid, T=0.3, snapshot_times=61)
 cpack = ExponentPack.build(cut, N_dim=1, lam=1.0)
-ctp = estimate_T_prime(ctrace, cut, cpack, ctab)
+ctp = de_giorgi_trace(ctrace, cut, cpack, ctab).T_prime
 carr = time_to_threshold(ctrace, cut.x0, cut.Rp)
 print(f"\ncontrol (P = const): T' = {ctp:.3e}, floor-set: "
       f"theta_L/(H(eps)*int theta_0^2) = {floor_set(cpack, ctab, 1e-8):.3e}; "

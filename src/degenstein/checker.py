@@ -101,13 +101,13 @@ def check_A1(table: CoefficientTable):
 
 
 def _profile_of(table: CoefficientTable) -> DegeneracyProfile:
-    """The profile a table was built from; the checks need it with its
-    Lambda, and a table without both (the constant control table, whose
-    profile drives only the solver, or one read back by load_csv) raises
-    DomainError."""
-    if table.Lambda is None or table.profile is None:
-        raise DomainError("the table has no degeneracy profile, so there are "
-                          "no assumptions to check")
+    """The profile a table was built from.  The checks need the Lambda
+    that `build_table` sets with it; a table without one (the constant
+    control table, which bypasses the calculus) raises DomainError."""
+    if table.Lambda is None:
+        raise DomainError("the table has no Lambda, so it was not built from "
+                          "the coefficient calculus and there are no "
+                          "assumptions to check")
     return table.profile
 
 
@@ -168,7 +168,7 @@ def check_almost_decreasing(table: CoefficientTable,
 def check_profile(table: CoefficientTable) -> AssumptionReport:
     """Run the full battery of structural checks on a table and collect a
     report.  The profile and Lambda are the table's own, as build_table
-    sets them; a table without a profile raises DomainError."""
+    sets them; a table without a Lambda raises DomainError."""
     profile = _profile_of(table)
     C1, a1_ok, a1_detail = check_A1(table)
     A_est, B_est, B_slope = estimate_A_B(table)

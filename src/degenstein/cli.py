@@ -396,7 +396,7 @@ def cmd_kinetic_compare(cfg, tab, grid, prob, out):
             **_given(kin, "a", "shape"))
         d0 = grid.sample(prob.g)
         dt = kin.get("dt", tau0)
-        _, master = kinetic.run_master(d0, grid, kernel, None, cfg.T, dt)
+        _, master = kinetic.run_master(d0, grid, kernel, cfg.T, dt)
         pde = trace.fields[-1] - prob.eps
         vol = grid.cell_volume
         mass = float(d0.sum()) * vol

@@ -25,7 +25,6 @@ interpolant with PCHIP slopes (Fritsch & Carlson, SIAM J. Numer. Anal. 17,
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,7 +36,6 @@ __all__ = [
     "DegeneracyProfile",
     "LambdaChoice",
     "CoefficientTable",
-    "integral_I",
     "build_table",
     "power_profile",
     "exp_inv_profile",
@@ -323,33 +321,11 @@ class _Pchip:
         return out
 
 
-def integral_I(profile: DegeneracyProfile, s, tail: float = 1.0,
-               quad_tol: float = QUAD_TOL) -> float:
-    """Inner integral of 1/(sigma*P(sigma)) from s to M, plus the tail constant.
-
-    Computed under the substitution sigma = e^t, in chunks of at most one
-    e-fold so the adaptive rule stays local even when the integrand spans
-    many orders of magnitude.
-    """
-    s = float(s)
-    if not (0.0 < s <= profile.M * (1.0 + 1e-12)):
-        raise DomainError(f"s={s:g} outside (0, M={profile.M:g}]")
-    if tail < 0.0:
-        raise DomainError("tail constant must be nonnegative")
-    s = min(s, profile.M)
-    t_lo, t_hi = np.log(s), np.log(profile.M)
-    if t_hi - t_lo < 1e-15:
-        return tail
-    n_chunk = max(1, int(np.ceil(t_hi - t_lo)))
-    edges = np.linspace(t_lo, t_hi, n_chunk + 1)
-    return float(_integrals_to_edge(lambda r: 1.0 / profile(r), edges,
-                                    quad_tol)[0]) + tail
-
-
 @dataclass
 class CoefficientTable:
     """Log-spaced tabulation of the coefficient family with monotone
-    piecewise-cubic evaluation between nodes."""
+    piecewise-cubic evaluation between nodes, and the profile it was built
+    from, which the solver's diffusivity and the checker read."""
 
     s: np.ndarray
     I: np.ndarray
@@ -358,8 +334,8 @@ class CoefficientTable:
     F: np.ndarray
     Fprime: np.ndarray
     G: np.ndarray
+    profile: DegeneracyProfile
     Lambda: Optional[float] = None
-    profile: Optional[DegeneracyProfile] = None
     # (log, _Pchip) interpolants, built from the columns above:
     # `dataclasses.replace` gives the new table its own
     _interp: dict = field(default_factory=dict, init=False, repr=False,
@@ -425,16 +401,13 @@ class CoefficientTable:
         """Max relative residuals of the construction identities, nodewise."""
         sF = self.s * self.F
         Hp1 = self.H ** (self.Lambda + 1.0)
-        res = {
+        return {
             "sF_vs_H": float(np.max(np.abs(sF / Hp1 - 1.0))),
             "sF_pow_vs_H": float(np.max(np.abs(sF ** (self.lam / 2.0) / self.H - 1.0))),
-            "hsP_vs_H": np.nan,
+            "hsP_vs_H": float(np.max(np.abs(
+                self.h * self.s * self.profile(self.s) / Hp1 - 1.0))),
             "G_le_sqrt_sF": float(np.max(self.G / np.sqrt(sF) - 1.0)),
         }
-        if self.profile is not None:
-            P = self.profile(self.s)
-            res["hsP_vs_H"] = float(np.max(np.abs(self.h * self.s * P / Hp1 - 1.0)))
-        return res
 
     def validate(self) -> None:
         tol = 10.0 * QUAD_TOL
@@ -448,11 +421,9 @@ class CoefficientTable:
                 raise AssumptionError(f"{name} must be nondecreasing")
         if self.Lambda is not None:
             res = self.identity_residuals()
-            for key in ("sF_vs_H", "sF_pow_vs_H"):
+            for key in ("sF_vs_H", "sF_pow_vs_H", "hsP_vs_H"):
                 if res[key] > tol:
                     raise AssumptionError(f"identity {key} off by {res[key]:g}")
-            if np.isfinite(res["hsP_vs_H"]) and res["hsP_vs_H"] > tol:
-                raise AssumptionError(f"identity hsP_vs_H off by {res['hsP_vs_H']:g}")
             if res["G_le_sqrt_sF"] > tol:
                 raise AssumptionError(
                     f"G exceeds sqrt(s*F) by relative {res['G_le_sqrt_sF']:g}"
@@ -467,18 +438,6 @@ class CoefficientTable:
             writer = csv.writer(fh, lineterminator="\n")
             for row in data:
                 writer.writerow([format(v, ".17g") for v in row])
-
-    @staticmethod
-    def load_csv(path, Lambda: Optional[float] = None) -> "CoefficientTable":
-        with open(path, newline="") as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != COLUMNS:
-                raise DomainError(f"unexpected CSV header {header}; want {list(COLUMNS)}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[1] != len(COLUMNS):
-            raise DomainError("CSV column count mismatch")
-        cols = {name: data[:, i].copy() for i, name in enumerate(COLUMNS)}
-        return CoefficientTable(Lambda=Lambda, **cols)
 
 
 def _fprime_closed_form(profile: DegeneracyProfile, s: np.ndarray,

@@ -3,9 +3,8 @@
 Each cell holding density u waits tau(u) between jump events and spreads a
 jumping particle by a symmetric kernel of variance var(u) = tau(u) * P(u).
 The synchronous approximation moves the fraction dt/tau(u) of every cell's
-mass through its own kernel each step and leaves the rest in place; an
-optional absorption term (m <= 0) is applied afterwards with a clamp at
-zero.  In the diffusive limit the density obeys u_t = lap(P(u) u / 2), the
+mass through its own kernel each step and leaves the rest in place.  In
+the diffusive limit the density obeys u_t = lap(P(u) u / 2), the
 divergence-form cousin of the quasilinear solver equation, which is what the
 cross-validation measures.
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -48,7 +47,6 @@ from .solver import GridSpec
 
 __all__ = [
     "JumpKernel",
-    "SinkTerm",
     "power_family_kernel",
     "kernel_moments",
     "master_step",
@@ -84,22 +82,6 @@ class JumpKernel:
         """Truncation radius of the discretized kernel at densities u: the
         shape's fixed multiple of the width sqrt(var(u))."""
         return _RADIUS_IN_SIGMAS[self.shape] * np.sqrt(self.var(u))
-
-
-@dataclass(frozen=True)
-class SinkTerm:
-    """Absorption rate m(x, u) <= 0; positivity is rejected at application
-    time (consumption must dominate production)."""
-
-    m: Callable
-
-    def rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.m(x, u), dtype=float)
-        vals = np.broadcast_to(vals, u.shape)
-        # negated, so a NaN rate is rejected too
-        if not vals.max(initial=-math.inf) <= 1e-15:
-            raise DomainError("sink rate must be <= 0 everywhere")
-        return vals
 
 
 def power_family_kernel(beta: float, tau0: float, a: float = 1.0,
@@ -265,9 +247,8 @@ def _positive_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
-          sink: Optional[SinkTerm], dt: float, closure: str,
-          rows_of: _LastRows) -> np.ndarray:
+def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel, dt: float,
+          closure: str, rows_of: _LastRows) -> np.ndarray:
     if grid.dim != 1:
         raise DomainError("master equation stepping is one-dimensional here")
     if closure not in ("reflect", "periodic"):
@@ -311,10 +292,6 @@ def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
             W = rows_of(kernel.shape, widths, K, h).T[:, span_row]
         _fold_moved(out, W, emit, lo, hi, K, closure == "periodic")
 
-    if sink is not None:
-        x = grid.axis_centers(0)
-        out = np.maximum(0.0, out + dt * sink.rate(x, out))
-
     # negated so that NaN trips it too
     if not out.min() >= -1e-12 * max(1.0, float(u.max(initial=0.0))):
         raise RangeError("redistribution produced negative or NaN density")
@@ -322,26 +299,24 @@ def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
 
 
 def master_step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
-                sink: Optional[SinkTerm], dt: float,
-                closure: str = "reflect") -> np.ndarray:
+                dt: float, closure: str = "reflect") -> np.ndarray:
     """One synchronous fractional-redistribution step of the master equation.
 
     Per cell, the fraction dt/tau(u) of its mass moves through the kernel
     row of the cell's width; boundary leakage folds back by mirror
     reflection (or wraps, with closure='periodic'), so mass is conserved
-    exactly before the sink acts.  The rows are built once per distinct
-    width and the moved mass is summed by one row-ordered reduction, plus
-    one over the border strips when mass crosses a wall (see the module
-    docstring).  dt must be positive and finite.  A kernel reach K with
-    2K+1 > 2n raises ResolutionError before any row is built; a negative
-    or NaN result raises RangeError.
+    exactly.  The rows are built once per distinct width and the moved
+    mass is summed by one row-ordered reduction, plus one over the border
+    strips when mass crosses a wall (see the module docstring).  dt must
+    be positive and finite.  A kernel reach K with 2K+1 > 2n raises
+    ResolutionError before any row is built; a negative or NaN result
+    raises RangeError.
     """
-    return _step(u, grid, kernel, sink, dt, closure, _LastRows())
+    return _step(u, grid, kernel, dt, closure, _LastRows())
 
 
 def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
-               sink: Optional[SinkTerm], T: float, dt: float,
-               closure: str = "reflect"):
+               T: float, dt: float, closure: str = "reflect"):
     """March master_step to time T (last step truncated to land exactly);
     returns (times, u_T): the end time of every step, starting at 0.0, and
     the density at T.  One density is held at a time.  T and dt must be
@@ -355,7 +330,7 @@ def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
     t = 0.0
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
-        u = _step(u, grid, kernel, sink, step, closure, rows_of)
+        u = _step(u, grid, kernel, step, closure, rows_of)
         t += step
         times.append(t)
     return np.asarray(times), u

@@ -40,7 +40,6 @@ __all__ = [
     "table_state_eval",
     "energy_Y",
     "de_giorgi_trace",
-    "estimate_T_prime",
     "front_radius",
     "empty_radius",
     "front_series",
@@ -50,7 +49,7 @@ __all__ = [
 # (sqrt(s*F))^lam = H holds by the table's construction, so the constant
 # of that bound is 1
 C2 = 1.0
-_BISECT_RTOL = 1e-3    # estimate_T_prime stops at this relative bracket
+_BISECT_RTOL = 1e-3    # the T' bisection stops at this relative bracket
 _EVAL_CHUNK = 8        # fields per table_state_eval call in _state_stacks
 
 
@@ -342,7 +341,7 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
 
     The verdict checks Y_n <= 2 D b^(2(n-1)) Y_{n-1}^(1+kj); the factor 2 is
     quadrature slack on top of the stored bound column.  T_prime in the
-    result is the certified horizon from bisection (estimate_T_prime).
+    result is the certified horizon from bisection (`_bisect_T_prime`).
     H(u) and G(u) are evaluated on the stored snapshots once, on the
     support box of theta_0 only; each theta_n is built once and reduces
     them to its mass and gradient rows, and the bisection starts from
@@ -370,27 +369,16 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
                          threshold=pack.threshold, verdict=verdict, pack=pack)
 
 
-def estimate_T_prime(trace: SolveTrace, cutoffs: CutoffFamily,
-                     pack: ExponentPack, table: CoefficientTable) -> float:
+def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
+                    table: CoefficientTable, theta0: np.ndarray,
+                    mass: np.ndarray, grad: np.ndarray) -> float:
     """Largest T' in (0, T] with Y_0[T'] <= theta_L, by bisection to a
-    bracket of _BISECT_RTOL relative; 0 if even arbitrarily small horizons
-    fail.
+    bracket of _BISECT_RTOL relative from theta_0's rows of every stored
+    snapshot; 0 if even arbitrarily small horizons fail.
 
     Y_0[T'] is nondecreasing in T' and vanishes as T' -> 0 (the prefactor
     (T')^beta does), so the certified horizon is positive whenever the state
     has finite energy, though it can be far below T.
-    """
-    theta0 = cutoffs.theta(trace.grid, 0)
-    rows = _energy_rows(theta0, *_state_stacks(table, trace.fields, theta0),
-                        trace.grid)
-    return _bisect_T_prime(trace, pack, table, theta0, *rows)
-
-
-def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
-                    table: CoefficientTable, theta0: np.ndarray,
-                    mass: np.ndarray, grad: np.ndarray) -> float:
-    """estimate_T_prime's bisection on theta_0 and its mass and gradient
-    rows of every stored snapshot.
 
     A probe fails at no table evaluation when the stored rows up to T'
     alone, (T')^beta * (max mass + trapezoid of the gradient rows), exceed

@@ -173,7 +173,7 @@ class EpsProblem:
     The initial state is eps + g; the boundary ring is pinned to eps*psi for
     all time.  omega_prime, when given as (center, radius), declares the ball
     that g must vacate (checked, since every localization statement is about
-    that ball).  The table must carry its profile, which D reads.
+    that ball).  D reads the table's profile.
     """
 
     table: CoefficientTable
@@ -183,9 +183,6 @@ class EpsProblem:
     omega_prime: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.table.profile is None:
-            raise DomainError("the table has no degeneracy profile, so there "
-                              "is no diffusivity to march with")
         if not (0.0 < self.eps < self.u_max):
             raise DomainError("need 0 < eps < u_max")
         if self.eps < self.table.s_min:
@@ -247,9 +244,10 @@ class _Kernel:
     """The explicit step, shared by `solve`, step_explicit and cfl_dt.
 
     A kernel steps one field of one problem and holds the CFL constant,
-    the boundary pins eps*psi and the admissible ranges.  Under the CFL
-    bound each update is a convex combination of its stencil, at a time
-    error of 5e-5 of the mass (see SAFETY).
+    the boundary pins eps*psi and the admissible ranges; g and psi come
+    from `EpsProblem.sample_on`, which rejects a negative psi.  Under the
+    CFL bound each update is a convex combination of its stencil, at a
+    time error of 5e-5 of the mass (see SAFETY).
 
     Only the active window is stepped: the per-axis bounding box of the
     cells whose value differs from eps, grown by one cell on each side and
@@ -274,10 +272,8 @@ class _Kernel:
     its window and its window shifted down and up each axis (`_bind`).
     """
 
-    def __init__(self, prob: EpsProblem, grid: GridSpec,
-                 psi_vals: Optional[np.ndarray] = None):
-        if psi_vals is None:
-            psi_vals = grid.sample(prob.psi)
+    def __init__(self, prob: EpsProblem, grid: GridSpec):
+        self.g_vals, psi_vals = prob.sample_on(grid)
         self.prob, self.grid, self.eps = prob, grid, prob.eps
         self.cfl = SAFETY * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
         self.inner = (slice(1, -1),) * grid.dim
@@ -428,7 +424,8 @@ def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, SAFETY * min(h)^2 / (2 * dim * max D), which keeps each
     updated cell within its stencil's min and max (see SAFETY).  Raises
-    DomainError for values outside the table's domain."""
+    DomainError for values outside the table's domain and for problem data
+    that `EpsProblem.sample_on` rejects."""
     _on_grid("values", values, grid)
     prob.table.check_domain(values)
     top = np.maximum.reduce(prob.diffusivity(values), None)
@@ -441,10 +438,11 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
     eps*psi, through the same kernel that solve marches with.
 
     Raises DomainError when values do not have the grid's shape, leave the
-    table's domain or dt is not positive (NaN included in both), CflError
-    when dt exceeds the stability bound by more than 1e-12 of it (a dt
-    within that slack is stepped at the bound) and RangeError as the
-    kernel's tripwires do (see `_Kernel.step`).
+    table's domain or dt is not positive (NaN included in both) and for
+    problem data that `EpsProblem.sample_on` rejects; CflError when dt
+    exceeds the stability bound by more than 1e-12 of it (a dt within that
+    slack is stepped at the bound); RangeError as the kernel's tripwires
+    do (see `_Kernel.step`).
     """
     if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
         raise DomainError(f"time step must be positive, got {dt!r}")
@@ -553,9 +551,8 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     snap_times = _resolve_snapshots(snapshot_times, T)
     snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
 
-    g_vals, psi_vals = prob.sample_on(grid)
-    kern = _Kernel(prob, grid, psi_vals)
-    u0 = prob.eps + g_vals
+    kern = _Kernel(prob, grid)
+    u0 = prob.eps + kern.g_vals
     u = kern.pin.copy()
     u[kern.inner] = u0[kern.inner]
     prob.table.check_domain(u)   # the ring's pins eps*psi may lie below it

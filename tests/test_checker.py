@@ -12,9 +12,8 @@ import pytest
 
 from degenstein.checker import (PROFILES, check_A1, check_almost_decreasing,
                                 check_profile, estimate_A_B)
-from degenstein.coeffs import (CoefficientTable, DegeneracyProfile,
-                               LambdaChoice, build_table, constant_table,
-                               power_profile)
+from degenstein.coeffs import (DegeneracyProfile, LambdaChoice,
+                               build_table, constant_table, power_profile)
 from degenstein.errors import DomainError
 
 
@@ -166,16 +165,15 @@ class TestReport:
         assert report.verdicts["P2"]["margin"] == pytest.approx(growth - 1.0,
                                                                 rel=1e-6)
 
-    def test_table_without_a_profile_is_rejected(self, tmp_path):
-        path = tmp_path / "table.csv"
-        build_table(power_profile(1.0), LambdaChoice(1.0), s_min=1e-6,
-                    K=32).dump_csv(path)
-        message = ("the table has no degeneracy profile, so there are no "
-                   "assumptions to check")
-        for tab in (constant_table(),
-                    CoefficientTable.load_csv(path, Lambda=1.0)):
-            for check in (check_profile, estimate_A_B,
-                          check_almost_decreasing):
-                with pytest.raises(DomainError) as err:
-                    check(tab)
-                assert str(err.value) == message
+    def test_table_without_a_Lambda_is_rejected(self):
+        # the constant control table carries a profile but bypasses the
+        # calculus
+        message = ("the table has no Lambda, so it was not built from the "
+                   "coefficient calculus and there are no assumptions to "
+                   "check")
+        tab = constant_table()
+        assert tab.profile is not None and tab.Lambda is None
+        for check in (check_profile, estimate_A_B, check_almost_decreasing):
+            with pytest.raises(DomainError) as err:
+                check(tab)
+            assert str(err.value) == message

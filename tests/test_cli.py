@@ -416,13 +416,15 @@ class TestFailurePaths:
         assert run(tmp_path, "table", "--config", cfg)[0] == code
 
     def test_check_catches_broken_assumptions(self, tmp_path):
-        # constant control profile: nothing to check, flagged by the checker
+        # constant control table: it carries a profile but no Lambda, as
+        # it bypasses the calculus, so there is nothing to check
         cfg = write_config(tmp_path, profile={"kind": "constant", "M": 1.0})
         code, out = run(tmp_path, "check", "--config", cfg)
         assert code == EXIT_COEFFS
         err = load_json(out, "error.json")
         assert err["error"] == "DomainError"
-        assert err["message"] == ("the table has no degeneracy profile, so "
+        assert err["message"] == ("the table has no Lambda, so it was not "
+                                  "built from the coefficient calculus and "
                                   "there are no assumptions to check")
 
 

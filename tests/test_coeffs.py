@@ -16,10 +16,11 @@ trapezoid = getattr(np, "trapezoid", None) or np.trapz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstein.coeffs import (COLUMNS, CoefficientTable, DegeneracyProfile,
-                               LambdaChoice, build_table, constant_table,
-                               custom_profile, exp_inv_profile,
-                               exp_zeta_profile, integral_I, power_profile)
+from degenstein.coeffs import (COLUMNS, DegeneracyProfile, LambdaChoice,
+                               _integrals_to_edge, build_table,
+                               constant_table, custom_profile,
+                               exp_inv_profile, exp_zeta_profile,
+                               power_profile)
 from degenstein.checker import PROFILES, _zeta_slow, _zeta_slow_integral
 from degenstein.errors import AssumptionError, DomainError
 
@@ -53,27 +54,32 @@ class TestIntegralOracle:
         val = adaptive_simpson(lambda t: np.exp(1.0 / t) / t, 0.5, 1.0)
         assert abs(val - EXP_INV_INNER) < 1e-9
 
-    def test_integral_I_matches_oracle_on_essential_singularity(self):
+    def test_I_quadrature_matches_oracle_on_essential_singularity(self):
+        # the I column's quadrature, int_{0.5}^{1} dr/(r P(r)), as
+        # build_table runs it
         prof = exp_inv_profile(1.0)
-        val = integral_I(prof, 0.5, tail=0.0, quad_tol=1e-10)
+        val = _integrals_to_edge(lambda r: 1.0 / prof(r),
+                                 np.array([np.log(0.5), 0.0]), 1e-10)[0]
         assert abs(val - EXP_INV_INNER) < 1e-9
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
-    def test_integral_I_power_closed_form(self, beta):
+    def test_I_column_power_closed_form(self, beta):
+        # the default tail is the natural continuation past M = 1
         prof = power_profile(beta)
-        tail = 1.0 / beta  # the natural continuation at M = 1
-        for s in (0.01, 0.1, 0.5, 0.9):
-            val = integral_I(prof, s, tail=tail, quad_tol=1e-10)
-            exact = s ** (-beta) / beta
-            assert abs(val - exact) <= 1e-10 * exact
+        tab = build_table(prof, LambdaChoice(1.0))
+        exact = prof.analytic_I(tab.s)
+        assert np.max(np.abs(tab.I - exact) / exact) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(extra=st.floats(min_value=0.0, max_value=10.0))
-    def test_integral_I_is_affine_in_tail(self, extra):
-        prof = power_profile(1.0)
-        base = integral_I(prof, 0.5, tail=0.0, quad_tol=1e-10)
-        shifted = integral_I(prof, 0.5, tail=extra, quad_tol=1e-10)
-        assert abs(shifted - base - extra) < 1e-9 * max(1.0, base)
+    def test_I_column_is_affine_in_tail(self, extra):
+        # Lambda = 0.05 keeps (Lambda+1)/Lambda = 21 above sup P*I = the
+        # larger tail, so both tables build
+        base, shifted = (build_table(power_profile(1.0, tail=tail),
+                                     LambdaChoice(0.05), K=64).I
+                         for tail in (1.0, 1.0 + extra))
+        assert np.all(np.abs(shifted - base - extra)
+                      < 1e-9 * np.maximum(1.0, base))
 
 
 class TestPowerClosedForms:
@@ -216,10 +222,9 @@ class TestCsv:
         beta1_table.dump_csv(path)
         first = path.read_text().splitlines()[0]
         assert first == ",".join(COLUMNS) == "s,I,H,h,F,Fprime,G"
-        back = CoefficientTable.load_csv(path, Lambda=beta1_table.Lambda)
-        for name in COLUMNS:
-            assert np.array_equal(back.column(name), beta1_table.column(name))
-        assert abs(back.eval("F", 0.25) - beta1_table.eval("F", 0.25)) < 1e-15
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        for i, name in enumerate(COLUMNS):
+            assert np.array_equal(back[:, i], beta1_table.column(name))
 
 
 class TestValidationAndErrors:

@@ -27,7 +27,7 @@ REEXPORTS = {
     ),
     "coeffs": (
         "COLUMNS", "DegeneracyProfile", "LambdaChoice", "CoefficientTable",
-        "integral_I", "build_table", "power_profile", "exp_inv_profile",
+        "build_table", "power_profile", "exp_inv_profile",
         "exp_zeta_profile", "custom_profile", "constant_table",
     ),
     "checker": (
@@ -43,11 +43,11 @@ REEXPORTS = {
     "localization": (
         "CutoffFamily", "ExponentPack", "DeGiorgiTrace", "default_j",
         "lady_bound", "lady_threshold", "table_state_eval", "energy_Y",
-        "de_giorgi_trace", "estimate_T_prime", "front_radius",
-        "empty_radius", "front_series", "time_to_threshold",
+        "de_giorgi_trace", "front_radius", "empty_radius",
+        "front_series", "time_to_threshold",
     ),
     "kinetic": (
-        "JumpKernel", "SinkTerm", "power_family_kernel", "kernel_moments",
+        "JumpKernel", "power_family_kernel", "kernel_moments",
         "master_step", "run_master",
     ),
 }

@@ -15,7 +15,7 @@ import pytest
 
 import degenstein.kinetic as kinetic_mod
 from degenstein.errors import DomainError, ResolutionError, StepError
-from degenstein.kinetic import (KERNEL_SHAPES, JumpKernel, SinkTerm,
+from degenstein.kinetic import (KERNEL_SHAPES, JumpKernel,
                                 _weight_rows, kernel_moments, master_step,
                                 power_family_kernel, run_master)
 from degenstein.solver import (EpsProblem, GridSpec, bump, solve)
@@ -129,7 +129,7 @@ class TestMasterStep:
             m0 = kin_density.sum() * kin_grid.cell_volume
             worst = 0.0
             for _ in range(20):
-                fld = master_step(fld, kin_grid, kern, None, 1.5e-4,
+                fld = master_step(fld, kin_grid, kern, 1.5e-4,
                                   closure=closure)
                 m = fld.sum() * kin_grid.cell_volume
                 worst = max(worst, abs(m - m0) / m0)
@@ -139,7 +139,7 @@ class TestMasterStep:
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         fld = kin_density.copy()
         for _ in range(20):
-            fld = master_step(fld, kin_grid, kern, None, 1.5e-4)
+            fld = master_step(fld, kin_grid, kern, 1.5e-4)
         assert np.abs(fld - fld[::-1]).max() <= 1e-12
 
     def test_zero_cells_never_emit_and_support_dilates_by_K(self, kin_grid):
@@ -148,7 +148,7 @@ class TestMasterStep:
         u[j] = 0.04
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         K = math.ceil(float(kern.support_radius(np.asarray([0.04]))[0]) / H)
-        fld = master_step(u, kin_grid, kern, None, 1.5e-4)
+        fld = master_step(u, kin_grid, kern, 1.5e-4)
         support = np.nonzero(fld)[0]
         assert support.min() >= j - K and support.max() <= j + K
         outside = np.ones(401, dtype=bool)
@@ -160,7 +160,7 @@ class TestMasterStep:
         kern = JumpKernel(tau=lambda u: np.full_like(
             np.asarray(u, dtype=float), 0.01),
             var=zero, shape="gaussian_truncated")
-        fld = master_step(kin_density.copy(), kin_grid, kern, None, 5e-3)
+        fld = master_step(kin_density.copy(), kin_grid, kern, 5e-3)
         # every row collapses to stay-put, so emit returns to its own cell
         assert np.abs(fld - kin_density).max() <= \
             1e-15 * kin_density.max()
@@ -170,41 +170,24 @@ class TestMasterStep:
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         tau_min = 1.5e-4 / kin_density.max()      # tau = tau0 / u
         with pytest.raises(StepError):
-            master_step(kin_density.copy(), kin_grid, kern, None,
+            master_step(kin_density.copy(), kin_grid, kern,
                         2.0 * tau_min)
-
-    def test_sink_absorbs_and_clamps(self, kin_grid, kin_density):
-        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        m0 = kin_density.sum() * kin_grid.cell_volume
-        gentle = SinkTerm(m=lambda x, u: -5.0 * np.ones_like(u))
-        fld = master_step(kin_density.copy(), kin_grid, kern, gentle, 1.5e-4)
-        assert fld.sum() * kin_grid.cell_volume < m0
-        assert fld.min() >= 0.0
-        brutal = SinkTerm(m=lambda x, u: -1e9 * np.ones_like(u))
-        fld = master_step(kin_density.copy(), kin_grid, kern, brutal, 1.5e-4)
-        assert np.all(fld == 0.0)
-
-    def test_source_disguised_as_sink_rejected(self, kin_grid, kin_density):
-        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        source = SinkTerm(m=lambda x, u: 5.0 * np.ones_like(u))
-        with pytest.raises(DomainError):
-            master_step(kin_density.copy(), kin_grid, kern, source, 1.5e-4)
 
     def test_guards(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         fld = kin_density.copy()
         with pytest.raises(DomainError):
-            master_step(fld, kin_grid, kern, None, 1.5e-4, closure="absorb")
+            master_step(fld, kin_grid, kern, 1.5e-4, closure="absorb")
         with pytest.raises(DomainError):
-            master_step(fld, kin_grid, kern, None, 0.0)
+            master_step(fld, kin_grid, kern, 0.0)
         with pytest.raises(DomainError):
-            master_step(-kin_density, kin_grid, kern, None, 1.5e-4)
+            master_step(-kin_density, kin_grid, kern, 1.5e-4)
         grid2 = GridSpec(extent=((-1.0, 1.0), (-1.0, 1.0)), n=(16, 16))
         with pytest.raises(DomainError):
-            master_step(np.zeros((16, 16)), grid2, kern, None, 1.5e-4)
+            master_step(np.zeros((16, 16)), grid2, kern, 1.5e-4)
 
 
-def reference_master_step(u, grid, kernel, sink, dt, closure):
+def reference_master_step(u, grid, kernel, dt, closure):
     """The per-offset np.add.at redistribution loop over every cell, kept as
     the bit-for-bit reference for master_step's row-ordered reduction and
     border strips."""
@@ -225,8 +208,6 @@ def reference_master_step(u, grid, kernel, sink, dt, closure):
                 dest = np.where(dest < 0, -1 - dest, dest)
                 dest = np.where(dest >= n, 2 * n - 1 - dest, dest)
             np.add.at(out, dest, emit * W[:, col])
-    if sink is not None:
-        out = np.maximum(0.0, out + dt * sink.rate(grid.axis_centers(0), out))
     return out
 
 
@@ -236,19 +217,17 @@ class TestScatterMatchesReference:
     @pytest.mark.parametrize("beta,a,tau0", [(1.0, 1.0, 1.5e-4),
                                              (2.0, 1.0, 2e-3),
                                              (1.0, 0.5, 1e-4)])
-    @pytest.mark.parametrize("with_sink", [False, True])
     def test_bit_identical_to_add_at_loop(self, kin_grid, closure, shape,
-                                          beta, a, tau0, with_sink):
+                                          beta, a, tau0):
         # humps touching both walls, so reflection and wrap both act
         u = kin_grid.sample(bump((-0.9,), 0.3, 0.05, shape="cos2")) \
             + kin_grid.sample(bump((0.95,), 0.2, 0.03, shape="tent"))
         kern = power_family_kernel(beta=beta, tau0=tau0, a=a, shape=shape)
-        sink = SinkTerm(m=lambda x, v: -3.0 * v) if with_sink else None
         dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u.max()])))[0])
         fld = u.copy()
         for _ in range(4):
-            ref = reference_master_step(fld, kin_grid, kern, sink, dt, closure)
-            fld = master_step(fld, kin_grid, kern, sink, dt, closure=closure)
+            ref = reference_master_step(fld, kin_grid, kern, dt, closure)
+            fld = master_step(fld, kin_grid, kern, dt, closure=closure)
             assert np.array_equal(fld, ref)
         # the occupied wall cells really spread (not identity rows)
         offsets, _ = _weight_rows(kern, u[:2], kin_grid.h[0])
@@ -306,8 +285,8 @@ class TestFoldsMatchReference:
             assert offsets.size == 2 * K + 1
             fld = u
             for _ in range(3):
-                ref = reference_master_step(fld, grid, kern, None, dt, closure)
-                fld = master_step(fld, grid, kern, None, dt, closure=closure)
+                ref = reference_master_step(fld, grid, kern, dt, closure)
+                fld = master_step(fld, grid, kern, dt, closure=closure)
                 assert np.array_equal(fld, ref)
 
     @pytest.mark.parametrize("case", ["reach-n", "lab-tau0-4"])
@@ -330,7 +309,7 @@ class TestFoldsMatchReference:
             dt = 1.5e-4
         monkeypatch.setattr(kinetic_mod, "_rows", no_rows)
         with pytest.raises(ResolutionError):
-            master_step(u, grid, kern, None, dt)
+            master_step(u, grid, kern, dt)
 
 
 def reference_march(u, grid, kernel, T, dt, closure):
@@ -338,7 +317,7 @@ def reference_march(u, grid, kernel, T, dt, closure):
     t, times = 0.0, [0.0]
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
-        u = reference_master_step(u, grid, kernel, None, step, closure)
+        u = reference_master_step(u, grid, kernel, step, closure)
         t = t + step
         times.append(t)
     return times, u
@@ -350,7 +329,7 @@ class TestRunMaster:
 
     def test_matches_reference_loop(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        times, u_T = run_master(kin_density, kin_grid, kern, None,
+        times, u_T = run_master(kin_density, kin_grid, kern,
                                 T=0.01, dt=1.5e-4)
         ref_times, ref_u = reference_march(kin_density.copy(), kin_grid,
                                            kern, 0.01, 1.5e-4, "reflect")
@@ -373,7 +352,7 @@ class TestRunMaster:
         assert K >= 10 and np.unique(W, axis=0).shape[0] > 10
         assert occupied[0] < K and occupied[-1] >= u0.size - K
         dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u0.max()])))[0])
-        times, u_T = run_master(u0, kin_grid, kern, None, T=24 * dt,
+        times, u_T = run_master(u0, kin_grid, kern, T=24 * dt,
                                 dt=dt, closure=closure)
         ref_times, ref_u = reference_march(u0, kin_grid, kern, 24 * dt,
                                            dt, closure)
@@ -383,7 +362,7 @@ class TestRunMaster:
 
     def test_lands_exactly_on_horizon(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        times, u_T = run_master(kin_density, kin_grid, kern, None,
+        times, u_T = run_master(kin_density, kin_grid, kern,
                                 T=1.03e-3, dt=2.5e-4)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(1.03e-3, rel=1e-12)
@@ -394,7 +373,7 @@ class TestRunMaster:
     def test_input_density_not_mutated(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         before = kin_density.copy()
-        run_master(kin_density, kin_grid, kern, None, T=5e-4, dt=2.5e-4)
+        run_master(kin_density, kin_grid, kern, T=5e-4, dt=2.5e-4)
         assert np.array_equal(kin_density, before)
 
     def test_memory_does_not_grow_with_the_steps(self, kin_grid):
@@ -407,7 +386,7 @@ class TestRunMaster:
         def peak(steps):
             tracemalloc.start()
             try:
-                run_master(u0, kin_grid, kern, None, T=steps * 1e-4, dt=1e-4)
+                run_master(u0, kin_grid, kern, T=steps * 1e-4, dt=1e-4)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -430,7 +409,7 @@ class TestNonFiniteInputs:
     def test_master_step_dt(self, kin_grid, kin_density, bad):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         with pytest.raises(DomainError, match="dt must be positive and finite"):
-            master_step(kin_density, kin_grid, kern, None, bad)
+            master_step(kin_density, kin_grid, kern, bad)
 
     @_NOT_POSITIVE_FINITE
     @pytest.mark.parametrize("which", ["T", "dt"])
@@ -438,14 +417,14 @@ class TestNonFiniteInputs:
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         times = {"T": 1e-3, "dt": 1.5e-4, which: bad}
         with pytest.raises(DomainError, match="must be positive and finite"):
-            run_master(kin_density, kin_grid, kern, None, **times)
+            run_master(kin_density, kin_grid, kern, **times)
 
     def test_nan_density_rejected(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         u = kin_density.copy()
         u[7] = math.nan
         with pytest.raises(DomainError, match="nonnegative"):
-            master_step(u, kin_grid, kern, None, 1.5e-4)
+            master_step(u, kin_grid, kern, 1.5e-4)
 
     def test_nan_waiting_time_rejected(self, kin_grid, kin_density):
         # dt > NaN is False; the negated check rejects a NaN waiting time
@@ -453,7 +432,7 @@ class TestNonFiniteInputs:
         kern = replace(power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0),
                        tau=lambda u: np.full_like(u, math.nan))
         with pytest.raises(DomainError, match="waiting times"):
-            master_step(kin_density, kin_grid, kern, None, 1.5e-4)
+            master_step(kin_density, kin_grid, kern, 1.5e-4)
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -467,15 +446,7 @@ class TestNonFiniteInputs:
             tau=lambda u: np.full_like(u, 1.5e-4),
             var=lambda u: np.where(u > 0.03, bad, 1e-3), shape=shape)
         with pytest.raises(DomainError, match="kernel widths must be finite"):
-            master_step(kin_density, kin_grid, kern, None, 1.5e-4)
-
-    def test_nan_sink_rate_rejected(self, kin_grid, kin_density):
-        # NaN > 1e-15 is False; the negated check rejects it where the sink
-        # is applied, not later as a NaN density
-        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        nan_sink = SinkTerm(m=lambda x, u: np.full_like(u, math.nan))
-        with pytest.raises(DomainError, match="sink rate"):
-            master_step(kin_density, kin_grid, kern, nan_sink, 1.5e-4)
+            master_step(kin_density, kin_grid, kern, 1.5e-4)
 
 
 class TestReach:
@@ -493,7 +464,7 @@ class TestReach:
             K = math.ceil(float(np.max(kern.support_radius(occ))) / H)
             assert K > 0
             assert kinetic_mod._sigma_and_reach(kern, occ, H)[1] == K
-            u = master_step(u, kin_grid, kern, None, 1e-4)
+            u = master_step(u, kin_grid, kern, 1e-4)
 
     def test_var_evaluated_once_per_step(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=2.0, tau0=2e-4, a=1.0)
@@ -504,18 +475,18 @@ class TestReach:
             return kern.var(u)
 
         counted = replace(kern, var=var)
-        out = master_step(kin_density, kin_grid, counted, None, 1e-4)
+        out = master_step(kin_density, kin_grid, counted, 1e-4)
         assert len(calls) == 1
         assert np.array_equal(
-            out, master_step(kin_density, kin_grid, kern, None, 1e-4))
+            out, master_step(kin_density, kin_grid, kern, 1e-4))
 
     def test_constant_var_broadcasts(self, kin_grid, kin_density):
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
         sigma2 = float(kern.var(np.asarray([0.5]))[0])     # a = beta: constant
         const = replace(kern, var=lambda u: sigma2)
         assert np.array_equal(
-            master_step(kin_density, kin_grid, const, None, 1e-4),
-            master_step(kin_density, kin_grid, kern, None, 1e-4))
+            master_step(kin_density, kin_grid, const, 1e-4),
+            master_step(kin_density, kin_grid, kern, 1e-4))
 
 
 class TestDiffusiveLimit:
@@ -526,7 +497,7 @@ class TestDiffusiveLimit:
         trace = solve(prob, kin_grid, 0.01, 2)
         pde = trace.fields[-1] - prob.eps
         kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
-        _, master = run_master(kin_density, kin_grid, kern, None, 0.01,
+        _, master = run_master(kin_density, kin_grid, kern, 0.01,
                                1.5e-4)
         vol = kin_grid.cell_volume
         mass = kin_density.sum() * vol

@@ -21,8 +21,8 @@ from degenstein.coeffs import COLUMNS, CoefficientTable
 from degenstein.errors import DomainError, GeometryError
 from degenstein.localization import (CutoffFamily, ExponentPack,
                                      de_giorgi_trace, default_j, empty_radius,
-                                     energy_Y, estimate_T_prime, front_radius,
-                                     front_series, lady_bound, lady_threshold,
+                                     energy_Y, front_radius, front_series,
+                                     lady_bound, lady_threshold,
                                      table_state_eval, time_to_threshold)
 from degenstein.solver import EpsProblem, GridSpec, SolveTrace, bump, solve
 
@@ -125,7 +125,8 @@ class TestExponentPack:
         pack = ExponentPack.build(cutoffs, N_dim=1, table=beta1_table)
         assert pack.lam == beta1_table.lam
         no_Lambda = CoefficientTable(**{c: getattr(beta1_table, c)
-                                        for c in COLUMNS})
+                                        for c in COLUMNS},
+                                     profile=beta1_table.profile)
         for table in (None, no_Lambda):
             with pytest.raises(DomainError, match="need lam directly"):
                 ExponentPack.build(cutoffs, N_dim=1, table=table)
@@ -391,7 +392,6 @@ class TestStackedEnergies:
         assert np.array_equal(dg.Y, want) and dg.Y[0] > 0.0
         T_prime = _every_probe_T_prime(trace, cut, pack, beta1_table)
         assert dg.T_prime == T_prime
-        assert estimate_T_prime(trace, cut, pack, beta1_table) == T_prime
 
     @pytest.mark.parametrize("snap", [3, 10])
     def test_a_nan_outside_the_ball_is_named(self, desk_trace_beta1,
@@ -405,9 +405,8 @@ class TestStackedEnergies:
         assert cutoffs.theta(trace.grid, 0)[cell] == 0.0
         trace.fields[snap, cell] = trace.fields[20, 5] = np.nan
         at = re.escape(f"NaN at index ({snap}, {cell})")
-        for certify in (de_giorgi_trace, estimate_T_prime):
-            with pytest.raises(DomainError, match=at):
-                certify(trace, cutoffs, desk_pack, beta1_table)
+        with pytest.raises(DomainError, match=at):
+            de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
 
     def test_probes_match_the_snapshot_loop(self, desk_trace_beta1, cutoffs,
                                             desk_pack, beta1_table):
@@ -450,14 +449,10 @@ class TestStackedEnergies:
         dg = de_giorgi_trace(desk_trace_beta1, family, desk_pack, beta1_table)
         assert len(builds) == 7
         assert np.array_equal(dg.Y, Y_fresh)
-        # the bisection alone builds theta_0 once, however many probes
-        builds.clear()
-        estimate_T_prime(desk_trace_beta1, family, desk_pack, beta1_table)
-        assert len(builds) == 1
 
 
 def _every_probe_T_prime(trace, cutoffs, pack, table):
-    """estimate_T_prime's bisection with every probe sent through energy_Y,
+    """de_giorgi_trace's T' bisection with every probe sent through energy_Y,
     none settled from the stored rows: the bit-for-bit reference."""
     theta_L = pack.threshold
 
@@ -480,7 +475,7 @@ def _every_probe_T_prime(trace, cutoffs, pack, table):
 
 
 class TestBisectionSettle:
-    """estimate_T_prime settles a probe as failing from the stored rows
+    """The T' bisection settles a probe as failing from the stored rows
     alone when they already exceed theta_L; every probe, and so T', is the
     one of the loop that evaluates each through energy_Y."""
 
@@ -506,7 +501,7 @@ class TestBisectionSettle:
     def test_matches_the_every_probe_loop(self, case, cutoffs):
         trace, pack, table = case
         want = _every_probe_T_prime(trace, cutoffs, pack, table)
-        got = estimate_T_prime(trace, cutoffs, pack, table)
+        got = de_giorgi_trace(trace, cutoffs, pack, table).T_prime
         assert got == want
         assert (got == trace.T) == (trace.fields[0].max() == 0.0)
 
@@ -552,8 +547,8 @@ class TestStateless:
         trace.fields[2] += 0.1
         after = de_giorgi_trace(trace, cutoffs, desk_pack, beta1_table)
         assert after.Y[0] > before.Y[0]
-        assert after.T_prime == estimate_T_prime(trace, cutoffs, desk_pack,
-                                                 beta1_table)
+        assert after.T_prime == _every_probe_T_prime(trace, cutoffs,
+                                                     desk_pack, beta1_table)
 
 
 class TestTPrime:
@@ -561,28 +556,31 @@ class TestTPrime:
                                                 beta1_table, desk_grid):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=1.0)
         trace = make_constant_trace(desk_grid, prob, 0.0)
-        assert estimate_T_prime(trace, cutoffs, desk_pack,
-                                beta1_table) == trace.T
+        assert de_giorgi_trace(trace, cutoffs, desk_pack,
+                               beta1_table).T_prime == trace.T
 
     def test_degenerate_run_positive(self, desk_trace_beta1, cutoffs,
                                      desk_pack, beta1_table):
-        tp = estimate_T_prime(desk_trace_beta1, cutoffs, desk_pack, beta1_table)
+        tp = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
+                             beta1_table).T_prime
         assert tp > 0.0
 
     def test_control_is_negligible_fraction(self, control_trace, cutoffs,
                                             control_tab):
         pack = ExponentPack.build(cutoffs, N_dim=1, lam=1.0)
-        tp = estimate_T_prime(control_trace, cutoffs, pack, control_tab)
+        tp = de_giorgi_trace(control_trace, cutoffs, pack,
+                             control_tab).T_prime
         assert tp < 1e-3 * control_trace.T
 
     def test_stronger_degeneracy_holds_longer(self, desk_trace_beta1,
                                               desk_trace_beta2, cutoffs,
                                               desk_pack, beta1_table,
                                               beta2_table):
-        tp1 = estimate_T_prime(desk_trace_beta1, cutoffs, desk_pack,
-                               beta1_table)
+        tp1 = de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack,
+                              beta1_table).T_prime
         pack2 = ExponentPack.build(cutoffs, N_dim=1, table=beta2_table)
-        tp2 = estimate_T_prime(desk_trace_beta2, cutoffs, pack2, beta2_table)
+        tp2 = de_giorgi_trace(desk_trace_beta2, cutoffs, pack2,
+                              beta2_table).T_prime
         assert tp2 >= tp1
 
 

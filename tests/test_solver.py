@@ -310,13 +310,6 @@ class TestDomainContract:
         with pytest.raises(DomainError, match="first offender 1e-10"):
             eps_sweep(prob, self.GRID, 0.001, [1e-6, 5e-7])
 
-    def test_table_without_a_profile_rejected(self, beta1_table, tmp_path):
-        path = tmp_path / "table.csv"
-        beta1_table.dump_csv(path)
-        table = CoefficientTable.load_csv(path, Lambda=1.0)
-        with pytest.raises(DomainError, match="no degeneracy profile"):
-            EpsProblem(table=table, eps=1e-6)
-
 
 class TestBoundaryWeight:
     def test_nonconstant_psi_transient_reported(self, beta1_table, desk_grid):
@@ -330,6 +323,22 @@ class TestBoundaryWeight:
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=0.0, psi=-1.0)
         with pytest.raises(DomainError):
             prob.sample_on(desk_grid)
+
+    @pytest.mark.parametrize("call", ["cfl_dt", "step_explicit"])
+    def test_negative_psi_rejected_by_the_single_steps(self, beta1_table,
+                                                       call):
+        # the pin eps*psi would hold the ring at -eps, below the floor and
+        # out of the table's domain, as solve already refuses
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(51,))
+        prob = EpsProblem(table=beta1_table, eps=1e-3,
+                          g=bump((0.0,), 0.3, 0.5), psi=-1.0)
+        u = prob.eps + grid.sample(prob.g)
+        with pytest.raises(DomainError,
+                           match="boundary weight psi must be nonnegative"):
+            if call == "cfl_dt":
+                cfl_dt(prob, grid, u)
+            else:
+                step_explicit(u, prob, grid, 1e-6)
 
 
 class TestSweep:
