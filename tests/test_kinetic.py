@@ -217,21 +217,37 @@ class TestScatterMatchesReference:
     @pytest.mark.parametrize("beta,a,tau0", [(1.0, 1.0, 1.5e-4),
                                              (2.0, 1.0, 2e-3),
                                              (1.0, 0.5, 1e-4)])
+    @pytest.mark.parametrize("density", ["walls", "interior"])
     def test_bit_identical_to_add_at_loop(self, kin_grid, closure, shape,
-                                          beta, a, tau0):
-        # humps touching both walls, so reflection and wrap both act
-        u = kin_grid.sample(bump((-0.9,), 0.3, 0.05, shape="cos2")) \
-            + kin_grid.sample(bump((0.95,), 0.2, 0.03, shape="tent"))
+                                          beta, a, tau0, density):
+        if density == "walls":
+            # humps touching both walls, so reflection and wrap both act
+            u = kin_grid.sample(bump((-0.9,), 0.3, 0.05, shape="cos2")) \
+                + kin_grid.sample(bump((0.95,), 0.2, 0.03, shape="tent"))
+        else:
+            # humps whose reach stays off the walls: no border strip
+            u = kin_grid.sample(bump((-0.3,), 0.2, 0.05, shape="cos2")) \
+                + kin_grid.sample(bump((0.35,), 0.15, 0.03, shape="tent"))
         kern = power_family_kernel(beta=beta, tau0=tau0, a=a, shape=shape)
         dt = 0.5 * float(np.asarray(kern.tau(np.asarray([u.max()])))[0])
         fld = u.copy()
         for _ in range(4):
+            last = fld
             ref = reference_master_step(fld, kin_grid, kern, dt, closure)
             fld = master_step(fld, kin_grid, kern, dt, closure=closure)
             assert np.array_equal(fld, ref)
-        # the occupied wall cells really spread (not identity rows)
-        offsets, _ = _weight_rows(kern, u[:2], kin_grid.h[0])
-        assert offsets.size >= 3
+        if density == "walls":
+            # the occupied wall cells really spread (not identity rows)
+            offsets, _ = _weight_rows(kern, u[:2], kin_grid.h[0])
+            assert offsets.size >= 3
+        else:
+            # the last step's occupied span, grown by its reach, misses
+            # both walls
+            occupied = np.flatnonzero(last > 0.0)
+            offsets, _ = _weight_rows(kern, last[occupied], kin_grid.h[0])
+            K = (offsets.size - 1) // 2
+            assert K >= 1
+            assert occupied[0] - K >= 0 and occupied[-1] + K < u.size
 
 
 def reach_kernel(n, K, shape, varying, u_max):

@@ -340,6 +340,26 @@ class TestBoundaryWeight:
             else:
                 step_explicit(u, prob, grid, 1e-6)
 
+    @pytest.mark.parametrize("call", ["cfl_dt", "step_explicit"])
+    @pytest.mark.parametrize("data, message", [
+        ({"g": -0.01}, "initial hump g must be nonnegative"),
+        ({"g": 2.0}, "initial data range"),
+        ({"g": bump((0.0,), 0.3, 0.5), "omega_prime": ((0.0,), 0.2)},
+         "g does not vanish on the declared empty ball"),
+    ], ids=["negative-g", "above-u_max", "g-on-empty-ball"])
+    def test_problem_data_checked_by_the_single_steps(self, beta1_table,
+                                                      call, data, message):
+        # the single steps sample the problem as solve does, so they reject
+        # the same data, even for a state that is itself in range
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(51,))
+        prob = EpsProblem(table=beta1_table, eps=1e-3, **data)
+        u = prob.eps + grid.sample(bump((0.0,), 0.3, 0.5))
+        with pytest.raises(DomainError, match=message):
+            if call == "cfl_dt":
+                cfl_dt(prob, grid, u)
+            else:
+                step_explicit(u, prob, grid, 1e-6)
+
 
 class TestSweep:
     def test_identical_floors_give_zero_gap(self, beta1_table, desk_grid,
