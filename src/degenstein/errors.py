@@ -1,9 +1,11 @@
 """Exception hierarchy shared by all degenstein modules.
 
-Every failure mode that callers are expected to handle gets its own class so
-the CLI can map them onto stable exit codes.  Numeric preconditions inside
-hot loops still use plain asserts; these exceptions are for contract
-violations at module boundaries.
+Every failure mode that callers are expected to handle gets its own class.
+The CLI's exit code for a failure comes from the pipeline phase it is raised
+in (`cli._phase`), not from its class: a DomainError exits 3 while the table
+is built and 4 while the solver runs.  These exceptions are for contract
+violations at module boundaries; the package's one plain assert, after
+`solve`'s time loop, checks that every snapshot was written.
 """
 
 __all__ = [

@@ -10,10 +10,11 @@ cross-validation measures.
 
 A weight row depends only on the kernel width sigma(u) (and on the reach K
 of the widest occupied cell), so a step builds one row per distinct width
-among the occupied cells; with a = beta every cell shares one row, and
-run_master builds it once.  The truncated tail is renormalized so each row
-sums to one exactly.  tau, var and the reach are evaluated on the occupied
-cells only.
+among the occupied cells.  The rows of the last step are kept while the
+widths, K and h are unchanged: with a = beta every cell shares one row,
+and a run, or a series of master_step calls, builds it once.  The
+truncated tail is renormalized so each row sums to one exactly.  tau, var
+and the reach are evaluated on the occupied cells only.
 
 The moved mass is summed in one reduction.  For the occupied span [lo, hi)
 a zeroed stack of 2K+2 rows covers the unfolded destinations lo-K..hi-1+K:
@@ -35,6 +36,7 @@ which changes none of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -112,7 +114,7 @@ def _sigma_and_reach(kernel: JumpKernel, occ: np.ndarray, h: float):
     reach K in cells of the widest support radius among them.  The radius
     is a fixed multiple of sigma, and rounding is monotone, so the largest
     is that multiple of max(sigma), bit for bit, with var evaluated once."""
-    sigma = np.sqrt(kernel.var(occ))
+    sigma = np.sqrt(np.asarray(kernel.var(occ), dtype=float))
     if sigma.shape != occ.shape:     # a var that returns one constant
         sigma = np.broadcast_to(sigma, occ.shape)
     top = _RADIUS_IN_SIGMAS[kernel.shape] * float(sigma.max(initial=0.0))
@@ -183,18 +185,15 @@ def kernel_moments(kernel: JumpKernel, u: float, grid_h: float):
     return mass, mean, variance
 
 
-class _LastRows:
-    """The weight rows of the previous step, rebuilt only when (shape,
-    widths, K, h) changes: with a = beta a whole run builds them once."""
-
-    def __init__(self):
-        self._key = self._rows = None
-
-    def __call__(self, shape: str, widths: np.ndarray, K: int, h: float):
-        key = (shape, widths.tobytes(), K, h)
-        if key != self._key:
-            self._key, self._rows = key, _rows(shape, widths, K, h)[1]
-        return self._rows
+@functools.lru_cache(maxsize=1)
+def _cached_rows(shape: str, widths: bytes, K: int, h: float) -> np.ndarray:
+    """_rows's weights for the widths given as float64 bytes, read-only:
+    the last ones built are reused while (shape, widths, K, h) is
+    unchanged, so with a = beta a run, or a series of master_step calls,
+    builds them once."""
+    W = _rows(shape, np.frombuffer(widths), K, h)[1]
+    W.flags.writeable = False
+    return W
 
 
 def _fold_moved(out: np.ndarray, W: np.ndarray, emit: np.ndarray, lo: int,
@@ -247,8 +246,21 @@ def _positive_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel, dt: float,
-          closure: str, rows_of: _LastRows) -> np.ndarray:
+def master_step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
+                dt: float, closure: str = "reflect") -> np.ndarray:
+    """One synchronous fractional-redistribution step of the master equation.
+
+    Per cell, the fraction dt/tau(u) of its mass moves through the kernel
+    row of the cell's width; boundary leakage folds back by mirror
+    reflection (or wraps, with closure='periodic'), so mass is conserved
+    exactly.  The rows are built once per distinct width and kept from
+    the last step or call while (shape, widths, K, h) is unchanged; the
+    moved mass is summed by one row-ordered reduction, plus one over the
+    border strips when mass crosses a wall (see the module docstring).  dt
+    must be positive and finite.  A kernel reach K with 2K+1 > 2n raises
+    ResolutionError before any row is built; a negative or NaN result
+    raises RangeError.
+    """
     if grid.dim != 1:
         raise DomainError("master equation stepping is one-dimensional here")
     if closure not in ("reflect", "periodic"):
@@ -284,35 +296,20 @@ def _step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel, dt: float,
         # one row per distinct width; the span's cells with u = 0 emit 0.0
         lo, hi = int(src[0]), int(src[-1]) + 1
         if np.all(sigma == sigma[0]):
-            W = rows_of(kernel.shape, sigma[:1], K, h).T   # broadcasts
+            # one row, which broadcasts
+            W = _cached_rows(kernel.shape, sigma[:1].tobytes(), K, h).T
         else:
             widths, which = np.unique(sigma, return_inverse=True)
             span_row = np.zeros(hi - lo, dtype=np.intp)
             span_row[src - lo] = which
-            W = rows_of(kernel.shape, widths, K, h).T[:, span_row]
+            rows = _cached_rows(kernel.shape, widths.tobytes(), K, h)
+            W = rows.T[:, span_row]
         _fold_moved(out, W, emit, lo, hi, K, closure == "periodic")
 
     # negated so that NaN trips it too
     if not out.min() >= -1e-12 * max(1.0, float(u.max(initial=0.0))):
         raise RangeError("redistribution produced negative or NaN density")
     return out
-
-
-def master_step(u: np.ndarray, grid: GridSpec, kernel: JumpKernel,
-                dt: float, closure: str = "reflect") -> np.ndarray:
-    """One synchronous fractional-redistribution step of the master equation.
-
-    Per cell, the fraction dt/tau(u) of its mass moves through the kernel
-    row of the cell's width; boundary leakage folds back by mirror
-    reflection (or wraps, with closure='periodic'), so mass is conserved
-    exactly.  The rows are built once per distinct width and the moved
-    mass is summed by one row-ordered reduction, plus one over the border
-    strips when mass crosses a wall (see the module docstring).  dt must
-    be positive and finite.  A kernel reach K with 2K+1 > 2n raises
-    ResolutionError before any row is built; a negative or NaN result
-    raises RangeError.
-    """
-    return _step(u, grid, kernel, dt, closure, _LastRows())
 
 
 def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
@@ -324,13 +321,12 @@ def run_master(density0: np.ndarray, grid: GridSpec, kernel: JumpKernel,
     (shape, widths, K, h) is unchanged."""
     _positive_finite("final time T", T)
     _positive_finite("dt", dt)
-    rows_of = _LastRows()
     u = np.asarray(density0, dtype=float).copy()
     times = [0.0]
     t = 0.0
     while t < T - 1e-15 * T:
         step = min(dt, T - t)
-        u = _step(u, grid, kernel, step, closure, rows_of)
+        u = master_step(u, grid, kernel, step, closure)
         t += step
         times.append(t)
     return np.asarray(times), u

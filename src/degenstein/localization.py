@@ -50,7 +50,9 @@ __all__ = [
 # of that bound is 1
 C2 = 1.0
 _BISECT_RTOL = 1e-3    # the T' bisection stops at this relative bracket
-_EVAL_CHUNK = 8        # fields per table_state_eval call in _state_stacks
+# fields per table_state_eval call in _rows: all 33 desk snapshots in one
+# call raised the desk process's peak RSS by about 0.3 MB
+_EVAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def lady_threshold(c: float, b: float, delta: float) -> float:
 
 def table_state_eval(table: CoefficientTable, column: str,
                      values: np.ndarray) -> np.ndarray:
-    """Evaluate a table column on a state field.
+    """Evaluate a table column on a state field of any shape, cell by cell.
 
     Nonpositive state maps to 0 (the continuum value of H and G at the
     origin); positive state below the first node clamps to it, state above M
@@ -215,9 +217,9 @@ def table_state_eval(table: CoefficientTable, column: str,
     """
     values = np.asarray(values, dtype=float)
     least = _least_state(values)
-    lo, top = table.s_min, table.M
-    out = table.eval(column, np.clip(values, lo, top).ravel())
-    out = out.reshape(values.shape)
+    # eval gives a float for a 0-d state
+    out = np.asarray(table.eval(column,
+                                np.clip(values, table.s_min, table.M)))
     if least <= 0.0:
         out[values <= 0.0] = 0.0
     return out
@@ -245,34 +247,30 @@ def _snapshot_schedule(trace: SolveTrace, T_prime: float):
     return times, n_stored
 
 
-def _state_stacks(table: CoefficientTable, fields: np.ndarray,
-                  theta: np.ndarray) -> tuple:
-    """H(u) and G(u) of a stack of fields along a leading axis, evaluated
-    on the bounding box of the support of the cutoff theta, and 0
-    elsewhere.  theta and every cutoff inside it vanish outside the box, so
-    their products with H and G are the same floats as with H and G
-    evaluated everywhere (0 * finite = 0).  Every cell is still checked
-    for NaN.  A few fields go to each evaluation, so its temporaries stay a
-    few fields large; it is per cell, so the chunking changes no value."""
+def _rows(table: CoefficientTable, fields: np.ndarray, thetas: list,
+          grid: GridSpec) -> list:
+    """Per cutoff theta of thetas, the rows (int theta^2 H(u), gradient
+    energy of theta*G(u)) of a stack of fields along a leading axis.
+
+    H and G are evaluated once, on the bounding box of the support of
+    thetas[0] and 0 elsewhere, which every cutoff must lie inside: theta
+    vanishes outside the box, so its products with H and G are the same
+    floats as with H and G evaluated everywhere (0 * finite = 0).  Every
+    cell is still checked for NaN.  The evaluation is per cell, and each
+    row sums its cells as one field does, so a row is bit for bit the same
+    in a stack of any height or chunking."""
     _least_state(fields)
     box = (slice(None), *(slice(c.min(), c.max() + 1) if c.size else
-                          slice(0, 0) for c in np.nonzero(theta > 0.0)))
-    stacks = np.zeros((2, *fields.shape))
+                          slice(0, 0) for c in np.nonzero(thetas[0] > 0.0)))
+    H, G = np.zeros((2, *fields.shape))
     inner = fields[box]
     for i in range(0, len(fields), _EVAL_CHUNK):
-        for out, c in zip(stacks, ("H", "G")):
+        for out, c in ((H, "H"), (G, "G")):
             out[i:i + _EVAL_CHUNK][box] = table_state_eval(
                 table, c, inner[i:i + _EVAL_CHUNK])
-    return tuple(stacks)
-
-
-def _energy_rows(theta: np.ndarray, H: np.ndarray, G: np.ndarray,
-                 grid: GridSpec):
-    """Per field of the H and G stacks, int theta^2 H and the gradient
-    energy of theta*G.  Each row sums its cells as one field does, so a
-    row is bit for bit the same in a stack of any height."""
-    mass = np.add.reduce((theta * theta * H).reshape(len(H), -1), axis=1)
-    return mass * grid.cell_volume, _grad_energies(theta * G, grid)
+    return [(np.add.reduce((th * th * H).reshape(len(H), -1), axis=1)
+             * grid.cell_volume, _grad_energies(th * G, grid))
+            for th in thetas]
 
 
 def _weighted_energy(T_prime: float, pack: ExponentPack, times: np.ndarray,
@@ -282,6 +280,22 @@ def _weighted_energy(T_prime: float, pack: ExponentPack, times: np.ndarray,
     sup_mass = max([0.0] + mass.tolist())
     time_term = float(_trapezoid(grad, times)) if len(times) > 1 else 0.0
     return T_prime ** pack.beta_exp * (sup_mass + time_term)
+
+
+def _Y(trace: SolveTrace, pack: ExponentPack, table: CoefficientTable,
+       theta: np.ndarray, mass: np.ndarray, grad: np.ndarray,
+       T_prime: float) -> float:
+    """Y[T'] of the cutoff theta from its rows (mass, grad) of the stored
+    snapshots up to T' at least: the stored rows, closed with the row of
+    the field interpolated at T' when T' falls between two stored
+    instants."""
+    times, n = _snapshot_schedule(trace, T_prime)
+    mass, grad = mass[:n], grad[:n]
+    if len(times) > n:
+        (m, g), = _rows(table, trace.field_at(times[-1])[None], [theta],
+                        trace.grid)
+        mass, grad = np.concatenate([mass, m]), np.concatenate([grad, g])
+    return _weighted_energy(T_prime, pack, times, mass, grad)
 
 
 def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
@@ -294,14 +308,11 @@ def energy_Y(trace: SolveTrace, cutoffs: CutoffFamily, pack: ExponentPack,
     and G on the stored snapshots up to T', and on the field interpolated
     at T' if T' falls between two stored instants.
     """
-    times, n_stored = _snapshot_schedule(trace, T_prime)
-    fields = trace.fields[:n_stored]
-    if len(times) > n_stored:
-        fields = np.concatenate([fields, trace.field_at(times[-1])[None]])
+    _, n_stored = _snapshot_schedule(trace, T_prime)
     theta = cutoffs.theta(trace.grid, n)
-    rows = _energy_rows(theta, *_state_stacks(table, fields, theta),
-                        trace.grid)
-    return _weighted_energy(T_prime, pack, times, *rows)
+    (mass, grad), = _rows(table, trace.fields[:n_stored], [theta],
+                          trace.grid)
+    return _Y(trace, pack, table, theta, mass, grad, T_prime)
 
 
 @dataclass
@@ -347,12 +358,11 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
     them to its mass and gradient rows, and the bisection starts from
     theta_0's rows.
     """
-    grid, T = trace.grid, trace.T
-    times, _ = _snapshot_schedule(trace, T)
-    thetas = [cutoffs.theta(grid, n) for n in range(n_max + 1)]
-    H, G = _state_stacks(table, trace.fields, thetas[0])
-    rows = [_energy_rows(theta, H, G, grid) for theta in thetas]
-    Y = np.array([_weighted_energy(T, pack, times, *r) for r in rows])
+    T = trace.T
+    thetas = [cutoffs.theta(trace.grid, n) for n in range(n_max + 1)]
+    rows = _rows(table, trace.fields, thetas, trace.grid)
+    Y = np.array([_Y(trace, pack, table, theta, *r, T)
+                  for theta, r in zip(thetas, rows)])
     bound = np.full(n_max + 1, np.nan)
     d = pack.delta
     for n in range(1, n_max + 1):
@@ -386,24 +396,15 @@ def _bisect_T_prime(trace: SolveTrace, pack: ExponentPack,
     endpoint row only adds a mass to the max and a nonnegative trapezoid
     segment, and its rounding is far inside the margin, so every probe
     settles as energy_Y would and T' is the same to the bit.  With T' far
-    below T most probes fail this way.  Otherwise the probe evaluates the
-    endpoint row, if T' falls between two stored instants, on theta_0's
-    support box.
+    below T most probes fail this way; the others go to _Y.
     """
     theta_L = pack.threshold
 
     def holds(tp: float) -> bool:
         times, n = _snapshot_schedule(trace, tp)
-        m, g = mass[:n], grad[:n]
-        lower = _weighted_energy(tp, pack, times[:n], m, g)
-        if lower > theta_L * (1.0 + 1e-12):
-            return False
-        if len(times) > n:
-            u = trace.field_at(times[-1])
-            end = _energy_rows(theta0, *_state_stacks(table, u[None], theta0),
-                               trace.grid)
-            m, g = np.concatenate([m, end[0]]), np.concatenate([g, end[1]])
-        return _weighted_energy(tp, pack, times, m, g) <= theta_L
+        lower = _weighted_energy(tp, pack, times[:n], mass[:n], grad[:n])
+        return (lower <= theta_L * (1.0 + 1e-12)
+                and _Y(trace, pack, table, theta0, mass, grad, tp) <= theta_L)
 
     T = trace.T
     if holds(T):

@@ -103,10 +103,8 @@ class GridSpec:
         return a + (np.arange(m) + 0.5) * (b - a) / m
 
     def meshgrid(self):
-        axes = [self.axis_centers(k) for k in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return np.meshgrid(*axes, indexing="ij")
+        return tuple(np.meshgrid(*map(self.axis_centers, range(self.dim)),
+                                 indexing="ij"))
 
     def distance_to(self, x0) -> np.ndarray:
         """Euclidean distance of every cell center to the point x0."""
@@ -118,10 +116,7 @@ class GridSpec:
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        if self.dim == 1:
-            mask[1:-1] = True
-        else:
-            mask[1:-1, 1:-1] = True
+        mask[(slice(1, -1),) * self.dim] = True
         return mask
 
     def sample(self, f: Union[Callable, np.ndarray, float]) -> np.ndarray:

@@ -323,6 +323,7 @@ class TestFoldsMatchReference:
             u = grid.sample(bump((0.0,), 0.3, 0.05, shape="cos2"))
             kern = power_family_kernel(beta=1.0, tau0=4.0, a=1.0)
             dt = 1.5e-4
+        kinetic_mod._cached_rows.cache_clear()
         monkeypatch.setattr(kinetic_mod, "_rows", no_rows)
         with pytest.raises(ResolutionError):
             master_step(u, grid, kern, dt)
@@ -410,6 +411,76 @@ class TestRunMaster:
         peak(2)                       # first-call allocations out of the way
         short, long = peak(10), peak(40)
         assert long - short <= 2 * u0.nbytes, (short, long, u0.nbytes)
+
+
+class TestRowCache:
+    """The weight rows come from one cached builder, kept while (shape,
+    widths, K, h) is unchanged: by run_master's steps and by separate
+    master_step calls alike."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The widths of every _rows call, from an empty cache."""
+        kinetic_mod._cached_rows.cache_clear()
+        calls = []
+        rows = kinetic_mod._rows
+
+        def counted(shape, sigma, K, h):
+            calls.append(sigma.tolist())
+            return rows(shape, sigma, K, h)
+
+        monkeypatch.setattr(kinetic_mod, "_rows", counted)
+        yield calls
+        kinetic_mod._cached_rows.cache_clear()
+
+    def test_master_step_calls_build_the_rows_once(self, built, kin_grid,
+                                                   kin_density):
+        # a = beta: every occupied cell of every step has one width
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        refs = [kin_density]
+        for _ in range(5):
+            refs.append(reference_master_step(refs[-1], kin_grid, kern,
+                                              1.5e-4, "reflect"))
+        built.clear()       # the reference builds its own rows
+        u = kin_density
+        for ref in refs[1:]:
+            u = master_step(u, kin_grid, kern, 1.5e-4)
+            assert np.array_equal(u, ref)
+        assert built == [[math.sqrt(1.5e-4)]]
+
+    def test_a_lab_size_run_builds_the_rows_once(self, built):
+        # the lab's kinetic-compare run: 1601 cells, 267 steps
+        grid = GridSpec(extent=((-1.0, 1.0),), n=(1601,))
+        u0 = grid.sample(bump((0.0,), 0.3, 0.05, shape="cos2"))
+        kern = power_family_kernel(beta=1.0, tau0=1.5e-4, a=1.0)
+        times, _ = run_master(u0, grid, kern, T=0.01, dt=3.75e-5)
+        assert len(times) == 268
+        assert len(built) == 1
+
+    def test_a_new_key_rebuilds(self, built, kin_grid, kin_density):
+        # one entry: switching between two widths rebuilds on each switch
+        # and gives each kernel its own steps bit for bit
+        kerns = [power_family_kernel(beta=1.0, tau0=t, a=1.0)
+                 for t in (1.5e-4, 3e-4, 1.5e-4)]
+        refs = [reference_master_step(kin_density, kin_grid, kern, 1e-4,
+                                      "reflect") for kern in kerns]
+        built.clear()       # the reference builds its own rows
+        for kern, ref in zip(kerns, refs):
+            assert np.array_equal(
+                master_step(kin_density, kin_grid, kern, 1e-4), ref)
+        assert built == [[math.sqrt(t)] for t in (1.5e-4, 3e-4, 1.5e-4)]
+
+    def test_cached_rows_are_read_only(self):
+        kinetic_mod._cached_rows.cache_clear()
+        widths = np.array([0.01, 0.02])
+        W = kinetic_mod._cached_rows("triangular", widths.tobytes(), 5, H)
+        assert W is kinetic_mod._cached_rows("triangular", widths.tobytes(),
+                                             5, H)
+        assert np.array_equal(W, kinetic_mod._rows("triangular", widths, 5,
+                                                   H)[1])
+        assert not W.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 0] = 1.0
 
 
 _NOT_POSITIVE_FINITE = pytest.mark.parametrize(

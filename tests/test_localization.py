@@ -220,6 +220,16 @@ class TestStateEval:
         with pytest.raises(DomainError, match="NaN at index " + re.escape(at)):
             table_state_eval(beta1_table, "H", np.array(u))
 
+    @pytest.mark.parametrize("u", [0.5, 0.0, [[0.5, 0.0], [1e-12, 2.0]],
+                                   [[[3e-4]], [[-1.0]]]])
+    def test_any_shape_evaluates_cell_by_cell(self, beta1_table, u):
+        u = np.asarray(u, dtype=float)
+        out = table_state_eval(beta1_table, "H", u)
+        assert isinstance(out, np.ndarray) and out.shape == u.shape
+        alone = [table_state_eval(beta1_table, "H", np.array([x]))[0]
+                 for x in u.ravel()]
+        assert out.ravel().tolist() == alone
+
     def test_each_cell_evaluates_on_its_own(self, beta1_table):
         # all-positive states and states with vacuum cells give every
         # positive cell the value of its own clamped evaluation

@@ -39,6 +39,20 @@ class TestGridSpec:
         assert grid.cell_volume == pytest.approx((2.0 / 32) * (1.0 / 16))
         assert grid.interior_mask().sum() == 30 * 14
 
+    @pytest.mark.parametrize("n", [(12,), (12, 9)])
+    def test_mesh_and_interior_mask(self, n):
+        # per axis k, the center of each cell's index along k; the mask
+        # holds the cells with no index at an end of its axis
+        grid = GridSpec(extent=((-1.0, 1.0), (0.0, 3.0))[:len(n)], n=n)
+        idx = np.indices(n)
+        mesh = grid.meshgrid()
+        assert isinstance(mesh, tuple) and len(mesh) == len(n)
+        for k, m in enumerate(mesh):
+            assert np.array_equal(m, grid.axis_centers(k)[idx[k]])
+        inner = [(i > 0) & (i < m - 1) for i, m in zip(idx, n)]
+        assert np.array_equal(grid.interior_mask(),
+                              np.logical_and.reduce(inner))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GridSpec(extent=((1.0, -1.0),), n=(64,))
