@@ -93,7 +93,7 @@ def power_family_kernel(beta: float, tau0: float, a: float = 1.0,
     The variance follows as var(u) = tau(u) * u^beta = tau0 * u^(beta - a);
     a = beta makes the kernel width concentration-independent.
     """
-    if beta <= 0 or tau0 <= 0 or a < 0:
+    if not (beta > 0 and tau0 > 0 and a >= 0):
         raise DomainError("need beta > 0, tau0 > 0, a >= 0")
 
     def tau(u):
@@ -168,9 +168,9 @@ def kernel_moments(kernel: JumpKernel, u: float, grid_h: float):
     few cells.  Below one cell the kernel is unresolvable and that is an
     error here (the stepper, by contrast, happily degenerates to identity).
     """
-    if u <= 0:
+    if not u > 0:
         raise DomainError("kernel moments need u > 0")
-    if grid_h <= 0:
+    if not grid_h > 0:
         raise DomainError("grid spacing must be positive")
     sigma = float(np.sqrt(kernel.var(np.asarray([u]))[0]))
     if sigma < grid_h:

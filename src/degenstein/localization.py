@@ -19,7 +19,7 @@ continuum sup; the time integral is a trapezoid over the same instants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -132,9 +132,9 @@ class ExponentPack:
     def __post_init__(self):
         if not (0.0 < self.lam < 2.0):
             raise DomainError("lam must lie in (0, 2)")
-        if self.j <= 0 or self.S <= 0 or self.C1 <= 0:
+        if not (self.j > 0 and self.S > 0 and self.C1 > 0):
             raise DomainError("j, S, C1 must be positive")
-        if self.b <= 2.0 or self.R <= 0:
+        if not (self.b > 2.0 and self.R > 0):
             raise DomainError("need b > 2 and R > 0")
         k = (2.0 - self.lam) / (2.0 + 2.0 * self.j - self.lam)
         beta = (1.0 - (1.0 + self.j) * k) / (k * self.j)
@@ -181,13 +181,14 @@ def lady_bound(c: float, b: float, delta: float, y0: float, n: int) -> float:
     sequence satisfying the inequality form.  Computed in logs; y0 = 0 gives
     0 exactly (zero is absorbing).
     """
-    if c <= 0 or delta <= 0:
+    # negated, so NaN is rejected too
+    if not (c > 0 and delta > 0):
         raise DomainError("need c > 0 and delta > 0")
-    if b < 1.0:
+    if not b >= 1.0:
         raise DomainError("need b >= 1")
-    if y0 < 0:
+    if not y0 >= 0:
         raise DomainError("need y0 >= 0")
-    if n < 0:
+    if not n >= 0:
         raise DomainError("need n >= 0")
     if y0 == 0.0:
         return 0.0
@@ -202,7 +203,7 @@ def lady_bound(c: float, b: float, delta: float, y0: float, n: int) -> float:
 def lady_threshold(c: float, b: float, delta: float) -> float:
     """Start below c^(-1/delta) b^(-1/delta^2) and the bound decays like
     b^(-n/delta)."""
-    if c <= 0 or delta <= 0 or b < 1.0:
+    if not (c > 0 and delta > 0 and b >= 1.0):
         raise DomainError("need c > 0, delta > 0, b >= 1")
     return c ** (-1.0 / delta) * b ** (-1.0 / delta ** 2)
 
@@ -335,12 +336,8 @@ class DeGiorgiTrace:
             "bound": [None if not np.isfinite(v) else float(v) for v in self.bound],
             "threshold": self.threshold,
             "verdict": dict(self.verdict),
-            "exponents": {
-                "lam": self.pack.lam, "j": self.pack.j, "k": self.pack.k,
-                "beta_exp": self.pack.beta_exp, "delta": self.pack.delta,
-                "D": self.pack.D, "b": self.pack.b, "R": self.pack.R,
-                "S": self.pack.S, "C1": self.pack.C1, "C2": C2,
-            },
+            "exponents": {**asdict(self.pack), "delta": self.pack.delta,
+                          "C2": C2},
         }
 
 
@@ -459,6 +456,7 @@ def time_to_threshold(trace: SolveTrace, x0, radius: float) -> float:
     problem's support threshold, linearly interpolated between snapshots;
     +inf when censored at the horizon."""
     thr = trace.prob.support_threshold
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     for c, (lo, hi) in zip(x0, trace.grid.extent):
         if not lo <= c <= hi:
             raise GeometryError("probe center outside the grid box")

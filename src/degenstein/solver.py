@@ -15,11 +15,12 @@ update, the range and maximum-principle tripwires, which raise RangeError
 at the step that breaks them, and the step's dissipation sum.  The
 tripwires keep a march within [eps*min(1, psi), M] up to roundoff, so only
 a field from outside has the table's domain [s_min, M] checked, once,
-where it enters: `solve`, `step_explicit` and `cfl_dt`.  `_Kernel` is
-forward Euler over the active window of the cells that differ from eps,
-which changes no bit of the result; `solve`, `step_explicit` and `cfl_dt`
-go through it: one CFL formula and one update (see SAFETY).  `eps_sweep`
-marches the floor ladder as one `solve` per eps.
+where it enters the kernel.  `_Kernel` owns a march: its pair of fields,
+its active window of the cells that differ from eps, which changes no bit
+of the result, and forward Euler over that window.  `solve`,
+`step_explicit` and `cfl_dt` are thin callers of it: one CFL formula and
+one update (see SAFETY).  `eps_sweep` marches the floor ladder as one
+`solve` per eps.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -143,7 +144,7 @@ def bump(center, radius: float, height: float, shape: str = "tent") -> Callable:
     hump, useful when a kink-free gradient is wanted.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if radius <= 0 or height <= 0:
+    if not (radius > 0 and height > 0):
         raise DomainError("bump radius and height must be positive")
     if shape not in BUMP_SHAPES:
         raise DomainError(f"unknown bump shape '{shape}'")
@@ -229,32 +230,33 @@ class EpsProblem:
         return self.table.profile(values) + self.eps
 
 
-def _on_grid(what: str, values: np.ndarray, grid: GridSpec) -> None:
-    if np.shape(values) != tuple(grid.n):
-        raise DomainError(f"{what} has shape {np.shape(values)}, not the "
-                          f"grid's {tuple(grid.n)}")
-
-
 class _Kernel:
-    """The explicit step, shared by `solve`, step_explicit and cfl_dt.
+    """The explicit march of one field of one problem, shared by `solve`,
+    step_explicit and cfl_dt.
 
-    A kernel steps one field of one problem and holds the CFL constant,
-    the boundary pins eps*psi and the admissible ranges; g and psi come
-    from `EpsProblem.sample_on`, which rejects a negative psi.  Under the
-    CFL bound each update is a convex combination of its stencil, at a
-    time error of 5e-5 of the mass (see SAFETY).
+    A kernel holds the CFL constant, the boundary pins eps*psi, the
+    admissible ranges and a pair of fields: u, the one it steps from, and
+    a buffer whose ring holds the pins and whose other cells hold u's
+    values.  u is eps + g with its ring pinned, or a copy of the values
+    given, ring as given, which are stepped once (`step_explicit`): the
+    buffer their step swaps out keeps their ring.  The constructor checks
+    u for the grid's shape and the table's domain [s_min, M], the one
+    check of a field from outside.  g and psi come from
+    `EpsProblem.sample_on`, which rejects a negative psi.  Under the CFL
+    bound each update is a convex combination of its stencil, at a time
+    error of 5e-5 of the mass (see SAFETY).
 
     Only the active window is stepped: the per-axis bounding box of the
     cells whose value differs from eps, grown by one cell on each side and
     clipped to the interior.  Skipping the cells outside it is exact: such
     a cell and its neighbors all hold eps, the difference eps - 2*eps + eps
     is 0.0 in IEEE arithmetic (2*eps and eps - 2*eps are exact), so forward
-    Euler leaves the cell at eps bit for bit.  The first step fixes the
-    window; later steps grow the box by one cell on each side whose edge
-    row has left the floor.  Every step evaluates D on the window plus its
-    one-cell halo, the slab, only.  The box never shrinks.  A hump that
-    fills the box, or a ring pin eps*psi that differs from eps, makes the
-    window the whole interior and the step the full-grid one.
+    Euler leaves the cell at eps bit for bit.  The window is fixed from the
+    field when the kernel is made, and again from the field whenever one
+    of its edge rows has left the floor.  Every step evaluates D on the
+    window plus its one-cell halo, the slab, only.  A hump that fills the
+    box, or a ring pin eps*psi that differs from eps, makes the window the
+    whole interior and the step the full-grid one.
 
     The CFL maximum of D over the slab is the full-grid one without any
     constant for the cells outside: every cell that differs from eps lies
@@ -263,11 +265,12 @@ class _Kernel:
     in the slab (D need not be monotone, so it has to be).
 
     A step's operands are bound once per window: h^2 per axis as a
-    window-shaped array, and for each field stepped the views of its slab,
-    its window and its window shifted down and up each axis (`_bind`).
+    window-shaped array, and for both fields of the pair the views of its
+    slab, its window and its window shifted down and up each axis.
     """
 
-    def __init__(self, prob: EpsProblem, grid: GridSpec):
+    def __init__(self, prob: EpsProblem, grid: GridSpec,
+                 values: Optional[np.ndarray] = None):
         self.g_vals, psi_vals = prob.sample_on(grid)
         self.prob, self.grid, self.eps = prob, grid, prob.eps
         self.cfl = SAFETY * min(h ** 2 for h in grid.h) / (2.0 * grid.dim)
@@ -279,110 +282,100 @@ class _Kernel:
         self.floor = self.eps * min(1.0, float(psi_vals.min()))
         self.hi = prob.u_max
         self.slack = 1e-12 * max(self.hi, 1.0)
-        self.bounds = None           # window [a, b) per axis, from the first call
+        if values is not None and np.shape(values) != tuple(grid.n):
+            raise DomainError(f"values has shape {np.shape(values)}, not the "
+                              f"grid's {tuple(grid.n)}")
+        self.spare = self.pin.copy()
+        if values is None:
+            self.spare[self.inner] = self.eps + self.g_vals[self.inner]
+            self.u = self.spare.copy()
+        else:
+            self.u = np.array(values, dtype=float)
+            self.spare[self.inner] = self.u[self.inner]
+        prob.table.check_domain(self.u)   # the pins eps*psi may lie below it
         self.cell_updates = 0        # cells stepped
+        self._open()
 
-    def _set_window(self, bounds):
-        self.bounds = bounds
-        self.win = win = tuple(slice(a, b) for a, b in bounds)
-        self.slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
-        # the update and lap_h(u) over the window, contiguous in 1-D and
-        # 2-D alike, and per axis the buffer of its second difference, h^2
-        # and the window shifted one cell down and up that axis
-        shape = tuple(b - a for a, b in bounds)
-        self.w, self.lap = np.empty(shape), np.empty(shape)
-        self.stencil = [
-            (self.lap if not k else np.empty(shape), np.full(shape, h ** 2),
-             *(win[:k] + (slice(a + d, b + d),) + win[k + 1:] for d in (-1, 1)))
-            for k, ((a, b), h) in enumerate(zip(bounds, self.grid.h))]
-        self.views = []
+    def _open(self) -> None:
+        """Fix the window from the cells of u that differ from eps, and
+        bind the step's operands for it."""
+        off = self.u != self.eps
         n = self.grid.n
-        self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
-        # edge rows that can still grow: (axis, side, index of the row), and
-        # the flat indices of all their cells for the one per-step test,
-        # which compares their values, as a list of floats, with the
-        # floor's (NaN differs); in 1-D, where a row is one cell, the test
-        # is two scalar compares of the edge cells (one twice if only it
-        # has room), which are faster
-        self.edges = []
-        edge_cells = np.zeros(n, dtype=bool)
-        for k, ((a, b), m) in enumerate(zip(bounds, n)):
-            for side, at, room in ((0, a, a > 1), (1, b - 1, b < m - 1)):
-                if room:
-                    row = win[:k] + (at,) + win[k + 1:]
-                    self.edges.append((k, side, row))
-                    edge_cells[row] = True
-        self.edge_take = np.flatnonzero(edge_cells)
-        self.edge_floor = [self.eps] * self.edge_take.size
-        rows = [row for _, _, row in self.edges]
-        self.ends = (rows[0], rows[-1]) if len(n) == 1 and rows else None
-
-    def _open(self, values: np.ndarray) -> None:
-        """Fix the window from the cells that differ from eps."""
-        off = values != self.eps
         bounds = []
-        for k, m in enumerate(self.grid.n):
+        for k, m in enumerate(n):
             others = tuple(j for j in range(off.ndim) if j != k)
             hit = np.flatnonzero(off.any(axis=others))
             # nothing off the floor: one interior cell stands in for the box
             a, b = (int(hit[0]), int(hit[-1])) if hit.size else (1, 0)
             bounds.append((max(1, a - 1), min(m - 1, b + 2)))
-        self._set_window(bounds)
+        win = tuple(slice(a, b) for a, b in bounds)
+        slab = tuple(slice(a - 1, b + 1) for a, b in bounds)
+        # the update and lap_h(u) over the window, contiguous in 1-D and
+        # 2-D alike, and per axis the buffer of its second difference, h^2
+        # and the window shifted one cell down and up that axis
+        shape = tuple(b - a for a, b in bounds)
+        self.w, self.lap = np.empty(shape), np.empty(shape)
+        self.stencil = stencil = [
+            (self.lap if not k else np.empty(shape), np.full(shape, h ** 2),
+             *(win[:k] + (slice(a + d, b + d),) + win[k + 1:] for d in (-1, 1)))
+            for k, ((a, b), h) in enumerate(zip(bounds, self.grid.h))]
+        # per field of the pair: its slab, its window, and per axis (buffer,
+        # h^2, window shifted down, up)
+        self.src, self.dst = [
+            (f[slab], f[win], [(buf, h2, f[down], f[up])
+                               for buf, h2, down, up in stencil])
+            for f in (self.u, self.spare)]
+        self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
+        # the edge rows with room to grow, and the flat indices of their
+        # cells for the one per-step test, which compares their values, as
+        # a list of floats, with the floor's (NaN differs); in 1-D, where a
+        # row is one cell, the test is two scalar compares of the edge
+        # cells (one twice if only it has room), which are faster
+        rows = [win[:k] + (at,) + win[k + 1:]
+                for k, ((a, b), m) in enumerate(zip(bounds, n))
+                for at, room in ((a, a > 1), (b - 1, b < m - 1)) if room]
+        edge_cells = np.zeros(n, dtype=bool)
+        for row in rows:
+            edge_cells[row] = True
+        self.edge_take = np.flatnonzero(edge_cells)
+        self.edge_floor = [self.eps] * self.edge_take.size
+        self.ends = (rows[0], rows[-1]) if len(n) == 1 and rows else None
 
-    def _grow(self, values: np.ndarray) -> None:
-        hits = [(k, side) for k, side, edge in self.edges
-                if (values[edge] != self.eps).any()]
-        if hits:
-            bounds = [list(ab) for ab in self.bounds]
-            for k, side in hits:
-                bounds[k][side] += 1 if side else -1
-            self._set_window([tuple(ab) for ab in bounds])
+    def bound(self) -> tuple:
+        """The CFL bound of max D over the whole of u, the first cell
+        where max D occurs, and max D: the first step's bound (see above),
+        which `cfl_dt` returns and `_check_budget` projects."""
+        D = self.prob.diffusivity(self.u)
+        at = np.unravel_index(int(np.argmax(D)), D.shape)
+        return self.cfl / float(D[at]), at, float(D[at])
 
-    def _bind(self, field: np.ndarray) -> tuple:
-        """(field, slab, window, per axis (buffer, h^2, window shifted
-        down, up)) of field for the current window.  The two fields used
-        last keep theirs, which covers `solve`'s alternating pair; each
-        binding holds its field, so no view outlives the array it views."""
-        for bound in self.views:
-            if bound[0] is field:
-                return bound
-        bound = (field, field[self.slab], field[self.win],
-                 [(buf, h2, field[down], field[up])
-                  for buf, h2, down, up in self.stencil])
-        self.views = [bound] + self.views[:1]
-        return bound
+    def step(self, lo: float, hi: float, room: float):
+        """One step of u into the buffer at dt = min(CFL bound, room),
+        after which the two swap: D on the window plus its halo, the
+        update w = dt*D*lap_h(u), with lap_h(u) written into a
+        window-sized buffer in the order of (u[i-1] - 2*u[i] + u[i+1])/h^2
+        per axis, and the tripwires.  Every bit is that expression's:
+        2*u[i] is formed as u[i] + u[i], which is exact, and dividing by
+        the window's array of h^2 is the scalar division cell by cell.  lo,
+        hi are the extrema of u, after the first step the ones the last
+        step returned, which the maximum-principle tripwire compares the
+        new field with.
 
-    def step(self, values: np.ndarray, out: np.ndarray, lo: float, hi: float,
-             room: float):
-        """One step of values into out at dt = min(CFL bound, room): D on
-        the window plus its halo, the update w = dt*D*lap_h(u), with
-        lap_h(u) written into a window-sized buffer in the order of
-        (u[i-1] - 2*u[i] + u[i+1])/h^2 per axis, and the tripwires.  Every
-        bit is that expression's: 2*u[i] is formed as u[i] + u[i], which
-        is exact, and dividing by the window's array of h^2 is the scalar
-        division cell by cell; values and out are read and written through
-        the views bound for the window.  out's other cells must hold the
-        pins on the ring and the values elsewhere; lo, hi are the extrema
-        of values, after the first call the ones this step returned, which
-        the maximum-principle tripwire compares out with.
-
-        Returns dt, the extrema of out and the step's sum of du^2/D over
-        dt, the dissipation integrand: one dot of w and lap_h(u), off the
-        rounded (new - old)^2/D at roundoff.  RangeError if out leaves the
-        admissible range or the update breaks the discrete maximum
-        principle (tripwires: neither can happen under the CFL bound)."""
-        if self.bounds is None:
-            self._open(values)
+        Returns dt, the extrema of the new field and the step's sum of
+        du^2/D over dt, the dissipation integrand: one dot of w and
+        lap_h(u), off the rounded (new - old)^2/D at roundoff.  RangeError
+        if the new field leaves the admissible range or the update breaks
+        the discrete maximum principle (tripwires: neither can happen
+        under the CFL bound)."""
+        u, eps, ends = self.u, self.eps, self.ends
+        if ends:
+            moved = u[ends[0]] != eps or u[ends[1]] != eps
         else:
-            ends, eps = self.ends, self.eps
-            if ends:
-                moved = values[ends[0]] != eps or values[ends[1]] != eps
-            else:
-                moved = self.edges and \
-                    values.take(self.edge_take).tolist() != self.edge_floor
-            if moved:
-                self._grow(values)
-        _, slab, old, shifts = self._bind(values)
+            moved = self.edge_floor and \
+                u.take(self.edge_take).tolist() != self.edge_floor
+        if moved:
+            self._open()
+        (slab, old, shifts), (_, new, _) = self.src, self.dst
         D = self.prob.diffusivity(slab)
         dt = min(self.cfl / float(np.maximum.reduce(D, None)), room)
         lap, w = self.lap, self.w
@@ -395,10 +388,11 @@ class _Kernel:
             lap += buf
         np.multiply(D[self.inner], dt, w)
         w *= lap
-        new = self._bind(out)[2]
         np.add(old, w, new)
         self.cell_updates += w.size
-        eps, top, slack = self.eps, self.hi, self.slack
+        self.u, self.spare = self.spare, u
+        self.src, self.dst = self.dst, self.src
+        top, slack = self.hi, self.slack
         n_lo = float(np.minimum.reduce(new, None))
         n_hi = float(np.maximum.reduce(new, None))
         if self.partial:  # the interior cells outside the window hold eps
@@ -419,18 +413,16 @@ def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
     """Largest stable explicit step for the current state: the kernel's one
     CFL bound, SAFETY * min(h)^2 / (2 * dim * max D), which keeps each
     updated cell within its stencil's min and max (see SAFETY).  Raises
-    DomainError for values outside the table's domain and for problem data
-    that `EpsProblem.sample_on` rejects."""
-    _on_grid("values", values, grid)
-    prob.table.check_domain(values)
-    top = np.maximum.reduce(prob.diffusivity(values), None)
-    return _Kernel(prob, grid).cfl / float(top)
+    DomainError for values off the grid or outside the table's domain and
+    for problem data that `EpsProblem.sample_on` rejects."""
+    return _Kernel(prob, grid, values).bound()[0]
 
 
 def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
                   dt: float) -> np.ndarray:
     """One forward-Euler update with the boundary ring re-pinned to
-    eps*psi, through the same kernel that solve marches with.
+    eps*psi, through the same kernel that solve marches with; values are
+    left as they are.
 
     Raises DomainError when values do not have the grid's shape, leave the
     table's domain or dt is not positive (NaN included in both) and for
@@ -441,16 +433,12 @@ def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
     """
     if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
         raise DomainError(f"time step must be positive, got {dt!r}")
-    _on_grid("values", values, grid)
-    prob.table.check_domain(values)
-    kern = _Kernel(prob, grid)
-    new = kern.pin.copy()
-    new[kern.inner] = values[kern.inner]
-    bound = kern.step(values, new, float(values.min()), float(values.max()),
-                      dt)[0]
+    kern = _Kernel(prob, grid, values)
+    u = kern.u
+    bound = kern.step(float(u.min()), float(u.max()), dt)[0]
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
-    return new
+    return kern.u
 
 
 @dataclass
@@ -485,6 +473,10 @@ class SolveTrace:
         return (1.0 - w) * self.fields[idx - 1] + w * self.fields[idx]
 
     def dissipation_at(self, t: float) -> float:
+        """Dissipation integral linearly interpolated between stored
+        snapshots, on field_at's range of t."""
+        if not (0.0 <= t <= self.T * (1 + 1e-12)):
+            raise DomainError(f"t={t:g} outside [0, {self.T:g}]")
         return float(np.interp(t, self.times, self.dissipation))
 
 
@@ -507,23 +499,20 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
 MAX_STEPS = 50_000_000
 
 
-def _check_budget(kern: _Kernel, values: np.ndarray, T: float) -> None:
-    """CflError when CFL steps from the initial field values project more
-    than MAX_STEPS steps to T, naming max D and the first cell where it
-    occurs.  Max D over the whole field is the first step's (see
-    `_Kernel`), so the projected dt is the first step's CFL bound.  Where
-    max D falls as the solution evolves (D peaking at the peak of u, which
-    decays), later steps are longer, so a run rejected here might have
-    finished within MAX_STEPS steps."""
-    D = kern.prob.diffusivity(values)
-    at = np.unravel_index(int(np.argmax(D)), D.shape)
-    dt = kern.cfl / float(D[at])
+def _check_budget(kern: _Kernel, T: float) -> None:
+    """CflError when CFL steps from the kernel's initial field project
+    more than MAX_STEPS steps to T, naming max D and the first cell where
+    it occurs.  The projected dt is the first step's CFL bound (see
+    `_Kernel.bound`).  Where max D falls as the solution evolves (D
+    peaking at the peak of u, which decays), later steps are longer, so a
+    run rejected here might have finished within MAX_STEPS steps."""
+    dt, at, top = kern.bound()
     if T > MAX_STEPS * dt:               # False for a NaN bound
         cell = tuple(int(i) for i in at)
         x = ", ".join(f"{kern.grid.axis_centers(k)[c]:.4g}"
                       for k, c in enumerate(cell))
         raise CflError(
-            f"eps={kern.eps:g}: max D = {float(D[at]):.3g} at cell "
+            f"eps={kern.eps:g}: max D = {top:.3g} at cell "
             f"{cell}, x = ({x}): CFL steps of {dt:.3g} project "
             f"{T / dt if dt > 0 else math.inf:.3g} steps to T={T:g}, "
             f"over the budget of {MAX_STEPS}")
@@ -547,15 +536,9 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
 
     kern = _Kernel(prob, grid)
-    u0 = prob.eps + kern.g_vals
-    u = kern.pin.copy()
-    u[kern.inner] = u0[kern.inner]
-    prob.table.check_domain(u)   # the ring's pins eps*psi may lie below it
-    _check_budget(kern, u, T)
-    boundary_transient = float(np.abs(u0 - u).max())
-    # two fields whose boundary rings hold the pins; each step writes the
-    # interior of one from the other
-    spare = u.copy()
+    _check_budget(kern, T)
+    u = kern.u
+    boundary_transient = float(np.abs(prob.eps + kern.g_vals - u).max())
 
     vol = grid.cell_volume
     fields = np.empty((n_snap, *u.shape))
@@ -570,10 +553,10 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     u_lo, u_hi = float(u.min()), float(u.max())
     t_end = T - tol
     for _ in range(MAX_STEPS):
-        new = spare
         # integrand (du/dt)^2 / D, which balances the gradient energy for
         # any positive D: the step's sum of du^2/D over dt
-        dt, u_lo, u_hi, s = kern.step(u, new, u_lo, u_hi, T - t)
+        dt, u_lo, u_hi, s = kern.step(u_lo, u_hi, T - t)
+        new = kern.u
         diss_old = diss
         diss = diss_old + s * vol
         t_new = t + dt
@@ -585,7 +568,7 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
             due = snaps[nxt]
         dt_hist.append(dt)
         max_hist.append(u_hi)
-        spare, u, t = u, new, t_new
+        u, t = new, t_new
         if t >= t_end:
             break
     else:

@@ -597,6 +597,34 @@ README_CONFIG = {
     "out_dir": "out",
 }
 
+
+def readme_config_2d() -> dict:
+    """The README config on a 48 x 48 grid of the square [-1, 1]^2."""
+    cfg = json.loads(json.dumps(README_CONFIG))
+    cfg["grid"] = {"extent": [[-1.0, 1.0], [-1.0, 1.0]], "n": [48, 48]}
+    cfg["bump"].update(center=[-0.5, 0.0], radius=0.3)
+    cfg["localization"]["x0"] = [0.5, 0.0]
+    cfg["snapshots"] = 9
+    return cfg
+
+
+class TestTwoDimensionalRuns:
+    @pytest.mark.parametrize("cmd", ["solve", "localize"])
+    def test_readme_config_on_a_square(self, tmp_path, cmd):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(readme_config_2d()))
+        code, out = run(tmp_path, cmd, "--config", str(path))
+        assert code == EXIT_OK
+        with open(os.path.join(str(out), "snapshots.csv")) as fh:
+            rows = fh.read().strip().splitlines()
+        assert rows[0] == "t,x,y,u"
+        assert len(rows) == 1 + 9 * 48 ** 2
+        if cmd == "solve":
+            info = load_json(out, "run.json")
+            # the 2-D active window, never the whole 46 x 46 interior
+            assert 0 < info["cell_updates"] < info["n_steps"] * 46 ** 2
+
+
 # values of a wrong JSON type for each kind of field in README_CONFIG; null
 # is left out for the optional blocks (null means absent) and for s_min
 # (null is valid there)

@@ -19,6 +19,7 @@ from degenstein import localization
 from degenstein.cli import write_snapshots_csv
 from degenstein.coeffs import COLUMNS, CoefficientTable
 from degenstein.errors import DomainError, GeometryError
+from degenstein.kinetic import kernel_moments, power_family_kernel
 from degenstein.localization import (CutoffFamily, ExponentPack,
                                      de_giorgi_trace, default_j, empty_radius,
                                      energy_Y, front_radius, front_series,
@@ -191,6 +192,43 @@ class TestLadyBound:
             lady_bound(1.0, 0.5, 0.5, 0.1, 3)
         with pytest.raises(DomainError):
             lady_bound(1.0, 2.0, 0.5, -0.1, 3)
+
+
+NAN = math.nan
+_KERNEL = power_family_kernel(beta=1.0, tau0=1e-3, a=1.0)
+
+
+class TestNaNArguments:
+    """The positivity guards of the bound, the pack, the kinetic kernel and
+    the hump are negated comparisons, so a NaN argument fails them as an
+    out-of-range one does."""
+
+    CALLS = {
+        "lady_bound-c": lambda: lady_bound(NAN, 2.0, 0.5, 0.1, 3),
+        "lady_bound-b": lambda: lady_bound(1.0, NAN, 0.5, 0.1, 3),
+        "lady_bound-delta": lambda: lady_bound(1.0, 2.0, NAN, 0.1, 3),
+        "lady_bound-y0": lambda: lady_bound(1.0, 2.0, 0.5, NAN, 3),
+        "lady_threshold-c": lambda: lady_threshold(NAN, 2.0, 0.5),
+        "lady_threshold-b": lambda: lady_threshold(1.0, NAN, 0.5),
+        "lady_threshold-delta": lambda: lady_threshold(1.0, 2.0, NAN),
+        "pack-S": lambda: ExponentPack(lam=1.0, j=2.0, b=3.0, R=0.4, S=NAN),
+        "pack-C1": lambda: ExponentPack(lam=1.0, j=2.0, b=3.0, R=0.4,
+                                        C1=NAN),
+        "pack-b": lambda: ExponentPack(lam=1.0, j=2.0, b=NAN, R=0.4),
+        "pack-R": lambda: ExponentPack(lam=1.0, j=2.0, b=3.0, R=NAN),
+        "kernel_moments-u": lambda: kernel_moments(_KERNEL, NAN, 1e-3),
+        "kernel_moments-h": lambda: kernel_moments(_KERNEL, 0.5, NAN),
+        "kernel-beta": lambda: power_family_kernel(NAN, 1e-3),
+        "kernel-tau0": lambda: power_family_kernel(1.0, NAN),
+        "kernel-a": lambda: power_family_kernel(1.0, 1e-3, NAN),
+        "bump-radius": lambda: bump((0.0,), NAN, 0.2),
+        "bump-height": lambda: bump((0.0,), 0.2, NAN),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call):
+        with pytest.raises(DomainError):
+            self.CALLS[call]()
 
 
 class TestStateEval:
@@ -648,6 +686,16 @@ class TestFronts:
     def test_probe_without_cells_rejected(self, desk_trace_beta1):
         with pytest.raises(GeometryError):
             time_to_threshold(desk_trace_beta1, (25.0,), 0.0)
+
+    def test_arrival_takes_a_scalar_centre_in_1d(self, control_trace):
+        # as front_radius and GridSpec.distance_to do
+        assert time_to_threshold(control_trace, X0[0], RP) == \
+            time_to_threshold(control_trace, X0, RP)
+
+    def test_arrival_rejects_a_centre_of_two_components_in_1d(
+            self, control_trace):
+        with pytest.raises(DomainError, match="1 components"):
+            time_to_threshold(control_trace, (0.5, 0.0), RP)
 
 
 # The per-snapshot readers as they were written for a list of fields: the

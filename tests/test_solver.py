@@ -212,6 +212,24 @@ class TestSnapshots:
         with pytest.raises(DomainError):
             desk_trace_beta1.field_at(1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0, 0.1],
+                             ids=["nan", "negative", "twice-T"])
+    def test_dissipation_query_out_of_range(self, desk_trace_beta1, t):
+        # the range of field_at: np.interp alone would give nan, the
+        # value at 0 and the value at T
+        tr = desk_trace_beta1
+        for read in (tr.field_at, tr.dissipation_at):
+            with pytest.raises(DomainError, match="outside"):
+                read(t)
+
+    def test_dissipation_query_in_range(self, desk_trace_beta1):
+        tr = desk_trace_beta1
+        assert tr.dissipation_at(0.0) == 0.0
+        assert tr.dissipation_at(tr.T) == tr.dissipation[-1]
+        mid = 0.5 * (tr.times[3] + tr.times[4])
+        assert tr.dissipation_at(mid) == pytest.approx(
+            0.5 * (tr.dissipation[3] + tr.dissipation[4]), rel=1e-15)
+
 
 class TestConvergenceAndEnergy:
     def test_self_convergence_under_refinement(self, beta1_table, desk_bump):
@@ -699,30 +717,23 @@ class TestActiveWindow:
         else:
             assert trace.cell_updates == full
 
+    @pytest.mark.parametrize("ring", [1e-6, 2e-6], ids=["pins", "off-pins"])
     @pytest.mark.parametrize("case", ["tent", "rect-2d"])
-    def test_a_rotation_of_three_buffers_matches_solve(self, beta1_table,
-                                                       case):
-        # solve alternates two fields, and the kernel binds the views of
-        # each once per window; stepped through three, each step reads and
-        # writes fields that another step bound, as the window grows
-        grid, data, T = self.CASES[case]
+    def test_single_steps_leave_their_input_alone(self, beta1_table, case,
+                                                  ring):
+        # the kernel steps a pair of fields it owns: the caller's array is
+        # read, ring as given, and never written, also where its ring
+        # differs from the pins eps*psi = 1e-6
+        grid, data, _ = self.CASES[case]
         prob = EpsProblem(table=beta1_table, eps=1e-6, **data)
-        trace = solve(prob, grid, T, snapshot_times=2)
-        kern = solver_mod._Kernel(prob, grid)
-        u = kern.pin.copy()
-        u[kern.inner] = (prob.eps + grid.sample(prob.g))[kern.inner]
-        fields = [u, u.copy(), u.copy()]
-        lo, hi = float(u.min()), float(u.max())
-        t, dts = 0.0, []
-        while t < T - 1e-15 * T:
-            k = len(dts)
-            dt, lo, hi, _ = kern.step(fields[k % 3], fields[(k + 1) % 3],
-                                      lo, hi, T - t)
-            t += dt
-            dts.append(dt)
-        assert np.array_equal(dts, trace.dt_history)
-        assert np.array_equal(fields[len(dts) % 3], trace.fields[-1])
-        assert kern.cell_updates == trace.cell_updates
+        u = prob.eps + grid.sample(prob.g)
+        u[~grid.interior_mask()] = ring
+        before = u.tobytes()
+        new = step_explicit(u, prob, grid, cfl_dt(prob, grid, u))
+        assert u.tobytes() == before
+        assert not np.shares_memory(new, u)
+        assert np.all(new[~grid.interior_mask()] == prob.eps)
+        assert not np.array_equal(new, u)
 
     def test_desk_work_count(self, desk_trace_beta1, desk_grid):
         interior = int(desk_grid.interior_mask().sum())
