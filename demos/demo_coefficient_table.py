@@ -18,6 +18,9 @@ closed = {
     "I": s ** (-beta) / beta,
     "H": beta * s ** beta,
     "F": beta ** 2 * s ** (2 * beta - 1),
+    # the table's F' is a difference on the log grid, exact where ln F
+    # is linear in ln s, as here
+    "Fprime": beta ** 2 * (2 * beta - 1) * s ** (2 * beta - 2),
     "G": np.sqrt(2 * beta - 1) * s ** beta,
 }
 print(f"power profile, beta = {beta:g}, {len(s)} nodes "

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import (QUAD_TOL, CoefficientTable, DegeneracyProfile,
+from .coeffs import (DP_STEP, QUAD_TOL, CoefficientTable, DegeneracyProfile,
                      LambdaChoice, build_table, custom_profile,
                      exp_inv_profile, exp_zeta_profile, power_profile)
 from .errors import DomainError
@@ -134,10 +134,11 @@ def estimate_A_B(table: CoefficientTable):
 
 
 def _dP(profile: DegeneracyProfile, s: np.ndarray) -> np.ndarray:
-    if profile.analytic_dP is not None:
-        return np.asarray(profile.analytic_dP(s), dtype=float)
-    # central difference on a relative stencil; profiles are smooth in log s
-    d = 1e-6
+    """P' at s for every profile: the central difference over
+    s*(1 +- DP_STEP), a relative stencil since profiles are smooth in log s.
+    On the table nodes of the four registry kinds it matches their closed
+    forms to 2.2e-9 relative."""
+    d = DP_STEP
     return (profile(s * (1 + d)) - profile(s * (1 - d))) / (2 * d * s)
 
 
@@ -155,8 +156,9 @@ def check_almost_decreasing(table: CoefficientTable,
     sPpI = table.s * _dP(profile, table.s) * table.I
     sup_sPpI = float(np.max(sPpI))
     mu_used = sup_sPpI if mu is None else float(mu)
-    if mu_used <= 0.0:
-        raise DomainError(f"almost-decreasing exponent must be positive, got {mu_used:g}")
+    if not (0.0 < mu_used < np.inf):    # negated, so NaN is rejected too
+        raise DomainError("almost-decreasing exponent must be positive and "
+                          f"finite, got {mu_used:g}")
     Qlog = np.log(profile(table.s)) + mu_used * np.log(table.I)
     # c = min over t < s of Q(t)/Q(s) = exp(min_j
     #     (running min of Qlog up to j-1) - Qlog[j])
@@ -208,24 +210,19 @@ def check_profile(table: CoefficientTable) -> AssumptionReport:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One named degeneracy: its profile kind, factory (beta, M, tail) ->
-    profile, and the limits its default-beta estimates must reproduce.
-    takes_beta and takes_tail say whether the factory reads beta and tail.
-    The build floor is the profile's own s_min_hint."""
+    """One named degeneracy: its profile kind, its factory, the keyword
+    arguments the factory reads, each with a default, and the limits its
+    default-beta estimates must reproduce.  The build floor is the
+    profile's own s_min_hint."""
 
     kind: str
-    factory: Callable[[float, float, Optional[float]], DegeneracyProfile]
+    make_profile: Callable[..., DegeneracyProfile]
+    reads: tuple    # of "M", "beta", "tail"
     expected: dict  # keys: A_est/B_est/sPprimeI_trend -> (value, tol, mode)
-    takes_beta: bool = True
-    takes_tail: bool = False
 
     @property
     def name(self) -> str:
-        return f"{self.kind}_beta1" if self.takes_beta else self.kind
-
-    def make_profile(self, beta: float = 1.0, M: float = 1.0,
-                     tail: Optional[float] = None) -> DegeneracyProfile:
-        return self.factory(beta, M, tail)
+        return f"{self.kind}_beta1" if "beta" in self.reads else self.kind
 
     def run(self) -> AssumptionReport:
         """Check the table of the default-beta profile at Lambda = 1."""
@@ -270,6 +267,17 @@ def _zeta_slow_integral(s, M=1.0):
     return -np.log(s) + np.log(M) + 0.5 * np.log(s) ** 2 - 0.5 * np.log(M) ** 2
 
 
+def _bounded_rate_profile(M: float = 1.0) -> DegeneracyProfile:
+    return exp_zeta_profile(_zeta_bounded,
+                            lambda s: _zeta_bounded_integral(s, M), M=M,
+                            kind="exp_zeta_bounded")
+
+
+def _slow_rate_profile(M: float = 1.0) -> DegeneracyProfile:
+    return exp_zeta_profile(_zeta_slow, lambda s: _zeta_slow_integral(s, M),
+                            M=M, kind="exp_zeta_slow")
+
+
 # The four worked degeneracies keyed by profile kind, the one definition the
 # CLI, configs and the catalog read.  The rate kinds are
 # P = exp(-int_s^M zeta(r)/r dr); exp_inv's build floor keeps 1/(s*P) in
@@ -281,28 +289,15 @@ def _zeta_slow_integral(s, M=1.0):
 _UNIT_LIMITS = {"A_est": (1.0, 0.10, "rel"), "B_est": (1.0, 0.10, "rel"),
                 "sPprimeI_trend": (1.0, 0.10, "rel")}
 PROFILES = {e.kind: e for e in (
-    CatalogEntry(
-        kind="power",
-        factory=lambda beta, M, tail: power_profile(beta, M=M, tail=tail),
-        expected=_UNIT_LIMITS, takes_tail=True),
-    CatalogEntry(
-        kind="exp_inv",
-        factory=lambda beta, M, tail: exp_inv_profile(beta, M=M),
-        expected={"B_est": (0.0, 0.05, "abs"),
-                  "sPprimeI_trend": (1.0, 0.10, "rel")}),
-    CatalogEntry(
-        kind="exp_zeta_bounded",
-        factory=lambda beta, M, tail: exp_zeta_profile(
-            _zeta_bounded, lambda s: _zeta_bounded_integral(s, M), M=M,
-            kind="exp_zeta_bounded"),
-        expected=_UNIT_LIMITS, takes_beta=False),
-    CatalogEntry(
-        kind="exp_zeta_slow",
-        factory=lambda beta, M, tail: exp_zeta_profile(
-            _zeta_slow, lambda s: _zeta_slow_integral(s, M), M=M,
-            kind="exp_zeta_slow"),
-        expected={**_UNIT_LIMITS, "B_est": (0.0, 0.10, "abs")},
-        takes_beta=False),
+    CatalogEntry("power", power_profile, ("M", "beta", "tail"),
+                 expected=_UNIT_LIMITS),
+    CatalogEntry("exp_inv", exp_inv_profile, ("M", "beta"),
+                 expected={"B_est": (0.0, 0.05, "abs"),
+                           "sPprimeI_trend": (1.0, 0.10, "rel")}),
+    CatalogEntry("exp_zeta_bounded", _bounded_rate_profile, ("M",),
+                 expected=_UNIT_LIMITS),
+    CatalogEntry("exp_zeta_slow", _slow_rate_profile, ("M",),
+                 expected={**_UNIT_LIMITS, "B_est": (0.0, 0.10, "abs")}),
 )}
 
 

@@ -133,7 +133,7 @@ def _profile_reads(kind: str) -> tuple:
     entry = checker_mod.PROFILES.get(kind)
     if entry is None:
         return {"custom": ("path",), "constant": ("F0", "h0", "M")}[kind]
-    return ("M", *("beta",) * entry.takes_beta, *("tail",) * entry.takes_tail)
+    return entry.reads
 
 
 def _checked(value, schema, path: str = ""):
@@ -467,7 +467,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError("--example and --config exclude each other")
         block = {"kind": example}
         if beta is not None:
-            if not checker_mod.PROFILES[example].takes_beta:
+            if "beta" not in checker_mod.PROFILES[example].reads:
                 raise ConfigError(f"--example {example} takes no --beta")
             block["beta"] = beta
         return ExperimentConfig(profile=block, grid=None, out_dir=".")
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float,
                    help="exponent for the " + "/".join(
                        k for k, e in checker_mod.PROFILES.items()
-                       if e.takes_beta) + " examples")
+                       if "beta" in e.reads) + " examples")
     return ap
 
 

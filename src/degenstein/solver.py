@@ -488,9 +488,11 @@ def _resolve_snapshots(snapshot_times, T: float) -> np.ndarray:
             raise DomainError("need at least snapshots at 0 and T")
         return np.linspace(0.0, T, int(snapshot_times))
     times = np.array(snapshot_times, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0):
+    # negated comparisons, so NaN is rejected too
+    if times.ndim != 1 or times.size < 2 or not np.all(np.diff(times) > 0):
         raise DomainError("snapshot times must be strictly increasing")
-    if abs(times[0]) > 1e-15 or abs(times[-1] - T) > 1e-12 * max(T, 1.0):
+    if not (abs(times[0]) <= 1e-15
+            and abs(times[-1] - T) <= 1e-12 * max(T, 1.0)):
         raise DomainError("snapshot times must start at 0 and end at T")
     times[0], times[-1] = 0.0, T
     return times

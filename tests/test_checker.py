@@ -10,10 +10,12 @@ import json
 import numpy as np
 import pytest
 
-from degenstein.checker import (PROFILES, check_A1, check_almost_decreasing,
+from degenstein.checker import (PROFILES, _dP, _zeta_bounded, _zeta_slow,
+                                check_A1, check_almost_decreasing,
                                 check_profile, estimate_A_B)
 from degenstein.coeffs import (DegeneracyProfile, LambdaChoice,
-                               build_table, constant_table, power_profile)
+                               build_table, constant_table, exp_zeta_profile,
+                               power_profile)
 from degenstein.errors import DomainError
 
 
@@ -94,10 +96,9 @@ class TestAlmostDecreasingOracle:
     def test_nonpositive_mu_rejected(self):
         prof = power_profile(1.0)
         tab = build_table(prof, LambdaChoice(1.0), s_min=1e-6, K=64)
-        with pytest.raises(DomainError):
-            check_almost_decreasing(tab, mu=0.0)
-        with pytest.raises(DomainError):
-            check_almost_decreasing(tab, mu=-1.0)
+        for mu in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                check_almost_decreasing(tab, mu=mu)
 
     def test_auto_mu_is_sup_of_s_dP_I(self):
         prof = power_profile(2.0)
@@ -108,16 +109,37 @@ class TestAlmostDecreasingOracle:
         assert sup_spi == pytest.approx(1.0, rel=1e-6)
 
 
+class TestDerivative:
+    @pytest.mark.parametrize("kind", list(PROFILES))
+    def test_dP_matches_closed_form_on_the_table_nodes(self, kind):
+        # P' = beta s^(beta-1) for power, P/s^2 for exp_inv (beta = 1), and
+        # P*zeta/s for the rate kinds P = exp(-int_s^M zeta(r)/r dr)
+        prof = PROFILES[kind].make_profile()
+        s = build_table(prof, LambdaChoice(1.0)).s
+        exact = {"power": np.ones_like(s),
+                 "exp_inv": prof(s) / s ** 2,
+                 "exp_zeta_bounded": prof(s) * _zeta_bounded(s) / s,
+                 "exp_zeta_slow": prof(s) * _zeta_slow(s) / s}[kind]
+        assert np.max(np.abs(_dP(prof, s) / exact - 1.0)) <= 1e-8
+
+    def test_dP_at_the_floor_of_a_tabulated_rate(self):
+        # the stencil at the floor reaches DP_STEP below the tabulated rate
+        # integral, where its end cubic serves it; P' is good to the
+        # accuracy of the tabulated cubic
+        prof = exp_zeta_profile(_zeta_slow, kind="exp_zeta_slow",
+                                s_min_hint=1e-9)
+        s = build_table(prof, LambdaChoice(1.0)).s
+        exact = prof(s) * _zeta_slow(s) / s
+        assert np.max(np.abs(_dP(prof, s) / exact - 1.0)) <= 1e-4
+
+
 class TestA1:
     def test_scale_invariance(self):
         """Doubling P (with the tail halved to keep I consistent) leaves the
         gradient-comparison constant at the power-family value."""
         prof = DegeneracyProfile(
             func=lambda s: 2.0 * np.asarray(s, dtype=float),
-            M=1.0, c3=2.0, kind="custom",
-            analytic_I=lambda s: 1.0 / (2.0 * np.asarray(s, dtype=float)),
-            analytic_dP=lambda s: np.full_like(np.asarray(s, dtype=float), 2.0),
-            tail=0.5)
+            M=1.0, c3=2.0, kind="custom", tail=0.5)
         tab = build_table(prof, LambdaChoice(1.0), s_min=1e-8, K=128)
         C1, bounded, _ = check_A1(tab)
         assert bounded

@@ -507,6 +507,13 @@ class TestInputShapes:
             tables.append((out / "table.csv").read_text())
         assert tables[0] != tables[1]
 
+    @pytest.mark.parametrize("kind", ["power", "exp_inv"])
+    def test_nonfinite_beta_is_named(self, tmp_path, kind):
+        code, out = run(tmp_path, "check", "--example", kind, "--beta", "nan")
+        assert code == EXIT_COEFFS
+        err = load_json(out, "error.json")
+        assert err["message"] == "beta must be positive and finite"
+
     @pytest.mark.parametrize("kind", ["exp_zeta_bounded", "exp_zeta_slow"])
     def test_beta_rejected_where_unused(self, tmp_path, kind):
         code, out = run(tmp_path, "check", "--example", kind, "--beta", "7")

@@ -65,9 +65,8 @@ class TestIntegralOracle:
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_I_column_power_closed_form(self, beta):
         # the default tail is the natural continuation past M = 1
-        prof = power_profile(beta)
-        tab = build_table(prof, LambdaChoice(1.0))
-        exact = prof.analytic_I(tab.s)
+        tab = build_table(power_profile(beta), LambdaChoice(1.0))
+        exact = tab.s ** -beta / beta
         assert np.max(np.abs(tab.I - exact) / exact) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
@@ -99,6 +98,53 @@ class TestPowerClosedForms:
             got = tab.column(name)
             rel = np.max(np.abs(got - ref) / np.abs(ref))
             assert rel <= 1e-12, f"{name}: rel error {rel:.2e}"
+
+    @staticmethod
+    def _fprime(s, P, I, Lambda):
+        # F' = Lambda^(-1/Lambda-1) s^-2 I^(-1/Lambda-2) P^-1
+        #      * ((1+Lambda)/Lambda - P*I), I and P in closed form
+        return Lambda ** (-1.0 / Lambda - 1.0) * s ** -2.0 \
+            * I ** (-1.0 / Lambda - 2.0) / P * ((1.0 + Lambda) / Lambda - P * I)
+
+    @pytest.mark.parametrize("beta, Lambda", [
+        (0.25, 0.3), (0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (1.0, 0.05)])
+    def test_fprime_matches_closed_form_in_I_and_P(self, beta, Lambda):
+        # with the default tail I = s^-beta/beta, so ln F is linear in ln s
+        # and the log-grid difference is exact up to roundoff
+        tab = build_table(power_profile(beta), LambdaChoice(Lambda))
+        s = tab.s
+        exact = self._fprime(s, s ** beta, s ** -beta / beta, Lambda)
+        assert np.max(np.abs(tab.Fprime / exact - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("case", [
+        "power-1-1-0.5", "power-0.5-0.5-0.5", "power-2-1-1", "power-0.25-0.3-1",
+        "exp_inv-0.5", "exp_inv-1", "exp_inv-2"])
+    def test_fprime_converges_at_second_order_where_ln_F_bends(self, case):
+        # another tail, or exp_inv, bends ln F in ln s: the stencil's
+        # truncation error shows (up to 8.5e-3 relative at K = 256, measured)
+        # and falls about fourfold when the log-grid spacing halves
+        kind, *args = case.split("-")
+        if kind == "power":
+            beta, Lambda, tail = map(float, args)
+            prof = power_profile(beta, tail=tail)
+
+            def I_of(s):
+                return s ** -beta / beta + tail - 1.0 / beta
+        else:
+            expi = pytest.importorskip("scipy.special").expi
+            Lambda, = map(float, args)
+            prof = exp_inv_profile(1.0)
+
+            def I_of(s):        # Ei(1/s) - Ei(1) + tail, for P = exp(-1/s)
+                return expi(1.0 / s) - expi(1.0) + 1.0 / Lambda
+        errs = []
+        for K in (256, 511):
+            tab = build_table(prof, LambdaChoice(Lambda), K=K)
+            s = tab.s
+            exact = self._fprime(s, prof(s), I_of(s), Lambda)
+            errs.append(np.max(np.abs(tab.Fprime / exact - 1.0)))
+        assert errs[0] <= 1e-2
+        assert 3.3 <= errs[0] / errs[1] <= 4.3
 
     def test_point_values_beta1(self, beta1_table):
         assert abs(beta1_table.eval("I", 0.5) - 2.0) < 1e-12
@@ -246,6 +292,10 @@ class TestValidationAndErrors:
         with pytest.raises(AssumptionError):
             build_table(prof, LambdaChoice(1.0), s_min=1e-4, K=64)
 
+    def test_nan_tail_rejected(self):
+        with pytest.raises(DomainError, match="tail constant"):
+            build_table(power_profile(1.0, tail=np.nan), LambdaChoice(1.0))
+
     def test_small_K_rejected(self, beta1_profile):
         with pytest.raises(DomainError):
             build_table(beta1_profile, LambdaChoice(1.0), s_min=1e-4, K=8)
@@ -317,6 +367,13 @@ class TestFactories:
         assert np.all(tab.Fprime == 0.0)
         assert np.all(tab.G == 0.0)
         assert tab.Lambda is None
+
+    @pytest.mark.parametrize("factory", [power_profile, exp_inv_profile])
+    @pytest.mark.parametrize("beta", [0.0, np.nan, np.inf])
+    def test_beta_must_be_positive_and_finite(self, factory, beta):
+        with pytest.raises(DomainError,
+                           match="beta must be positive and finite"):
+            factory(beta)
 
     def test_exp_inv_representability_floor(self):
         prof = exp_inv_profile(1.0)

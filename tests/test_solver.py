@@ -191,8 +191,12 @@ class TestSnapshots:
         trace = solve(prob, desk_grid, T=0.01,
                       snapshot_times=[0.0, 0.0033, 0.01])
         assert len(trace.fields) == 3
-        with pytest.raises(DomainError):
-            solve(prob, desk_grid, T=0.01, snapshot_times=[0.001, 0.01])
+        # a late start, an empty schedule, and a NaN at the start, inside or
+        # at the end
+        for sched in ([0.001, 0.01], [], [np.nan, 0.0033, 0.01],
+                      [0.0, np.nan, 0.01], [0.0, 0.0033, np.nan]):
+            with pytest.raises(DomainError):
+                solve(prob, desk_grid, T=0.01, snapshot_times=sched)
 
     def test_schedule_array_is_not_aliased(self, beta1_table, desk_grid,
                                            desk_bump):
