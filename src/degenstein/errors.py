@@ -5,7 +5,8 @@ The CLI's exit code for a failure comes from the pipeline phase it is raised
 in (`cli._phase`), not from its class: a DomainError exits 3 while the table
 is built and 4 while the solver runs.  These exceptions are for contract
 violations at module boundaries; the package's one plain assert, after
-`solve`'s time loop, checks that every snapshot was written.
+the time loop of the solver's `_Kernel.march`, checks that every snapshot
+was written.
 """
 
 __all__ = [

@@ -353,8 +353,10 @@ def de_giorgi_trace(trace: SolveTrace, cutoffs: CutoffFamily,
     H(u) and G(u) are evaluated on the stored snapshots once, on the
     support box of theta_0 only; each theta_n is built once and reduces
     them to its mass and gradient rows, and the bisection starts from
-    theta_0's rows.
+    theta_0's rows.  DomainError unless n_max is a nonnegative integer.
     """
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
     T = trace.T
     thetas = [cutoffs.theta(trace.grid, n) for n in range(n_max + 1)]
     rows = _rows(table, trace.fields, thetas, trace.grid)
@@ -454,7 +456,10 @@ def front_series(trace: SolveTrace, x0_front, x0_empty=None):
 def time_to_threshold(trace: SolveTrace, x0, radius: float) -> float:
     """First time any cell within distance radius of x0 crosses the
     problem's support threshold, linearly interpolated between snapshots;
-    +inf when censored at the horizon."""
+    +inf when censored at the horizon.  A radius of 0 probes the cell
+    nearest x0; a negative or NaN radius is a DomainError."""
+    if not radius >= 0.0:       # negated, so NaN is rejected too
+        raise DomainError(f"probe radius must be nonnegative, got {radius!r}")
     thr = trace.prob.support_threshold
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     for c, (lo, hi) in zip(x0, trace.grid.extent):

@@ -8,19 +8,19 @@ the solver; the table's columns drive the checker and the localization
 certificate.  Every step keeps the discrete maximum principle; a clamp
 event is an error, never a silent fix.
 
-One time loop, `solve`, advances one field of one problem by one call of
-the kernel's `step` per iteration.  A step is the whole of it: D through
+One frame, `_Kernel.march`, runs the time loop.  A step is D through
 `EpsProblem.diffusivity` (one call of the profile), the step bound, the
-update, the range and maximum-principle tripwires, which raise RangeError
-at the step that breaks them, and the step's dissipation sum.  The
-tripwires keep a march within [eps*min(1, psi), M] up to roundoff, so only
-a field from outside has the table's domain [s_min, M] checked, once,
+update and the range and maximum-principle tripwires, which raise
+RangeError at the step that breaks it; the frame adds the dissipation sum,
+the snapshots and the step budget.
+The tripwires keep a march within [eps*min(1, psi), M] up to roundoff, so
+only a field from outside has the table's domain [s_min, M] checked, once,
 where it enters the kernel.  `_Kernel` owns a march: its pair of fields,
 its active window of the cells that differ from eps, which changes no bit
-of the result, and forward Euler over that window.  `solve`,
-`step_explicit` and `cfl_dt` are thin callers of it: one CFL formula and
-one update (see SAFETY).  `eps_sweep` marches the floor ladder as one
-`solve` per eps.
+of the result, and forward Euler over that window.  `solve` is the budget
+check plus one march, `step_explicit` a march of one step and `cfl_dt` the
+kernel's bound: one CFL formula and one update (see SAFETY).  `eps_sweep`
+marches the floor ladder as one `solve` per eps.
 
 The solver also accumulates the dissipation integral of the transformed time
 derivative, which lets the gradient-energy identity
@@ -83,9 +83,10 @@ class GridSpec:
             raise DomainError("extent and n must both have length 1 or 2")
         for (a, b), m in zip(self.extent, self.n):
             # b - a of two finite ends can still overflow to inf
-            if not (b > a and m >= 8 and (b - a) / m < math.inf):
+            if not (isinstance(m, (int, np.integer)) and b > a and m >= 8
+                    and (b - a) / m < math.inf):
                 raise DomainError("need b > a, a finite cell width (b - a)/m "
-                                  "and at least 8 cells per axis")
+                                  "and an integer m >= 8 cells per axis")
 
     @property
     def dim(self) -> int:
@@ -110,8 +111,8 @@ class GridSpec:
     def distance_to(self, x0) -> np.ndarray:
         """Euclidean distance of every cell center to the point x0."""
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.size != self.dim:
-            raise DomainError(f"x0 must have {self.dim} components")
+        if x0.size != self.dim or not np.isfinite(x0).all():
+            raise DomainError(f"x0 must have {self.dim} components, all finite")
         mesh = self.meshgrid()
         return np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, x0)))
 
@@ -186,6 +187,9 @@ class EpsProblem:
                 f"eps={self.eps:g} below the table's smallest node "
                 f"{self.table.s_min:g}; coefficients are undefined there"
             )
+        if self.omega_prime is not None and not (
+                0.0 < self.omega_prime[1] < math.inf):
+            raise DomainError("omega_prime radius must be positive and finite")
 
     @property
     def u_max(self) -> float:
@@ -231,20 +235,18 @@ class EpsProblem:
 
 
 class _Kernel:
-    """The explicit march of one field of one problem, shared by `solve`,
-    step_explicit and cfl_dt.
+    """The explicit march of one field of one problem: `march` runs it for
+    solve and step_explicit, `bound` is cfl_dt.
 
     A kernel holds the CFL constant, the boundary pins eps*psi, the
     admissible ranges and a pair of fields: u, the one it steps from, and
     a buffer whose ring holds the pins and whose other cells hold u's
     values.  u is eps + g with its ring pinned, or a copy of the values
-    given, ring as given, which are stepped once (`step_explicit`): the
+    given, ring as given, which `step_explicit` marches one step: the
     buffer their step swaps out keeps their ring.  The constructor checks
     u for the grid's shape and the table's domain [s_min, M], the one
-    check of a field from outside.  g and psi come from
-    `EpsProblem.sample_on`, which rejects a negative psi.  Under the CFL
-    bound each update is a convex combination of its stencil, at a time
-    error of 5e-5 of the mass (see SAFETY).
+    check of a field from outside; g and psi come from
+    `EpsProblem.sample_on`, which rejects a negative psi.
 
     Only the active window is stepped: the per-axis bounding box of the
     cells whose value differs from eps, grown by one cell on each side and
@@ -263,10 +265,6 @@ class _Kernel:
     in the slab, the cells outside it hold eps, and while the box leaves
     interior cells out, its edge on that side holds eps too, so D(eps) is
     in the slab (D need not be monotone, so it has to be).
-
-    A step's operands are bound once per window: h^2 per axis as a
-    window-shaped array, and for both fields of the pair the views of its
-    slab, its window and its window shifted down and up each axis.
     """
 
     def __init__(self, prob: EpsProblem, grid: GridSpec,
@@ -293,12 +291,11 @@ class _Kernel:
             self.u = np.array(values, dtype=float)
             self.spare[self.inner] = self.u[self.inner]
         prob.table.check_domain(self.u)   # the pins eps*psi may lie below it
-        self.cell_updates = 0        # cells stepped
         self._open()
 
     def _open(self) -> None:
         """Fix the window from the cells of u that differ from eps, and
-        bind the step's operands for it."""
+        make the step's operands for it, which the march binds to locals."""
         off = self.u != self.eps
         n = self.grid.n
         bounds = []
@@ -327,10 +324,10 @@ class _Kernel:
             for f in (self.u, self.spare)]
         self.partial = any(a > 1 or b < m - 1 for (a, b), m in zip(bounds, n))
         # the edge rows with room to grow, and the flat indices of their
-        # cells for the one per-step test, which compares their values, as
-        # a list of floats, with the floor's (NaN differs); in 1-D, where a
-        # row is one cell, the test is two scalar compares of the edge
-        # cells (one twice if only it has room), which are faster
+        # cells for the march's one per-step test, which compares their
+        # values, as a list of floats, with the floor's (NaN differs); in
+        # 1-D, where a row is one cell, the test is two scalar compares of
+        # the edge cells (one twice if only it has room), which are faster
         rows = [win[:k] + (at,) + win[k + 1:]
                 for k, ((a, b), m) in enumerate(zip(bounds, n))
                 for at, room in ((a, a > 1), (b - 1, b < m - 1)) if room]
@@ -349,64 +346,116 @@ class _Kernel:
         at = np.unravel_index(int(np.argmax(D)), D.shape)
         return self.cfl / float(D[at]), at, float(D[at])
 
-    def step(self, lo: float, hi: float, room: float):
-        """One step of u into the buffer at dt = min(CFL bound, room),
-        after which the two swap: D on the window plus its halo, the
-        update w = dt*D*lap_h(u), with lap_h(u) written into a
-        window-sized buffer in the order of (u[i-1] - 2*u[i] + u[i+1])/h^2
-        per axis, and the tripwires.  Every bit is that expression's:
-        2*u[i] is formed as u[i] + u[i], which is exact, and dividing by
-        the window's array of h^2 is the scalar division cell by cell.  lo,
-        hi are the extrema of u, after the first step the ones the last
-        step returned, which the maximum-principle tripwire compares the
-        new field with.
-
-        Returns dt, the extrema of the new field and the step's sum of
-        du^2/D over dt, the dissipation integrand: one dot of w and
-        lap_h(u), off the rounded (new - old)^2/D at roundoff.  RangeError
-        if the new field leaves the admissible range or the update breaks
-        the discrete maximum principle (tripwires: neither can happen
-        under the CFL bound)."""
-        u, eps, ends = self.u, self.eps, self.ends
-        if ends:
-            moved = u[ends[0]] != eps or u[ends[1]] != eps
+    def march(self, T: float, snap_times: np.ndarray) -> "SolveTrace":
+        """March u to time T, once, and return its trace, the fields
+        linearly interpolated onto snap_times (first 0, last T).  A step is
+        D on the slab, dt = min(CFL bound, time left), the update w =
+        dt*D*lap_h(u), with lap_h(u) written into a window-sized buffer in
+        the order of (u[i-1] - 2*u[i] + u[i+1])/h^2 per axis (2*u[i] as
+        u[i] + u[i], which is exact, and dividing by the window's array of
+        h^2, the scalar division cell by cell), the tripwires and the
+        dissipation sum du^2/D over dt, one dot of w and lap_h(u).
+        RangeError if a new field leaves the admissible range or breaks the
+        discrete maximum principle (tripwires: neither can happen under the
+        CFL bound); CflError after MAX_STEPS steps short of T."""
+        u, spare, eps, inner, cfl = self.u, self.spare, self.eps, \
+            self.inner, self.cfl
+        diffusivity, vol = self.prob.diffusivity, self.grid.cell_volume
+        ring_lo, ring_hi, slack = self.ring_lo, self.ring_hi, self.slack
+        low, top = self.floor - slack, self.hi + slack
+        minimum, maximum = np.minimum.reduce, np.maximum.reduce
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        transient = float(np.abs(eps + self.g_vals - u).max())
+        n_snap, tol = len(snap_times), 1e-15 * T
+        fields = np.empty((n_snap, *u.shape))
+        fields[0] = u
+        snap_diss = np.zeros(n_snap)
+        dt_hist, max_hist = [], []
+        dt_append, max_append = dt_hist.append, max_hist.append
+        # the time, the dissipation sum, the next snapshot and its time (inf
+        # once all are taken), the cells stepped
+        t, diss, nxt, cells = 0.0, 0.0, 1, 0
+        snaps = snap_times.tolist() + [math.inf]
+        due, t_end = snaps[1], T - tol
+        lo, hi = float(u.min()), float(u.max())
+        opened = True
+        for _ in range(MAX_STEPS):
+            if opened:
+                (slab, old, shifts), (n_slab, new, n_shifts) = \
+                    self.src, self.dst
+                lap, w, ends = self.lap, self.w, self.ends
+                size, extra = w.size, [buf for buf, *_ in self.stencil[1:]]
+                # the extrema outside the window: the ring's, and eps if
+                # interior cells are left out.  The old field holds them
+                # too, so the maximum principle is tested on the window.
+                out_lo, out_hi = (min(ring_lo, eps), max(ring_hi, eps)) \
+                    if self.partial else (ring_lo, ring_hi)
+                edges, edge_floor = self.edge_take, self.edge_floor
+            D = diffusivity(slab)
+            dt, room = cfl / float(maximum(D, None)), T - t
+            if room < dt:
+                dt = room
+            for buf, h2, down, up in shifts:
+                add(old, old, buf)
+                subtract(down, buf, buf)
+                buf += up
+                buf /= h2
+            for buf in extra:
+                lap += buf
+            multiply(D[inner], dt, w)
+            w *= lap
+            add(old, w, new)
+            cells += size
+            n_lo, n_hi = float(minimum(new, None)), float(maximum(new, None))
+            # the field's extrema, by comparisons that keep a NaN as min()
+            # and max() do
+            o_lo = out_lo if out_lo < n_lo else n_lo
+            o_hi = out_hi if out_hi > n_hi else n_hi
+            # negated comparisons, so NaN trips them too
+            if not (o_lo >= low and o_hi <= top):
+                raise RangeError(f"eps={eps:g}: field left [{self.floor:g}, "
+                                 f"{self.hi:g}]: range [{o_lo:g}, {o_hi:g}]")
+            if not (n_hi <= hi + slack and n_lo >= lo - slack):
+                raise RangeError(f"eps={eps:g}: discrete maximum principle "
+                                 f"violated")
+            lo, hi = o_lo, o_hi
+            diss_old = diss
+            diss = diss_old + float(np.vdot(w, lap)) * vol
+            t_new = t + dt
+            while due <= t_new + tol:
+                frac = (due - t) / dt
+                fields[nxt] = u + frac * (spare - u)
+                snap_diss[nxt] = diss_old + frac * (diss - diss_old)
+                nxt += 1
+                due = snaps[nxt]
+            dt_append(dt)
+            max_append(hi)
+            u, spare, t = spare, u, t_new
+            slab, old, shifts, n_slab, new, n_shifts = \
+                n_slab, new, n_shifts, slab, old, shifts
+            if t >= t_end:
+                break
+            # an edge row off the floor opens the window again (see _open)
+            if ends:
+                opened = u.item(ends[0]) != eps or u.item(ends[1]) != eps
+            else:
+                opened = edge_floor and u.take(edges).tolist() != edge_floor
+            if opened:
+                self.u, self.spare = u, spare
+                self._open()
         else:
-            moved = self.edge_floor and \
-                u.take(self.edge_take).tolist() != self.edge_floor
-        if moved:
-            self._open()
-        (slab, old, shifts), (_, new, _) = self.src, self.dst
-        D = self.prob.diffusivity(slab)
-        dt = min(self.cfl / float(np.maximum.reduce(D, None)), room)
-        lap, w = self.lap, self.w
-        for buf, h2, down, up in shifts:
-            np.add(old, old, buf)
-            np.subtract(down, buf, buf)
-            buf += up
-            buf /= h2
-        for buf, *_ in self.stencil[1:]:
-            lap += buf
-        np.multiply(D[self.inner], dt, w)
-        w *= lap
-        np.add(old, w, new)
-        self.cell_updates += w.size
-        self.u, self.spare = self.spare, u
-        self.src, self.dst = self.dst, self.src
-        top, slack = self.hi, self.slack
-        n_lo = float(np.minimum.reduce(new, None))
-        n_hi = float(np.maximum.reduce(new, None))
-        if self.partial:  # the interior cells outside the window hold eps
-            n_lo, n_hi = min(n_lo, eps), max(n_hi, eps)
-        o_lo, o_hi = min(n_lo, self.ring_lo), max(n_hi, self.ring_hi)
-        # negated comparisons, so NaN trips them too
-        if not (o_lo >= self.floor - slack and o_hi <= top + slack):
-            raise RangeError(
-                f"eps={eps:g}: field left [{self.floor:g}, {top:g}]: "
-                f"range [{o_lo:g}, {o_hi:g}]")
-        if not (n_hi <= hi + slack and n_lo >= lo - slack):
-            raise RangeError(f"eps={eps:g}: discrete maximum principle "
-                             f"violated")
-        return dt, o_lo, o_hi, float(np.vdot(w, lap))
+            raise CflError("step budget exhausted before reaching T")
+        if nxt < n_snap:
+            fields[nxt] = u
+            snap_diss[nxt] = diss
+            nxt += 1
+        assert nxt == n_snap, "snapshot schedule not exhausted"
+        self.u, self.spare = u, spare
+        return SolveTrace(
+            grid=self.grid, prob=self.prob, times=snap_times, fields=fields,
+            dissipation=snap_diss, dt_history=np.asarray(dt_hist),
+            max_u_history=np.asarray(max_hist), boundary_transient=transient,
+            n_steps=len(dt_hist), cell_updates=cells)
 
 
 def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
@@ -420,24 +469,23 @@ def cfl_dt(prob: EpsProblem, grid: GridSpec, values: np.ndarray) -> float:
 
 def step_explicit(values: np.ndarray, prob: EpsProblem, grid: GridSpec,
                   dt: float) -> np.ndarray:
-    """One forward-Euler update with the boundary ring re-pinned to
-    eps*psi, through the same kernel that solve marches with; values are
-    left as they are.
+    """One forward-Euler update, the boundary ring re-pinned to eps*psi:
+    solve's march, of one step to min(dt, CFL bound); values stay as given.
 
     Raises DomainError when values do not have the grid's shape, leave the
     table's domain or dt is not positive (NaN included in both) and for
-    problem data that `EpsProblem.sample_on` rejects; CflError when dt
-    exceeds the stability bound by more than 1e-12 of it (a dt within that
-    slack is stepped at the bound); RangeError as the kernel's tripwires
-    do (see `_Kernel.step`).
+    problem data that `EpsProblem.sample_on` rejects; CflError, before the
+    step, when dt exceeds the bound by more than 1e-12 of it (a dt within
+    that slack is stepped at the bound); RangeError as `_Kernel.march`.
     """
-    if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
+    if not dt > 0.0:   # negated, so NaN, which passes the CFL test, fails
         raise DomainError(f"time step must be positive, got {dt!r}")
     kern = _Kernel(prob, grid, values)
-    u = kern.u
-    bound = kern.step(float(u.min()), float(u.max()), dt)[0]
+    bound = kern.bound()[0]
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
+    dt = min(dt, bound)
+    kern.march(dt, np.array([0.0, dt]))
     return kern.u
 
 
@@ -525,67 +573,19 @@ def solve(prob: EpsProblem, grid: GridSpec, T: float,
     """March the explicit scheme to time T with adaptive CFL-bounded steps.
 
     Snapshots are linearly interpolated in time onto the requested instants,
-    so step placement never depends on the output schedule.  Every step is
-    one call of the shared kernel's `step`, so a range or maximum-principle
-    violation raises RangeError at the step where it happens, and the
-    dissipation integral uses the step's own D, which is what makes the
-    energy identity check tight.  T must be positive and finite; see
-    `_check_budget` for the CflError before the first step.
+    so step placement never depends on the output schedule.  The run is
+    one march of the shared kernel (`_Kernel.march`), so a range or
+    maximum-principle violation raises RangeError at the step where it
+    happens, and the dissipation integral uses the step's own D, which is
+    what makes the energy identity check tight.  T must be positive and
+    finite; see `_check_budget` for the CflError before the first step.
     """
     if not 0.0 < T < math.inf:
         raise DomainError(f"final time must be positive and finite, got {T!r}")
     snap_times = _resolve_snapshots(snapshot_times, T)
-    snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
-
     kern = _Kernel(prob, grid)
     _check_budget(kern, T)
-    u = kern.u
-    boundary_transient = float(np.abs(prob.eps + kern.g_vals - u).max())
-
-    vol = grid.cell_volume
-    fields = np.empty((n_snap, *u.shape))
-    fields[0] = u
-    snap_diss = np.zeros(n_snap)
-    dt_hist, max_hist = [], []
-    # the time, the dissipation sum, the next snapshot and its time (inf
-    # once all are taken)
-    t, diss, nxt = 0.0, 0.0, 1
-    snaps.append(math.inf)
-    due = snaps[1]
-    u_lo, u_hi = float(u.min()), float(u.max())
-    t_end = T - tol
-    for _ in range(MAX_STEPS):
-        # integrand (du/dt)^2 / D, which balances the gradient energy for
-        # any positive D: the step's sum of du^2/D over dt
-        dt, u_lo, u_hi, s = kern.step(u_lo, u_hi, T - t)
-        new = kern.u
-        diss_old = diss
-        diss = diss_old + s * vol
-        t_new = t + dt
-        while due <= t_new + tol:
-            w = (due - t) / dt
-            fields[nxt] = u + w * (new - u)
-            snap_diss[nxt] = diss_old + w * (diss - diss_old)
-            nxt += 1
-            due = snaps[nxt]
-        dt_hist.append(dt)
-        max_hist.append(u_hi)
-        u, t = new, t_new
-        if t >= t_end:
-            break
-    else:
-        raise CflError("step budget exhausted before reaching T")
-    if nxt < n_snap:
-        fields[nxt] = u
-        snap_diss[nxt] = diss
-        nxt += 1
-    assert nxt == n_snap, "snapshot schedule not exhausted"
-    return SolveTrace(
-        grid=grid, prob=prob, times=snap_times, fields=fields,
-        dissipation=snap_diss, dt_history=np.asarray(dt_hist),
-        max_u_history=np.asarray(max_hist),
-        boundary_transient=boundary_transient, n_steps=len(dt_hist),
-        cell_updates=kern.cell_updates)
+    return kern.march(T, snap_times)
 
 
 def grad_energy(values: np.ndarray, grid: GridSpec) -> float:

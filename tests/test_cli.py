@@ -737,15 +737,16 @@ def _apply(cfg, mutation):
 
 # out-of-range values of the right type, with the exit code of the phase
 # that reads them: every subcommand builds the table (3), the solving ones
-# build the grid and the hump (4), and kinetic-compare alone reads the
-# master equation's tau0 and dt (6)
+# build the grid, the hump and the declared empty ball (4), and
+# kinetic-compare alone reads the master equation's tau0 and dt (6)
 _SOLVING = ("solve", "localize", "kinetic-compare", "sweep-eps")
 _OUT_OF_RANGE = [
     *((path, value, 3, _COMMANDS) for path in (
         ("profile", "M"), ("profile", "beta"), ("table", "K"))
       for value in (0, -1)),
     *((path, value, 4, _SOLVING) for path in (
-        ("grid", "n", 0), ("bump", "radius"), ("bump", "height"))
+        ("grid", "n", 0), ("bump", "radius"), ("bump", "height"),
+        ("localization", "R"))
       for value in (0, -1)),
     (("grid", "extent", 0), [1.0, -1.0], 4, _SOLVING),
     # b - a overflows: every cell width is inf
@@ -856,14 +857,15 @@ class TestStiffKinds:
         assert info["eps"] <= info["D_floor"] <= 1.0001 * info["eps"]
 
     def test_solve_exits_4_before_any_step(self, tmp_path, monkeypatch):
-        steps = []
-        step = solver_mod._Kernel.step
+        # D is evaluated once for the budget projection and once per step
+        calls = []
+        diffusivity = solver_mod.EpsProblem.diffusivity
 
         def counted(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
+            calls.append(1)
+            return diffusivity(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        monkeypatch.setattr(solver_mod.EpsProblem, "diffusivity", counted)
         cfg = json.loads(json.dumps(README_CONFIG))
         cfg["profile"] = {"kind": "constant", "F0": 1e6, "h0": 1.0}
         path = tmp_path / "config.json"
@@ -873,7 +875,7 @@ class TestStiffKinds:
         err = load_json(out, "error.json")
         assert err["error"] == "CflError" and err["phase"] == "solve"
         assert "max D" in err["message"] and "budget" in err["message"]
-        assert not steps
+        assert len(calls) == 1
 
     def test_sweep_eps_finishes_exp_zeta_slow(self, tmp_path):
         # each rung takes the steps of solve at its eps
@@ -913,14 +915,14 @@ class TestStiffKinds:
 
     def test_sweep_eps_below_the_table_floor_marches_nothing(
             self, tmp_path, monkeypatch):
-        steps = []
-        step = solver_mod._Kernel.step
+        calls = []
+        diffusivity = solver_mod.EpsProblem.diffusivity
 
         def counted(*args, **kwargs):
-            steps.append(1)
-            return step(*args, **kwargs)
+            calls.append(1)
+            return diffusivity(*args, **kwargs)
 
-        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        monkeypatch.setattr(solver_mod.EpsProblem, "diffusivity", counted)
         # exp_inv's table starts at 1e-2; the README ladder lies below it
         cfg = json.loads(json.dumps(README_CONFIG))
         cfg["profile"] = {"kind": "exp_inv", "M": 1.0}
@@ -933,7 +935,7 @@ class TestStiffKinds:
         assert err["error"] == "DomainError" and err["phase"] == "solve"
         assert err["message"].startswith("eps=0.001 below the table's")
         assert not os.path.exists(os.path.join(str(out), "sweep.json"))
-        assert steps == []
+        assert calls == []
 
 
 class TestRecordedOutputs:

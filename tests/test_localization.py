@@ -347,6 +347,13 @@ class TestDeGiorgiTrace:
         assert len(dg.Y) == 7
         assert math.isnan(dg.bound[0]) and np.all(np.isfinite(dg.bound[1:]))
 
+    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    def test_n_max_must_be_a_nonnegative_integer(
+            self, desk_trace_beta1, cutoffs, desk_pack, beta1_table, n_max):
+        with pytest.raises(DomainError, match="n_max"):
+            de_giorgi_trace(desk_trace_beta1, cutoffs, desk_pack, beta1_table,
+                            n_max=n_max)
+
     def test_to_dict_is_json_ready(self, desk_trace_beta1, cutoffs, desk_pack,
                                    beta1_table):
         import json
@@ -676,12 +683,25 @@ class TestFronts:
             assert r_empty.tolist() == [
                 empty_radius(f, trace.grid, centre, thr) for f in trace.fields]
 
+    @pytest.mark.parametrize("x0", [(math.nan,), (math.inf,)],
+                             ids=["nan", "inf"])
+    def test_series_rejects_a_nonfinite_centre(self, desk_trace_beta1, x0):
+        with pytest.raises(DomainError, match="finite"):
+            front_series(desk_trace_beta1, x0)
+
     def test_arrival_censored_on_degenerate_run(self, desk_trace_beta1):
         assert time_to_threshold(desk_trace_beta1, X0, RP) == math.inf
 
     def test_arrival_finite_on_control_run(self, control_trace):
         t_arr = time_to_threshold(control_trace, X0, RP)
         assert 0.005 < t_arr < 0.03       # measured ~0.012 on the desk grid
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, -1e-300])
+    def test_arrival_rejects_a_negative_or_nan_radius(self, control_trace,
+                                                      radius):
+        # a radius of 0 probes the nearest cell; below 0 nothing is meant
+        with pytest.raises(DomainError, match="radius"):
+            time_to_threshold(control_trace, X0, radius)
 
     def test_probe_without_cells_rejected(self, desk_trace_beta1):
         with pytest.raises(GeometryError):

@@ -5,6 +5,7 @@ measured once on the desk configuration and frozen here with generous
 margins; they are deterministic, so drift means a real behavior change.
 """
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from degenstein.checker import PROFILES
 from degenstein.coeffs import (CoefficientTable, DegeneracyProfile,
                                LambdaChoice, build_table, constant_table)
 from degenstein.errors import CflError, DomainError, RangeError
-from degenstein.solver import (EpsProblem, GridSpec, bump, cfl_dt,
+from degenstein.solver import (EpsProblem, GridSpec, SolveTrace, bump, cfl_dt,
                                energy_identity_residual, eps_sweep,
                                grad_energy, solve, step_explicit)
 
@@ -64,11 +65,27 @@ class TestGridSpec:
             with pytest.raises(DomainError, match="cell width"):
                 GridSpec(extent=extent, n=(64,) * len(extent))
 
+    def test_cell_count_must_be_an_integer(self):
+        for n in [(50.5,), (50.0,), (64, 50.0)]:
+            with pytest.raises(DomainError, match="integer"):
+                GridSpec(extent=((-1.0, 1.0),) * len(n), n=n)
+        # numpy's integers count cells as Python's do
+        grid = GridSpec(extent=((-1.0, 1.0),) * 2,
+                        n=(np.int64(50), np.int32(40)))
+        assert grid.interior_mask().sum() == 48 * 38
+
     def test_distance_field(self):
         grid = GridSpec(extent=((-1.0, 1.0),), n=(101,))
         d = grid.distance_to((0.5,))
         x = grid.axis_centers(0)
         assert np.allclose(d, np.abs(x - 0.5))
+
+    @pytest.mark.parametrize("x0", [(math.nan,), (math.inf,), (0.0, math.nan)],
+                             ids=["nan", "inf", "2d-nan"])
+    def test_distance_to_a_nonfinite_point_rejected(self, x0):
+        grid = GridSpec(extent=((-1.0, 1.0),) * len(x0), n=(16,) * len(x0))
+        with pytest.raises(DomainError, match="finite"):
+            grid.distance_to(x0)
 
 
 class TestBump:
@@ -163,6 +180,21 @@ class TestFixedPointAndGuards:
                           omega_prime=((0.5,), 0.4))
         with pytest.raises(DomainError):
             prob.sample_on(desk_grid)
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0, math.inf])
+    def test_omega_prime_radius_must_be_positive_and_finite(self, beta1_table,
+                                                            radius):
+        with pytest.raises(DomainError, match="radius"):
+            EpsProblem(table=beta1_table, eps=1e-6, g=bump((0.5,), 0.1, 0.1),
+                       omega_prime=((0.5,), radius))
+
+    def test_omega_prime_nan_center_rejected(self, beta1_table, desk_grid):
+        # the hump sits on the ball a finite center would declare
+        prob = EpsProblem(table=beta1_table, eps=1e-6,
+                          g=bump((0.5,), 0.1, 0.1), psi=1.0,
+                          omega_prime=((math.nan,), 0.2))
+        with pytest.raises(DomainError, match="finite"):
+            solve(prob, desk_grid, 0.001, 2)
 
     def test_overfull_initial_data_rejected(self, beta1_table, desk_grid):
         prob = EpsProblem(table=beta1_table, eps=1e-6,
@@ -450,6 +482,20 @@ def _reference_solve(prob, grid, T):
     return n_steps, u
 
 
+def _count_diffusivity(monkeypatch):
+    """Record the floor of every evaluation of D: one per step, and one
+    for each solve's budget projection before its first step."""
+    floors = []
+    honest = solver_mod.EpsProblem.diffusivity
+
+    def counted(prob, values):
+        floors.append(prob.eps)
+        return honest(prob, values)
+
+    monkeypatch.setattr(solver_mod.EpsProblem, "diffusivity", counted)
+    return floors
+
+
 class TestSharedKernel:
     @pytest.mark.parametrize("kind", [*sorted(PROFILES), "constant"])
     def test_diffusivity_is_the_profile_plus_eps(self, kind):
@@ -493,22 +539,17 @@ class TestSharedKernel:
                                                   monkeypatch):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
         n_full = solve(prob, desk_grid, 0.01, snapshot_times=2).n_steps
-        calls = []
-        honest = solver_mod._Kernel.step
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return honest(*args, **kwargs)
-
-        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        floors = _count_diffusivity(monkeypatch)
         # steps ten times the stable one: the first update from the smooth
         # bump stays in range, the second overshoots
         monkeypatch.setattr(solver_mod, "SAFETY", 10.0 * solver_mod.SAFETY)
         with pytest.raises(RangeError):
             solve(prob, desk_grid, 0.01, snapshot_times=2)
         # caught by the per-step tripwire at that step, long before the
-        # field reaches T (n_full // 10 steps of this size)
-        assert 0 < len(calls) <= 2 < n_full // 10, (len(calls), n_full)
+        # field reaches T (n_full // 10 steps of this size); D is evaluated
+        # once for the budget projection and once per step
+        steps = len(floors) - 1
+        assert 0 < steps <= 2 < n_full // 10, (steps, n_full)
 
 
 class TestStepBudget:
@@ -545,16 +586,14 @@ class TestStepBudget:
 
     def test_rejected_before_the_first_step(self, beta1_table, desk_grid,
                                             desk_bump, monkeypatch):
-        steps = []
-        honest = solver_mod._Kernel.step
-        monkeypatch.setattr(solver_mod._Kernel, "step",
-                            lambda *args: steps.append(1) or honest(*args))
+        floors = _count_diffusivity(monkeypatch)
         monkeypatch.setattr(solver_mod, "MAX_STEPS", 10)
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
         peak = int(np.argmax(desk_grid.sample(desk_bump)))
         with pytest.raises(CflError, match=rf"at cell \({peak},\)"):
             solve(prob, desk_grid, 1.0)
-        assert not steps
+        # D of the budget projection only: no step
+        assert floors == [1e-6]
 
 
 class TestMaxPrincipleAtTheBound:
@@ -745,6 +784,233 @@ class TestActiveWindow:
             < desk_trace_beta1.n_steps * interior / 2
 
 
+# The time loop as `solve` ran it and the step it called once per
+# iteration, `_Kernel.step`, before the loop moved into the kernel's
+# `march`: the bit-for-bit references of the march and of step_explicit,
+# copied verbatim but for the names of the module's private helpers.
+
+class _ReferenceKernel(solver_mod._Kernel):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.cell_updates = 0        # cells stepped
+
+    def step(self, lo: float, hi: float, room: float):
+        """One step of u into the buffer at dt = min(CFL bound, room),
+        after which the two swap: D on the window plus its halo, the
+        update w = dt*D*lap_h(u), with lap_h(u) written into a
+        window-sized buffer in the order of (u[i-1] - 2*u[i] + u[i+1])/h^2
+        per axis, and the tripwires.  Every bit is that expression's:
+        2*u[i] is formed as u[i] + u[i], which is exact, and dividing by
+        the window's array of h^2 is the scalar division cell by cell.  lo,
+        hi are the extrema of u, after the first step the ones the last
+        step returned, which the maximum-principle tripwire compares the
+        new field with.
+
+        Returns dt, the extrema of the new field and the step's sum of
+        du^2/D over dt, the dissipation integrand: one dot of w and
+        lap_h(u), off the rounded (new - old)^2/D at roundoff.  RangeError
+        if the new field leaves the admissible range or the update breaks
+        the discrete maximum principle (tripwires: neither can happen
+        under the CFL bound)."""
+        u, eps, ends = self.u, self.eps, self.ends
+        if ends:
+            moved = u[ends[0]] != eps or u[ends[1]] != eps
+        else:
+            moved = self.edge_floor and \
+                u.take(self.edge_take).tolist() != self.edge_floor
+        if moved:
+            self._open()
+        (slab, old, shifts), (_, new, _) = self.src, self.dst
+        D = self.prob.diffusivity(slab)
+        dt = min(self.cfl / float(np.maximum.reduce(D, None)), room)
+        lap, w = self.lap, self.w
+        for buf, h2, down, up in shifts:
+            np.add(old, old, buf)
+            np.subtract(down, buf, buf)
+            buf += up
+            buf /= h2
+        for buf, *_ in self.stencil[1:]:
+            lap += buf
+        np.multiply(D[self.inner], dt, w)
+        w *= lap
+        np.add(old, w, new)
+        self.cell_updates += w.size
+        self.u, self.spare = self.spare, u
+        self.src, self.dst = self.dst, self.src
+        top, slack = self.hi, self.slack
+        n_lo = float(np.minimum.reduce(new, None))
+        n_hi = float(np.maximum.reduce(new, None))
+        if self.partial:  # the interior cells outside the window hold eps
+            n_lo, n_hi = min(n_lo, eps), max(n_hi, eps)
+        o_lo, o_hi = min(n_lo, self.ring_lo), max(n_hi, self.ring_hi)
+        # negated comparisons, so NaN trips them too
+        if not (o_lo >= self.floor - slack and o_hi <= top + slack):
+            raise RangeError(
+                f"eps={eps:g}: field left [{self.floor:g}, {top:g}]: "
+                f"range [{o_lo:g}, {o_hi:g}]")
+        if not (n_hi <= hi + slack and n_lo >= lo - slack):
+            raise RangeError(f"eps={eps:g}: discrete maximum principle "
+                             f"violated")
+        return dt, o_lo, o_hi, float(np.vdot(w, lap))
+
+
+def _reference_solve_loop(prob, grid, T, snapshot_times=None):
+    """March the explicit scheme to time T with adaptive CFL-bounded steps.
+
+    Snapshots are linearly interpolated in time onto the requested instants,
+    so step placement never depends on the output schedule.  Every step is
+    one call of the shared kernel's `step`, so a range or maximum-principle
+    violation raises RangeError at the step where it happens, and the
+    dissipation integral uses the step's own D, which is what makes the
+    energy identity check tight.  T must be positive and finite; see
+    `_check_budget` for the CflError before the first step.
+    """
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"final time must be positive and finite, got {T!r}")
+    snap_times = solver_mod._resolve_snapshots(snapshot_times, T)
+    snaps, n_snap, tol = snap_times.tolist(), len(snap_times), 1e-15 * T
+
+    kern = _ReferenceKernel(prob, grid)
+    solver_mod._check_budget(kern, T)
+    u = kern.u
+    boundary_transient = float(np.abs(prob.eps + kern.g_vals - u).max())
+
+    vol = grid.cell_volume
+    fields = np.empty((n_snap, *u.shape))
+    fields[0] = u
+    snap_diss = np.zeros(n_snap)
+    dt_hist, max_hist = [], []
+    # the time, the dissipation sum, the next snapshot and its time (inf
+    # once all are taken)
+    t, diss, nxt = 0.0, 0.0, 1
+    snaps.append(math.inf)
+    due = snaps[1]
+    u_lo, u_hi = float(u.min()), float(u.max())
+    t_end = T - tol
+    for _ in range(solver_mod.MAX_STEPS):
+        # integrand (du/dt)^2 / D, which balances the gradient energy for
+        # any positive D: the step's sum of du^2/D over dt
+        dt, u_lo, u_hi, s = kern.step(u_lo, u_hi, T - t)
+        new = kern.u
+        diss_old = diss
+        diss = diss_old + s * vol
+        t_new = t + dt
+        while due <= t_new + tol:
+            w = (due - t) / dt
+            fields[nxt] = u + w * (new - u)
+            snap_diss[nxt] = diss_old + w * (diss - diss_old)
+            nxt += 1
+            due = snaps[nxt]
+        dt_hist.append(dt)
+        max_hist.append(u_hi)
+        u, t = new, t_new
+        if t >= t_end:
+            break
+    else:
+        raise CflError("step budget exhausted before reaching T")
+    if nxt < n_snap:
+        fields[nxt] = u
+        snap_diss[nxt] = diss
+        nxt += 1
+    assert nxt == n_snap, "snapshot schedule not exhausted"
+    return SolveTrace(
+        grid=grid, prob=prob, times=snap_times, fields=fields,
+        dissipation=snap_diss, dt_history=np.asarray(dt_hist),
+        max_u_history=np.asarray(max_hist),
+        boundary_transient=boundary_transient, n_steps=len(dt_hist),
+        cell_updates=kern.cell_updates)
+
+
+def _reference_step_explicit(values, prob, grid, dt):
+    """One forward-Euler update with the boundary ring re-pinned to
+    eps*psi, through the same kernel that solve marches with; values are
+    left as they are.
+
+    Raises DomainError when values do not have the grid's shape, leave the
+    table's domain or dt is not positive (NaN included in both) and for
+    problem data that `EpsProblem.sample_on` rejects; CflError when dt
+    exceeds the stability bound by more than 1e-12 of it (a dt within that
+    slack is stepped at the bound); RangeError as the kernel's tripwires
+    do (see `_Kernel.step`).
+    """
+    if not dt > 0.0:   # negated, so NaN, which the step's min() drops, fails
+        raise DomainError(f"time step must be positive, got {dt!r}")
+    kern = _ReferenceKernel(prob, grid, values)
+    u = kern.u
+    bound = kern.step(float(u.min()), float(u.max()), dt)[0]
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(f"dt={dt:g} exceeds stability bound {bound:g}")
+    return kern.u
+
+
+def _assert_every_field_equal(got, ref):
+    for f in dataclasses.fields(SolveTrace):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a is b or a == b, f.name
+
+
+class TestMarchAgainstTheStepLoop:
+    """`solve` against the loop that called the kernel's step, in every
+    SolveTrace field, and `step_explicit` and `cfl_dt` against that step:
+    bit for bit, since the march makes the same numpy calls on the same
+    operands in the same order."""
+
+    GRID_1D = GridSpec(extent=((-1.0, 1.0),), n=(201,))
+    RUNS = {
+        # the benchmark desk's seed-0 inputs
+        "desk": (GridSpec(extent=((-1.0, 1.0),), n=(801,)),
+                 dict(g=bump((-0.6,), 0.2, 0.2), omega_prime=((0.5,), 0.4)),
+                 0.05, 33),
+        "cos2-2d": (TestActiveWindow.GRID_RECT,
+                    dict(g=bump((-0.3, 0.2), 0.4, 0.3, shape="cos2")),
+                    0.02, 9),
+        # the ring pins differ from eps: the window is the whole interior
+        "psi": (GRID_1D, dict(g=bump((-0.6,), 0.2, 0.2),
+                              psi=lambda x: 1.0 + 0.5 * np.cos(x)), 0.01, 5),
+        "fills-the-box": (GRID_1D,
+                          dict(g=lambda x: 0.1 + 0.05 * np.cos(3 * x)),
+                          0.005, 5),
+        # an instant inside the first step (about 2e-4 long)
+        "schedule": (GRID_1D, dict(g=bump((-0.6,), 0.2, 0.2)), 0.01,
+                     [0.0, 1e-7, 0.003, 0.01]),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_solve_matches_the_step_loop(self, beta1_table, run):
+        grid, data, T, snaps = self.RUNS[run]
+        prob = EpsProblem(table=beta1_table, eps=1e-6, **data)
+        got = solve(prob, grid, T, snaps)
+        _assert_every_field_equal(got, _reference_solve_loop(prob, grid, T,
+                                                             snaps))
+        if run == "desk":
+            assert (got.n_steps, got.cell_updates) == (2739, 476_820)
+
+    @pytest.mark.parametrize("ring", ["pins", "off-pins"])
+    @pytest.mark.parametrize("case", sorted(TestActiveWindow.CASES))
+    def test_single_steps_match_the_step(self, beta1_table, case, ring):
+        grid, data, _ = TestActiveWindow.CASES[case]
+        table = _falling_D_table() if case == "falling-D" else beta1_table
+        prob = EpsProblem(table=table, eps=1e-6, **data)
+        u = prob.eps + grid.sample(prob.g)
+        ring_cells = ~grid.interior_mask()
+        u[ring_cells] = (prob.eps * grid.sample(prob.psi)[ring_cells]
+                         if ring == "pins" else 2e-6)
+        bound = cfl_dt(prob, grid, u)
+        # the step's own bound, from D on its slab, is cfl_dt's to the bit
+        kern = _ReferenceKernel(prob, grid, u)
+        assert kern.step(float(u.min()), float(u.max()), math.inf)[0] == bound
+        for dt in (0.5 * bound, bound, bound * (1.0 + 1e-13)):
+            got = step_explicit(u, prob, grid, dt)
+            assert np.array_equal(got,
+                                  _reference_step_explicit(u, prob, grid, dt))
+        for step in (step_explicit, _reference_step_explicit):
+            with pytest.raises(CflError):
+                step(u, prob, grid, bound * (1.0 + 1e-11))
+
+
 class TestNonFiniteFinalTime:
     """0 < T < inf, or the march would never reach T (NaN compares false
     with every time, and min(dt, T - t) ignores it)."""
@@ -892,64 +1158,47 @@ class TestFloorLadder:
     def test_overshoot_raises_in_the_first_rung(
             self, beta1_table, desk_grid, desk_bump, monkeypatch):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        floors = []
-        honest = solver_mod._Kernel.step
-
-        def counted(kern, *args):
-            floors.append(kern.eps)
-            return honest(kern, *args)
-
-        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        floors = _count_diffusivity(monkeypatch)
         # steps ten times the stable one overshoot within two steps
         monkeypatch.setattr(solver_mod, "SAFETY", 10.0 * solver_mod.SAFETY)
         with pytest.raises(RangeError) as info:
             eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
         assert "eps=0.001:" in str(info.value)
-        # no later floor is marched
-        assert 0 < len(floors) <= 2 and set(floors) == {1e-3}, floors
+        # the budget projection and one or two steps; no later floor is
+        # marched
+        assert 0 < len(floors) - 1 <= 2 and set(floors) == {1e-3}, floors
 
     def test_overshoot_in_a_later_rung_names_its_floor(
             self, beta1_table, desk_grid, desk_bump, monkeypatch):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
         n_first = solve(replace(prob, eps=1e-3), desk_grid, 0.01, 2).n_steps
-        floors = []
-        honest_init, honest_step = solver_mod._Kernel.__init__, \
-            solver_mod._Kernel.step
+        honest_init = solver_mod._Kernel.__init__
 
         def stiff_second_rung(kern, *args):
             honest_init(kern, *args)
             if kern.eps == 1e-4:
                 kern.cfl *= 10.0     # overshoots within two steps
 
-        def counted(kern, *args):
-            floors.append(kern.eps)
-            return honest_step(kern, *args)
-
         monkeypatch.setattr(solver_mod._Kernel, "__init__", stiff_second_rung)
-        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        floors = _count_diffusivity(monkeypatch)
         with pytest.raises(RangeError) as info:
             eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-5])
         assert "eps=0.0001:" in str(info.value)
-        # the first floor is marched to T, the third never
-        assert floors[:n_first] == [1e-3] * n_first
-        assert 0 < len(floors) - n_first <= 2
-        assert set(floors[n_first:]) == {1e-4}, floors
+        # the first floor is marched to T, the third never; each floor's
+        # D is evaluated once for its budget projection and once per step
+        first = n_first + 1
+        assert floors[:first] == [1e-3] * first
+        assert 0 < len(floors) - first - 1 <= 2
+        assert set(floors[first:]) == {1e-4}, floors
 
     def test_every_floor_is_checked_before_the_first_is_marched(
             self, beta1_table, desk_grid, desk_bump, monkeypatch):
         prob = EpsProblem(table=beta1_table, eps=1e-6, g=desk_bump, psi=1.0)
-        steps = []
-        honest = solver_mod._Kernel.step
-
-        def counted(kern, *args):
-            steps.append(kern.eps)
-            return honest(kern, *args)
-
-        monkeypatch.setattr(solver_mod._Kernel, "step", counted)
+        floors = _count_diffusivity(monkeypatch)
         # the last floor lies below the table's s_min = 1e-8
         with pytest.raises(DomainError, match="eps=1e-09 below"):
             eps_sweep(prob, desk_grid, 0.01, [1e-3, 1e-4, 1e-9])
-        assert steps == []
+        assert floors == []
 
 
 class TestExactSolution:
